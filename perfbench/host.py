@@ -1,6 +1,7 @@
-"""Host readings taken beside every sample (the two host canaries and
-the peak resident memory of this process plus its Ray worker processes),
-and the bookkeeping that makes sure every process Ray started has ended."""
+"""Host readings taken beside every sample (the two host canaries, the
+yardstick that the timings are normalised by, and the peak resident
+memory of this process plus its Ray worker processes), and the
+bookkeeping that makes sure every process Ray started has ended."""
 from __future__ import annotations
 
 import os
@@ -42,6 +43,55 @@ class Canary:
         return {"alloc_20m_ms": round(alloc_ms, 2), "fsst_enc_mb_s": round(enc, 1)}
 
 
+class Yardstick:
+    """A fixed bundle of single-core work that shares no code with the
+    package: zlib level 1 on 3 MB of text, pyarrow's own parquet writer on
+    a 100k-row table, a numpy sort of 2M doubles and a pure-Python dict
+    loop, about 40 ms each on a calm host. The benchmark times it right
+    before and right after every operation and divides the operation's
+    wall by it, which cancels the host speed drift that the operation
+    and the yardstick share. ``NOMINAL_S`` is its median on the calm
+    4-vCPU host the benchmark was sized on; ``wall x NOMINAL_S /
+    yardstick`` is the wall at that host's speed."""
+
+    NOMINAL_S = 0.155
+
+    def __init__(self) -> None:
+        import pyarrow as pa
+
+        rng = np.random.default_rng(20240611)
+        letters = np.frombuffer(b"abcdefghijklmnopqrstuvwxyz", np.uint8)
+        vocab = [bytes(rng.choice(letters, rng.integers(2, 12))) for _ in range(3000)]
+        words = rng.zipf(1.3, 900_000) % len(vocab)
+        self._text = b" ".join(vocab[w] for w in words)[:3 << 20]
+        n = 100_000
+        self._table = pa.table({
+            "k": np.arange(n, dtype=np.int64),
+            "v": rng.random(n),
+            "s": pa.array([v.decode() for v in vocab]).take(rng.integers(0, 300, n)),
+        })
+        self._floats = rng.random(2_000_000)
+        self.time()  # first-call imports and caches stay out of the readings
+
+    def _run(self) -> None:
+        import io
+        import zlib
+
+        import pyarrow.parquet as pq
+
+        zlib.compress(self._text, 1)
+        pq.write_table(self._table, io.BytesIO())
+        np.sort(self._floats)
+        d: dict[int, int] = {}
+        for i in range(200_000):
+            d[i & 1023] = d.get(i & 1023, 0) + i
+
+    def time(self) -> float:
+        t0 = time.perf_counter()
+        self._run()
+        return time.perf_counter() - t0
+
+
 def _proc_table() -> dict[int, tuple[int, bytes]]:
     """pid -> (parent pid, first cmdline word) for every visible process."""
     out = {}
@@ -76,6 +126,27 @@ def descendants(prefix: bytes = b"") -> list[int]:
                 found.append(pid)
                 break
     return found
+
+
+def pin_to_one_cpu(pids: list[int]) -> None:
+    """Run every thread of ``pids`` on one CPU, the highest this process
+    may use; threads and processes they start later inherit it. Timed
+    operations then run as on a one-core host: the benchmark process, the
+    yardstick and each Ray process share that core, and no hand-off
+    between them can wait for another vCPU that the hypervisor has
+    descheduled. Without the pinning, the Ray workloads slowed about 1.5
+    times as much as the yardstick whenever the shared host got busy."""
+    cpu = {max(os.sched_getaffinity(0))}
+    for pid in pids:
+        try:
+            tids = [int(t) for t in os.listdir(f"/proc/{pid}/task")]
+        except OSError:
+            continue  # the process has exited
+        for tid in tids:
+            try:
+                os.sched_setaffinity(tid, cpu)
+            except OSError:
+                pass  # the thread has exited
 
 
 def _alive(pid: int) -> bool:

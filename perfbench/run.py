@@ -9,8 +9,11 @@ declared in ``BENCHMARK.json``; this script reports exactly the metrics
 listed there. One client (this process) runs one operation at a time.
 
 ``--trace 0`` sets up ``setup_reps`` times (Ray start, input generation,
-warm-up) and reports the median, then times the operation repeatedly for ``--seconds`` and
-reports the end-to-end metrics. ``--trace 1`` times the operation untraced
+warm-up) and reports the median, then times the operation repeatedly for
+``--seconds`` and reports the end-to-end metrics. The timed operations
+run pinned to one CPU, and every time reported is normalised by the
+yardstick in ``perfbench/host.py``, a fixed bundle of work timed beside
+each operation, to the speed of the host the benchmark was sized on. ``--trace 1`` times the operation untraced
 for half the time, then restarts with span wrappers installed in the
 benchmark process and every Ray worker, and reports the per-layer metrics.
 
@@ -42,12 +45,17 @@ def _metric_specs() -> dict:
         return json.load(f)
 
 
-def measure(wl, seconds: float, canary, ops: int = 1, after_run=None) -> list[dict]:
-    """Time ``ops`` back-to-back calls of ``wl.run`` per sample until
-    ``seconds`` have passed and at least ``MIN_SAMPLES`` samples exist,
-    then check every sample's output. ``wall_s`` is per call."""
-    from perfbench.host import RssSampler
+def measure(wl, seconds: float, host, after_run=None) -> list[dict]:
+    """Time one call of ``wl.run`` per sample until ``seconds`` have
+    passed and at least ``MIN_SAMPLES`` samples exist, then check every
+    sample's output. The calls run pinned to one CPU; the yardstick is
+    timed right before and right after each call, and ``norm_wall_s`` is
+    the call's wall at the yardstick's nominal host speed."""
+    from perfbench.host import RssSampler, Yardstick, descendants, pin_to_one_cpu
 
+    canary, yard = host
+    allowed = os.sched_getaffinity(0)
+    pin_to_one_cpu([os.getpid()] + descendants())
     samples = []
     t_end = time.perf_counter() + seconds
     while len(samples) < MIN_SAMPLES or time.perf_counter() < t_end:
@@ -55,18 +63,23 @@ def measure(wl, seconds: float, canary, ops: int = 1, after_run=None) -> list[di
         s = {"host": canary.read(), "result": None, "error": None}
         wl.prepare(i)
         gc.collect()  # no collection left over from the previous sample
+        before = yard.time()
         with RssSampler(wl.uses_ray) as rss:
             t0 = time.perf_counter_ns()
             try:
-                for _ in range(ops):
-                    s["result"] = wl.run()
+                s["result"] = wl.run()
             except Exception:  # a failed operation is a failed sample
                 s["error"] = traceback.format_exc()
             t1 = time.perf_counter_ns()
-        s.update(window=[t0, t1], wall_s=(t1 - t0) / 1e9 / ops, peak_rss_mb=rss.peak / 1e6)
+        ref = (before + yard.time()) / 2
+        wall = (t1 - t0) / 1e9
+        s.update(window=[t0, t1], wall_s=wall, yardstick_s=ref,
+                 norm_wall_s=wall * Yardstick.NOMINAL_S / ref,
+                 peak_rss_mb=rss.peak / 1e6)
         if after_run is not None:
             s.update(after_run())
         samples.append(s)
+    os.sched_setaffinity(0, allowed)  # the next set-up runs unpinned
     for i, s in enumerate(samples):
         if s["error"] is None:
             try:
@@ -86,7 +99,11 @@ def _median(xs) -> float:
     return statistics.median(list(xs))
 
 
-def end_to_end(wl, args, canary) -> tuple[dict, list[dict], dict]:
+def end_to_end(wl, args, host) -> tuple[dict, list[dict], dict]:
+    """The end-to-end metrics. ``setup_s`` is the median set-up wall,
+    normalised by the median of every yardstick reading of the run."""
+    from perfbench.host import Yardstick
+
     setups = []
     try:
         for _ in range(wl.setup_reps):
@@ -95,18 +112,22 @@ def end_to_end(wl, args, canary) -> tuple[dict, list[dict], dict]:
             t0 = time.perf_counter()
             wl.setup()
             setups.append(time.perf_counter() - t0)
-        samples = measure(wl, args.seconds, canary, wl.ops_per_sample)
+        samples = measure(wl, args.seconds, host)
     finally:
         wl.teardown()
     ok = _ok(samples)
+    wall = _median(s["norm_wall_s"] for s in ok)
+    yard = _median(s["yardstick_s"] for s in samples)
     metrics = {
-        "raw_mb_s": _median(wl.raw_bytes / s["wall_s"] / 1e6 for s in ok),
-        "wall_s": _median(s["wall_s"] for s in ok),
+        "raw_mb_s": wl.raw_bytes / wall / 1e6,
+        "wall_s": wall,
         "out_bytes_per_raw_byte": ok[-1].get("out_bytes", 0) / wl.raw_bytes,
         "peak_rss_mb": _median(s["peak_rss_mb"] for s in ok),
-        "setup_s": _median(setups),
+        "setup_s": _median(setups) * Yardstick.NOMINAL_S / yard,
     }
-    return metrics, samples, {"setup_s": setups}
+    extra = {"measured_setup_s": setups, "measured_wall_s": _median(s["wall_s"] for s in ok),
+             "yardstick_s": yard}
+    return metrics, samples, extra
 
 
 def _ray_stats(ds) -> dict:
@@ -126,13 +147,13 @@ def _ray_stats(ds) -> dict:
     return {"read_s": read, "map_s": udf, "tasks": tasks}
 
 
-def per_layer(wl, args, canary) -> tuple[dict, list[dict], dict]:
+def per_layer(wl, args, host) -> tuple[dict, list[dict], dict]:
     from perfbench import spans
 
     half = args.seconds / 2
     try:
         wl.setup()
-        untraced = measure(wl, half, canary)
+        untraced = measure(wl, half, host)
     finally:
         wl.teardown()
 
@@ -159,7 +180,7 @@ def per_layer(wl, args, canary) -> tuple[dict, list[dict], dict]:
         spans.install(rec)
         if wl.uses_ray:
             write._drain_manifests = capture
-        traced = measure(wl, half, canary, after_run=after_run)
+        traced = measure(wl, half, host, after_run=after_run)
     finally:
         spans.uninstall()
         if wl.uses_ray:
@@ -172,8 +193,8 @@ def per_layer(wl, args, canary) -> tuple[dict, list[dict], dict]:
     first_counts = layers[0]["counts"]
     metrics = {k: _median(l["times"][k] for l in layers) for k in layers[0]["times"]}
     metrics.update(first_counts)
-    u_wall = _median(s["wall_s"] for s in _ok(untraced))
-    t_wall = _median(s["wall_s"] for s in _ok(traced))
+    u_wall = _median(s["norm_wall_s"] for s in _ok(untraced))
+    t_wall = _median(s["norm_wall_s"] for s in _ok(traced))
     metrics.update({
         "trace.untraced_wall_s": u_wall,
         "trace.traced_wall_s": t_wall,
@@ -181,6 +202,7 @@ def per_layer(wl, args, canary) -> tuple[dict, list[dict], dict]:
         "trace.counts_repeat": float(all(l["counts"] == first_counts for l in layers)),
         "host.alloc_20m_ms": _median(s["host"]["alloc_20m_ms"] for s in untraced + traced),
         "host.fsst_enc_mb_s": _median(s["host"]["fsst_enc_mb_s"] for s in untraced + traced),
+        "host.yardstick_s": _median(s["yardstick_s"] for s in untraced + traced),
     })
     for s, l in zip(_ok(traced), layers):
         s["layers"] = l
@@ -283,7 +305,7 @@ def run_one(args) -> None:
     sys.path.insert(0, ROOT)
     import hyparquet_writer_ray  # noqa: F401  (fails here without the package)
 
-    from perfbench.host import Canary
+    from perfbench.host import Canary, Yardstick
     from perfbench.workloads import WORKLOADS
 
     spec = _metric_specs()
@@ -292,9 +314,9 @@ def run_one(args) -> None:
     shutil.rmtree(work, ignore_errors=True)
     shutil.rmtree(ray_dir, ignore_errors=True)
     wl = WORKLOADS[args.workload](work, args.seed, ray_dir)
-    canary = Canary()
+    host = (Canary(), Yardstick())
     try:
-        metrics, samples, extra = (per_layer if args.trace else end_to_end)(wl, args, canary)
+        metrics, samples, extra = (per_layer if args.trace else end_to_end)(wl, args, host)
     finally:
         shutil.rmtree(work, ignore_errors=True)
         shutil.rmtree(ray_dir, ignore_errors=True)

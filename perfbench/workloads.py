@@ -66,11 +66,6 @@ def start_ray(ray_dir: str, trace_dir: str | None = None) -> None:
 class Workload:
     uses_ray = False
     setup_reps = 3  # set-ups per end-to-end run; setup_s is their median
-    # operations timed back to back per end-to-end sample: host speed on
-    # the machine this was sized on flips between two levels from one
-    # second to the next, and a sample that spans several operations
-    # averages the flips instead of landing on one of them
-    ops_per_sample = 1
 
     def __init__(self, work: str, seed: int, ray_dir: str = "") -> None:
         self.work = work
@@ -274,7 +269,6 @@ class LineitemFile(_LocalFile):
 
     name = "lineitem_file"
     ROWS = 1_000_000
-    ops_per_sample = 2
 
     def _make_input(self) -> pa.Table:
         rng = np.random.default_rng(self.seed)
@@ -317,7 +311,6 @@ class TextFsst(_LocalFile):
 
     name = "text_fsst"
     ROWS = 200_000
-    ops_per_sample = 3
     OPTS = WriteOptions(column_specs={"text": ColumnSpec(fsst=True)})
 
     def _make_input(self) -> pa.Table:
