@@ -27,7 +27,7 @@ from .nested import LeveledValues
 from .options import ColumnSpec, WriteOptions
 from .pages import write_data_page_v2_header, write_dictionary_page_header
 from .plain import plain_boolean, plain_byte_array, plain_fixed, plain_flba
-from .rle import bit_width_of, encode_rle_hybrid
+from .rle import bit_width_of, encode_rle_hybrid, write_rle_run
 from .splitstream import byte_stream_split
 from .statistics import Stats, compute_statistics
 from .types import Codec, Encoding, FIXED_WIDTH, LeafInfo, ParquetType
@@ -115,7 +115,7 @@ def _encode_values(page: BufWriter, arr: pa.Array, leaf: LeafInfo, encoding: Enc
         body = BufWriter()
         encode_rle_hybrid(body, A.fixed_values(arr).astype(np.uint8), 1)
         page.u32(body.offset)  # u32 byte-length prefix (src/datapage.js:45)
-        page.write(body.getvalue())
+        page.write(body.view())
     elif encoding == Encoding.DELTA_BINARY_PACKED:
         if t not in (ParquetType.INT32, ParquetType.INT64):
             raise ValueError("DELTA_BINARY_PACKED only supports INT32/INT64")
@@ -168,7 +168,8 @@ def _page_bounds(lv: LeveledValues, leaf: LeafInfo, page_size: int,
     slot ``s`` (exclusive prefix count of value-bearing slots).
     """
     n_slots = lv.num_rows if lv.def_levels is None else len(lv.def_levels)
-    if lv.def_levels is None:
+    if lv.def_levels is None or lv.null_count == 0:
+        # every slot holds a value
         vcum = np.arange(n_slots + 1, dtype=np.int64)
         has_val = None
     else:
@@ -387,7 +388,7 @@ def encode_chunk(
         dictionary_page_offset = w.offset
         dict_body = BufWriter()
         _encode_values(dict_body, dict_arr.dictionary, leaf, Encoding.PLAIN)
-        raw = dict_body.getvalue()
+        raw = dict_body.view()
         comp = compress(raw, codec, opts.compressors, opts.codec_level)
         write_dictionary_page_header(
             w, uncompressed_page_size=len(raw), compressed_page_size=len(comp),
@@ -446,9 +447,12 @@ def encode_chunk(
         def_len = 0
         num_nulls = 0
         if lv.def_levels is not None:
-            dslice = lv.def_levels[s0:s1]
             num_nulls = int(nslots - (v1 - v0))
-            def_len = encode_rle_hybrid(lvl, dslice, def_bw)
+            if lv.null_count == 0 and nslots >= 8:
+                # no nulls: the levels are one run, as the encoder would write
+                def_len = write_rle_run(lvl, lv.max_def, nslots, def_bw)
+            else:
+                def_len = encode_rle_hybrid(lvl, lv.def_levels[s0:s1], def_bw)
         if lv.rep_levels is not None:
             num_rows = int(row_cum[s1] - row_cum[s0])
         else:
@@ -461,13 +465,13 @@ def encode_chunk(
         else:
             _encode_values(body, values.slice(v0, v1 - v0), leaf, encoding)
 
-        raw = body.getvalue()
+        raw = body.view()
         if fsst_table is not None:
             from . import fsst as F
             comp = fsst_table.serialize() + F.compress(raw, fsst_table)
         else:
             comp = compress(raw, codec, opts.compressors, opts.codec_level)
-        lvl_bytes = lvl.getvalue()
+        lvl_bytes = lvl.view()
         crc = None
         if opts.page_crc:
             # spec: V2 page CRC covers the page as written after the

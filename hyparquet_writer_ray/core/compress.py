@@ -3,7 +3,8 @@
 Built-ins go through pyarrow's C codecs (raw block formats, exactly what
 parquet pages need). Users may register extra codecs per the reference's
 ``compressors`` plug-in map (src/types.d.ts:3-4): a callable
-``bytes -> bytes`` keyed by codec name.
+``bytes -> bytes`` keyed by codec name. Pages arrive as views of the
+page buffer; only a plug-in is handed a ``bytes`` copy.
 """
 from __future__ import annotations
 
@@ -24,13 +25,13 @@ _PA_NAME = {
 _codec_cache: dict[tuple, pa.Codec] = {}
 
 
-def compress(data: bytes, codec: Codec,
+def compress(data: "bytes | memoryview", codec: Codec,
              compressors: Optional[dict[str, Callable[[bytes], bytes]]] = None,
              level: Optional[int] = None) -> bytes:
     if codec == Codec.UNCOMPRESSED:
         return data
     if compressors and codec.name in compressors:
-        return compressors[codec.name](data)
+        return compressors[codec.name](bytes(data))
     name = _PA_NAME.get(codec)
     if name is None:
         raise ValueError(f"no compressor for codec {codec.name}")

@@ -100,7 +100,7 @@ def delta_binary_pack(w: BufWriter, values: np.ndarray) -> None:
 def delta_length_byte_array(w: BufWriter, lengths: np.ndarray, data: np.ndarray) -> None:
     """Delta-packed lengths (int32 space, per spec) + concatenated raw bytes."""
     delta_binary_pack(w, lengths.astype(np.int32, copy=False))
-    w.write(np.ascontiguousarray(data).tobytes())
+    w.write(memoryview(np.ascontiguousarray(data)))
 
 
 _PREFIX_CAP = 64  # longest common prefix we detect (longer prefixes still valid, just less compressed)
@@ -140,4 +140,4 @@ def delta_byte_array(w: BufWriter, lengths: np.ndarray, data: np.ndarray) -> Non
         local = np.arange(int(suffix.sum()), dtype=np.int64) - np.repeat(
             np.concatenate([[0], np.cumsum(suffix)])[:-1], suffix
         )
-        w.write(data[starts[keep] + local].tobytes())
+        w.write(memoryview(data[starts[keep] + local]))

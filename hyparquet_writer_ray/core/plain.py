@@ -31,8 +31,11 @@ def plain_boolean(values: np.ndarray) -> bytes:
     return np.packbits(values.astype(np.uint8), bitorder="little").tobytes()
 
 
-def plain_byte_array(lengths: np.ndarray, data: np.ndarray) -> bytes:
+def plain_byte_array(lengths: np.ndarray, data: np.ndarray) -> memoryview:
     """BYTE_ARRAY: u32 little-endian length prefix + raw bytes per value.
+
+    Returns a view of the one buffer the values are scattered into, so a
+    page copies the value bytes once more, into its own buffer.
 
     Two strategies: short values use a fully vectorized byte scatter;
     long values (html/text) use per-value slice copies (C memcpy), which
@@ -40,7 +43,7 @@ def plain_byte_array(lengths: np.ndarray, data: np.ndarray) -> bytes:
     """
     n = len(lengths)
     if n == 0:
-        return b""
+        return memoryview(b"")
     total = int(data.nbytes) + 4 * n
     out = np.zeros(total, dtype=np.uint8)
     lengths = lengths.astype(np.int64, copy=False)
@@ -51,7 +54,7 @@ def plain_byte_array(lengths: np.ndarray, data: np.ndarray) -> bytes:
     idx = out_starts[:, None] + np.arange(4, dtype=np.int64)
     out[idx.reshape(-1)] = len_bytes.reshape(-1)
     if not data.nbytes:
-        return out.tobytes()
+        return memoryview(out)
     if data.nbytes < 32 * n:
         # short values: vectorized scatter
         owner = np.repeat(np.arange(n, dtype=np.int64), lengths)
@@ -65,7 +68,7 @@ def plain_byte_array(lengths: np.ndarray, data: np.ndarray) -> bytes:
             li = lengths[i]
             if li:
                 out[dst[i] : dst[i] + li] = data[src[i] : src[i] + li]
-    return out.tobytes()
+    return memoryview(out)
 
 
 def plain_flba(matrix: np.ndarray) -> bytes:

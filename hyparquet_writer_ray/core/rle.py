@@ -7,10 +7,22 @@ else is bit-packed in groups of 8 values with header
 differ from the reference (both are valid parquet); correctness is
 decode equality through pyarrow/duckdb.
 
-Vectorization strategy: run boundaries via ``np.diff``; only runs of
-length >= 8 are visited in Python — high-entropy data (dictionary
-indexes) has few such runs and is packed in one vectorized call, while
-low-entropy data (definition levels) has few runs overall.
+A call encodes in three steps:
+
+1. *Segment plan.* The runs of length >= 8 are found with vectorized
+   shifted-equality masks (:func:`_long_runs`); only they are visited
+   in Python. Each such run is taken greedily: the literal before it
+   is padded to a multiple of 8 by "stealing" values from the run's
+   head, and the run is kept only if at least 8 values remain after
+   the steal (else it folds into the literals). High-entropy data
+   (dictionary indexes) has few such runs, low-entropy data
+   (definition levels) has few runs overall.
+2. *One pack.* Every bit-packed literal of the call is gathered into
+   one zero-padded ``uint64`` array and packed by a single
+   :func:`_pack_bits` call, so the cost per literal is one slice copy,
+   not one packer call.
+3. *Emit.* Headers, slices of the packed bytes and run values are
+   appended to the writer in plan order.
 """
 from __future__ import annotations
 
@@ -19,69 +31,99 @@ import numpy as np
 from .bufwriter import BufWriter
 
 
+_SHIFT = np.arange(65, dtype=np.uint64)
+
+
 def _pack_bits(values: np.ndarray, bit_width: int) -> bytes:
-    """Bit-pack values (len must be a multiple of 8) LSB-first."""
+    """Bit-pack values (len must be a multiple of 8) LSB-first.
+
+    Each group of 8 values is ``8 * bit_width`` bits, i.e. ``bit_width``
+    bytes: it is built in ``ceil(bit_width / 8)`` little-endian
+    ``uint64`` words with one shift-OR per value (plus one for a value
+    that straddles two words), and the words' low ``bit_width`` bytes
+    are the output. Values must fit in ``bit_width`` bits."""
     if bit_width == 0 or len(values) == 0:
         return b""
-    v = values.astype(np.uint64, copy=False)
-    bits = ((v[:, None] >> np.arange(bit_width, dtype=np.uint64)) & 1).astype(np.uint8)
-    return np.packbits(bits.reshape(-1), bitorder="little").tobytes()
+    v = values.astype(np.uint64, copy=False).reshape(-1, 8)
+    words = np.zeros(((bit_width + 7) >> 3, len(v)), dtype=np.uint64)
+    for k in range(8):
+        bit = k * bit_width
+        wi, off = bit >> 6, bit & 63
+        col = v[:, k]
+        words[wi] |= col << _SHIFT[off]
+        if off + bit_width > 64:
+            words[wi + 1] |= col >> _SHIFT[64 - off]
+    group_bytes = np.ascontiguousarray(words.T).view("<u1")[:, :bit_width]
+    return np.ascontiguousarray(group_bytes).tobytes()
 
 
-def _write_rle_run(w: BufWriter, value: int, count: int, bit_width: int) -> None:
+def write_rle_run(w: BufWriter, value: int, count: int, bit_width: int) -> int:
+    """Append one RLE run, ``varint(count<<1)`` + value in
+    ``ceil(bit_width/8)`` bytes; returns bytes written."""
+    start = w.offset
     w.varint(count << 1)
-    nbytes = (bit_width + 7) >> 3
-    if nbytes:
-        w.write(int(value).to_bytes(nbytes, "little"))
+    w.write(value.to_bytes((bit_width + 7) >> 3, "little"))
+    return w.offset - start
 
 
-def _write_bitpacked(w: BufWriter, span: np.ndarray, bit_width: int) -> None:
-    n = len(span)
-    if n == 0:
-        return
-    pad = (-n) % 8
-    if pad:
-        span = np.concatenate([span, np.zeros(pad, dtype=span.dtype)])
-    groups = len(span) // 8
-    w.varint((groups << 1) | 1)
-    w.write(_pack_bits(span, bit_width))
+def _long_runs(values: np.ndarray) -> tuple[list[int], list[int]]:
+    """(starts, lengths) of the maximal runs of >= 8 equal values.
+
+    ``same[i]`` ends up true iff ``values[i:i+8]`` are all equal (three
+    ANDs of shifted equality masks, 1 byte per slot), so no per-run
+    array is built for high-entropy input; a true stretch
+    ``same[i:j]`` is the run ``values[i:j+7]``."""
+    same = values[1:] == values[:-1]  # values[i:i+2] equal
+    same = same[:-1] & same[1:]  # values[i:i+3]
+    same = same[:-2] & same[2:]  # values[i:i+5]
+    same = same[:-3] & same[3:]  # values[i:i+8]
+    edges = np.flatnonzero(np.diff(same, prepend=False, append=False))
+    starts = edges[0::2]
+    return starts.tolist(), (edges[1::2] + 7 - starts).tolist()
 
 
 def encode_rle_hybrid(w: BufWriter, values: np.ndarray, bit_width: int) -> int:
     """Append the hybrid encoding of ``values`` to ``w``; returns bytes written."""
-    start_off = w.offset
     n = len(values)
     if n == 0:
         return 0
     values = np.ascontiguousarray(values)
-    # run segmentation
-    change = np.nonzero(np.diff(values))[0] + 1
-    run_starts = np.concatenate([[0], change]).astype(np.int64)
-    run_ends = np.append(run_starts[1:], n)
-    run_lengths = run_ends - run_starts
-    candidates = np.nonzero(run_lengths >= 8)[0]
-
+    # 1. segment plan: (literal start, literal end, run start, run count)
+    plan = []
     pos = 0
-    for ci in candidates:
-        rstart = int(run_starts[ci])
-        rlen = int(run_lengths[ci])
-        lit_len = rstart - pos
-        steal = (-lit_len) % 8
+    for rstart, rlen in zip(*_long_runs(values)) if n >= 8 else ():
+        steal = (pos - rstart) % 8
         if rlen - steal < 8:
             continue  # run too short once aligned; fold into literals
-        if lit_len + steal:
-            _write_bitpacked(w, values[pos : rstart + steal], bit_width)
-        _write_rle_run(w, int(values[rstart]), rlen - steal, bit_width)
+        plan.append((pos, rstart + steal, rstart, rlen - steal))
         pos = rstart + rlen
     if pos < n:
-        _write_bitpacked(w, values[pos:n], bit_width)
-    return w.offset - start_off
+        plan.append((pos, n, n, 0))  # trailing literal, no run
 
+    # 2. gather every literal, zero-padded to whole groups, and pack once
+    padded = sum((b - a + 7) & ~7 for a, b, _, _ in plan)
+    lit = np.zeros(padded, dtype=np.uint64)
+    d = 0
+    for a, b, _, _ in plan:
+        lit[d : d + b - a] = values[a:b]
+        d += (b - a + 7) & ~7
+    packed = memoryview(_pack_bits(lit, bit_width))
 
-def encode_levels(values: np.ndarray, bit_width: int) -> bytes:
-    w = BufWriter()
-    encode_rle_hybrid(w, values, bit_width)
-    return w.getvalue()
+    # 3. emit headers, packed slices and run values in plan order
+    start = w.offset
+    run_values = iter(values[[r for _, _, r, c in plan if c]].tolist())
+    value_bytes = (bit_width + 7) >> 3
+    off = 0
+    for a, b, _, count in plan:
+        if b > a:
+            groups = (b - a + 7) >> 3
+            w.varint((groups << 1) | 1)
+            w.write(packed[off : off + groups * bit_width])
+            off += groups * bit_width
+        if count:  # the same bytes as write_rle_run, without a call per run
+            w.varint(count << 1)
+            w.write(next(run_values).to_bytes(value_bytes, "little"))
+    return w.offset - start
 
 
 def bit_width_of(max_value: int) -> int:

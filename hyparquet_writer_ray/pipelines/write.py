@@ -194,18 +194,6 @@ def _part_exists_size(fpath: str):
     return False, 0
 
 
-def _part_head(fpath: str, n: int) -> bytes:
-    """First ``n`` bytes of a possibly-URI part (checksum input)."""
-    from ..state import fsio
-
-    if fsio.is_uri(fpath):
-        fs, p = fsio.url_fs(fpath)
-        with fs.open(p, "rb") as f:
-            return f.read(n)
-    with open(fpath, "rb") as f:
-        return f.read(n)
-
-
 STALE_TMP_AGE_SEC = 3600.0
 
 
@@ -294,12 +282,14 @@ COMPACT_LINEAGE = "_lineage_compact"
 
 
 
-def _drain_manifests(manifest_ds, lineage, total: dict) -> dict:
+def _drain_manifests(manifest_ds, lineage, total: dict,
+                     done_files: dict[str, int]) -> dict:
     """Shared driver loop for the part-file writers: aggregate manifest
     rows into ``total`` and persist lineage records. ONE semantics for
-    all writers: skipped (resumed) parts count their true rows and
-    on-disk compressed bytes; their uncompressed size is unknown and
-    contributes 0."""
+    all writers, so a resume returns the totals of a fresh run: every
+    part counts its rows and its file bytes on disk; a skipped
+    (resumed) part's uncompressed bytes come from its lineage records
+    (``done_files``, from :meth:`LineageLog.completed_files`)."""
     for batch in manifest_ds.iter_batches(batch_size=None,
                                           batch_format="pyarrow"):
         for row in range(batch.num_rows):
@@ -309,6 +299,8 @@ def _drain_manifests(manifest_ds, lineage, total: dict) -> dict:
                 batch.column("compressed_bytes")[row].as_py()
             if batch.column("skipped")[row].as_py():
                 total["skipped_parts"] += 1
+                total["uncompressed_bytes"] += \
+                    done_files[batch.column("file")[row].as_py()]
                 continue
             total["uncompressed_bytes"] += \
                 batch.column("uncompressed_bytes")[row].as_py()
@@ -606,7 +598,7 @@ class PartFileWriter:
                 "manifest": pa.array([None], type=pa.large_binary()),
             })
             return
-        raw = comp = 0
+        raw = 0
         recs = []
         with _part_sink(fpath) as sink:
             asm = FileAssembler(sink, self.schema_ir, self.opts)
@@ -614,19 +606,15 @@ class PartFileWriter:
                 blob, meta = encode_row_group(group, self.schema_ir, self.leaves, self.opts)
                 asm.append_group(blob, meta)
                 raw += meta.total_byte_size
-                comp += len(blob)
                 recs.append(record_from_meta(gid, meta, len(blob), file=fname))
             asm.finish()
-        checksum = hashlib.sha1(_part_head(fpath, 1 << 16)).hexdigest()[:12]
-        for r in recs:
-            r.checksum = checksum
         # worker-side lineage: durable the moment the part is (survives a
         # driver SIGKILL; see state/lineage.py)
         LineageLog(self.out_dir).write_part_record(part_id, recs)
         yield pa.table({
             "part_id": [part_id], "file": [fname],
             "rows": pa.array([batch.num_rows], type=pa.int64()),
-            "compressed_bytes": pa.array([comp], type=pa.int64()),
+            "compressed_bytes": pa.array([asm.offset], type=pa.int64()),
             "uncompressed_bytes": pa.array([raw], type=pa.int64()),
             "skipped": [False],
             "manifest": pa.array([pickle.dumps(recs)], type=pa.large_binary()),
@@ -720,7 +708,7 @@ class PartitionedPartWriter:
                     "manifest": pa.array([None], type=pa.large_binary()),
                 })
                 continue
-            raw = comp = 0
+            raw = 0
             recs = []
             with _part_sink(fpath) as sink:
                 asm = FileAssembler(sink, self.schema_ir, self.opts)
@@ -729,7 +717,6 @@ class PartitionedPartWriter:
                         group, self.schema_ir, self.leaves, self.opts)
                     asm.append_group(blob, meta)
                     raw += meta.total_byte_size
-                    comp += len(blob)
                     recs.append(record_from_meta(gid, meta, len(blob),
                                                  file=fname))
                 asm.finish()
@@ -737,7 +724,7 @@ class PartitionedPartWriter:
             yield pa.table({
                 "part_id": [part_id], "file": [fname],
                 "rows": pa.array([sub.num_rows], type=pa.int64()),
-                "compressed_bytes": pa.array([comp], type=pa.int64()),
+                "compressed_bytes": pa.array([asm.offset], type=pa.int64()),
                 "uncompressed_bytes": pa.array([raw], type=pa.int64()),
                 "skipped": [False],
                 "manifest": pa.array([pickle.dumps(recs)],
@@ -782,13 +769,8 @@ def write_parquet_partitioned(
     if partition_col not in arrow_schema.names:
         raise ValueError(f"partition_col {partition_col!r} not in schema")
     lineage = LineageLog(out_dir)
-    skip: frozenset[str] = frozenset()
-    if resume:
-        done = lineage.completed_parts()
-        skip = frozenset(
-            os.path.basename(rec.file)[5:-8]
-            for rec in done.values() if rec.file
-        )
+    done = lineage.completed_files() if resume else {}
+    skip = frozenset(os.path.basename(f)[5:-8] for f in done)
     part_kwargs = dict(
         opts=opts, arrow_schema=arrow_schema, out_dir=out_dir,
         partition_col=partition_col, max_group_rows=max_group_rows,
@@ -810,7 +792,7 @@ def write_parquet_partitioned(
         )
     total = _drain_manifests(manifest_ds, lineage, {
         "parts": 0, "rows": 0, "compressed_bytes": 0,
-        "uncompressed_bytes": 0, "skipped_parts": 0})
+        "uncompressed_bytes": 0, "skipped_parts": 0}, done)
     total["out_dir"] = out_dir
     return total
 
@@ -850,7 +832,7 @@ def _encode_files_fn(batch: pa.Table, *, opts, out_dir, max_group_rows,
         table = normalize_table(pq.read_table(path, columns=columns))
         schema_ir = schema_from_arrow(table.schema, opts.schema_overrides)
         leaves = leaf_columns(schema_ir)
-        raw = comp = 0
+        raw = 0
         recs = []
         with _part_sink(fpath) as sink:
             asm = FileAssembler(sink, schema_ir, opts)
@@ -858,14 +840,13 @@ def _encode_files_fn(batch: pa.Table, *, opts, out_dir, max_group_rows,
                 blob, meta = encode_row_group(group, schema_ir, leaves, opts)
                 asm.append_group(blob, meta)
                 raw += meta.total_byte_size
-                comp += len(blob)
                 recs.append(record_from_meta(base, meta, len(blob), file=fname))
             asm.finish()
         LineageLog(out_dir).write_part_record(base, recs)
         yield pa.table({
             "part_id": [base], "file": [fname],
             "rows": pa.array([table.num_rows], type=pa.int64()),
-            "compressed_bytes": pa.array([comp], type=pa.int64()),
+            "compressed_bytes": pa.array([asm.offset], type=pa.int64()),
             "uncompressed_bytes": pa.array([raw], type=pa.int64()),
             "skipped": [False],
             "manifest": pa.array([pickle.dumps(recs)], type=pa.large_binary()),
@@ -911,11 +892,8 @@ def write_parquet_files(
     for name in sorted(legacy & existing):
         _fsio_drv.remove(_join_out(out_dir, name))
     lineage = LineageLog(out_dir)
-    skip: frozenset[str] = frozenset()
-    if resume:
-        skip = frozenset(
-            rec.file[5:-8] for rec in lineage.completed_parts().values() if rec.file
-        )
+    done = lineage.completed_files() if resume else {}
+    skip = frozenset(f[5:-8] for f in done)
 
     paths_ds = ray.data.from_items(
         [{"path": p} for p in sorted(input_paths)],
@@ -931,7 +909,7 @@ def write_parquet_files(
     )
     total = _drain_manifests(manifest_ds, lineage, {
         "parts": 0, "rows": 0, "compressed_bytes": 0,
-        "uncompressed_bytes": 0, "skipped_parts": 0})
+        "uncompressed_bytes": 0, "skipped_parts": 0}, done)
     total["out_dir"] = out_dir
     return total
 
@@ -985,14 +963,10 @@ def write_parquet_dataset(
         _clean_stale_tmps(out_dir)  # URIs have no tmp files by design
     arrow_schema = _normalized_arrow_schema(ds)
     lineage = LineageLog(out_dir)
-    skip: frozenset[str] = frozenset()
-    if resume:
-        done = lineage.completed_parts()
-        # part-file completion is keyed by the batch-level part id (stored
-        # in the 'file' name), not row-group ids
-        skip = frozenset(
-            rec.file[5:-8] for rec in done.values() if rec.file
-        )
+    # part-file completion is keyed by the batch-level part id (stored
+    # in the 'file' name), not row-group ids
+    done = lineage.completed_files() if resume else {}
+    skip = frozenset(f[5:-8] for f in done)
 
     part_kwargs = dict(
         opts=opts,
@@ -1019,7 +993,7 @@ def write_parquet_dataset(
 
     total = _drain_manifests(manifest_ds, lineage, {
         "parts": 0, "rows": 0, "compressed_bytes": 0,
-        "uncompressed_bytes": 0, "skipped_parts": 0})
+        "uncompressed_bytes": 0, "skipped_parts": 0}, done)
     total["out_dir"] = out_dir
     return total
 
@@ -1056,7 +1030,7 @@ def _compact_group_fn(batch: pa.Table, *, opts, out_dir, max_group_rows,
         )
         schema_ir = schema_from_arrow(table.schema, opts.schema_overrides)
         leaves = leaf_columns(schema_ir)
-        raw = comp = 0
+        raw = 0
         recs = []
         with _part_sink(fpath) as sink:
             asm = FileAssembler(sink, schema_ir, opts)
@@ -1064,17 +1038,13 @@ def _compact_group_fn(batch: pa.Table, *, opts, out_dir, max_group_rows,
                 blob, meta = encode_row_group(group, schema_ir, leaves, opts)
                 asm.append_group(blob, meta)
                 raw += meta.total_byte_size
-                comp += len(blob)
                 recs.append(record_from_meta(gid, meta, len(blob), file=fname))
             asm.finish()
-        checksum = hashlib.sha1(_part_head(fpath, 1 << 16)).hexdigest()[:12]
-        for r in recs:
-            r.checksum = checksum
         LineageLog(out_dir, name=COMPACT_LINEAGE).write_part_record(gid, recs)
         yield pa.table({
             "part_id": [gid], "file": [fname],
             "rows": pa.array([table.num_rows], type=pa.int64()),
-            "compressed_bytes": pa.array([comp], type=pa.int64()),
+            "compressed_bytes": pa.array([asm.offset], type=pa.int64()),
             "uncompressed_bytes": pa.array([raw], type=pa.int64()),
             "skipped": [False],
             "manifest": pa.array([pickle.dumps(recs)], type=pa.large_binary()),
@@ -1152,10 +1122,8 @@ def compact_parquet_dataset(
     if not _fsio_drv.is_uri(out_dir):
         _clean_stale_tmps(out_dir)  # URIs have no tmp files by design
     lineage = LineageLog(out_dir, name=COMPACT_LINEAGE)
-    prior = [rec.file for rec in lineage.completed_parts().values() if rec.file]
-    skip: frozenset[str] = frozenset()
-    if resume:
-        skip = frozenset(rec[5:-8] for rec in prior)
+    prior = lineage.completed_files()
+    skip = frozenset(f[5:-8] for f in prior) if resume else frozenset()
 
     items = [{"group_id": bucket_id(b), "paths": b} for b in buckets]
     gds = ray.data.from_items(items, override_num_blocks=max(len(items), 1))
@@ -1170,7 +1138,7 @@ def compact_parquet_dataset(
     total = _drain_manifests(manifest_ds, lineage, {
         "parts": 0, "rows": 0, "compressed_bytes": 0,
         "uncompressed_bytes": 0, "skipped_parts": 0,
-        "input_files": len(files)})
+        "input_files": len(files)}, prior)
     # garbage-collect parts from superseded bucket layouts: a changed
     # input produces a NEW bucket id, and without cleanup the stale
     # part would keep serving the old rows alongside the new ones.

@@ -34,11 +34,17 @@ class PartRecord:
     comp_bytes: int  # blob size
     columns: dict = field(default_factory=dict)  # name -> {encodings, codec}
     file: Optional[str] = None  # part-file mode: output file name
-    checksum: Optional[str] = None
+
+
+def _load_record(d: dict) -> PartRecord:
+    # records written before the field was dropped carry a never-read
+    # "checksum"; ignore it so they still resume
+    d.pop("checksum", None)
+    return PartRecord(**d)
 
 
 def record_from_meta(part_id: str, meta: RowGroupMeta, blob_len: int,
-                     file: Optional[str] = None, checksum: Optional[str] = None) -> PartRecord:
+                     file: Optional[str] = None) -> PartRecord:
     cols = {}
     for _, cm in meta.chunks:
         cols[".".join(cm.path)] = {
@@ -54,7 +60,6 @@ def record_from_meta(part_id: str, meta: RowGroupMeta, blob_len: int,
         comp_bytes=blob_len,
         columns=cols,
         file=file,
-        checksum=checksum,
     )
 
 
@@ -175,38 +180,73 @@ class LineageLog:
             os.unlink(self.manifest_path)
 
     # -- resume side ----------------------------------------------------
+    def _file_exists(self, file: str) -> bool:
+        base = self.dir.rsplit("/", 1)[0] if self._uri \
+            else os.path.dirname(self.dir)
+        return fsio.exists(fsio.join(base, file))
+
     def _validate(self, rec: PartRecord) -> bool:
         if self.store_blobs:
             return fsio.exists(fsio.join(self.blob_dir, rec.part_id))
         if rec.file is not None:
-            base = self.dir.rsplit("/", 1)[0] if self._uri \
-                else os.path.dirname(self.dir)
-            return fsio.exists(fsio.join(base, rec.file))
+            return self._file_exists(rec.file)
         return True
 
-    def completed_parts(self) -> dict[str, PartRecord]:
-        out: dict[str, PartRecord] = {}
-        if fsio.exists(self.manifest_path):
-            text = fsio.read_marker(self.manifest_path)
-            for line in text.splitlines():
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = PartRecord(**json.loads(line))
-                except (json.JSONDecodeError, TypeError):
-                    continue  # torn trailing line from a killed driver
-                if self._validate(rec):
-                    out[rec.part_id] = rec
+    def _manifest_records(self) -> list[PartRecord]:
+        if not fsio.exists(self.manifest_path):
+            return []
+        out = []
+        for line in fsio.read_marker(self.manifest_path).splitlines():
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                out.append(_load_record(json.loads(line)))
+            except (json.JSONDecodeError, TypeError):
+                continue  # torn trailing line from a killed driver
+        return out
+
+    def _part_record_lists(self) -> list[list[PartRecord]]:
+        """The records of each finished part (one per row group), from
+        the worker-written ``parts/`` files."""
+        out = []
         for fpath in fsio.glob_in(self.parts_dir, "*.json"):
             try:
-                for d in json.loads(fsio.read_marker(fpath)):
-                    rec = PartRecord(**d)
-                    if self._validate(rec):
-                        out[rec.part_id] = rec
+                out.append([_load_record(d)
+                            for d in json.loads(fsio.read_marker(fpath))])
             except (json.JSONDecodeError, OSError):
                 continue  # torn write of a non-atomic fs: ignore
         return out
+
+    def completed_parts(self) -> dict[str, PartRecord]:
+        out: dict[str, PartRecord] = {}
+        recs = self._manifest_records()
+        recs += [r for part in self._part_record_lists() for r in part]
+        for rec in recs:
+            if self._validate(rec):
+                out[rec.part_id] = rec
+        return out
+
+    def completed_files(self) -> dict[str, int]:
+        """Part-file mode: every recorded output file that exists, mapped
+        to its uncompressed bytes (the sum of its records' ``raw_bytes``,
+        what the writer reported when it wrote the file). A part's
+        ``parts/`` list is authoritative; the manifest only adds files
+        that have none, counting each distinct record once (the manifest
+        is appended to on every run)."""
+        raw: dict[str, int] = {}
+        for part in self._part_record_lists():
+            for rec in part:
+                if rec.file:
+                    raw[rec.file] = raw.get(rec.file, 0) + rec.raw_bytes
+        distinct = {json.dumps(asdict(r), sort_keys=True): r
+                    for r in self._manifest_records()}
+        legacy: dict[str, int] = {}
+        for rec in distinct.values():
+            if rec.file and rec.file not in raw:
+                legacy[rec.file] = legacy.get(rec.file, 0) + rec.raw_bytes
+        raw.update(legacy)
+        return {f: n for f, n in raw.items() if self._file_exists(f)}
 
     def load_blob(self, part_id: str):
         path = fsio.join(self.blob_dir, part_id)

@@ -136,6 +136,46 @@ def test_resume_after_partial_failure(ray_data, tmp_path):
     assert after == full
 
 
+def test_resume_returns_fresh_totals(ray_data, tmp_path):
+    """A resume that skips some parts and rewrites one returns the same
+    totals as the fresh run: file bytes on disk for every part, and the
+    lineage's uncompressed bytes for skipped ones."""
+    out_dir = str(tmp_path / "web3")
+    fresh = write_parquet_dataset(
+        webtable_dataset(8_000, rows_per_block=2_000), out_dir, concurrency=2)
+    parts = sorted(glob.glob(f"{out_dir}/part-*.parquet"))
+    assert fresh["compressed_bytes"] == sum(os.path.getsize(f) for f in parts)
+    os.remove(parts[0])
+    resumed = write_parquet_dataset(
+        webtable_dataset(8_000, rows_per_block=2_000), out_dir, concurrency=2)
+    assert (fresh["skipped_parts"], resumed["skipped_parts"]) == (0, 3)
+    for key in fresh.keys() - {"skipped_parts"}:
+        assert resumed[key] == fresh[key], key
+
+
+def test_resume_from_lineage_with_checksum(ray_data, tmp_path):
+    """Lineage records written when PartRecord still had a ``checksum``
+    field resume like current ones."""
+    import json
+
+    out_dir = str(tmp_path / "web4")
+    fresh = write_parquet_dataset(
+        webtable_dataset(8_000, rows_per_block=2_000), out_dir, concurrency=2)
+    lineage = os.path.join(out_dir, "_lineage")
+    for path in glob.glob(os.path.join(lineage, "parts", "*.json")):
+        recs = [dict(r, checksum="0123456789ab") for r in json.load(open(path))]
+        with open(path, "w") as f:
+            json.dump(recs, f)
+    manifest = os.path.join(lineage, "manifest.jsonl")
+    lines = [dict(json.loads(x), checksum="0123456789ab") for x in open(manifest)]
+    with open(manifest, "w") as f:
+        f.writelines(json.dumps(r) + "\n" for r in lines)
+    resumed = write_parquet_dataset(
+        webtable_dataset(8_000, rows_per_block=2_000), out_dir, concurrency=2)
+    assert resumed["skipped_parts"] == fresh["parts"] == 4
+    assert resumed["uncompressed_bytes"] == fresh["uncompressed_bytes"]
+
+
 def test_webtable_determinism(ray_data):
     a = synthesize_table(1000)
     b = synthesize_table(1000)

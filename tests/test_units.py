@@ -118,3 +118,31 @@ def test_rle_all_equal_uses_run():
     w = BufWriter()
     encode_rle_hybrid(w, np.zeros(10000, dtype=np.uint8), 1)
     assert w.offset <= 4  # single RLE run, not bit-packed
+
+
+def test_compressor_plugin_receives_bytes():
+    """Pages are compressed from views of the page buffer; a
+    ``compressors`` plug-in is still handed ``bytes``."""
+    import io
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from hyparquet_writer_ray import WriteOptions, write_table_to_bytes
+
+    calls = []
+
+    def snappy(data):
+        assert isinstance(data, bytes)
+        calls.append(len(data))
+        return pa.Codec("snappy").compress(data, asbytes=True)
+
+    t = pa.table({
+        "s": pa.array([f"v{i % 7}" for i in range(3000)]),  # dictionary page
+        "text": pa.array([f"row {i} " * (i % 5) for i in range(3000)]),
+        "b": pa.array([i % 3 == 0 for i in range(3000)]),
+        "x": pa.array(np.arange(3000, dtype=np.float64)),
+    })
+    buf = write_table_to_bytes(t, WriteOptions(compressors={"SNAPPY": snappy}))
+    assert pq.read_table(io.BytesIO(buf)).equals(t)
+    assert calls  # the plug-in ran, and saw only bytes
