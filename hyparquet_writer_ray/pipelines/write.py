@@ -3,7 +3,7 @@
 Two output shapes:
 
 - ``write_parquet_single_file``: reference-parity single file. Encode
-  fans out over an actor pool; a single driver-side assembler streams
+  runs in plain Ray tasks; a single driver-side assembler streams
   ordered row-group blobs into one file (the only serialization point,
   like the reference's ``writer.offset`` — SURVEY.md §3.4). Scales to
   one file's practical limit; ordering via streaming
@@ -13,12 +13,21 @@ Two output shapes:
   own complete parquet part-file (no driver byte bottleneck, no
   all-to-all shuffle anywhere), with per-partition lineage records and
   checkpoint resume: a killed job skips parts already on disk.
+
+Every part-file writer (dataset, hive-partitioned, file-to-file,
+compaction) maps its per-part work over a Dataset with
+:func:`_map_batches`, writes each part through the one kernel
+:func:`_write_part`, and collects the manifest rows with
+:func:`_drain_manifests`.
 """
 from __future__ import annotations
 
+import dataclasses
+import glob as _glob
 import hashlib
 import os
 import pickle
+import time
 from contextlib import contextmanager
 from functools import partial
 from typing import Optional
@@ -33,10 +42,11 @@ from ..core.types import leaf_columns
 from ..stages.encode import (
     DEFAULT_GROUP_BYTES,
     DEFAULT_GROUP_ROWS,
-    RowGroupEncoder,
     content_part_id,
+    encode_row_groups,
     split_row_groups,
 )
+from ..state import fsio
 from ..state.lineage import LineageLog, record_from_meta
 
 
@@ -60,8 +70,6 @@ def read_parquet_fused(path_or_paths, *, columns: Optional[list[str]] = None, **
 
     ``path_or_paths``: a directory (its ``*.parquet`` files), one file,
     or an explicit list. ``columns`` prunes at the read."""
-    import glob as _glob
-
     import ray.data
 
     if isinstance(path_or_paths, str):
@@ -81,31 +89,23 @@ def read_parquet_fused(path_or_paths, *, columns: Optional[list[str]] = None, **
     )
 
 
-def _default_concurrency(concurrency):
-    """Autoscaling actor pool capped below the CPU count: a fixed pool
-    that reserves every CPU starves upstream read tasks (livelock)."""
-    if concurrency is not None:
-        return concurrency
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
-    return (1, max(1, cpus - 2))
-
-
 def _task_concurrency(concurrency):
-    """Map an actor-style concurrency spec to the int ceiling task-mode
-    ``map_batches`` accepts — a (min, max) tuple would otherwise be
-    silently dropped by the non-actor branches."""
+    """Map an actor-style (min, max) concurrency spec to the int ceiling
+    task-mode ``map_batches`` accepts — a tuple would otherwise be
+    silently dropped."""
     if isinstance(concurrency, tuple):
         return concurrency[1]
     return concurrency
 
 
-def _tmp_name(fpath: str) -> str:
-    """Unique in-progress name: two concurrent tasks producing the same
-    content-addressed part must not interleave into one tmp inode (the
-    loser's os.replace would also raise FileNotFoundError)."""
-    return f"{fpath}.inprogress-{os.getpid()}-{os.urandom(4).hex()}"
+def _map_batches(ds, fn, *, batch_size=None, concurrency=None):
+    """The one way an encode maps over a Dataset: plain Ray tasks on
+    zero-copy pyarrow batches. Stateless encode reuses warm workers —
+    no actor-pool spin-up, better autoscaling (SURVEY.md §7.3)."""
+    return ds.map_batches(
+        fn, batch_format="pyarrow", batch_size=batch_size,
+        zero_copy_batch=True, concurrency=_task_concurrency(concurrency),
+    )
 
 
 @contextmanager
@@ -119,13 +119,15 @@ def _part_sink(fpath: str):
     directly there would leave a truncated part visible after a kill.
     True object stores (s3, gcs, …): write the final name directly —
     a PUT is invisible until complete and atomic at close, while
-    "rename" is copy+delete."""
-    from ..state import fsio
+    "rename" is copy+delete.
 
+    Tmp names are unique per attempt: two concurrent tasks producing
+    the same content-addressed part must not interleave into one tmp
+    inode (the loser's rename would also fail)."""
     if fsio.is_uri(fpath):
         fs, p = fsio.url_fs(fpath)
         if fsio.fs_rename_based(fs):
-            tmp = f"{p}.inprogress-{os.getpid()}-{os.urandom(4).hex()}"
+            tmp = fsio.tmp_name(p, "inprogress")
             try:
                 with fs.open(tmp, "wb") as f:
                     yield f
@@ -163,7 +165,7 @@ def _part_sink(fpath: str):
             raise
         f.close()
         return
-    tmp = _tmp_name(fpath)
+    tmp = fsio.tmp_name(fpath, "inprogress")
     try:
         with open(tmp, "wb") as f:
             yield f
@@ -173,16 +175,8 @@ def _part_sink(fpath: str):
             os.remove(tmp)
 
 
-def _join_out(base: str, *parts: str) -> str:
-    from ..state import fsio
-
-    return fsio.join(base, *parts)
-
-
 def _part_exists_size(fpath: str):
     """(exists, size) for a possibly-URI part path."""
-    from ..state import fsio
-
     if fsio.is_uri(fpath):
         fs, p = fsio.url_fs(fpath)
         try:
@@ -216,6 +210,34 @@ def _fs_mtime(fs, path: str) -> float | None:
     return m.timestamp() if hasattr(m, "timestamp") else float(m)
 
 
+def _sweep_tmps(base: str, pattern: str, fixed: tuple[str, ...],
+                max_age: float) -> None:
+    """Remove tmps older than ``max_age``: those matching ``base`` (a
+    literal path) + ``pattern``, and the fixed names ``base`` + each of
+    ``fixed``. Rename-based URIs (file://, sftp, …) write tmps too and
+    are swept through fsspec; object stores write none. Age-gated
+    because a concurrent writer's live tmp must survive — a healthy
+    writer finishes a part in seconds, so an hour-old tmp is a crashed
+    run's, not a live one's."""
+    cutoff = time.time() - max_age
+    if fsio.is_uri(base):
+        fs, base = fsio.url_fs(base)
+        if not fsio.fs_rename_based(fs):
+            return
+        found = fs.glob(_glob.escape(base) + pattern)
+        exists, mtime, rm = fs.exists, partial(_fs_mtime, fs), fs.rm
+    else:
+        found = _glob.glob(_glob.escape(base) + pattern, recursive=True)
+        exists, mtime, rm = os.path.exists, os.path.getmtime, os.remove
+    for f in found + [base + s for s in fixed if exists(base + s)]:
+        try:
+            mt = mtime(f)
+            if mt is not None and mt < cutoff:
+                rm(f)
+        except Exception:
+            pass
+
+
 def _clean_dest_tmps(path: str, max_age: float = STALE_TMP_AGE_SEC) -> None:
     """Remove aged ``<path>.inprogress-*`` orphans left by hard-killed
     single-file writes (each attempt uses a fresh random tmp name, and
@@ -223,56 +245,16 @@ def _clean_dest_tmps(path: str, max_age: float = STALE_TMP_AGE_SEC) -> None:
     _clean_stale_tmps, but a single-file destination has no out_dir
     sweep), plus the FIXED ``<path>.inprogress`` name the pre-r5
     single-file writer (and local.write_table today) uses — a crashed
-    pre-upgrade run's multi-GB tmp must not persist forever. Age-gated
-    for the same concurrent-writer reason."""
-    import glob as _glob
-    import time
-
-    from ..state import fsio
-
-    cutoff = time.time() - max_age
-    if fsio.is_uri(path):
-        fs, p = fsio.url_fs(path)
-        if not fsio.fs_rename_based(fs):
-            return  # object-store branch writes no tmps
-        legacy = [p + ".inprogress"] if fs.exists(p + ".inprogress") else []
-        for m in list(fs.glob(_glob.escape(p) + ".inprogress-*")) + legacy:
-            try:
-                mt = _fs_mtime(fs, m)
-                if mt is not None and mt < cutoff:
-                    fs.rm(m)
-            except Exception:
-                pass
-        return
-    legacy = [path + ".inprogress"] \
-        if os.path.exists(path + ".inprogress") else []
-    for f in _glob.glob(_glob.escape(path) + ".inprogress-*") + legacy:
-        try:
-            if os.path.getmtime(f) < cutoff:
-                os.remove(f)
-        except OSError:
-            pass
+    pre-upgrade run's multi-GB tmp must not persist forever."""
+    _sweep_tmps(path, ".inprogress-*", (".inprogress",), max_age)
 
 
 def _clean_stale_tmps(out_dir: str, max_age: float = STALE_TMP_AGE_SEC) -> None:
-    """Remove .inprogress-* leftovers from previous killed runs (the
-    current run's tmps don't exist yet when this is called). Only tmps
-    older than ``max_age`` are removed: two live writers may share one
-    out_dir (the compaction lineage namespace explicitly supports it),
-    and deleting a CONCURRENT writer's in-flight tmp would make its
-    os.replace fail — a healthy writer finishes a part in seconds, so
-    an hour-old tmp is a crashed run's, not a live one's."""
-    import glob as _glob
-    import time
-
-    cutoff = time.time() - max_age
-    for f in _glob.glob(os.path.join(_glob.escape(out_dir), "**",
-                                     "*.inprogress-*"), recursive=True):
-        try:
-            if os.path.getmtime(f) < cutoff:
-                os.remove(f)
-        except OSError:
-            pass
+    """Remove .inprogress-* leftovers of previous killed runs anywhere
+    under ``out_dir`` (the current run's tmps don't exist yet when this
+    is called). Two live writers may share one out_dir (the compaction
+    lineage namespace explicitly supports it), hence the age gate."""
+    _sweep_tmps(out_dir, "/**/*.inprogress-*", (), max_age)
 
 
 # compaction keeps its own lineage namespace: its stale-part GC must
@@ -281,30 +263,94 @@ def _clean_stale_tmps(out_dir: str, max_age: float = STALE_TMP_AGE_SEC) -> None:
 COMPACT_LINEAGE = "_lineage_compact"
 
 
+def _open_out_dir(out_dir: str, resume: bool = True,
+                  lineage_name: str = "_lineage"):
+    """Driver prologue of the part-file writers: create ``out_dir``,
+    sweep the tmps killed runs left there, and open its lineage.
+    Returns the log and, when resuming, its finished files (file name
+    -> uncompressed bytes, :meth:`LineageLog.completed_files`)."""
+    fsio.makedirs(out_dir)
+    _clean_stale_tmps(out_dir)
+    lineage = LineageLog(out_dir, name=lineage_name)
+    return lineage, (lineage.completed_files() if resume else {})
 
-def _drain_manifests(manifest_ds, lineage, total: dict,
-                     done_files: dict[str, int]) -> dict:
-    """Shared driver loop for the part-file writers: aggregate manifest
-    rows into ``total`` and persist lineage records. ONE semantics for
-    all writers, so a resume returns the totals of a fresh run: every
-    part counts its rows and its file bytes on disk; a skipped
-    (resumed) part's uncompressed bytes come from its lineage records
-    (``done_files``, from :meth:`LineageLog.completed_files`)."""
+
+def _manifest_row(part_id: str, fname: str, rows: int, file_bytes: int,
+                  raw: int = 0, recs: Optional[list] = None) -> pa.Table:
+    """The one manifest row a part task returns; ``recs is None`` marks
+    a part skipped on resume."""
+    return pa.table({
+        "part_id": [part_id], "file": [fname],
+        "rows": pa.array([rows], type=pa.int64()),
+        "compressed_bytes": pa.array([file_bytes], type=pa.int64()),
+        "uncompressed_bytes": pa.array([raw], type=pa.int64()),
+        "skipped": [recs is None],
+        "manifest": pa.array([None if recs is None else pickle.dumps(recs)],
+                             type=pa.large_binary()),
+    })
+
+
+def _write_part(out_dir: str, fname: str, part_id: str, load, opts: WriteOptions,
+                *, skip: frozenset, lineage_name: str = "_lineage",
+                rows: Optional[int] = None) -> pa.Table:
+    """The one part-file kernel: writes ``out_dir/fname`` and returns
+    its manifest row.
+
+    A part whose file is in ``skip`` (finished by an earlier run) and
+    still on disk is not rewritten; its row count is ``rows`` or, when
+    the caller never read the input, the file's footer. Otherwise
+    ``load()`` returns ``(schema_ir, groups)``, ``groups`` being
+    ``(record id, row-group table)`` pairs, so a skipped part's input
+    is never read. The groups are encoded and assembled into an atomic
+    sink, then the worker writes the part's lineage record: durable the
+    moment the part is, so it survives a driver SIGKILL (see
+    state/lineage.py)."""
+    fpath = fsio.join(out_dir, fname)
+    if fname in skip:
+        # a lineage record without its file on disk is NOT done
+        exists, size = _part_exists_size(fpath)
+        if exists:
+            if rows is None:
+                rows = fsio.parquet_num_rows(fpath)
+            return _manifest_row(part_id, fname, rows, size)
+    schema_ir, groups = load()
+    leaves = leaf_columns(schema_ir)
+    rows = raw = 0
+    recs = []
+    with _part_sink(fpath) as sink:
+        asm = FileAssembler(sink, schema_ir, opts)
+        for rec_id, group in groups:
+            blob, meta = encode_row_group(group, schema_ir, leaves, opts)
+            asm.append_group(blob, meta)
+            rows += group.num_rows
+            raw += meta.total_byte_size
+            recs.append(record_from_meta(rec_id, meta, len(blob), file=fname))
+        asm.finish()
+    LineageLog(out_dir, name=lineage_name).write_part_record(part_id, recs)
+    return _manifest_row(part_id, fname, rows, asm.offset, raw, recs)
+
+
+def _drain_manifests(manifest_ds, lineage, done_files: dict[str, int]) -> dict:
+    """Shared driver loop for the part-file writers: run the part tasks,
+    total their manifest rows and persist lineage records. ONE
+    semantics for all writers, so a resume returns the totals of a
+    fresh run: every part counts its rows and its file bytes on disk; a
+    skipped (resumed) part's uncompressed bytes come from its lineage
+    records (``done_files``, from :meth:`LineageLog.completed_files`)."""
+    total = dict.fromkeys(("parts", "rows", "compressed_bytes",
+                           "uncompressed_bytes", "skipped_parts"), 0)
     for batch in manifest_ds.iter_batches(batch_size=None,
                                           batch_format="pyarrow"):
-        for row in range(batch.num_rows):
+        for row in batch.to_pylist():
             total["parts"] += 1
-            total["rows"] += batch.column("rows")[row].as_py()
-            total["compressed_bytes"] += \
-                batch.column("compressed_bytes")[row].as_py()
-            if batch.column("skipped")[row].as_py():
+            total["rows"] += row["rows"]
+            total["compressed_bytes"] += row["compressed_bytes"]
+            if row["skipped"]:
                 total["skipped_parts"] += 1
-                total["uncompressed_bytes"] += \
-                    done_files[batch.column("file")[row].as_py()]
+                total["uncompressed_bytes"] += done_files[row["file"]]
                 continue
-            total["uncompressed_bytes"] += \
-                batch.column("uncompressed_bytes")[row].as_py()
-            for rec in pickle.loads(batch.column("manifest")[row].as_py()):
+            total["uncompressed_bytes"] += row["uncompressed_bytes"]
+            for rec in pickle.loads(row["manifest"]):
                 lineage.append(rec)
     lineage.close()
     return total
@@ -346,7 +392,6 @@ def write_parquet_single_file(
     max_group_rows: int = DEFAULT_GROUP_ROWS,
     max_group_bytes: int = DEFAULT_GROUP_BYTES,
     checkpoint_dir: Optional[str] = None,
-    use_actors: bool = False,
 ) -> dict:
     """Encode ``ds`` into one parquet file at ``path``.
 
@@ -354,7 +399,8 @@ def write_parquet_single_file(
     checkpointed per partition and a rerun reuses finished partitions.
     """
     opts = opts or WriteOptions()
-    arrow_schema = _normalized_arrow_schema(ds)
+    schema_ir = schema_from_arrow(_normalized_arrow_schema(ds),
+                                  opts.schema_overrides)
     _clean_dest_tmps(path)
 
     lineage = None
@@ -363,30 +409,12 @@ def write_parquet_single_file(
         lineage = LineageLog(checkpoint_dir, store_blobs=True)
         skip = frozenset(lineage.completed_parts())
 
-    enc_kwargs = dict(
-        opts=opts,
-        arrow_schema=arrow_schema,
-        max_group_rows=max_group_rows,
-        max_group_bytes=max_group_bytes,
+    encoded = _map_batches(ds, partial(
+        encode_row_groups, schema_ir=schema_ir, opts=opts,
+        max_group_rows=max_group_rows, max_group_bytes=max_group_bytes,
         skip_part_ids=skip,
-    )
-    if use_actors:
-        encoded = ds.map_batches(
-            RowGroupEncoder,
-            fn_constructor_kwargs=enc_kwargs,
-            batch_format="pyarrow", batch_size=None, zero_copy_batch=True,
-            concurrency=_default_concurrency(concurrency),
-        )
-    else:
-        # stateless encode: plain tasks reuse warm Ray workers — no actor
-        # pool spin-up, better autoscaling (SURVEY.md §7.3)
-        encoded = ds.map_batches(
-            partial(_encode_groups_fn, **enc_kwargs),
-            batch_format="pyarrow", batch_size=None, zero_copy_batch=True,
-            concurrency=_task_concurrency(concurrency),
-        )
+    ), concurrency=concurrency)
 
-    schema_ir = schema_from_arrow(arrow_schema, opts.schema_overrides)
     total_comp = 0
     total_raw = 0
     n_parts = 0
@@ -484,8 +512,6 @@ def write_table_parallel(
     table = normalize_table(table)
     slices = row_group_slices(table.num_rows, opts.row_group_size)
     if len(slices) < 2 or not ray.is_initialized():
-        from ..state import fsio
-
         if isinstance(sink, str) and fsio.is_uri(sink):
             with _part_sink(sink) as f:  # serial fallback, URI sink
                 write_table(table, f, opts)
@@ -518,21 +544,12 @@ def write_table_parallel(
     _assemble(sink)
 
 
-def _encode_groups_fn(batch: pa.Table, **kwargs):
-    """Task-mode row-group encoder (module-level so cloudpickle ships a
-    reference, not a closure)."""
-    yield from RowGroupEncoder(**kwargs)(batch)
-
-
-def _encode_part_fn(batch: pa.Table, **kwargs):
-    """Task-mode part-file writer."""
-    yield from PartFileWriter(**kwargs)(batch)
-
-
 class PartFileWriter:
-    """map_batches actor: assembles each input batch into its own
-    complete parquet part-file under ``out_dir`` and returns one
-    manifest row per part. Fully parallel — no driver byte path."""
+    """``write_parquet_dataset``'s per-batch stage: each input batch
+    becomes one complete parquet part-file under ``out_dir``, named by
+    its content, plus one manifest row. Fully parallel — no driver byte
+    path. Mapped as an instance, so the schema resolves once on the
+    driver."""
 
     def __init__(
         self,
@@ -541,27 +558,23 @@ class PartFileWriter:
         out_dir: str,
         max_group_rows: int = DEFAULT_GROUP_ROWS,
         max_group_bytes: int = DEFAULT_GROUP_BYTES,
-        skip_part_ids: Optional[frozenset[str]] = None,
+        skip_files: frozenset[str] = frozenset(),
         sort_by=None,
     ) -> None:
-        self.opts = opts
         self.schema_ir = schema_from_arrow(arrow_schema, opts.schema_overrides)
-        self.leaves = leaf_columns(self.schema_ir)
         self.out_dir = out_dir
         self.max_group_rows = max_group_rows
         self.max_group_bytes = max_group_bytes
-        self.skip = skip_part_ids or frozenset()
+        self.skip = skip_files
         self.sort_by = [sort_by] if isinstance(sort_by, str) else (
             list(sort_by) if sort_by else None)
-        if self.sort_by and self.opts.sorting_columns is None:
+        if self.sort_by and opts.sorting_columns is None:
             # advertise the block-local sort in every part's footer
             # (RowGroup.sorting_columns): ascending, nulls last —
             # pa.Table.sort_by's defaults below
-            import dataclasses
-            self.opts = dataclasses.replace(
-                self.opts,
-                sorting_columns=[(c, False, False) for c in self.sort_by],
-            )
+            opts = dataclasses.replace(
+                opts, sorting_columns=[(c, False, False) for c in self.sort_by])
+        self.opts = opts
 
     def __call__(self, batch: pa.Table):
         batch = normalize_table(batch)
@@ -577,48 +590,24 @@ class PartFileWriter:
             # 14.9% smaller compressed output, recovering ~63% of the
             # full global-sort benefit with zero shuffle (BASELINE.md).
             batch = batch.sort_by([(c, "ascending") for c in self.sort_by])
-        # ONE content-hash pass: per-group digests, part id derived from
-        # them (hashing the whole batch AND each group would read every
-        # byte twice)
-        groups = list(split_row_groups(batch, self.max_group_rows, self.max_group_bytes))
+        yield self._write(batch)
+
+    def _write(self, table: pa.Table, subdir: str = "") -> pa.Table:
+        """One part named by its content: ONE content-hash pass gives
+        per-group digests (each group's record id) and the part id is
+        derived from them (hashing the whole table AND each group would
+        read every byte twice)."""
+        groups = list(split_row_groups(table, self.max_group_rows,
+                                       self.max_group_bytes))
         gids = [content_part_id(g) for g in groups]
-        part_id = hashlib.blake2b("".join(gids).encode(), digest_size=12).hexdigest()[:16]
+        key = f"{subdir}|" if subdir else ""
+        part_id = hashlib.blake2b((key + "".join(gids)).encode(),
+                                  digest_size=12).hexdigest()[:16]
         fname = f"part-{part_id}.parquet"
-        fpath = _join_out(self.out_dir, fname)
-        # a lineage record without its file on disk is NOT done
-        exists, size = (_part_exists_size(fpath) if part_id in self.skip
-                        else (False, 0))
-        if part_id in self.skip and exists:
-            yield pa.table({
-                "part_id": [part_id], "file": [fname],
-                "rows": pa.array([batch.num_rows], type=pa.int64()),
-                "compressed_bytes": pa.array([size], type=pa.int64()),
-                "uncompressed_bytes": pa.array([0], type=pa.int64()),
-                "skipped": [True],
-                "manifest": pa.array([None], type=pa.large_binary()),
-            })
-            return
-        raw = 0
-        recs = []
-        with _part_sink(fpath) as sink:
-            asm = FileAssembler(sink, self.schema_ir, self.opts)
-            for gid, group in zip(gids, groups):
-                blob, meta = encode_row_group(group, self.schema_ir, self.leaves, self.opts)
-                asm.append_group(blob, meta)
-                raw += meta.total_byte_size
-                recs.append(record_from_meta(gid, meta, len(blob), file=fname))
-            asm.finish()
-        # worker-side lineage: durable the moment the part is (survives a
-        # driver SIGKILL; see state/lineage.py)
-        LineageLog(self.out_dir).write_part_record(part_id, recs)
-        yield pa.table({
-            "part_id": [part_id], "file": [fname],
-            "rows": pa.array([batch.num_rows], type=pa.int64()),
-            "compressed_bytes": pa.array([asm.offset], type=pa.int64()),
-            "uncompressed_bytes": pa.array([raw], type=pa.int64()),
-            "skipped": [False],
-            "manifest": pa.array([pickle.dumps(recs)], type=pa.large_binary()),
-        })
+        return _write_part(
+            self.out_dir, f"{subdir}/{fname}" if subdir else fname, part_id,
+            lambda: (self.schema_ir, zip(gids, groups)), self.opts,
+            skip=self.skip, rows=table.num_rows)
 
 
 def _hive_value(v) -> str:
@@ -632,11 +621,7 @@ def _hive_value(v) -> str:
     return quote(str(v), safe="")
 
 
-def _encode_partitioned_fn(batch: pa.Table, **kwargs):
-    yield from PartitionedPartWriter(**kwargs)(batch)
-
-
-class PartitionedPartWriter:
+class PartitionedPartWriter(PartFileWriter):
     """map_batches stage: splits each batch by a partition column and
     writes one complete parquet part per (batch, partition value) under
     hive-style ``<col>=<value>/`` directories — the "one directory per
@@ -649,19 +634,12 @@ class PartitionedPartWriter:
                  out_dir: str, partition_col: str,
                  max_group_rows: int = DEFAULT_GROUP_ROWS,
                  max_group_bytes: int = DEFAULT_GROUP_BYTES,
-                 skip_part_ids: Optional[frozenset[str]] = None) -> None:
-        import pyarrow as _pa
-
-        self.opts = opts
-        self.partition_col = partition_col
-        data_schema = _pa.schema(
+                 skip_files: frozenset[str] = frozenset()) -> None:
+        data_schema = pa.schema(
             [f for f in arrow_schema if f.name != partition_col])
-        self.schema_ir = schema_from_arrow(data_schema, opts.schema_overrides)
-        self.leaves = leaf_columns(self.schema_ir)
-        self.out_dir = out_dir
-        self.max_group_rows = max_group_rows
-        self.max_group_bytes = max_group_bytes
-        self.skip = skip_part_ids or frozenset()
+        super().__init__(opts, data_schema, out_dir, max_group_rows,
+                         max_group_bytes, skip_files)
+        self.partition_col = partition_col
 
     def __call__(self, batch: pa.Table):
         import pyarrow.compute as pc
@@ -685,51 +663,8 @@ class PartitionedPartWriter:
             if sub.num_rows == 0:
                 continue
             subdir = f"{self.partition_col}={_hive_value(val)}"
-            from ..state import fsio as _fsio
-
-            _fsio.makedirs(_join_out(self.out_dir, subdir))
-            groups = list(split_row_groups(sub, self.max_group_rows,
-                                           self.max_group_bytes))
-            gids = [content_part_id(g) for g in groups]
-            part_id = hashlib.blake2b(
-                (subdir + "|" + "".join(gids)).encode(), digest_size=12
-            ).hexdigest()[:16]
-            fname = f"{subdir}/part-{part_id}.parquet"
-            fpath = _join_out(self.out_dir, fname)
-            exists, size = (_part_exists_size(fpath)
-                            if part_id in self.skip else (False, 0))
-            if part_id in self.skip and exists:
-                yield pa.table({
-                    "part_id": [part_id], "file": [fname],
-                    "rows": pa.array([sub.num_rows], type=pa.int64()),
-                    "compressed_bytes": pa.array([size], type=pa.int64()),
-                    "uncompressed_bytes": pa.array([0], type=pa.int64()),
-                    "skipped": [True],
-                    "manifest": pa.array([None], type=pa.large_binary()),
-                })
-                continue
-            raw = 0
-            recs = []
-            with _part_sink(fpath) as sink:
-                asm = FileAssembler(sink, self.schema_ir, self.opts)
-                for gid, group in zip(gids, groups):
-                    blob, meta = encode_row_group(
-                        group, self.schema_ir, self.leaves, self.opts)
-                    asm.append_group(blob, meta)
-                    raw += meta.total_byte_size
-                    recs.append(record_from_meta(gid, meta, len(blob),
-                                                 file=fname))
-                asm.finish()
-            LineageLog(self.out_dir).write_part_record(part_id, recs)
-            yield pa.table({
-                "part_id": [part_id], "file": [fname],
-                "rows": pa.array([sub.num_rows], type=pa.int64()),
-                "compressed_bytes": pa.array([asm.offset], type=pa.int64()),
-                "uncompressed_bytes": pa.array([raw], type=pa.int64()),
-                "skipped": [False],
-                "manifest": pa.array([pickle.dumps(recs)],
-                                     type=pa.large_binary()),
-            })
+            fsio.makedirs(fsio.join(self.out_dir, subdir))
+            yield self._write(sub, subdir)
 
 
 def write_parquet_partitioned(
@@ -742,7 +677,6 @@ def write_parquet_partitioned(
     max_group_rows: int = DEFAULT_GROUP_ROWS,
     max_group_bytes: int = DEFAULT_GROUP_BYTES,
     resume: bool = True,
-    use_actors: bool = False,
     part_rows: Optional[int] = None,
 ) -> dict:
     """Hive-partitioned parquet output (``<col>=<value>/part-*.parquet``)
@@ -760,97 +694,66 @@ def write_parquet_partitioned(
     ``__HIVE_DEFAULT_PARTITION__/`` and read back as that sentinel
     string unless the reader configures a hive null fallback."""
     opts = opts or WriteOptions()
-    from ..state import fsio as _fsio_drv
-
-    _fsio_drv.makedirs(out_dir)
-    if not _fsio_drv.is_uri(out_dir):
-        _clean_stale_tmps(out_dir)  # URIs have no tmp files by design
     arrow_schema = _normalized_arrow_schema(ds)
     if partition_col not in arrow_schema.names:
         raise ValueError(f"partition_col {partition_col!r} not in schema")
-    lineage = LineageLog(out_dir)
-    done = lineage.completed_files() if resume else {}
-    skip = frozenset(os.path.basename(f)[5:-8] for f in done)
-    part_kwargs = dict(
-        opts=opts, arrow_schema=arrow_schema, out_dir=out_dir,
-        partition_col=partition_col, max_group_rows=max_group_rows,
-        max_group_bytes=max_group_bytes, skip_part_ids=skip,
-    )
-    if use_actors:
-        manifest_ds = ds.map_batches(
-            PartitionedPartWriter, fn_constructor_kwargs=part_kwargs,
-            batch_format="pyarrow", batch_size=part_rows,
-            zero_copy_batch=True,
-            concurrency=_default_concurrency(concurrency),
-        )
-    else:
-        manifest_ds = ds.map_batches(
-            partial(_encode_partitioned_fn, **part_kwargs),
-            batch_format="pyarrow", batch_size=part_rows,
-            zero_copy_batch=True,
-            concurrency=_task_concurrency(concurrency),
-        )
-    total = _drain_manifests(manifest_ds, lineage, {
-        "parts": 0, "rows": 0, "compressed_bytes": 0,
-        "uncompressed_bytes": 0, "skipped_parts": 0}, done)
+    lineage, done = _open_out_dir(out_dir, resume)
+    writer = PartitionedPartWriter(opts, arrow_schema, out_dir, partition_col,
+                                   max_group_rows, max_group_bytes, frozenset(done))
+    total = _drain_manifests(_map_batches(
+        ds, writer, batch_size=part_rows, concurrency=concurrency), lineage, done)
     total["out_dir"] = out_dir
     return total
 
 
-def _encode_files_fn(batch: pa.Table, *, opts, out_dir, max_group_rows,
-                     max_group_bytes, skip_names, columns):
-    """Shard-to-shard task: reads its assigned input files directly with
-    pyarrow (bytes never enter the object store) and writes one part per
-    input file. Part names derive from the input file name, so resume is
-    keyed on input identity."""
+def _read_groups(paths, part_id, opts, columns, max_group_rows, max_group_bytes):
+    """``load`` for :func:`_write_part`: read and concatenate one part's
+    input files; every row group records under the part id."""
     import pyarrow.parquet as pq
 
-    for path in batch.column("path").to_pylist():
-        base = os.path.splitext(os.path.basename(path))[0]
-        # suffix with a hash of the absolute path: two inputs sharing a
-        # basename in different directories must not collide on one
-        # output part (resume stays keyed on input identity)
-        base = f"{base}-{hashlib.sha1(os.path.abspath(path).encode()).hexdigest()[:8]}"
-        fname = f"part-{base}.parquet"
-        fpath = _join_out(out_dir, fname)
-        exists, size = (_part_exists_size(fpath) if base in skip_names
-                        else (False, 0))
-        if base in skip_names and exists:
-            from ..state import fsio as _fsio
+    table = pa.concat_tables(
+        normalize_table(pq.read_table(p, columns=columns)) for p in paths)
+    schema_ir = schema_from_arrow(table.schema, opts.schema_overrides)
+    return schema_ir, ((part_id, g) for g in
+                       split_row_groups(table, max_group_rows, max_group_bytes))
 
-            yield pa.table({
-                "part_id": [base], "file": [fname],
-                # footer-only read: resumed runs report true row counts
-                "rows": pa.array([_fsio.parquet_num_rows(fpath)],
-                                 type=pa.int64()),
-                "compressed_bytes": pa.array([size], type=pa.int64()),
-                "uncompressed_bytes": pa.array([0], type=pa.int64()),
-                "skipped": [True],
-                "manifest": pa.array([None], type=pa.large_binary()),
-            })
-            continue
-        table = normalize_table(pq.read_table(path, columns=columns))
-        schema_ir = schema_from_arrow(table.schema, opts.schema_overrides)
-        leaves = leaf_columns(schema_ir)
-        raw = 0
-        recs = []
-        with _part_sink(fpath) as sink:
-            asm = FileAssembler(sink, schema_ir, opts)
-            for group in split_row_groups(table, max_group_rows, max_group_bytes):
-                blob, meta = encode_row_group(group, schema_ir, leaves, opts)
-                asm.append_group(blob, meta)
-                raw += meta.total_byte_size
-                recs.append(record_from_meta(base, meta, len(blob), file=fname))
-            asm.finish()
-        LineageLog(out_dir).write_part_record(base, recs)
-        yield pa.table({
-            "part_id": [base], "file": [fname],
-            "rows": pa.array([table.num_rows], type=pa.int64()),
-            "compressed_bytes": pa.array([asm.offset], type=pa.int64()),
-            "uncompressed_bytes": pa.array([raw], type=pa.int64()),
-            "skipped": [False],
-            "manifest": pa.array([pickle.dumps(recs)], type=pa.large_binary()),
-        })
+
+def _read_parts_fn(batch: pa.Table, *, out_dir, opts, columns, max_group_rows,
+                   max_group_bytes, skip, lineage_name):
+    """File-granular part task (write_parquet_files, compaction): each
+    row names one part and the input files it re-encodes. The task
+    reads them directly with pyarrow, so bytes never enter the object
+    store, and never reads a skipped part's inputs."""
+    for part_id, paths in zip(batch.column("part_id").to_pylist(),
+                              batch.column("paths").to_pylist()):
+        load = partial(_read_groups, paths, part_id, opts, columns,
+                       max_group_rows, max_group_bytes)
+        yield _write_part(out_dir, f"part-{part_id}.parquet", part_id, load,
+                          opts, skip=skip, lineage_name=lineage_name)
+
+
+def _write_input_parts(parts, out_dir, opts, lineage, done, skip, *, columns,
+                       max_group_rows, max_group_bytes) -> dict:
+    """One Ray task per ``(part id, input paths)`` of ``parts``."""
+    import ray.data
+
+    items = [{"part_id": i, "paths": p} for i, p in parts]
+    ds = ray.data.from_items(items, override_num_blocks=max(len(items), 1))
+    fn = partial(_read_parts_fn, out_dir=out_dir, opts=opts, columns=columns,
+                 max_group_rows=max_group_rows, max_group_bytes=max_group_bytes,
+                 skip=skip, lineage_name=lineage.name)
+    total = _drain_manifests(_map_batches(ds, fn), lineage, done)
+    total["out_dir"] = out_dir
+    return total
+
+
+def _input_part_id(path: str) -> str:
+    """write_parquet_files' part id for one input: its stem suffixed with
+    a hash of its absolute path, so two inputs sharing a basename in
+    different directories never collide on one output part (resume
+    stays keyed on input identity)."""
+    stem = os.path.splitext(os.path.basename(path))[0]
+    return f"{stem}-{hashlib.sha1(os.path.abspath(path).encode()).hexdigest()[:8]}"
 
 
 def write_parquet_files(
@@ -867,51 +770,31 @@ def write_parquet_files(
     reading its shard directly (no object-store hop — the maximum-
     throughput shape for file-granular transforms). Resume keys on the
     input file name. ``columns`` prunes the read."""
-    import ray.data
-
     opts = opts or WriteOptions()
-    from ..state import fsio as _fsio_drv
-
-    _fsio_drv.makedirs(out_dir)
-    if not _fsio_drv.is_uri(out_dir):
-        _clean_stale_tmps(out_dir)  # URIs have no tmp files by design
-    # legacy-name migration: parts used to be named part-<base>.parquet
+    parts = [(_input_part_id(p), [p]) for p in sorted(input_paths)]
+    # legacy-name migration: parts used to be named part-<stem>.parquet
     # (no path-hash suffix). Resuming into such an out_dir re-encodes
     # every shard under the hashed name and would leave the old files
     # alongside the new ones, so part-*.parquet consumers would read
     # duplicate rows. Remove exactly THIS run's inputs' legacy-named
-    # parts (never unrelated files) before the skip set is built.
+    # parts (never unrelated files, nor a name this run writes: one
+    # input's stem may equal another's hashed id) before the skip set
+    # is built.
     legacy = {f"part-{os.path.splitext(os.path.basename(p))[0]}.parquet"
               for p in input_paths}
+    legacy -= {f"part-{i}.parquet" for i, _ in parts}
     # ONE listing, not one DELETE round trip per input: at 100k shards
     # against an object store the per-input remove() is 100k serial
     # requests on every run, almost all for names that don't exist
-    existing = {f.rsplit("/", 1)[-1] if _fsio_drv.is_uri(f)
+    existing = {f.rsplit("/", 1)[-1] if fsio.is_uri(f)
                 else os.path.basename(f)
-                for f in _fsio_drv.glob_in(out_dir, "part-*.parquet")}
+                for f in fsio.glob_in(out_dir, "part-*.parquet")}
     for name in sorted(legacy & existing):
-        _fsio_drv.remove(_join_out(out_dir, name))
-    lineage = LineageLog(out_dir)
-    done = lineage.completed_files() if resume else {}
-    skip = frozenset(f[5:-8] for f in done)
-
-    paths_ds = ray.data.from_items(
-        [{"path": p} for p in sorted(input_paths)],
-        override_num_blocks=len(input_paths),
-    )
-    manifest_ds = paths_ds.map_batches(
-        partial(
-            _encode_files_fn,
-            opts=opts, out_dir=out_dir, max_group_rows=max_group_rows,
-            max_group_bytes=max_group_bytes, skip_names=skip, columns=columns,
-        ),
-        batch_format="pyarrow", batch_size=None, zero_copy_batch=True,
-    )
-    total = _drain_manifests(manifest_ds, lineage, {
-        "parts": 0, "rows": 0, "compressed_bytes": 0,
-        "uncompressed_bytes": 0, "skipped_parts": 0}, done)
-    total["out_dir"] = out_dir
-    return total
+        fsio.remove(fsio.join(out_dir, name))
+    lineage, done = _open_out_dir(out_dir, resume)
+    return _write_input_parts(
+        parts, out_dir, opts, lineage, done, frozenset(done), columns=columns,
+        max_group_rows=max_group_rows, max_group_bytes=max_group_bytes)
 
 
 def write_parquet_dataset(
@@ -923,7 +806,6 @@ def write_parquet_dataset(
     max_group_rows: int = DEFAULT_GROUP_ROWS,
     max_group_bytes: int = DEFAULT_GROUP_BYTES,
     resume: bool = True,
-    use_actors: bool = False,
     part_rows: Optional[int] = None,
     repartition_blocks: Optional[int] = None,
     sort_by=None,
@@ -956,99 +838,14 @@ def write_parquet_dataset(
     opts = opts or WriteOptions()
     if repartition_blocks:
         ds = ds.repartition(repartition_blocks)
-    from ..state import fsio as _fsio_drv
-
-    _fsio_drv.makedirs(out_dir)
-    if not _fsio_drv.is_uri(out_dir):
-        _clean_stale_tmps(out_dir)  # URIs have no tmp files by design
-    arrow_schema = _normalized_arrow_schema(ds)
-    lineage = LineageLog(out_dir)
-    # part-file completion is keyed by the batch-level part id (stored
-    # in the 'file' name), not row-group ids
-    done = lineage.completed_files() if resume else {}
-    skip = frozenset(f[5:-8] for f in done)
-
-    part_kwargs = dict(
-        opts=opts,
-        arrow_schema=arrow_schema,
-        out_dir=out_dir,
-        max_group_rows=max_group_rows,
-        max_group_bytes=max_group_bytes,
-        skip_part_ids=skip,
-        sort_by=sort_by,
-    )
-    if use_actors:
-        manifest_ds = ds.map_batches(
-            PartFileWriter,
-            fn_constructor_kwargs=part_kwargs,
-            batch_format="pyarrow", batch_size=part_rows, zero_copy_batch=True,
-            concurrency=_default_concurrency(concurrency),
-        )
-    else:
-        manifest_ds = ds.map_batches(
-            partial(_encode_part_fn, **part_kwargs),
-            batch_format="pyarrow", batch_size=part_rows, zero_copy_batch=True,
-            concurrency=_task_concurrency(concurrency),
-        )
-
-    total = _drain_manifests(manifest_ds, lineage, {
-        "parts": 0, "rows": 0, "compressed_bytes": 0,
-        "uncompressed_bytes": 0, "skipped_parts": 0}, done)
+    lineage, done = _open_out_dir(out_dir, resume)
+    writer = PartFileWriter(opts, _normalized_arrow_schema(ds), out_dir,
+                            max_group_rows, max_group_bytes, frozenset(done),
+                            sort_by)
+    total = _drain_manifests(_map_batches(
+        ds, writer, batch_size=part_rows, concurrency=concurrency), lineage, done)
     total["out_dir"] = out_dir
     return total
-
-
-def _compact_group_fn(batch: pa.Table, *, opts, out_dir, max_group_rows,
-                      max_group_bytes, skip_ids, columns):
-    """Compaction task: reads its bucket's input files directly (no
-    object-store hop), concatenates, re-encodes as ONE part file."""
-    import pyarrow.parquet as pq
-
-    for row in range(batch.num_rows):
-        paths = batch.column("paths")[row].as_py()
-        gid = batch.column("group_id")[row].as_py()
-        fname = f"part-{gid}.parquet"
-        fpath = _join_out(out_dir, fname)
-        exists, size = (_part_exists_size(fpath) if gid in skip_ids
-                        else (False, 0))
-        if gid in skip_ids and exists:
-            from ..state import fsio as _fsio
-
-            yield pa.table({
-                "part_id": [gid], "file": [fname],
-                # footer-only read: resumed runs report true row counts
-                "rows": pa.array([_fsio.parquet_num_rows(fpath)],
-                                 type=pa.int64()),
-                "compressed_bytes": pa.array([size], type=pa.int64()),
-                "uncompressed_bytes": pa.array([0], type=pa.int64()),
-                "skipped": [True],
-                "manifest": pa.array([None], type=pa.large_binary()),
-            })
-            continue
-        table = pa.concat_tables(
-            normalize_table(pq.read_table(p, columns=columns)) for p in paths
-        )
-        schema_ir = schema_from_arrow(table.schema, opts.schema_overrides)
-        leaves = leaf_columns(schema_ir)
-        raw = 0
-        recs = []
-        with _part_sink(fpath) as sink:
-            asm = FileAssembler(sink, schema_ir, opts)
-            for group in split_row_groups(table, max_group_rows, max_group_bytes):
-                blob, meta = encode_row_group(group, schema_ir, leaves, opts)
-                asm.append_group(blob, meta)
-                raw += meta.total_byte_size
-                recs.append(record_from_meta(gid, meta, len(blob), file=fname))
-            asm.finish()
-        LineageLog(out_dir, name=COMPACT_LINEAGE).write_part_record(gid, recs)
-        yield pa.table({
-            "part_id": [gid], "file": [fname],
-            "rows": pa.array([table.num_rows], type=pa.int64()),
-            "compressed_bytes": pa.array([asm.offset], type=pa.int64()),
-            "uncompressed_bytes": pa.array([raw], type=pa.int64()),
-            "skipped": [False],
-            "manifest": pa.array([pickle.dumps(recs)], type=pa.large_binary()),
-        })
 
 
 def compact_parquet_dataset(
@@ -1072,10 +869,6 @@ def compact_parquet_dataset(
     bucket and still splits into row groups internally. Bucket ids hash
     the member file names + sizes, so resume skips finished buckets and
     any input change re-runs its bucket."""
-    import glob as _glob
-
-    import ray.data
-
     opts = opts or WriteOptions()
     if isinstance(input_paths, str):
         input_paths = sorted(_glob.glob(os.path.join(
@@ -1116,41 +909,25 @@ def compact_parquet_dataset(
                 f"out_dir {out_dir}; compaction must not write in place"
             )
 
-    from ..state import fsio as _fsio_drv
-
-    _fsio_drv.makedirs(out_dir)
-    if not _fsio_drv.is_uri(out_dir):
-        _clean_stale_tmps(out_dir)  # URIs have no tmp files by design
-    lineage = LineageLog(out_dir, name=COMPACT_LINEAGE)
-    prior = lineage.completed_files()
-    skip = frozenset(f[5:-8] for f in prior) if resume else frozenset()
-
-    items = [{"group_id": bucket_id(b), "paths": b} for b in buckets]
-    gds = ray.data.from_items(items, override_num_blocks=max(len(items), 1))
-    manifest_ds = gds.map_batches(
-        partial(
-            _compact_group_fn,
-            opts=opts, out_dir=out_dir, max_group_rows=max_group_rows,
-            max_group_bytes=max_group_bytes, skip_ids=skip, columns=columns,
-        ),
-        batch_format="pyarrow", batch_size=None, zero_copy_batch=True,
-    )
-    total = _drain_manifests(manifest_ds, lineage, {
-        "parts": 0, "rows": 0, "compressed_bytes": 0,
-        "uncompressed_bytes": 0, "skipped_parts": 0,
-        "input_files": len(files)}, prior)
+    # finished parts are read even without resume: the GC below needs them
+    lineage, prior = _open_out_dir(out_dir, lineage_name=COMPACT_LINEAGE)
+    parts = [(bucket_id(b), b) for b in buckets]
+    total = _write_input_parts(
+        parts, out_dir, opts, lineage, prior,
+        frozenset(prior) if resume else frozenset(), columns=columns,
+        max_group_rows=max_group_rows, max_group_bytes=max_group_bytes)
+    total["input_files"] = len(files)
     # garbage-collect parts from superseded bucket layouts: a changed
     # input produces a NEW bucket id, and without cleanup the stale
     # part would keep serving the old rows alongside the new ones.
     # Only files THIS compactor's lineage recorded are candidates —
     # pre-existing files it never wrote are left untouched.
-    expected = {f"part-{it['group_id']}.parquet" for it in items}
+    expected = {f"part-{i}.parquet" for i, _ in parts}
     removed = 0
     for f in set(prior) - expected:
-        fp = _join_out(out_dir, f)
+        fp = fsio.join(out_dir, f)
         if _part_exists_size(fp)[0]:
-            _fsio_drv.remove(fp)
+            fsio.remove(fp)
             removed += 1
     total["removed_stale_parts"] = removed
-    total["out_dir"] = out_dir
     return total

@@ -1,22 +1,20 @@
-"""Ray Data encode stage: a callable class for ``map_batches`` actor
-pools. Each call turns one Arrow batch into one or more encoded row
-groups — relocatable blobs + pickled metadata rows (SURVEY.md §7.3).
-
-Stateful setup (schema IR, leaf resolution, codec registry) happens
-once per actor in ``__init__``; ``__call__`` is pure per-batch work.
+"""Ray Data encode stage: row-group splitting, content-addressed part
+ids, and the single-file writer's ``map_batches`` task, which turns one
+Arrow batch into one or more encoded row groups — relocatable blobs +
+pickled metadata rows (SURVEY.md §7.3).
 """
 from __future__ import annotations
 
 import hashlib
 import pickle
-from typing import Iterator, Optional
+from typing import Iterator
 
 import pyarrow as pa
 
 from ..core.options import WriteOptions
 from ..core.rowgroup import encode_row_group
-from ..core.schema import normalize_table, schema_from_arrow
-from ..core.types import leaf_columns
+from ..core.schema import normalize_table
+from ..core.types import SchemaElement, leaf_columns
 
 DEFAULT_GROUP_ROWS = 100_000
 DEFAULT_GROUP_BYTES = 64 << 20  # byte cap: skew-aware split of huge html rows
@@ -82,46 +80,33 @@ def content_part_id(table: pa.Table) -> str:
     return h.hexdigest()[:16]
 
 
-class RowGroupEncoder:
-    """map_batches actor: Arrow batch -> encoded row-group rows.
+def encode_row_groups(
+    batch: pa.Table,
+    *,
+    schema_ir: list[SchemaElement],
+    opts: WriteOptions,
+    max_group_rows: int = DEFAULT_GROUP_ROWS,
+    max_group_bytes: int = DEFAULT_GROUP_BYTES,
+    skip_part_ids: frozenset[str] = frozenset(),
+) -> Iterator[pa.Table]:
+    """map_batches task: Arrow batch -> one row per encoded row group.
 
     Output schema: part_id:string, num_rows:int64, blob:large_binary,
-    meta:binary (pickled RowGroupMeta).
+    meta:large_binary (pickled RowGroupMeta). A group whose id is in
+    ``skip_part_ids`` yields a marker row without payload, so ordering
+    stays intact and the assembler reuses the checkpointed blob.
     """
-
-    def __init__(
-        self,
-        opts: WriteOptions,
-        arrow_schema: pa.Schema,
-        max_group_rows: int = DEFAULT_GROUP_ROWS,
-        max_group_bytes: int = DEFAULT_GROUP_BYTES,
-        skip_part_ids: Optional[frozenset[str]] = None,
-    ) -> None:
-        self.opts = opts
-        self.schema_ir = schema_from_arrow(arrow_schema, opts.schema_overrides)
-        self.leaves = leaf_columns(self.schema_ir)
-        self.max_group_rows = max_group_rows
-        self.max_group_bytes = max_group_bytes
-        self.skip = skip_part_ids or frozenset()
-
-    def __call__(self, batch: pa.Table) -> Iterator[pa.Table]:
-        batch = normalize_table(batch)
-        for group in split_row_groups(batch, self.max_group_rows, self.max_group_bytes):
-            part_id = content_part_id(group)
-            if part_id in self.skip:
-                # resume: emit a marker row so ordering stays intact but
-                # carry no payload (assembler reuses the checkpoint blob)
-                yield pa.table({
-                    "part_id": pa.array([part_id]),
-                    "num_rows": pa.array([group.num_rows], type=pa.int64()),
-                    "blob": pa.array([None], type=pa.large_binary()),
-                    "meta": pa.array([None], type=pa.large_binary()),
-                })
-                continue
-            blob, meta = encode_row_group(group, self.schema_ir, self.leaves, self.opts)
-            yield pa.table({
-                "part_id": pa.array([part_id]),
-                "num_rows": pa.array([group.num_rows], type=pa.int64()),
-                "blob": pa.array([blob], type=pa.large_binary()),
-                "meta": pa.array([pickle.dumps(meta)], type=pa.large_binary()),
-            })
+    leaves = leaf_columns(schema_ir)
+    for group in split_row_groups(normalize_table(batch), max_group_rows,
+                                  max_group_bytes):
+        part_id = content_part_id(group)
+        blob = meta = None
+        if part_id not in skip_part_ids:
+            blob, meta = encode_row_group(group, schema_ir, leaves, opts)
+            meta = pickle.dumps(meta)
+        yield pa.table({
+            "part_id": pa.array([part_id]),
+            "num_rows": pa.array([group.num_rows], type=pa.int64()),
+            "blob": pa.array([blob], type=pa.large_binary()),
+            "meta": pa.array([meta], type=pa.large_binary()),
+        })

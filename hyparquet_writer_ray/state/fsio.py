@@ -156,6 +156,15 @@ def glob_in(base: str, pattern: str) -> list[str]:
     return sorted(_glob.glob(os.path.join(_glob.escape(base), pattern)))
 
 
+def tmp_name(path: str, tag: str = "tmp") -> str:
+    """In-flight name for a file that becomes ``path`` by rename:
+    ``<path>.<tag>-<pid>-<random>``. The random part keeps two writers
+    with one pid (on hosts sharing an nfs/sftp namespace) or one
+    process writing the same name twice from clobbering each other's
+    tmp."""
+    return f"{path}.{tag}-{os.getpid()}-{os.urandom(4).hex()}"
+
+
 def write_marker(path: str, text: str = "ok") -> None:
     """Write a completion marker. Local and rename-based fsspec
     protocols (file://, sftp, …): tmp + atomic rename — a kill
@@ -165,7 +174,7 @@ def write_marker(path: str, text: str = "ok") -> None:
     if is_uri(path):
         fs, p = url_fs(path)
         if fs_rename_based(fs):
-            tmp = f"{p}.tmp-{os.getpid()}"
+            tmp = tmp_name(p)
             try:
                 with fs.open(tmp, "wb") as f:
                     f.write(text.encode())
@@ -176,7 +185,7 @@ def write_marker(path: str, text: str = "ok") -> None:
         else:
             fs.pipe(p, text.encode())
     else:
-        tmp = f"{path}.tmp-{os.getpid()}"
+        tmp = tmp_name(path)
         try:
             with open(tmp, "w") as f:
                 f.write(text)

@@ -79,6 +79,7 @@ class LineageLog:
         # (e.g. compaction keeps its own manifest so its stale-part GC
         # can never see — or delete — parts another writer recorded)
         self._uri = fsio.is_uri(base_dir)
+        self.name = name
         self.dir = fsio.join(base_dir, name)
         self.blob_dir = fsio.join(self.dir, "blobs")
         self.parts_dir = fsio.join(self.dir, "parts")
@@ -102,7 +103,9 @@ class LineageLog:
             fs.pipe(p, payload.encode())  # one atomic PUT
             return
         os.makedirs(self.parts_dir, exist_ok=True)
-        tmp = os.path.join(self.parts_dir, f".{part_key}.tmp")
+        # unique per call: two tasks finishing the same content-addressed
+        # part must not share a tmp inode (the loser's replace would fail)
+        tmp = fsio.tmp_name(os.path.join(self.parts_dir, f".{part_key}"))
         with open(tmp, "w") as f:
             f.write(payload)
         os.replace(tmp, dest)
@@ -145,7 +148,7 @@ class LineageLog:
             if fsio.fs_rename_based(fs):
                 # filesystem-backed protocol: a kill during a plain
                 # rewrite would truncate previously durable records
-                tmp = f"{p}.tmp-{os.getpid()}"
+                tmp = fsio.tmp_name(p)
                 try:
                     with fs.open(tmp, "wb") as f:
                         f.write(body)

@@ -697,3 +697,56 @@ def test_write_table_unique_tmp_and_orphan_sweep(tmp_path):
     fresh.unlink()
     # no tmp of our own left behind
     assert [p.name for p in tmp_path.iterdir()] == ["t.parquet"]
+
+
+def test_file_uri_out_dir_sweeps_aged_tmps(ray_session, tmp_path):
+    """file:// parts are written as .inprogress-* tmps plus fs.mv, so a
+    killed run's orphans must be swept there too (age-gated: a live
+    writer's fresh tmp survives)."""
+    import time
+
+    import ray.data
+
+    from hyparquet_writer_ray.pipelines.write import write_parquet_dataset
+
+    out = tmp_path / "out"
+    out.mkdir()
+    aged = out / "part-z.parquet.inprogress-1-deadbeef"
+    fresh = out / "part-z.parquet.inprogress-2-cafebabe"
+    aged.write_bytes(b"x")
+    fresh.write_bytes(b"y")
+    os.utime(aged, (time.time() - 7200, time.time() - 7200))
+    s = write_parquet_dataset(ray.data.from_arrow(pa.table({"a": [1, 2, 3]})),
+                              _file_uri(out))
+    assert s["rows"] == 3
+    assert not aged.exists()
+    assert fresh.exists()
+
+
+def test_write_part_record_same_key_concurrently(tmp_path, monkeypatch):
+    """Two tasks finishing the same content-addressed part write the
+    same record concurrently: each needs its own tmp, or the loser's
+    os.replace finds the shared tmp already renamed away."""
+    import json
+
+    from hyparquet_writer_ray.state import lineage
+    from hyparquet_writer_ray.state.lineage import LineageLog, PartRecord
+
+    log = LineageLog(str(tmp_path))
+    recs = [PartRecord(part_id="p0", num_rows=1, raw_bytes=8, comp_bytes=4,
+                       file="part-p0.parquet")]
+    real_replace = os.replace
+    nested = []
+
+    def racing_replace(src, dst):
+        if not nested:  # the other task finishes first
+            nested.append(src)
+            log.write_part_record("p0", recs)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(lineage.os, "replace", racing_replace)
+    log.write_part_record("p0", recs)
+    monkeypatch.undo()
+    parts = tmp_path / "_lineage" / "parts"
+    assert sorted(p.name for p in parts.iterdir()) == ["p0.json"]
+    assert json.loads((parts / "p0.json").read_text())[0]["part_id"] == "p0"

@@ -171,3 +171,25 @@ def test_mixture_empty_corpus_id_type_matches_pipeline_contract(ray_data, tmp_pa
         ray_data.from_arrow(corpus), str(tmp_path / "mix"))
     assert stats["rows"] == 0
     assert survivors.schema().base_schema.field("doc_id").type == pa.int64()
+
+
+def test_write_parquet_files_legacy_sweep_spares_current_parts(ray_session, tmp_path):
+    """One input's legacy name can equal another input's hashed name
+    (stem ``y-<hash of y's path>``). The legacy sweep must not delete
+    that current part, or it re-encodes on every resume."""
+    import hashlib
+
+    from hyparquet_writer_ray.pipelines.write import write_parquet_files
+
+    src = tmp_path / "in"
+    src.mkdir()
+    y = str(src / "y.parquet")
+    digest = hashlib.sha1(os.path.abspath(y).encode()).hexdigest()[:8]
+    x = str(src / f"y-{digest}.parquet")
+    pq.write_table(pa.table({"v": [1, 2]}), y)
+    pq.write_table(pa.table({"v": [3]}), x)
+    out = str(tmp_path / "out")
+    first = write_parquet_files([y, x], out)
+    assert first["parts"] == 2 and first["rows"] == 3
+    again = write_parquet_files([y, x], out)
+    assert again["skipped_parts"] == 2 and again["rows"] == 3

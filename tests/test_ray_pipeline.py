@@ -452,3 +452,30 @@ def test_sort_by_local_sort_roundtrip_and_smaller(ray_data, tmp_path):
                 ts = pq.read_table(f).column("ts").to_numpy(zero_copy_only=False)
                 assert np.all(ts[:-1] <= ts[1:])  # sorted WITHIN each part
     assert sizes["sorted"] < sizes["plain"]
+
+
+def test_perfbench_span_bindings(tmp_path):
+    """perfbench/spans.py patches names in pipelines/write.py by
+    attribute; a refactor that drops or rebinds one silently empties
+    the traced benchmark's per-layer metrics."""
+    import sys
+
+    import pyarrow as pa
+
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    from perfbench import spans
+
+    from hyparquet_writer_ray.pipelines.write import PartFileWriter
+
+    table = pa.table({"id": list(range(50)), "s": [f"v{i % 7}" for i in range(50)]})
+    rec = spans.Recorder()
+    spans.install(rec)
+    try:
+        rows = list(PartFileWriter(WriteOptions(), table.schema, str(tmp_path))(table))
+    finally:
+        spans.uninstall()
+    assert len(rows) == 1 and rows[0].column("rows")[0].as_py() == 50
+    names = {s[2] for s in rec.spans}
+    assert {"pipelines.write.part_writer", "stages.encode.content_part_id",
+            "stages.encode.split_row_groups",
+            "core.rowgroup.encode_row_group"} <= names

@@ -25,14 +25,27 @@ The files cover:
   RLE path are covered; written with small pages so each column spans
   several pages.
 
-Usage: python tools/bytecheck.py [--out DIR]   (files are kept in DIR
-when given, else written to a temporary directory and removed)
+With ``--ray`` it starts a local Ray session and checks the Ray
+writers instead: ``write_parquet_dataset`` (plain and with ``sort_by``),
+``write_parquet_partitioned``, ``write_parquet_files``,
+``compact_parquet_dataset`` and ``write_parquet_single_file`` with a
+``checkpoint_dir``, all on four small seeded web-table files. It prints
+one ``sha256  writer/relative-name`` line per output part and per
+lineage ``parts/*.json`` record or checkpoint blob, sorted by name.
+Part names of ``write_parquet_files`` hash the absolute input path and
+compaction bucket ids hash input mtimes, so the inputs live at a fixed
+path (``--out``, default ``<tmpdir>/hpw-bytecheck-ray``) and get a
+fixed mtime.
+
+Usage: python tools/bytecheck.py [--ray] [--out DIR]   (files are kept
+in DIR when given, else removed at the end)
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
 import os
+import shutil
 import sys
 import tempfile
 
@@ -116,10 +129,81 @@ def _files() -> list[tuple[str, pa.Table, WriteOptions]]:
     ]
 
 
+def _ray_writers(work: str) -> list[str]:
+    """Run every Ray writer into ``work/<writer>``; return the writers."""
+    import pyarrow.parquet as pq
+    import ray
+
+    from hyparquet_writer_ray.pipelines.write import (
+        compact_parquet_dataset,
+        read_parquet_fused,
+        write_parquet_dataset,
+        write_parquet_files,
+        write_parquet_partitioned,
+        write_parquet_single_file,
+    )
+
+    inp = os.path.join(work, "in")
+    os.makedirs(inp)
+    paths = []
+    for i in range(4):
+        path = os.path.join(inp, f"web-{i}.parquet")
+        pq.write_table(synthesize_batch(i * 2_000, 2_000), path)
+        os.utime(path, ns=(1_700_000_000 * 10**9,) * 2)
+        paths.append(path)
+    opts = WriteOptions(auto_codec="smart")
+    small = dict(max_group_rows=700)
+    out = lambda name: os.path.join(work, name)  # noqa: E731
+    ray.init(address="local", num_cpus=2, include_dashboard=False)
+    try:
+        write_parquet_dataset(read_parquet_fused(inp), out("dataset"), opts, **small)
+        write_parquet_dataset(read_parquet_fused(inp), out("dataset_sorted"), opts,
+                              sort_by=["lang", "url"], **small)
+        write_parquet_partitioned(read_parquet_fused(inp), out("partitioned"), "lang",
+                                  opts, **small)
+        write_parquet_files(paths, out("files"), opts, **small)
+        compact_parquet_dataset(inp, out("compact"), opts,
+                                target_part_bytes=3 * os.path.getsize(paths[0]), **small)
+        write_parquet_single_file(read_parquet_fused(inp),
+                                  os.path.join(out("single"), "data.parquet"), opts,
+                                  checkpoint_dir=out("single/checkpoint"), **small)
+    finally:
+        ray.shutdown()
+    return ["dataset", "dataset_sorted", "partitioned", "files", "compact", "single"]
+
+
+def _ray_lines(work: str) -> list[str]:
+    lines = []
+    for writer in _ray_writers(work):
+        base = os.path.join(work, writer)
+        for root, _, names in os.walk(base):
+            for name in names:
+                rel = os.path.relpath(os.path.join(root, name), base)
+                parts = rel.split(os.sep)
+                kept = name.endswith(".parquet") and not parts[0].startswith("_lineage") \
+                    or len(parts) > 2 and parts[-2] in ("parts", "blobs")
+                if kept:
+                    with open(os.path.join(base, rel), "rb") as f:
+                        digest = hashlib.sha256(f.read()).hexdigest()
+                    lines.append(f"{digest}  {writer}/{'/'.join(parts)}")
+    return sorted(lines, key=lambda line: line.split("  ", 1)[1])
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--out", help="directory to keep the files in")
+    ap.add_argument("--ray", action="store_true", help="check the Ray writers")
     args = ap.parse_args()
+    if args.ray:
+        work = args.out or os.path.join(tempfile.gettempdir(), "hpw-bytecheck-ray")
+        shutil.rmtree(work, ignore_errors=True)
+        try:
+            for line in _ray_lines(work):
+                print(line)
+        finally:
+            if not args.out:
+                shutil.rmtree(work, ignore_errors=True)
+        return
     with tempfile.TemporaryDirectory() as tmp:
         out = args.out or tmp
         os.makedirs(out, exist_ok=True)
