@@ -107,7 +107,12 @@ _PREFIX_CAP = 64  # longest common prefix we detect (longer prefixes still valid
 
 
 def delta_byte_array(w: BufWriter, lengths: np.ndarray, data: np.ndarray) -> None:
-    """DELTA_BYTE_ARRAY: shared-prefix compression against the previous value."""
+    """DELTA_BYTE_ARRAY: shared-prefix compression against the previous value.
+
+    Prefixes are found on a matrix of each value's first bytes, gathered
+    with one index per matrix cell rather than per data byte; the suffix
+    bytes are the data with each value's prefix bytes masked out.
+    """
     n = len(lengths)
     if n == 0:
         delta_binary_pack(w, np.empty(0, np.int32))
@@ -116,28 +121,21 @@ def delta_byte_array(w: BufWriter, lengths: np.ndarray, data: np.ndarray) -> Non
     lengths = lengths.astype(np.int64, copy=False)
     value_base = np.concatenate([[0], np.cumsum(lengths)])
 
-    # head matrix: first _PREFIX_CAP bytes of each value, zero-padded
-    head = np.zeros((n, _PREFIX_CAP), dtype=np.uint8)
-    if data.nbytes:
-        owner = np.repeat(np.arange(n, dtype=np.int64), lengths)
-        pos_in_value = np.arange(data.nbytes, dtype=np.int64) - value_base[owner]
-        m = pos_in_value < _PREFIX_CAP
-        head[owner[m], pos_in_value[m]] = data[m]
+    # head matrix: the first min(_PREFIX_CAP, longest) bytes from each
+    # value's start. Bytes past a value's end belong to the next value (or
+    # are clipped), but never count: a prefix is capped at the shorter of
+    # the two lengths.
+    cols = np.arange(min(_PREFIX_CAP, int(lengths.max())), dtype=np.int64)
+    pos = value_base[:-1, None] + cols
+    head = np.take(data, pos, mode="clip")
 
     prefix = np.zeros(n, dtype=np.int64)
     if n > 1:
-        eq = head[1:] == head[:-1]
-        matched = np.cumprod(eq, axis=1).sum(axis=1)
+        matched = np.logical_and.accumulate(head[1:] == head[:-1], axis=1).sum(axis=1)
         prefix[1:] = np.minimum(matched, np.minimum(lengths[1:], lengths[:-1]))
-    suffix = lengths - prefix
 
     delta_binary_pack(w, prefix.astype(np.int32))
-    delta_binary_pack(w, suffix.astype(np.int32))
-    # gather suffix bytes
-    if data.nbytes:
-        starts = value_base[:-1] + prefix
-        keep = np.repeat(np.arange(n, dtype=np.int64), suffix)
-        local = np.arange(int(suffix.sum()), dtype=np.int64) - np.repeat(
-            np.concatenate([[0], np.cumsum(suffix)])[:-1], suffix
-        )
-        w.write(memoryview(data[starts[keep] + local]))
+    delta_binary_pack(w, (lengths - prefix).astype(np.int32))
+    keep = np.ones(data.nbytes, dtype=bool)
+    keep[pos[cols < prefix[:, None]]] = False
+    w.write(memoryview(data[keep]))

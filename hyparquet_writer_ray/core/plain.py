@@ -1,8 +1,10 @@
-"""PLAIN encoding for all physical types, numpy-vectorized
-(reference semantics: src/plain.js:10-135)."""
+"""PLAIN encoding for all physical types: numpy for fixed widths, one
+Arrow C++ join for BYTE_ARRAY (reference semantics: src/plain.js:10-135)."""
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
 from .types import ParquetType
 
@@ -12,6 +14,7 @@ _NP_OUT = {
     ParquetType.FLOAT: "<f4",
     ParquetType.DOUBLE: "<f8",
 }
+_EMPTY = pa.scalar(b"", pa.large_binary())
 
 
 def plain_fixed(values: np.ndarray, ptype: ParquetType) -> bytes:
@@ -34,41 +37,22 @@ def plain_boolean(values: np.ndarray) -> bytes:
 def plain_byte_array(lengths: np.ndarray, data: np.ndarray) -> memoryview:
     """BYTE_ARRAY: u32 little-endian length prefix + raw bytes per value.
 
-    Returns a view of the one buffer the values are scattered into, so a
-    page copies the value bytes once more, into its own buffer.
-
-    Two strategies: short values use a fully vectorized byte scatter;
-    long values (html/text) use per-value slice copies (C memcpy), which
-    beats the scatter's per-byte index arithmetic by ~10x there.
+    One Arrow C++ pass builds the layout: the 4-byte headers and the
+    values are wrapped without a copy as two ``large_binary`` arrays
+    (64-bit offsets, so a page over 2 GiB cannot overflow) and joined
+    element-wise with an empty separator. Returns a view of the joined
+    data buffer; a page copies it once more, into its own buffer.
     """
     n = len(lengths)
-    if n == 0:
-        return memoryview(b"")
-    total = int(data.nbytes) + 4 * n
-    out = np.zeros(total, dtype=np.uint8)
-    lengths = lengths.astype(np.int64, copy=False)
-    value_base = np.concatenate([[0], np.cumsum(lengths)])
-    out_starts = value_base[:-1] + 4 * np.arange(n, dtype=np.int64)
-    # scatter the 4-byte length headers (always cheap: 4 bytes/value)
-    len_bytes = lengths.astype("<u4").view(np.uint8).reshape(n, 4)
-    idx = out_starts[:, None] + np.arange(4, dtype=np.int64)
-    out[idx.reshape(-1)] = len_bytes.reshape(-1)
-    if not data.nbytes:
-        return memoryview(out)
-    if data.nbytes < 32 * n:
-        # short values: vectorized scatter
-        owner = np.repeat(np.arange(n, dtype=np.int64), lengths)
-        data_pos = np.arange(data.nbytes, dtype=np.int64)
-        out_pos = out_starts[owner] + 4 + (data_pos - value_base[:-1][owner])
-        out[out_pos] = data
-    else:
-        dst = out_starts + 4
-        src = value_base
-        for i in range(n):
-            li = lengths[i]
-            if li:
-                out[dst[i] : dst[i] + li] = data[src[i] : src[i] + li]
-    return memoryview(out)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    headers = pa.Array.from_buffers(pa.large_binary(), n, [
+        None, pa.py_buffer(np.arange(0, 4 * n + 1, 4, dtype=np.int64)),
+        pa.py_buffer(lengths.astype("<u4"))])
+    values = pa.Array.from_buffers(pa.large_binary(), n, [
+        None, pa.py_buffer(offsets), pa.py_buffer(data)])
+    joined = pc.binary_join_element_wise(headers, values, _EMPTY)
+    return memoryview(joined.buffers()[2])[: 4 * n + data.nbytes]
 
 
 def plain_flba(matrix: np.ndarray) -> bytes:

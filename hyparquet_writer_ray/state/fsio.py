@@ -41,9 +41,13 @@ __all__ = [
 
 
 def is_uri(path: str) -> bool:
-    """True for fsspec URIs (``s3://…``, ``memory://…``, ``file://…``).
-    One-letter schemes are Windows drive prefixes, not URIs."""
-    return len(urlsplit(path).scheme) > 1
+    """True for fsspec URIs (``s3://…``, ``memory://…``, ``file://…``):
+    a scheme of 2+ characters followed by ``://``. One-letter schemes
+    are Windows drive prefixes, and a local path with a colon in its
+    first segment (``ab:cd/out``, a timestamped ``…T04:00/out``) has
+    no ``://``, so neither is a URI."""
+    n = len(urlsplit(path).scheme)
+    return n > 1 and path[n : n + 3] == "://"
 
 
 def url_fs(path: str):
@@ -59,21 +63,19 @@ def join(base: str, *parts: str) -> str:
     return os.path.join(base, *parts)
 
 
-# fsspec protocols where a write lands via the FILESYSTEM (truncate +
-# write, visible while in progress) and rename IS atomic — these get
-# tmp + mv semantics. Everything else (s3, gcs, az, memory, …) is an
-# object store: a PUT is invisible until complete and atomic at close,
-# while "rename" would be copy+delete. Getting this wrong either way
-# re-introduces torn-visible writes, so the split is explicit.
-_RENAME_FS = frozenset(
-    ("file", "local", "sftp", "ssh", "ftp", "smb", "dir", "nfs"))
+# Object stores: a PUT is invisible until complete and atomic at close,
+# while "rename" would be copy+delete, so these write final names
+# directly. Every other protocol (file, sftp, hdfs, webhdfs, …) writes
+# through a filesystem, visible while in progress, and gets tmp + mv.
+# An unknown protocol therefore defaults to the torn-write-safe side.
+_ATOMIC_PUT_FS = frozenset(
+    ("s3", "s3a", "gs", "gcs", "az", "abfs", "abfss", "memory"))
 
 
 def fs_rename_based(fs) -> bool:
     proto = fs.protocol
-    if not isinstance(proto, str):
-        proto = proto[0]
-    return proto in _RENAME_FS
+    protos = (proto,) if isinstance(proto, str) else proto
+    return not any(p in _ATOMIC_PUT_FS for p in protos)
 
 
 def exists(path: str) -> bool:

@@ -23,6 +23,9 @@ def test_is_uri_schemes_and_windows_drive():
     assert fsio.is_uri("s3://bucket/key")
     assert fsio.is_uri("memory://ckpt")
     assert fsio.is_uri("file:///tmp/x")
+    # a colon in a local relative path's first segment is not a scheme
+    assert not fsio.is_uri("ab:cd/out")
+    assert not fsio.is_uri("2026-10-17T04:00/out")
 
 
 def test_memory_uri_marker_glob_rmtree():
@@ -358,6 +361,17 @@ def test_fs_rename_based_split():
     assert fsio.fs_rename_based(fsspec.filesystem("file"))
     assert not fsio.fs_rename_based(fsspec.filesystem("memory"))
 
+    # only atomic-PUT object stores skip tmp + rename; filesystem-backed
+    # protocols such as hdfs/webhdfs (not installed here) must not
+    class Stub:
+        def __init__(self, protocol):
+            self.protocol = protocol
+
+    assert fsio.fs_rename_based(Stub("hdfs"))
+    assert fsio.fs_rename_based(Stub(("webhdfs", "webHDFS")))
+    assert not fsio.fs_rename_based(Stub("s3"))
+    assert not fsio.fs_rename_based(Stub(("gcs", "gs")))
+
 
 def test_glob_in_escapes_metachar_dirs(tmp_path):
     """A literal out_dir named run[1] must match itself, not be read as
@@ -569,7 +583,8 @@ def test_part_sink_object_store_failed_rewrite_keeps_previous():
             super().close()
 
     class _ObjStoreFS:
-        protocol = "objstub"
+        # an allowlisted atomic-PUT protocol: every other name is rename-based
+        protocol = "s3"
 
         def __init__(self):
             self.store = {"part.parquet": b"previous-good"}

@@ -18,6 +18,9 @@ The files cover:
 - ``webtable_smart.parquet``: ``sources.webtable`` rows with
   ``auto_codec="smart"``: delta, delta-length and byte-stream-split
   pages, and nullable text with scattered nulls.
+- ``webtable_plain.parquet``: the same rows with default options:
+  PLAIN BYTE_ARRAY pages of multi-KB values (``html``, ``text``) and
+  of ``url``, with scattered nulls, plus the ``lang`` dictionary page.
 - ``text_fsst.parquet``: web-table ``url`` + ``text`` with FSST on
   ``text``.
 - ``nested.parquet``: lists, structs and a map with nulls at every
@@ -123,6 +126,7 @@ def _files() -> list[tuple[str, pa.Table, WriteOptions]]:
     return [
         ("lineitem.parquet", _lineitem(), WriteOptions()),
         ("webtable_smart.parquet", web, WriteOptions(auto_codec="smart")),
+        ("webtable_plain.parquet", web, WriteOptions()),
         ("text_fsst.parquet", synthesize_batch(20_000, 20_000).select(["url", "text"]),
          WriteOptions(column_specs={"text": ColumnSpec(fsst=True)})),
         ("nested.parquet", _nested(), WriteOptions(page_size=16 << 10)),
