@@ -19,6 +19,7 @@ from .core.options import WriteOptions
 from .core.rowgroup import encode_row_group
 from .core.schema import normalize_table, schema_from_arrow
 from .core.types import SchemaElement, leaf_columns
+from .state import fsio
 
 
 def row_group_slices(num_rows: int, schedule) -> list[tuple[int, int]]:
@@ -90,40 +91,19 @@ def write_table(
 ) -> None:
     """Whole-table write (reference parquetWrite, src/write.js:16-60).
 
-    Path sinks are written via a temp file + atomic rename so a failed
-    write never leaves a truncated .parquet behind. The temp name is
-    UNIQUE per attempt: with the old fixed ``<sink>.inprogress`` two
-    concurrent writers of the same sink shared one tmp inode, so the
-    first finisher could rename the other's half-written bytes into
-    place as a complete-looking file. Aged orphans from hard-killed
-    attempts (>1h, incl. the legacy fixed name) are swept on entry —
-    fresh tmps are a live concurrent writer's and survive."""
-    opts = opts or WriteOptions()
-    table = normalize_table(table)
+    A path sink (local or fsspec URI) is written through
+    ``fsio.atomic_sink``, so a failed write never leaves a truncated
+    .parquet behind and concurrent writers of one sink never share a
+    tmp. Aged orphans of hard-killed attempts (>1h, including the
+    legacy fixed ``<sink>.inprogress`` name) are swept on entry; fresh
+    tmps are a live concurrent writer's and survive."""
     if isinstance(sink, str):
-        import glob as _glob
-        import os
-        import time
-
-        cutoff = time.time() - 3600.0
-        for stale in _glob.glob(_glob.escape(sink) + ".inprogress*"):
-            try:
-                if os.path.getmtime(stale) < cutoff:
-                    os.remove(stale)
-            except OSError:
-                pass
-        tmp = f"{sink}.inprogress-{os.getpid()}-{os.urandom(4).hex()}"
-        try:
-            with open(tmp, "wb") as f:
-                pw = ParquetWriter(f, table.schema, opts)
-                pw.write(table)
-                pw.finish()
-            os.replace(tmp, sink)
-        finally:
-            if os.path.exists(tmp):
-                os.remove(tmp)
+        fsio.clean_dest_tmps(sink)
+        with fsio.atomic_sink(sink) as f:
+            write_table(table, f, opts)
         return
-    pw = ParquetWriter(sink, table.schema, opts)
+    table = normalize_table(table)
+    pw = ParquetWriter(sink, table.schema, opts or WriteOptions())
     pw.write(table)
     pw.finish()
 

@@ -169,15 +169,9 @@ def verify_mixture_output(out_dir: str) -> list[pa.Table]:
 
     from ..state import fsio
 
-    files = fsio.glob_in(out_dir, "*.parquet")
     out = []
-    for f in files:
-        if fsio.is_uri(f):
-            fs, p = fsio.url_fs(f)
-            with fs.open(p, "rb") as fh:
-                out.append(pq.ParquetFile(
-                    fh, page_checksum_verification=True).read())
-        else:
+    for f in fsio.glob_in(out_dir, "*.parquet"):
+        with fsio.open_input(f) as fh:
             out.append(pq.ParquetFile(
-                f, page_checksum_verification=True).read())
+                fh, page_checksum_verification=True).read())
     return out

@@ -23,11 +23,9 @@ compaction) maps its per-part work over a Dataset with
 from __future__ import annotations
 
 import dataclasses
-import glob as _glob
 import hashlib
 import os
 import pickle
-import time
 from contextlib import contextmanager
 from functools import partial
 from typing import Optional
@@ -74,8 +72,7 @@ def read_parquet_fused(path_or_paths, *, columns: Optional[list[str]] = None, **
 
     if isinstance(path_or_paths, str):
         if os.path.isdir(path_or_paths):
-            paths = sorted(_glob.glob(os.path.join(
-                _glob.escape(path_or_paths), "*.parquet")))
+            paths = fsio.glob_in(path_or_paths, "*.parquet")
         else:
             paths = [path_or_paths]
     else:
@@ -108,155 +105,6 @@ def _map_batches(ds, fn, *, batch_size=None, concurrency=None):
     )
 
 
-@contextmanager
-def _part_sink(fpath: str):
-    """Writable sink for one output part, URI-transparent.
-
-    Local: tmp + atomic os.replace (a killed task never leaves a
-    truncated .parquet at the target name). Rename-based fsspec
-    protocols (file://, sftp, …) write through the filesystem, so the
-    same tmp + atomic ``fs.mv`` applies — writing the final name
-    directly there would leave a truncated part visible after a kill.
-    True object stores (s3, gcs, …): write the final name directly —
-    a PUT is invisible until complete and atomic at close, while
-    "rename" is copy+delete.
-
-    Tmp names are unique per attempt: two concurrent tasks producing
-    the same content-addressed part must not interleave into one tmp
-    inode (the loser's rename would also fail)."""
-    if fsio.is_uri(fpath):
-        fs, p = fsio.url_fs(fpath)
-        if fsio.fs_rename_based(fs):
-            tmp = fsio.tmp_name(p, "inprogress")
-            try:
-                with fs.open(tmp, "wb") as f:
-                    yield f
-                fs.mv(tmp, p)
-            finally:
-                if fs.exists(tmp):
-                    fs.rm(tmp)
-            return
-        # one HEAD per part (negligible next to the multi-MB PUT): on a
-        # failed REWRITE of an existing name, the previous successful
-        # object must survive — the old unconditional fs.rm(p) deleted
-        # a prior run's good single-file output when its refresh failed
-        existed = fs.exists(p)
-        f = fs.open(p, "wb")
-        try:
-            yield f
-        except BaseException:
-            try:
-                # abort the upload: nothing is committed, so any
-                # previous object at this name stays intact
-                f.discard()
-            except Exception:
-                pass
-            try:
-                f.close()
-            except Exception:
-                pass
-            if not existed:
-                # visible-at-open / commit-on-close backends may have
-                # surfaced a torn object at a fresh name — remove it
-                try:
-                    fs.rm(p)
-                except Exception:
-                    pass
-            raise
-        f.close()
-        return
-    tmp = fsio.tmp_name(fpath, "inprogress")
-    try:
-        with open(tmp, "wb") as f:
-            yield f
-        os.replace(tmp, fpath)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-
-
-def _part_exists_size(fpath: str):
-    """(exists, size) for a possibly-URI part path."""
-    if fsio.is_uri(fpath):
-        fs, p = fsio.url_fs(fpath)
-        try:
-            return True, fs.size(p)
-        except FileNotFoundError:
-            return False, 0
-    if os.path.exists(fpath):
-        return True, os.path.getsize(fpath)
-    return False, 0
-
-
-STALE_TMP_AGE_SEC = 3600.0
-
-
-def _fs_mtime(fs, path: str) -> float | None:
-    """Modification time in epoch seconds, or None when the backend
-    exposes none. fsspec's sftp/ftp filesystems don't implement
-    ``fs.modified`` (AbstractFileSystem raises NotImplementedError) but
-    DO populate an mtime in ``fs.info`` — fall through to it so the
-    age-gated tmp sweeps actually run there."""
-    try:
-        return fs.modified(path).timestamp()
-    except Exception:
-        pass
-    try:
-        m = fs.info(path).get("mtime")
-    except Exception:
-        return None
-    if m is None:
-        return None
-    return m.timestamp() if hasattr(m, "timestamp") else float(m)
-
-
-def _sweep_tmps(base: str, pattern: str, fixed: tuple[str, ...],
-                max_age: float) -> None:
-    """Remove tmps older than ``max_age``: those matching ``base`` (a
-    literal path) + ``pattern``, and the fixed names ``base`` + each of
-    ``fixed``. Rename-based URIs (file://, sftp, …) write tmps too and
-    are swept through fsspec; object stores write none. Age-gated
-    because a concurrent writer's live tmp must survive — a healthy
-    writer finishes a part in seconds, so an hour-old tmp is a crashed
-    run's, not a live one's."""
-    cutoff = time.time() - max_age
-    if fsio.is_uri(base):
-        fs, base = fsio.url_fs(base)
-        if not fsio.fs_rename_based(fs):
-            return
-        found = fs.glob(_glob.escape(base) + pattern)
-        exists, mtime, rm = fs.exists, partial(_fs_mtime, fs), fs.rm
-    else:
-        found = _glob.glob(_glob.escape(base) + pattern, recursive=True)
-        exists, mtime, rm = os.path.exists, os.path.getmtime, os.remove
-    for f in found + [base + s for s in fixed if exists(base + s)]:
-        try:
-            mt = mtime(f)
-            if mt is not None and mt < cutoff:
-                rm(f)
-        except Exception:
-            pass
-
-
-def _clean_dest_tmps(path: str, max_age: float = STALE_TMP_AGE_SEC) -> None:
-    """Remove aged ``<path>.inprogress-*`` orphans left by hard-killed
-    single-file writes (each attempt uses a fresh random tmp name, and
-    a SIGKILL skips _part_sink's cleanup; the dataset writers sweep via
-    _clean_stale_tmps, but a single-file destination has no out_dir
-    sweep), plus the FIXED ``<path>.inprogress`` name the pre-r5
-    single-file writer (and local.write_table today) uses — a crashed
-    pre-upgrade run's multi-GB tmp must not persist forever."""
-    _sweep_tmps(path, ".inprogress-*", (".inprogress",), max_age)
-
-
-def _clean_stale_tmps(out_dir: str, max_age: float = STALE_TMP_AGE_SEC) -> None:
-    """Remove .inprogress-* leftovers of previous killed runs anywhere
-    under ``out_dir`` (the current run's tmps don't exist yet when this
-    is called). Two live writers may share one out_dir (the compaction
-    lineage namespace explicitly supports it), hence the age gate."""
-    _sweep_tmps(out_dir, "/**/*.inprogress-*", (), max_age)
-
-
 # compaction keeps its own lineage namespace: its stale-part GC must
 # only ever see parts compaction itself recorded (write_parquet_dataset
 # parts in the same out_dir share the default "_lineage")
@@ -270,7 +118,7 @@ def _open_out_dir(out_dir: str, resume: bool = True,
     Returns the log and, when resuming, its finished files (file name
     -> uncompressed bytes, :meth:`LineageLog.completed_files`)."""
     fsio.makedirs(out_dir)
-    _clean_stale_tmps(out_dir)
+    fsio.clean_stale_tmps(out_dir)
     lineage = LineageLog(out_dir, name=lineage_name)
     return lineage, (lineage.completed_files() if resume else {})
 
@@ -308,8 +156,8 @@ def _write_part(out_dir: str, fname: str, part_id: str, load, opts: WriteOptions
     fpath = fsio.join(out_dir, fname)
     if fname in skip:
         # a lineage record without its file on disk is NOT done
-        exists, size = _part_exists_size(fpath)
-        if exists:
+        size = fsio.size(fpath)
+        if size is not None:
             if rows is None:
                 rows = fsio.parquet_num_rows(fpath)
             return _manifest_row(part_id, fname, rows, size)
@@ -317,7 +165,7 @@ def _write_part(out_dir: str, fname: str, part_id: str, load, opts: WriteOptions
     leaves = leaf_columns(schema_ir)
     rows = raw = 0
     recs = []
-    with _part_sink(fpath) as sink:
+    with fsio.atomic_sink(fpath) as sink:
         asm = FileAssembler(sink, schema_ir, opts)
         for rec_id, group in groups:
             blob, meta = encode_row_group(group, schema_ir, leaves, opts)
@@ -401,7 +249,7 @@ def write_parquet_single_file(
     opts = opts or WriteOptions()
     schema_ir = schema_from_arrow(_normalized_arrow_schema(ds),
                                   opts.schema_overrides)
-    _clean_dest_tmps(path)
+    fsio.clean_dest_tmps(path)
 
     lineage = None
     skip: frozenset[str] = frozenset()
@@ -419,7 +267,7 @@ def write_parquet_single_file(
     total_raw = 0
     n_parts = 0
     with _preserve_order(encoded):
-        with _part_sink(path) as sink:
+        with fsio.atomic_sink(path) as sink:
             asm = FileAssembler(sink, schema_ir, opts)
             for batch in encoded.iter_batches(batch_size=None, batch_format="pyarrow"):
                 for row in range(batch.num_rows):
@@ -447,7 +295,7 @@ def write_parquet_single_file(
         "rows": asm.num_rows,
         "compressed_bytes": total_comp,
         "uncompressed_bytes": total_raw,
-        "file_bytes": _part_exists_size(path)[1],
+        "file_bytes": fsio.size(path),
     }
 
 
@@ -512,11 +360,7 @@ def write_table_parallel(
     table = normalize_table(table)
     slices = row_group_slices(table.num_rows, opts.row_group_size)
     if len(slices) < 2 or not ray.is_initialized():
-        if isinstance(sink, str) and fsio.is_uri(sink):
-            with _part_sink(sink) as f:  # serial fallback, URI sink
-                write_table(table, f, opts)
-        else:
-            write_table(table, sink, opts)
+        write_table(table, sink, opts)
         return
     schema_ir = schema_from_arrow(table.schema, opts.schema_overrides)
     enc = _enc_remote()
@@ -538,7 +382,7 @@ def write_table_parallel(
         asm.finish()
 
     if isinstance(sink, str):
-        with _part_sink(sink) as f:
+        with fsio.atomic_sink(sink) as f:
             _assemble(f)
         return
     _assemble(sink)
@@ -786,8 +630,7 @@ def write_parquet_files(
     # ONE listing, not one DELETE round trip per input: at 100k shards
     # against an object store the per-input remove() is 100k serial
     # requests on every run, almost all for names that don't exist
-    existing = {f.rsplit("/", 1)[-1] if fsio.is_uri(f)
-                else os.path.basename(f)
+    existing = {os.path.basename(f)
                 for f in fsio.glob_in(out_dir, "part-*.parquet")}
     for name in sorted(legacy & existing):
         fsio.remove(fsio.join(out_dir, name))
@@ -871,8 +714,7 @@ def compact_parquet_dataset(
     any input change re-runs its bucket."""
     opts = opts or WriteOptions()
     if isinstance(input_paths, str):
-        input_paths = sorted(_glob.glob(os.path.join(
-            _glob.escape(input_paths), "*.parquet")))
+        input_paths = fsio.glob_in(input_paths, "*.parquet")
     files = [(p, os.path.getsize(p)) for p in sorted(input_paths)]
     buckets: list[list[str]] = []
     cur: list[str] = []
@@ -926,7 +768,7 @@ def compact_parquet_dataset(
     removed = 0
     for f in set(prior) - expected:
         fp = fsio.join(out_dir, f)
-        if _part_exists_size(fp)[0]:
+        if fsio.exists(fp):
             fsio.remove(fp)
             removed += 1
     total["removed_stale_parts"] = removed

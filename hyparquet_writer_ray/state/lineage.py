@@ -2,22 +2,26 @@
 (north_rule: "per-partition lineage records plus codec/size metrics
 checkpointed so a killed job resumes at partition granularity").
 
-The manifest is JSONL under ``<dir>/_lineage/manifest.jsonl``; blobs
-for single-file resume live in ``<dir>/_lineage/blobs/<part_id>``.
+Everything lives under ``<base_dir>/_lineage/`` and goes through
+state/fsio.py, so a local path and an fsspec URI (``s3://bucket/out``)
+get the same semantics:
 
-``base_dir`` may be an fsspec URI (``s3://bucket/out``): every record
-goes through state/fsio.py. Local paths keep their exact os-level
-semantics (tmp + atomic rename, O_APPEND manifest). On object stores
-each per-part record is one atomic PUT — the authoritative resume
-source — and the driver-side manifest.jsonl convenience consolidation
-is PUT once at ``close()`` (stores cannot append; a driver killed
-before close loses only the consolidation, never completion records).
+- ``parts/<part>.json``: a finished part's records, one atomic put
+  (fsio.write_marker) made the moment the part is durable. These are
+  the authoritative resume source.
+- ``blobs/<part_id>``: encoded row groups for single-file resume, put
+  together with the part's record.
+- ``manifest.jsonl``: the driver's consolidation, buffered and put once
+  at ``close()`` (stores cannot append). A driver killed before close
+  loses only the consolidation, never a completion record. Resume
+  still reads manifests that older versions appended line by line,
+  torn trailing line included.
 """
 from __future__ import annotations
 
 import json
-import os
 import pickle
+import posixpath
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -64,7 +68,8 @@ def record_from_meta(part_id: str, meta: RowGroupMeta, blob_len: int,
 
 
 class LineageLog:
-    """Append-only manifest + optional blob checkpoint store.
+    """Manifest + per-part completion records + optional blob
+    checkpoint store.
 
     Completion records are written by the WORKER that finished the part
     (atomic per-part json under ``_lineage/parts/``), so a hard-killed
@@ -78,7 +83,7 @@ class LineageLog:
         # ``name`` namespaces independent writers sharing one out_dir
         # (e.g. compaction keeps its own manifest so its stale-part GC
         # can never see — or delete — parts another writer recorded)
-        self._uri = fsio.is_uri(base_dir)
+        self.base = base_dir
         self.name = name
         self.dir = fsio.join(base_dir, name)
         self.blob_dir = fsio.join(self.dir, "blobs")
@@ -88,112 +93,74 @@ class LineageLog:
         if store_blobs:
             fsio.makedirs(self.blob_dir)
         self.store_blobs = store_blobs
-        self._fh = None
-        self._pending: list[str] | None = [] if self._uri else None
+        self._pending: list[str] = []
 
     # -- worker side ----------------------------------------------------
     def write_part_record(self, part_key: str, recs: list[PartRecord]) -> None:
         """Atomically persist a finished part's records (call AFTER the
         part file itself is durable)."""
-        payload = json.dumps([asdict(r) for r in recs])
-        dest = fsio.join(self.parts_dir, f"{part_key}.json")
-        if self._uri:
-            fs, p = fsio.url_fs(dest)
-            fsio.makedirs(self.parts_dir)
-            fs.pipe(p, payload.encode())  # one atomic PUT
-            return
-        os.makedirs(self.parts_dir, exist_ok=True)
-        # unique per call: two tasks finishing the same content-addressed
-        # part must not share a tmp inode (the loser's replace would fail)
-        tmp = fsio.tmp_name(os.path.join(self.parts_dir, f".{part_key}"))
-        with open(tmp, "w") as f:
-            f.write(payload)
-        os.replace(tmp, dest)
+        fsio.makedirs(self.parts_dir)
+        fsio.write_marker(fsio.join(self.parts_dir, f"{part_key}.json"),
+                          json.dumps([asdict(r) for r in recs]))
 
     # -- write side -----------------------------------------------------
     def append(self, rec: PartRecord, blob: bytes | None = None,
                meta: RowGroupMeta | None = None) -> None:
+        """Record a part the driver finished; its manifest line waits
+        for :meth:`close`. A checkpointed blob is put at once, followed
+        by the part's completion record: single-file checkpointing has
+        no worker-side record, and buffering it until close() would
+        lose every record on a driver kill."""
         if self.store_blobs and blob is not None:
-            payload = pickle.dumps((blob, meta))
-            dest = fsio.join(self.blob_dir, rec.part_id)
-            if self._uri:
-                fs, p = fsio.url_fs(dest)
-                fs.pipe(p, payload)
-            else:
-                tmp = os.path.join(self.blob_dir, f".{rec.part_id}.tmp")
-                with open(tmp, "wb") as f:
-                    f.write(payload)
-                os.replace(tmp, dest)
-        if self._uri and self.store_blobs:
-            # single-file checkpointing has no worker-side
-            # write_part_record, so the completion record must be
-            # durable WITH the blob — buffering it until close() would
-            # lose every record on a driver kill and make the
-            # checkpoint a no-op in the one scenario it exists for
+            fsio.write_marker(fsio.join(self.blob_dir, rec.part_id),
+                              pickle.dumps((blob, meta)))
             self.write_part_record(rec.part_id, [rec])
-        line = json.dumps(asdict(rec)) + "\n"
-        if self._pending is not None:  # URI: consolidate at close()
-            self._pending.append(line)
-            return
-        if self._fh is None:
-            self._fh = open(self.manifest_path, "a")
-        self._fh.write(line)
-        self._fh.flush()
+        self._pending.append(json.dumps(asdict(rec)) + "\n")
 
     def close(self) -> None:
-        if self._pending:
-            fs, p = fsio.url_fs(self.manifest_path)
-            prior = fs.cat(p).decode() if fs.exists(p) else ""
-            body = (prior + "".join(self._pending)).encode()
-            if fsio.fs_rename_based(fs):
-                # filesystem-backed protocol: a kill during a plain
-                # rewrite would truncate previously durable records
-                tmp = fsio.tmp_name(p)
-                try:
-                    with fs.open(tmp, "wb") as f:
-                        f.write(body)
-                    fs.mv(tmp, p)
-                finally:
-                    if fs.exists(tmp):
-                        fs.rm(tmp)
-            else:
-                fs.pipe(p, body)  # object store: atomic PUT
-            self._pending = []
-        if self._fh:
-            self._fh.close()
-            self._fh = None
+        """Put the manifest once: earlier runs' lines, then this run's."""
+        if not self._pending:
+            return
+        prior = fsio.read_marker(self.manifest_path) \
+            if fsio.exists(self.manifest_path) else ""
+        if prior and not prior.endswith("\n"):
+            prior += "\n"  # keep an old torn line apart from the new ones
+        fsio.write_marker(self.manifest_path, prior + "".join(self._pending))
+        self._pending = []
 
     def clear(self) -> None:
         """Forget all completion records (fresh-export semantics: the
         owning pipeline is about to rewrite the directory and stale
         records would wrongly mark new work as done)."""
-        self.close()
+        self._pending = []
         fsio.rm_tree(self.parts_dir)
         fsio.rm_tree(self.blob_dir)
         if self.store_blobs:
             fsio.makedirs(self.blob_dir)  # next append needs it
-        if self._uri:
-            fs, p = fsio.url_fs(self.manifest_path)
-            try:
-                fs.rm(p)
-            except FileNotFoundError:
-                pass
-            self._pending = []
-        elif os.path.exists(self.manifest_path):
-            os.unlink(self.manifest_path)
+        fsio.remove(self.manifest_path)
 
     # -- resume side ----------------------------------------------------
-    def _file_exists(self, file: str) -> bool:
-        base = self.dir.rsplit("/", 1)[0] if self._uri \
-            else os.path.dirname(self.dir)
-        return fsio.exists(fsio.join(base, file))
+    def _existing(self, names: set[str]) -> set[str]:
+        """The ``names`` (paths relative to the base dir) that exist,
+        from one listing per distinct directory they name: resuming
+        thousands of parts on an object store costs a few LISTs, not
+        one HEAD per part."""
+        found: set[str] = set()
+        for d in {posixpath.dirname(n) for n in names}:
+            found.update(fsio.glob_in(fsio.join(self.base, d), "*"))
+        return {n for n in names if fsio.join(self.base, n) in found}
 
-    def _validate(self, rec: PartRecord) -> bool:
-        if self.store_blobs:
-            return fsio.exists(fsio.join(self.blob_dir, rec.part_id))
-        if rec.file is not None:
-            return self._file_exists(rec.file)
-        return True
+    def _done(self, recs: list[PartRecord]) -> list[PartRecord]:
+        """The records whose output still exists: the checkpointed blob
+        with ``store_blobs``, else the part file. A record naming no
+        file is done; one whose file is gone is NOT."""
+        def output(rec: PartRecord) -> Optional[str]:
+            if self.store_blobs:
+                return f"{self.name}/blobs/{rec.part_id}"
+            return rec.file
+
+        have = self._existing({output(r) for r in recs} - {None})
+        return [r for r in recs if output(r) is None or output(r) in have]
 
     def _manifest_records(self) -> list[PartRecord]:
         if not fsio.exists(self.manifest_path):
@@ -222,13 +189,9 @@ class LineageLog:
         return out
 
     def completed_parts(self) -> dict[str, PartRecord]:
-        out: dict[str, PartRecord] = {}
         recs = self._manifest_records()
         recs += [r for part in self._part_record_lists() for r in part]
-        for rec in recs:
-            if self._validate(rec):
-                out[rec.part_id] = rec
-        return out
+        return {r.part_id: r for r in self._done(recs)}
 
     def completed_files(self) -> dict[str, int]:
         """Part-file mode: every recorded output file that exists, mapped
@@ -249,12 +212,8 @@ class LineageLog:
             if rec.file and rec.file not in raw:
                 legacy[rec.file] = legacy.get(rec.file, 0) + rec.raw_bytes
         raw.update(legacy)
-        return {f: n for f, n in raw.items() if self._file_exists(f)}
+        have = self._existing(set(raw))
+        return {f: n for f, n in raw.items() if f in have}
 
     def load_blob(self, part_id: str):
-        path = fsio.join(self.blob_dir, part_id)
-        if self._uri:
-            fs, p = fsio.url_fs(path)
-            return pickle.loads(fs.cat(p))
-        with open(path, "rb") as f:
-            return pickle.loads(f.read())
+        return pickle.loads(fsio.read_bytes(fsio.join(self.blob_dir, part_id)))

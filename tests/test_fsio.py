@@ -359,7 +359,8 @@ def test_fs_rename_based_split():
     import fsspec
 
     assert fsio.fs_rename_based(fsspec.filesystem("file"))
-    assert not fsio.fs_rename_based(fsspec.filesystem("memory"))
+    # memory:// shows a file at its name from open: a filesystem, not a store
+    assert fsio.fs_rename_based(fsspec.filesystem("memory"))
 
     # only atomic-PUT object stores skip tmp + rename; filesystem-backed
     # protocols such as hdfs/webhdfs (not installed here) must not
@@ -405,7 +406,7 @@ def test_part_sink_file_uri_never_exposes_partial(tmp_path):
     """Rename-based fsspec protocols must go tmp+mv: while the write is
     in flight the final name must not exist, and an aborted write must
     leave neither the final name nor the tmp."""
-    from hyparquet_writer_ray.pipelines.write import _part_sink
+    from hyparquet_writer_ray.state.fsio import atomic_sink as _part_sink
 
     dest = tmp_path / "part.parquet"
     uri = _file_uri(dest)
@@ -477,7 +478,7 @@ def test_lineage_close_file_uri_keeps_prior_records(tmp_path):
 def test_clean_dest_tmps_age_gated(tmp_path):
     """Single-file destinations sweep their own aged .inprogress-*
     orphans; fresh tmps (a concurrent writer's) survive."""
-    from hyparquet_writer_ray.pipelines.write import _clean_dest_tmps
+    from hyparquet_writer_ray.state.fsio import clean_dest_tmps as _clean_dest_tmps
 
     dest = tmp_path / "out.parquet"
     old = tmp_path / "out.parquet.inprogress-1-dead"
@@ -540,7 +541,7 @@ def test_part_sink_object_store_fresh_name_failure_cleans(tmp_path):
     (memory:// surfaces partials at open, so the rm branch must fire)."""
     import fsspec
 
-    from hyparquet_writer_ray.pipelines.write import _part_sink
+    from hyparquet_writer_ray.state.fsio import atomic_sink as _part_sink
 
     fs = fsspec.filesystem("memory")
     uri = "memory://fsio_sink_fail/part.parquet"
@@ -556,6 +557,26 @@ def test_part_sink_object_store_fresh_name_failure_cleans(tmp_path):
     fs.rm("/fsio_sink_fail", recursive=True)
 
 
+def test_part_sink_memory_failed_rewrite_keeps_previous():
+    """memory:// shows a file at its name from open, so it must get
+    tmp + mv like any filesystem: a failed rewrite of an existing part
+    keeps the previous bytes (writing the name in place left the
+    partial new bytes there) and leaves no tmp."""
+    import fsspec
+
+    from hyparquet_writer_ray.state.fsio import atomic_sink as _part_sink
+
+    fs = fsspec.filesystem("memory")
+    fs.pipe("/fsio_rewrite/part.parquet", b"old")
+    with pytest.raises(RuntimeError):
+        with _part_sink("memory://fsio_rewrite/part.parquet") as f:
+            f.write(b"new-partial")
+            raise RuntimeError("killed")
+    assert fs.cat("/fsio_rewrite/part.parquet") == b"old"
+    assert fs.ls("/fsio_rewrite", detail=False) == ["/fsio_rewrite/part.parquet"]
+    fs.rm("/fsio_rewrite", recursive=True)
+
+
 def test_part_sink_object_store_failed_rewrite_keeps_previous():
     """A failed REWRITE of an existing object must not delete the
     previous successful object (the old unconditional rm did). Uses a
@@ -566,7 +587,6 @@ def test_part_sink_object_store_failed_rewrite_keeps_previous():
     import fsspec
     from fsspec.implementations.memory import MemoryFileSystem
 
-    from hyparquet_writer_ray.pipelines import write as W
     from hyparquet_writer_ray.state import fsio
 
     class _AbortFile(io.BytesIO):
@@ -601,7 +621,7 @@ def test_part_sink_object_store_failed_rewrite_keeps_previous():
     try:
         fsio.url_fs = lambda path: (stub, path.split("://", 1)[1])
         with pytest.raises(RuntimeError):
-            with W._part_sink("objstub://part.parquet") as f:
+            with fsio.atomic_sink("objstub://part.parquet") as f:
                 f.write(b"torn-new")
                 raise RuntimeError("killed")
     finally:
@@ -630,7 +650,7 @@ def test_remove_raises_on_real_failure(tmp_path):
 def test_clean_dest_tmps_legacy_fixed_name(tmp_path):
     """The pre-r5 fixed '<path>.inprogress' orphan is swept when aged,
     kept when fresh (a live local.write_table may own it)."""
-    from hyparquet_writer_ray.pipelines.write import _clean_dest_tmps
+    from hyparquet_writer_ray.state.fsio import clean_dest_tmps as _clean_dest_tmps
 
     dest = tmp_path / "out.parquet"
     legacy = tmp_path / "out.parquet.inprogress"
@@ -653,7 +673,7 @@ def test_fs_mtime_info_fallback():
     fs.info()['mtime'] so the age-gated sweeps still run."""
     import datetime
 
-    from hyparquet_writer_ray.pipelines.write import _fs_mtime
+    from hyparquet_writer_ray.state.fsio import _fs_mtime
 
     class _NoModified:
         def modified(self, p):
@@ -677,13 +697,16 @@ def test_fs_mtime_info_fallback():
 
 
 def test_write_marker_local_failure_cleans_tmp(tmp_path, monkeypatch):
-    """A failed local marker write must not leak '<marker>.tmp-<pid>'."""
+    """A marker write whose commit fails must not leak
+    '<marker>.tmp-<pid>-<random>'."""
+    from fsspec.implementations.local import LocalFileSystem
+
     m = tmp_path / "_DONE"
 
-    def boom(src, dst):
+    def boom(self, src, dst, **kw):
         raise OSError("disk full")
 
-    monkeypatch.setattr(os, "replace", boom)
+    monkeypatch.setattr(LocalFileSystem, "mv", boom)
     with pytest.raises(OSError):
         fsio.write_marker(str(m))
     monkeypatch.undo()
@@ -741,27 +764,29 @@ def test_file_uri_out_dir_sweeps_aged_tmps(ray_session, tmp_path):
 def test_write_part_record_same_key_concurrently(tmp_path, monkeypatch):
     """Two tasks finishing the same content-addressed part write the
     same record concurrently: each needs its own tmp, or the loser's
-    os.replace finds the shared tmp already renamed away."""
+    commit finds the shared tmp already renamed away."""
     import json
 
-    from hyparquet_writer_ray.state import lineage
+    from fsspec.implementations.local import LocalFileSystem
+
     from hyparquet_writer_ray.state.lineage import LineageLog, PartRecord
 
     log = LineageLog(str(tmp_path))
     recs = [PartRecord(part_id="p0", num_rows=1, raw_bytes=8, comp_bytes=4,
                        file="part-p0.parquet")]
-    real_replace = os.replace
+    real_mv = LocalFileSystem.mv
     nested = []
 
-    def racing_replace(src, dst):
+    def racing_mv(self, src, dst, **kw):
         if not nested:  # the other task finishes first
             nested.append(src)
             log.write_part_record("p0", recs)
-        real_replace(src, dst)
+        real_mv(self, src, dst, **kw)
 
-    monkeypatch.setattr(lineage.os, "replace", racing_replace)
+    monkeypatch.setattr(LocalFileSystem, "mv", racing_mv)
     log.write_part_record("p0", recs)
     monkeypatch.undo()
+    assert nested  # the race ran through the one commit call
     parts = tmp_path / "_lineage" / "parts"
     assert sorted(p.name for p in parts.iterdir()) == ["p0.json"]
     assert json.loads((parts / "p0.json").read_text())[0]["part_id"] == "p0"

@@ -39,7 +39,7 @@ def test_clean_stale_tmps_spares_live_writers(tmp_path):
     .inprogress files — only age-stale leftovers from crashed runs."""
     import time
 
-    from hyparquet_writer_ray.pipelines.write import _clean_stale_tmps
+    from hyparquet_writer_ray.state.fsio import clean_stale_tmps as _clean_stale_tmps
 
     out = tmp_path / "out"
     out.mkdir()
