@@ -13,7 +13,6 @@ Examples:
 from __future__ import annotations
 
 import argparse
-import glob
 import json
 import os
 import sys
@@ -37,15 +36,38 @@ def _build_opts(args):
     )
 
 
+def _expand_inputs(patterns, recursive: bool) -> list[str]:
+    """The input files of ``--input``: a directory stands for its
+    ``*.parquet`` files, in its subdirectories too when ``recursive``
+    (a hive-partitioned input keeps its ``key=value`` columns); anything
+    else is a file or a glob, local or an fsspec URI. A pattern that
+    matches nothing is an error."""
+    from .state import fsio
+
+    paths = []
+    for pat in patterns:
+        if fsio.isdir(pat):
+            found = fsio.glob_in(pat, "**/*.parquet" if recursive else "*.parquet")
+        else:
+            found = fsio.glob(pat)
+        if not found:
+            raise SystemExit(f"--input {pat}: no parquet files found")
+        paths += found
+    return sorted(paths)
+
+
 def cmd_encode(args) -> int:
     import ray
 
+    # dataset modes read a directory's subdirectories, as
+    # ray.data.read_parquet does; files mode maps top-level files
+    paths = _expand_inputs(args.input, recursive=args.mode != "files")
     if not ray.is_initialized():
         ray.init(address=os.environ.get("RAY_ADDRESS", "local"),
                  include_dashboard=False)
-    import ray.data
 
     from .pipelines.write import (
+        read_parquet_fused,
         write_parquet_dataset,
         write_parquet_files,
         write_parquet_single_file,
@@ -54,17 +76,12 @@ def cmd_encode(args) -> int:
     opts = _build_opts(args)
     t0 = time.perf_counter()
     if args.mode == "files":
-        paths = sorted(
-            p for pat in args.input for p in glob.glob(
-                os.path.join(pat, "*.parquet") if os.path.isdir(pat) else pat
-            )
-        )
         stats = write_parquet_files(
             paths, args.output, opts, resume=not args.no_resume,
             columns=args.columns,
         )
     else:
-        ds = ray.data.read_parquet(args.input, columns=args.columns)
+        ds = read_parquet_fused(paths, columns=args.columns)
         if args.mode == "single-file":
             stats = write_parquet_single_file(ds, args.output, opts)
         else:

@@ -18,14 +18,21 @@ Every part-file writer (dataset, hive-partitioned, file-to-file,
 compaction) maps its per-part work over a Dataset with
 :func:`_map_batches`, writes each part through the one kernel
 :func:`_write_part`, and collects the manifest rows with
-:func:`_drain_manifests`.
+:func:`_drain_manifests`. A part made from input files is named by
+them and resumed on their identity (``fsio.identity``), so a resume
+never reads a finished input; only a part of an opaque Dataset is
+named by a hash of its content.
 """
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import os
 import pickle
+import re
+import warnings
+import weakref
 from contextlib import contextmanager
 from functools import partial
 from typing import Optional
@@ -57,6 +64,13 @@ def _normalized_arrow_schema(ds) -> pa.Schema:
     return pa.schema(fields)
 
 
+# read_parquet_fused's Datasets, each mapped to the plain read it is:
+# (input paths, columns). Keyed weakly by the Dataset object: a
+# transform returns a new object, which is not in here, and a Dataset
+# that is gone takes its entry with it.
+_FUSED_READS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
 def read_parquet_fused(path_or_paths, *, columns: Optional[list[str]] = None, **kw):
     """``ray.data.read_parquet`` shaped so the read FUSES with the next
     ``map_batches``: one read task per input file (no ``SplitBlocks``
@@ -67,11 +81,19 @@ def read_parquet_fused(path_or_paths, *, columns: Optional[list[str]] = None, **
     end-to-end vs the unfused plan at 32 cpus, BASELINE.md).
 
     ``path_or_paths``: a directory (its ``*.parquet`` files), one file,
-    or an explicit list. ``columns`` prunes at the read."""
+    or an explicit list; a local path or an fsspec URI. ``columns``
+    prunes at the read.
+
+    The returned Dataset remembers that it is a plain read of these
+    files, so ``write_parquet_dataset`` can write one part per input
+    file and resume without reading finished inputs. It does not when
+    ``kw`` is given or a path has a ``key=value`` directory (Ray adds a
+    hive column for it that a plain file read does not), nor does any
+    Dataset derived from it."""
     import ray.data
 
     if isinstance(path_or_paths, str):
-        if os.path.isdir(path_or_paths):
+        if fsio.isdir(path_or_paths):
             paths = fsio.glob_in(path_or_paths, "*.parquet")
         else:
             paths = [path_or_paths]
@@ -81,9 +103,12 @@ def read_parquet_fused(path_or_paths, *, columns: Optional[list[str]] = None, **
         raise ValueError(
             f"read_parquet_fused: no parquet files found in {path_or_paths!r}"
         )
-    return ray.data.read_parquet(
+    ds = ray.data.read_parquet(
         paths, columns=columns, override_num_blocks=len(paths), **kw
     )
+    if not kw and not any("=" in d for p in paths for d in p.split("/")[:-1]):
+        _FUSED_READS[ds] = (paths, columns)
+    return ds
 
 
 def _task_concurrency(concurrency):
@@ -111,16 +136,15 @@ def _map_batches(ds, fn, *, batch_size=None, concurrency=None):
 COMPACT_LINEAGE = "_lineage_compact"
 
 
-def _open_out_dir(out_dir: str, resume: bool = True,
-                  lineage_name: str = "_lineage"):
+def _open_out_dir(out_dir: str, lineage_name: str = "_lineage"):
     """Driver prologue of the part-file writers: create ``out_dir``,
     sweep the tmps killed runs left there, and open its lineage.
-    Returns the log and, when resuming, its finished files (file name
-    -> uncompressed bytes, :meth:`LineageLog.completed_files`)."""
+    Returns the log and its finished files (file name -> records,
+    :meth:`LineageLog.completed_records`)."""
     fsio.makedirs(out_dir)
     fsio.clean_stale_tmps(out_dir)
     lineage = LineageLog(out_dir, name=lineage_name)
-    return lineage, (lineage.completed_files() if resume else {})
+    return lineage, lineage.completed_records()
 
 
 def _manifest_row(part_id: str, fname: str, rows: int, file_bytes: int,
@@ -178,13 +202,13 @@ def _write_part(out_dir: str, fname: str, part_id: str, load, opts: WriteOptions
     return _manifest_row(part_id, fname, rows, asm.offset, raw, recs)
 
 
-def _drain_manifests(manifest_ds, lineage, done_files: dict[str, int]) -> dict:
+def _drain_manifests(manifest_ds, lineage, done: dict[str, list]) -> dict:
     """Shared driver loop for the part-file writers: run the part tasks,
     total their manifest rows and persist lineage records. ONE
     semantics for all writers, so a resume returns the totals of a
     fresh run: every part counts its rows and its file bytes on disk; a
     skipped (resumed) part's uncompressed bytes come from its lineage
-    records (``done_files``, from :meth:`LineageLog.completed_files`)."""
+    records (``done``, from :meth:`LineageLog.completed_records`)."""
     total = dict.fromkeys(("parts", "rows", "compressed_bytes",
                            "uncompressed_bytes", "skipped_parts"), 0)
     for batch in manifest_ds.iter_batches(batch_size=None,
@@ -195,7 +219,8 @@ def _drain_manifests(manifest_ds, lineage, done_files: dict[str, int]) -> dict:
             total["compressed_bytes"] += row["compressed_bytes"]
             if row["skipped"]:
                 total["skipped_parts"] += 1
-                total["uncompressed_bytes"] += done_files[row["file"]]
+                total["uncompressed_bytes"] += sum(
+                    r.raw_bytes for r in done[row["file"]])
                 continue
             total["uncompressed_bytes"] += row["uncompressed_bytes"]
             for rec in pickle.loads(row["manifest"]):
@@ -389,9 +414,10 @@ def write_table_parallel(
 
 
 class PartFileWriter:
-    """``write_parquet_dataset``'s per-batch stage: each input batch
-    becomes one complete parquet part-file under ``out_dir``, named by
-    its content, plus one manifest row. Fully parallel — no driver byte
+    """``write_parquet_dataset``'s per-batch stage for a Dataset that is
+    not a plain fused read: each input batch becomes one complete
+    parquet part-file under ``out_dir``, named by its content, plus one
+    manifest row. Fully parallel — no driver byte
     path. Mapped as an instance, so the schema resolves once on the
     driver."""
 
@@ -541,63 +567,127 @@ def write_parquet_partitioned(
     arrow_schema = _normalized_arrow_schema(ds)
     if partition_col not in arrow_schema.names:
         raise ValueError(f"partition_col {partition_col!r} not in schema")
-    lineage, done = _open_out_dir(out_dir, resume)
+    lineage, done = _open_out_dir(out_dir)
     writer = PartitionedPartWriter(opts, arrow_schema, out_dir, partition_col,
-                                   max_group_rows, max_group_bytes, frozenset(done))
+                                   max_group_rows, max_group_bytes,
+                                   frozenset(done if resume else ()))
     total = _drain_manifests(_map_batches(
         ds, writer, batch_size=part_rows, concurrency=concurrency), lineage, done)
     total["out_dir"] = out_dir
     return total
 
 
-def _read_groups(paths, part_id, opts, columns, max_group_rows, max_group_bytes):
-    """``load`` for :func:`_write_part`: read and concatenate one part's
-    input files; every row group records under the part id."""
-    import pyarrow.parquet as pq
+# pq.read_table scans each row group in batches of this many rows. A
+# read in the same batches yields the same chunks, hence the same
+# table.nbytes, which split_row_groups' step is computed from.
+_SCAN_BATCH_ROWS = 131072
 
-    table = pa.concat_tables(
-        normalize_table(pq.read_table(p, columns=columns)) for p in paths)
-    schema_ir = schema_from_arrow(table.schema, opts.schema_overrides)
-    return schema_ir, ((part_id, g) for g in
-                       split_row_groups(table, max_group_rows, max_group_bytes))
+
+def _scan_blocks(paths, columns, block_bytes):
+    """The normalized schema of ``paths`` (from the first file), then
+    their rows as tables of at most about ``block_bytes`` decoded bytes
+    each (plus one read batch), streamed one row-group batch at a time;
+    ``None`` means one table. A batch is sized from the footer so that
+    it stays near ``block_bytes`` too."""
+    buf, buf_bytes = [], 0
+    for i, p in enumerate(paths):
+        with fsio.pq_file(p) as pf:
+            if i == 0:
+                empty = pf.schema_arrow.empty_table()
+                yield normalize_table(
+                    empty.select(columns) if columns else empty).schema
+            md = pf.metadata
+            raw = sum(md.row_group(g).total_byte_size
+                      for g in range(md.num_row_groups))
+            rows = _SCAN_BATCH_ROWS
+            if block_bytes and raw:
+                rows = min(rows, max(1, block_bytes * md.num_rows // raw))
+            for g in range(md.num_row_groups):
+                for b in pf.iter_batches(batch_size=rows, row_groups=[g],
+                                         columns=columns):
+                    t = normalize_table(pa.Table.from_batches([b]))
+                    buf.append(t)
+                    buf_bytes += t.nbytes
+                    if block_bytes and buf_bytes > block_bytes:
+                        yield pa.concat_tables(buf)
+                        buf, buf_bytes = [], 0
+    if buf:
+        yield pa.concat_tables(buf)
+
+
+def _read_groups(paths, rec_id, opts, columns, max_group_rows, max_group_bytes,
+                 block_bytes=None):
+    """``load`` for :func:`_write_part`: stream one part's input files
+    as row groups, every one recorded under ``rec_id``.
+
+    At most about ``block_bytes`` of decoded rows are held at a time
+    (the writers pass Ray's ``target_max_block_size``, which bounds a
+    fused read's blocks the same way), so a multi-GB input never
+    decodes into one table. Each block is split by
+    ``split_row_groups`` on its own; inputs that fit in one block give
+    exactly the row groups of one split over their whole table."""
+    blocks = _scan_blocks(paths, columns, block_bytes)
+    schema_ir = schema_from_arrow(next(blocks), opts.schema_overrides)
+    return schema_ir, ((rec_id, g) for t in blocks for g in
+                       split_row_groups(t, max_group_rows, max_group_bytes))
 
 
 def _read_parts_fn(batch: pa.Table, *, out_dir, opts, columns, max_group_rows,
-                   max_group_bytes, skip, lineage_name):
+                   max_group_bytes, block_bytes, skip, lineage_name):
     """File-granular part task (write_parquet_files, compaction): each
-    row names one part and the input files it re-encodes. The task
-    reads them directly with pyarrow, so bytes never enter the object
-    store, and never reads a skipped part's inputs."""
-    for part_id, paths in zip(batch.column("part_id").to_pylist(),
-                              batch.column("paths").to_pylist()):
-        load = partial(_read_groups, paths, part_id, opts, columns,
-                       max_group_rows, max_group_bytes)
-        yield _write_part(out_dir, f"part-{part_id}.parquet", part_id, load,
+    row names one part, its record id and the input files it
+    re-encodes. The task reads them directly, so bytes never enter the
+    object store, and never reads a skipped part's inputs."""
+    for key, rec_id, paths in zip(*(batch.column(c).to_pylist()
+                                    for c in ("key", "rec_id", "paths"))):
+        load = partial(_read_groups, paths, rec_id, opts, columns,
+                       max_group_rows, max_group_bytes, block_bytes)
+        yield _write_part(out_dir, f"part-{key}.parquet", key, load,
                           opts, skip=skip, lineage_name=lineage_name)
 
 
-def _write_input_parts(parts, out_dir, opts, lineage, done, skip, *, columns,
-                       max_group_rows, max_group_bytes) -> dict:
-    """One Ray task per ``(part id, input paths)`` of ``parts``."""
+def _write_input_parts(parts, out_dir, opts, lineage, done, *, resume, columns,
+                       max_group_rows, max_group_bytes, concurrency=None) -> dict:
+    """One Ray task per ``(part key, record id, input paths)`` of
+    ``parts``, written to ``part-<key>.parquet``. With ``resume`` a
+    part is skipped when its file exists and every lineage record of it
+    carries the record id this run expects, so a changed input (a new
+    record id) re-encodes in place."""
     import ray.data
 
-    items = [{"part_id": i, "paths": p} for i, p in parts]
+    skip = set()
+    for key, rec_id, _ in parts:
+        fname = f"part-{key}.parquet"
+        if resume and fname in done and all(
+                r.part_id == rec_id for r in done[fname]):
+            skip.add(fname)
+    items = [{"key": k, "rec_id": r, "paths": p} for k, r, p in parts]
     ds = ray.data.from_items(items, override_num_blocks=max(len(items), 1))
     fn = partial(_read_parts_fn, out_dir=out_dir, opts=opts, columns=columns,
                  max_group_rows=max_group_rows, max_group_bytes=max_group_bytes,
-                 skip=skip, lineage_name=lineage.name)
-    total = _drain_manifests(_map_batches(ds, fn), lineage, done)
+                 block_bytes=ray.data.DataContext.get_current().target_max_block_size,
+                 skip=frozenset(skip), lineage_name=lineage.name)
+    total = _drain_manifests(_map_batches(ds, fn, concurrency=concurrency),
+                             lineage, done)
     total["out_dir"] = out_dir
     return total
 
 
-def _input_part_id(path: str) -> str:
-    """write_parquet_files' part id for one input: its stem suffixed with
-    a hash of its absolute path, so two inputs sharing a basename in
-    different directories never collide on one output part (resume
-    stays keyed on input identity)."""
-    stem = os.path.splitext(os.path.basename(path))[0]
-    return f"{stem}-{hashlib.sha1(os.path.abspath(path).encode()).hexdigest()[:8]}"
+def _file_parts(paths) -> list[tuple[str, str, list[str]]]:
+    """``(part key, record id, [path])`` for each input file, by path.
+    The key is the stem suffixed with a hash of the absolute path (a
+    URI as given), so two inputs sharing a basename in different
+    directories never collide on one output part. The record id hashes
+    the input's identity (:func:`fsio.identities`: path, size, version),
+    so a regenerated input no longer matches its part's records."""
+    parts = []
+    paths = sorted(paths)
+    for p, ident in zip(paths, fsio.identities(paths)):
+        stem = os.path.splitext(os.path.basename(ident[0]))[0]
+        key = f"{stem}-{hashlib.sha1(ident[0].encode()).hexdigest()[:8]}"
+        rec_id = hashlib.sha1(json.dumps(ident).encode()).hexdigest()[:16]
+        parts.append((key, rec_id, [p]))
+    return parts
 
 
 def write_parquet_files(
@@ -612,21 +702,32 @@ def write_parquet_files(
 ) -> dict:
     """Shard-to-shard re-encode: one part file per input file, each task
     reading its shard directly (no object-store hop — the maximum-
-    throughput shape for file-granular transforms). Resume keys on the
-    input file name. ``columns`` prunes the read."""
+    throughput shape for file-granular transforms). Inputs may be local
+    paths or fsspec URIs. Resume keys on each input's identity (path,
+    size, version; :func:`fsio.identity`): a finished input is skipped
+    without being read, and a regenerated one re-encodes in place.
+    ``columns`` prunes the read. A task decodes at most about one Ray
+    block (``target_max_block_size``) of its input at a time."""
     opts = opts or WriteOptions()
-    parts = [(_input_part_id(p), [p]) for p in sorted(input_paths)]
+    parts = _file_parts(input_paths)
     # legacy-name migration: parts used to be named part-<stem>.parquet
-    # (no path-hash suffix). Resuming into such an out_dir re-encodes
-    # every shard under the hashed name and would leave the old files
-    # alongside the new ones, so part-*.parquet consumers would read
-    # duplicate rows. Remove exactly THIS run's inputs' legacy-named
-    # parts (never unrelated files, nor a name this run writes: one
-    # input's stem may equal another's hashed id) before the skip set
-    # is built.
-    legacy = {f"part-{os.path.splitext(os.path.basename(p))[0]}.parquet"
-              for p in input_paths}
-    legacy -= {f"part-{i}.parquet" for i, _ in parts}
+    # (no path-hash suffix), and a URI input's hash used to cover the
+    # working directory (os.path.abspath of the URI; only a resume from
+    # the same directory can find those names). Resuming into such an
+    # out_dir re-encodes every shard under the current name and would
+    # leave the old files alongside the new ones, so part-*.parquet
+    # consumers would read duplicate rows. Remove exactly THIS run's
+    # inputs' legacy-named parts (never unrelated files, nor a name this
+    # run writes: one input's stem may equal another's hashed id)
+    # before the skip set is built.
+    legacy = set()
+    for p in input_paths:
+        stem = os.path.splitext(os.path.basename(p))[0]
+        legacy.add(f"part-{stem}.parquet")
+        if fsio.is_uri(p):
+            digest = hashlib.sha1(os.path.abspath(p).encode()).hexdigest()[:8]
+            legacy.add(f"part-{stem}-{digest}.parquet")
+    legacy -= {f"part-{k}.parquet" for k, _, _ in parts}
     # ONE listing, not one DELETE round trip per input: at 100k shards
     # against an object store the per-input remove() is 100k serial
     # requests on every run, almost all for names that don't exist
@@ -634,10 +735,33 @@ def write_parquet_files(
                 for f in fsio.glob_in(out_dir, "part-*.parquet")}
     for name in sorted(legacy & existing):
         fsio.remove(fsio.join(out_dir, name))
-    lineage, done = _open_out_dir(out_dir, resume)
+    lineage, done = _open_out_dir(out_dir)
     return _write_input_parts(
-        parts, out_dir, opts, lineage, done, frozenset(done), columns=columns,
+        parts, out_dir, opts, lineage, done, resume=resume, columns=columns,
         max_group_rows=max_group_rows, max_group_bytes=max_group_bytes)
+
+
+# write_parquet_dataset's name for a part of an opaque Dataset, and
+# _file_parts' name for the part of one input file
+_CONTENT_PART = re.compile(r"part-[0-9a-f]{16}\.parquet")
+_FILE_PART = re.compile(r"part-.+-[0-9a-f]{8}\.parquet")
+
+
+def _fused_file_parts(paths, done: dict) -> Optional[list]:
+    """:func:`_file_parts` for a fused read's ``paths``, or None to
+    keep content naming: when an input is a directory, or when the
+    out_dir (``done``, its finished files) holds content-named parts
+    and none of these inputs' parts, as a content-named run of the same
+    read leaves it. File-named parts next to those would duplicate
+    their rows."""
+    try:
+        parts = _file_parts(paths)
+    except IsADirectoryError:  # a Spark-style dataset directory
+        return None
+    names = {f"part-{k}.parquet" for k, _, _ in parts}
+    if any(_CONTENT_PART.fullmatch(f) for f in done) and not names & done.keys():
+        return None
+    return parts
 
 
 def write_parquet_dataset(
@@ -653,16 +777,30 @@ def write_parquet_dataset(
     repartition_blocks: Optional[int] = None,
     sort_by=None,
 ) -> dict:
-    """Partitioned parquet output with lineage manifest + resume.
+    """Partitioned parquet output with lineage records + resume.
 
     For maximum throughput feed this a dataset from
     :func:`read_parquet_fused`: the read then fuses with the encode into
     one task and input bytes never transit the object store
     (measured 3.8x end-to-end, BASELINE.md).
 
-    Each input block becomes ``part-<content_hash>.parquet``; reruns of
-    the same input skip parts whose files already exist (verified
-    through the manifest), giving partition-granular resumability.
+    Part names, and so resume, follow what ``ds`` is:
+
+    - An untransformed :func:`read_parquet_fused` read, with none of
+      ``part_rows``, ``repartition_blocks`` or ``sort_by``, is written
+      like :func:`write_parquet_files`: one ``part-<stem>-<hash>.parquet``
+      per input file, named by its path and resumed on its identity
+      (path, size, version). A rerun skips finished inputs without
+      reading them and re-encodes a regenerated one.
+    - Any other Dataset writes each block as
+      ``part-<content_hash>.parquet``, named by a hash of every decoded
+      value, so a rerun re-reads the input and skips parts whose files
+      already exist. An out_dir whose lineage holds such parts and none
+      of the file-named ones keeps this naming for a fused read too, so
+      a rerun never writes the same rows under two names. The reverse
+      is not caught: this path cannot tell which rows of file-named
+      parts it writes again, so it warns when the out_dir holds any.
+      Write the two kinds of Dataset to separate out_dirs.
 
     Partitioning is explicit: ``repartition_blocks`` forces the
     partition count via ``ds.repartition`` (an exchange — use when the
@@ -679,12 +817,26 @@ def write_parquet_dataset(
     compact_parquet_dataset / write_parquet_single_file).
     """
     opts = opts or WriteOptions()
+    lineage, done = _open_out_dir(out_dir)
+    fused = None if part_rows or repartition_blocks or sort_by \
+        else _FUSED_READS.get(ds)
+    parts = fused and _fused_file_parts(fused[0], done)
+    if parts:
+        return _write_input_parts(
+            parts, out_dir, opts, lineage, done, resume=resume,
+            columns=fused[1], max_group_rows=max_group_rows,
+            max_group_bytes=max_group_bytes, concurrency=concurrency)
+    if any(_FILE_PART.fullmatch(f) for f in done):
+        warnings.warn(
+            f"{out_dir} holds parts named by input file (write_parquet_files "
+            "or a plain read_parquet_fused read); this Dataset's parts are "
+            "named by content, so rows already in those parts are written "
+            "again", stacklevel=2)
     if repartition_blocks:
         ds = ds.repartition(repartition_blocks)
-    lineage, done = _open_out_dir(out_dir, resume)
     writer = PartFileWriter(opts, _normalized_arrow_schema(ds), out_dir,
-                            max_group_rows, max_group_bytes, frozenset(done),
-                            sort_by)
+                            max_group_rows, max_group_bytes,
+                            frozenset(done if resume else ()), sort_by)
     total = _drain_manifests(_map_batches(
         ds, writer, batch_size=part_rows, concurrency=concurrency), lineage, done)
     total["out_dir"] = out_dir
@@ -710,42 +862,44 @@ def compact_parquet_dataset(
     files directly (bytes never enter the object store) and re-encodes
     them as one part. A file larger than the target forms its own
     bucket and still splits into row groups internally. Bucket ids hash
-    the member file names + sizes, so resume skips finished buckets and
-    any input change re-runs its bucket."""
+    the member file names, sizes and versions (:func:`fsio.identity`),
+    so resume skips finished buckets and any input change re-runs its
+    bucket. Inputs may be local paths or fsspec URIs."""
     opts = opts or WriteOptions()
     if isinstance(input_paths, str):
         input_paths = fsio.glob_in(input_paths, "*.parquet")
-    files = [(p, os.path.getsize(p)) for p in sorted(input_paths)]
+    input_paths = sorted(input_paths)
+    idents = dict(zip(input_paths, fsio.identities(input_paths)))
     buckets: list[list[str]] = []
     cur: list[str] = []
     cur_bytes = 0
-    for p, sz in files:
-        if cur and cur_bytes + sz > target_part_bytes:
+    for p, (_, size, _) in idents.items():
+        if cur and cur_bytes + size > target_part_bytes:
             buckets.append(cur)
             cur, cur_bytes = [], 0
         cur.append(p)
-        cur_bytes += sz
+        cur_bytes += size
     if cur:
         buckets.append(cur)
 
     def bucket_id(paths: list[str]) -> str:
-        # name + size + mtime_ns: regenerating an input file changes its
-        # mtime even when the size is preserved, so the bucket re-runs.
-        # (A same-size same-mtime in-place byte edit would still be
-        # missed — full-content ids would need a read pass per resume.)
+        # name + size + version (mtime_ns locally, fsio.identity):
+        # regenerating an input file changes its mtime even when the
+        # size is preserved, so the bucket re-runs. (A same-size
+        # same-mtime in-place byte edit would still be missed —
+        # full-content ids would need a read pass per resume.)
         h = hashlib.sha1()
         for p in paths:
-            st = os.stat(p)
+            _, size, version = idents[p]
             h.update(os.path.basename(p).encode())
-            h.update(str(st.st_size).encode())
-            h.update(str(st.st_mtime_ns).encode())
+            h.update(str(size).encode())
+            h.update(version.encode())
         return h.hexdigest()[:16]
 
     # refuse in-place compaction: with out_dir == input dir the stale-part
     # GC below would delete the input files themselves after the first run
-    out_real = os.path.realpath(out_dir)
-    for p, _ in files:
-        if os.path.realpath(p).startswith(out_real + os.sep):
+    for p in idents:
+        if fsio.within(p, out_dir):
             raise ValueError(
                 f"compact_parquet_dataset: input file {p} lies inside "
                 f"out_dir {out_dir}; compaction must not write in place"
@@ -753,18 +907,18 @@ def compact_parquet_dataset(
 
     # finished parts are read even without resume: the GC below needs them
     lineage, prior = _open_out_dir(out_dir, lineage_name=COMPACT_LINEAGE)
-    parts = [(bucket_id(b), b) for b in buckets]
+    ids = [bucket_id(b) for b in buckets]
+    parts = [(i, i, b) for i, b in zip(ids, buckets)]
     total = _write_input_parts(
-        parts, out_dir, opts, lineage, prior,
-        frozenset(prior) if resume else frozenset(), columns=columns,
+        parts, out_dir, opts, lineage, prior, resume=resume, columns=columns,
         max_group_rows=max_group_rows, max_group_bytes=max_group_bytes)
-    total["input_files"] = len(files)
+    total["input_files"] = len(idents)
     # garbage-collect parts from superseded bucket layouts: a changed
     # input produces a NEW bucket id, and without cleanup the stale
     # part would keep serving the old rows alongside the new ones.
     # Only files THIS compactor's lineage recorded are candidates —
     # pre-existing files it never wrote are left untouched.
-    expected = {f"part-{i}.parquet" for i, _ in parts}
+    expected = {f"part-{k}.parquet" for k, _, _ in parts}
     removed = 0
     for f in set(prior) - expected:
         fp = fsio.join(out_dir, f)

@@ -188,32 +188,32 @@ class LineageLog:
                 continue  # torn write of a non-atomic fs: ignore
         return out
 
-    def completed_parts(self) -> dict[str, PartRecord]:
-        recs = self._manifest_records()
-        recs += [r for part in self._part_record_lists() for r in part]
-        return {r.part_id: r for r in self._done(recs)}
-
-    def completed_files(self) -> dict[str, int]:
-        """Part-file mode: every recorded output file that exists, mapped
-        to its uncompressed bytes (the sum of its records' ``raw_bytes``,
-        what the writer reported when it wrote the file). A part's
-        ``parts/`` list is authoritative; the manifest only adds files
-        that have none, counting each distinct record once (the manifest
-        is appended to on every run)."""
-        raw: dict[str, int] = {}
-        for part in self._part_record_lists():
-            for rec in part:
-                if rec.file:
-                    raw[rec.file] = raw.get(rec.file, 0) + rec.raw_bytes
+    def _records(self) -> list[PartRecord]:
+        """Every record, with one source per output file: its ``parts/``
+        list when it has one (a part rewritten in place overwrote it),
+        else its manifest lines, each distinct line once (the manifest
+        is appended to on every run). Records naming no file come from
+        both."""
+        parts = [r for part in self._part_record_lists() for r in part]
+        files = {r.file for r in parts}
         distinct = {json.dumps(asdict(r), sort_keys=True): r
                     for r in self._manifest_records()}
-        legacy: dict[str, int] = {}
-        for rec in distinct.values():
-            if rec.file and rec.file not in raw:
-                legacy[rec.file] = legacy.get(rec.file, 0) + rec.raw_bytes
-        raw.update(legacy)
-        have = self._existing(set(raw))
-        return {f: n for f, n in raw.items() if f in have}
+        return [r for r in distinct.values()
+                if not r.file or r.file not in files] + parts
+
+    def completed_parts(self) -> dict[str, PartRecord]:
+        return {r.part_id: r for r in self._done(self._records())}
+
+    def completed_records(self) -> dict[str, list[PartRecord]]:
+        """Part-file mode: every recorded output file that exists,
+        mapped to its records (one per row group; their ``raw_bytes``
+        sum to what the writer reported when it wrote the file)."""
+        recs: dict[str, list[PartRecord]] = {}
+        for rec in self._records():
+            if rec.file:
+                recs.setdefault(rec.file, []).append(rec)
+        have = self._existing(set(recs))
+        return {f: r for f, r in recs.items() if f in have}
 
     def load_blob(self, part_id: str):
         return pickle.loads(fsio.read_bytes(fsio.join(self.blob_dir, part_id)))

@@ -80,7 +80,7 @@ def test_kill_mid_part_then_resume(backend):
     assert [n for n in names if n.startswith("_lineage/parts/")] == \
         ["_lineage/parts/p0.json", "_lineage/parts/p1.json"]
 
-    done = LineageLog(out).completed_files()
+    done = LineageLog(out).completed_records()
     assert set(done) == {"part-0.parquet", "part-1.parquet"}
     rows = [_write(out, i, frozenset(done)) for i in range(4)]
     assert [r.column("skipped")[0].as_py() for r in rows] == \
@@ -89,7 +89,7 @@ def test_kill_mid_part_then_resume(backend):
         name = f"part-{i}.parquet"
         assert fsio.read_bytes(fsio.join(out, name)) == \
             fsio.read_bytes(fsio.join(clean, name))
-    assert set(LineageLog(out).completed_files()) == \
+    assert set(LineageLog(out).completed_records()) == \
         {f"part-{i}.parquet" for i in range(4)}
 
 
@@ -155,7 +155,7 @@ def test_resume_validation_lists_instead_of_heads(store_blobs):
             got = set(LineageLog(base, store_blobs=True).completed_parts())
             assert got == {f"p{i}" for i in range(1, n)}
         else:
-            got = set(LineageLog(base).completed_files())
+            got = set(LineageLog(base).completed_records())
             assert got == {f"{'k=a/' if i % 2 else ''}part-{i}.parquet"
                            for i in range(1, n)}
         return dict(fs.calls)

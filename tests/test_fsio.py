@@ -790,3 +790,92 @@ def test_write_part_record_same_key_concurrently(tmp_path, monkeypatch):
     parts = tmp_path / "_lineage" / "parts"
     assert sorted(p.name for p in parts.iterdir()) == ["p0.json"]
     assert json.loads((parts / "p0.json").read_text())[0]["part_id"] == "p0"
+
+
+def test_identity_local_and_file_uri(tmp_path, monkeypatch):
+    """A local identity is (absolute path, size, st_mtime_ns): exact in
+    ns, where fsspec's info() mtime is float seconds. A file:// URI
+    keeps its spelling as the path but gets the same version, and a
+    relative path comes back absolute. A directory raises."""
+    p = tmp_path / "x.parquet"
+    p.write_bytes(b"x" * 10)
+    os.utime(p, ns=(1_792_225_084_559_839_396,) * 2)
+    assert fsio.identity(str(p)) == (str(p), 10, "1792225084559839396")
+    assert fsio.identity(f"file://{p}") == (f"file://{p}", 10, "1792225084559839396")
+    monkeypatch.chdir(tmp_path)
+    assert fsio.identity("x.parquet")[0] == str(p)
+    with pytest.raises(IsADirectoryError):
+        fsio.identity(str(tmp_path))
+
+
+def test_identity_store_versions(monkeypatch):
+    """On fsspec stores the version is the first of etag, generation or
+    mtime that info() reports, and "" when there is none (these test
+    stores keep no mtime): then only the size tells a rewrite apart."""
+    import faultfs
+
+    fsio.write_marker("faultput://v/a", b"abc")
+    fsio.write_marker("faultput://v/d/b", b"abc")
+    try:
+        assert fsio.identity("faultput://v/a") == ("faultput://v/a", 3, "")
+        with pytest.raises(IsADirectoryError):
+            fsio.identity("faultput://v/d")
+        real = faultfs.PutFS.info
+        extra = {"mtime": 5, "generation": 7, "ETag": '"e1"'}
+        monkeypatch.setattr(faultfs.PutFS, "info",
+                            lambda self, p, **kw: {**real(self, p, **kw), **extra})
+        assert fsio.identity("faultput://v/a")[2] == '"e1"'
+        del extra["ETag"]
+        assert fsio.identity("faultput://v/a")[2] == "7"
+        del extra["generation"]
+        assert fsio.identity("faultput://v/a")[2] == "5"
+    finally:
+        faultfs.PutFS.reset()
+
+
+def test_identities_list_each_directory_once(tmp_path):
+    """``identities`` equals ``identity`` per path, but looks URIs up
+    with one listing per directory that holds two or more of them: the
+    requests do not grow with the number of inputs. A URI alone in its
+    directory gets one lookup; local paths make no fsspec request."""
+    import faultfs
+
+    fs = faultfs.PutFS
+
+    def lookups(n: int) -> tuple[dict, list]:
+        paths = [f"faultput://ids{n}/in-{i}.parquet" for i in range(n)]
+        for i, p in enumerate(paths):
+            fsio.write_marker(p, b"x" * i)
+        paths.append(f"faultput://alone{n}/in.parquet")
+        fsio.write_marker(paths[-1], b"abc")
+        local = tmp_path / f"l{n}.parquet"
+        local.write_bytes(b"PAR1")
+        paths.append(str(local))
+        fs.calls.clear()
+        got = fsio.identities(paths)
+        calls = dict(fs.calls)
+        assert got == [fsio.identity(p) for p in paths]
+        return calls, got
+
+    try:
+        few, _ = lookups(3)
+        many, got = lookups(40)
+        assert few == many == {"find": 1, "info": 1}
+        assert [g[1] for g in got[:40]] == list(range(40))
+    finally:
+        fs.reset()
+
+
+def test_within_resolves_local_symlinks(tmp_path):
+    """``within`` compares local paths with symlinks resolved (so a
+    symlinked out_dir cannot hide that compaction writes in place) and
+    URIs by their in-fs paths, never across backends."""
+    (tmp_path / "d").mkdir()
+    (tmp_path / "d" / "f.parquet").write_bytes(b"x")
+    os.symlink(tmp_path / "d", tmp_path / "link")
+    assert fsio.within(str(tmp_path / "d" / "f.parquet"), str(tmp_path / "link"))
+    assert fsio.within(str(tmp_path / "d" / "f.parquet"), f"file://{tmp_path}/d/")
+    assert not fsio.within(str(tmp_path / "d" / "f.parquet"), str(tmp_path / "d2"))
+    assert fsio.within("faultput://b/out/x.parquet", "faultput://b/out")
+    assert not fsio.within("faultput://b/outer/x.parquet", "faultput://b/out")
+    assert not fsio.within("faultmv://b/out/x.parquet", "faultput://b/out")
