@@ -64,7 +64,7 @@ def _roundtrip_single_file(sf_dir: str, table_name: str, opts=None) -> pa.Table:
 
 
 def _roundtrip_dataset(sf_dir: str, table_name: str, opts=None) -> pa.Table:
-    """read -> Ray part-file writer (+ lineage manifest) -> decode."""
+    """read -> Ray part-file writer (+ lineage records) -> decode."""
     import shutil
 
     import ray.data

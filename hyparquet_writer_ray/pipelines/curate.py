@@ -60,7 +60,7 @@ def curate_documents(
     (columns unchanged plus the quality signals).
 
     ``out_dir`` (when given) is OWNED by this call: every pre-existing
-    ``*.parquet`` file in it and its lineage manifest are DELETED
+    ``*.parquet`` file in it and its lineage records are DELETED
     before the fresh encode, because parts are content-hash named and a
     previous run with different parameters would otherwise leave stale
     parts polluting the returned ``read_parquet``. Do not point it at a

@@ -56,7 +56,7 @@ def export_training_mixture(
     ``exact_threshold=True`` to opt back into ``exact_quantiles``.
 
     ``out_dir`` is OWNED by this export: any pre-existing parquet
-    parts, lineage manifest and score checkpoint in it are removed
+    parts, lineage records and score checkpoint in it are removed
     first, because parts are content-hash-named — a previous run with
     different parameters would otherwise leave stale state that
     silently pollutes the exported epoch. ``resume=True`` skips that
@@ -64,7 +64,7 @@ def export_training_mixture(
     the score table is checkpointed to ``score_dir`` (default
     ``out_dir/_scores``) as parquet (durable, ``_DONE``-marked), so a
     rerun skips the train+score corpus scans, and the part writer's
-    lineage manifest skips parts already on disk. ``score_dir`` may be
+    lineage records skip parts already on disk. ``score_dir`` may be
     an fsspec URI (``s3://…``) so the checkpoint has a home on a
     multi-node cluster without a POSIX mount (state/fsio.py); it is
     owned by this export under the same cleanup contract."""

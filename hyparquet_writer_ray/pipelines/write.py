@@ -16,9 +16,9 @@ Two output shapes:
 
 Every part-file writer (dataset, hive-partitioned, file-to-file,
 compaction) maps its per-part work over a Dataset with
-:func:`_map_batches`, writes each part through the one kernel
-:func:`_write_part`, and collects the manifest rows with
-:func:`_drain_manifests`. A part made from input files is named by
+:func:`_map_batches`, writes each part and its lineage record through
+the one kernel :func:`_write_part`, and totals the parts' summary rows
+with :func:`_drain_manifests`. A part made from input files is named by
 them and resumed on their identity (``fsio.identity``), so a resume
 never reads a finished input; only a part of an opaque Dataset is
 named by a hash of its content.
@@ -136,44 +136,38 @@ def _map_batches(ds, fn, *, batch_size=None, concurrency=None):
 COMPACT_LINEAGE = "_lineage_compact"
 
 
-def _open_out_dir(out_dir: str, lineage_name: str = "_lineage"):
+def _open_out_dir(out_dir: str, lineage_name: str = "_lineage") -> dict:
     """Driver prologue of the part-file writers: create ``out_dir``,
-    sweep the tmps killed runs left there, and open its lineage.
-    Returns the log and its finished files (file name -> records,
+    sweep the tmps killed runs left there (lineage tmps included), and
+    return its finished files (file name -> records,
     :meth:`LineageLog.completed_records`)."""
     fsio.makedirs(out_dir)
     fsio.clean_stale_tmps(out_dir)
-    lineage = LineageLog(out_dir, name=lineage_name)
-    return lineage, lineage.completed_records()
+    return LineageLog(out_dir, name=lineage_name).completed_records()
 
 
 def _manifest_row(part_id: str, fname: str, rows: int, file_bytes: int,
-                  raw: int = 0, recs: Optional[list] = None) -> pa.Table:
-    """The one manifest row a part task returns; ``recs is None`` marks
-    a part skipped on resume."""
+                  raw: int = 0, skipped: bool = False) -> pa.Table:
+    """The one summary row a part task returns to the driver."""
     return pa.table({
         "part_id": [part_id], "file": [fname],
         "rows": pa.array([rows], type=pa.int64()),
         "compressed_bytes": pa.array([file_bytes], type=pa.int64()),
         "uncompressed_bytes": pa.array([raw], type=pa.int64()),
-        "skipped": [recs is None],
-        "manifest": pa.array([None if recs is None else pickle.dumps(recs)],
-                             type=pa.large_binary()),
+        "skipped": [skipped],
     })
 
 
 def _write_part(out_dir: str, fname: str, part_id: str, load, opts: WriteOptions,
-                *, skip: frozenset, lineage_name: str = "_lineage",
-                rows: Optional[int] = None) -> pa.Table:
+                *, skip: frozenset, lineage_name: str = "_lineage") -> pa.Table:
     """The one part-file kernel: writes ``out_dir/fname`` and returns
-    its manifest row.
+    its summary row.
 
     A part whose file is in ``skip`` (finished by an earlier run) and
-    still on disk is not rewritten; its row count is ``rows`` or, when
-    the caller never read the input, the file's footer. Otherwise
-    ``load()`` returns ``(schema_ir, groups)``, ``groups`` being
-    ``(record id, row-group table)`` pairs, so a skipped part's input
-    is never read. The groups are encoded and assembled into an atomic
+    still on disk is not rewritten; the driver takes its totals from
+    its lineage records. Otherwise ``load()`` returns ``(schema_ir,
+    groups)``, ``groups`` being ``(record id, row-group table)`` pairs,
+    so a skipped part's input is never read. The groups are encoded and assembled into an atomic
     sink, then the worker writes the part's lineage record: durable the
     moment the part is, so it survives a driver SIGKILL (see
     state/lineage.py)."""
@@ -182,9 +176,7 @@ def _write_part(out_dir: str, fname: str, part_id: str, load, opts: WriteOptions
         # a lineage record without its file on disk is NOT done
         size = fsio.size(fpath)
         if size is not None:
-            if rows is None:
-                rows = fsio.parquet_num_rows(fpath)
-            return _manifest_row(part_id, fname, rows, size)
+            return _manifest_row(part_id, fname, 0, size, skipped=True)
     schema_ir, groups = load()
     leaves = leaf_columns(schema_ir)
     rows = raw = 0
@@ -199,33 +191,31 @@ def _write_part(out_dir: str, fname: str, part_id: str, load, opts: WriteOptions
             recs.append(record_from_meta(rec_id, meta, len(blob), file=fname))
         asm.finish()
     LineageLog(out_dir, name=lineage_name).write_part_record(part_id, recs)
-    return _manifest_row(part_id, fname, rows, asm.offset, raw, recs)
+    return _manifest_row(part_id, fname, rows, asm.offset, raw)
 
 
-def _drain_manifests(manifest_ds, lineage, done: dict[str, list]) -> dict:
-    """Shared driver loop for the part-file writers: run the part tasks,
-    total their manifest rows and persist lineage records. ONE
-    semantics for all writers, so a resume returns the totals of a
-    fresh run: every part counts its rows and its file bytes on disk; a
-    skipped (resumed) part's uncompressed bytes come from its lineage
-    records (``done``, from :meth:`LineageLog.completed_records`)."""
+def _drain_manifests(manifest_ds, done: dict[str, list]) -> dict:
+    """Shared driver loop for the part-file writers: run the part tasks
+    and total their summary rows. ONE semantics for all writers, so a
+    resume returns the totals of a fresh run: every part counts its
+    file bytes on disk; a skipped (resumed) part's rows and
+    uncompressed bytes come from its lineage records (``done``, from
+    :meth:`LineageLog.completed_records`)."""
     total = dict.fromkeys(("parts", "rows", "compressed_bytes",
                            "uncompressed_bytes", "skipped_parts"), 0)
     for batch in manifest_ds.iter_batches(batch_size=None,
                                           batch_format="pyarrow"):
         for row in batch.to_pylist():
             total["parts"] += 1
-            total["rows"] += row["rows"]
             total["compressed_bytes"] += row["compressed_bytes"]
             if row["skipped"]:
+                recs = done[row["file"]]
                 total["skipped_parts"] += 1
-                total["uncompressed_bytes"] += sum(
-                    r.raw_bytes for r in done[row["file"]])
+                total["rows"] += sum(r.num_rows for r in recs)
+                total["uncompressed_bytes"] += sum(r.raw_bytes for r in recs)
                 continue
+            total["rows"] += row["rows"]
             total["uncompressed_bytes"] += row["uncompressed_bytes"]
-            for rec in pickle.loads(row["manifest"]):
-                lineage.append(rec)
-    lineage.close()
     return total
 
 
@@ -279,6 +269,7 @@ def write_parquet_single_file(
     lineage = None
     skip: frozenset[str] = frozenset()
     if checkpoint_dir:
+        fsio.clean_stale_tmps(checkpoint_dir)
         lineage = LineageLog(checkpoint_dir, store_blobs=True)
         skip = frozenset(lineage.completed_parts())
 
@@ -304,7 +295,7 @@ def write_parquet_single_file(
                     else:
                         meta = pickle.loads(batch.column("meta")[row].as_py())
                         if lineage is not None:
-                            lineage.append(
+                            lineage.write_checkpoint(
                                 record_from_meta(part_id, meta, len(blob)), blob, meta
                             )
                     asm.append_group(blob, meta)
@@ -312,8 +303,6 @@ def write_parquet_single_file(
                     total_raw += meta.total_byte_size
                     n_parts += 1
             asm.finish()
-    if lineage is not None:
-        lineage.close()
     return {
         "path": path,
         "row_groups": n_parts,
@@ -416,10 +405,9 @@ def write_table_parallel(
 class PartFileWriter:
     """``write_parquet_dataset``'s per-batch stage for a Dataset that is
     not a plain fused read: each input batch becomes one complete
-    parquet part-file under ``out_dir``, named by its content, plus one
-    manifest row. Fully parallel — no driver byte
-    path. Mapped as an instance, so the schema resolves once on the
-    driver."""
+    parquet part-file under ``out_dir``, named by its content, plus its
+    lineage record. Fully parallel — no driver byte path. Mapped as an
+    instance, so the schema resolves once on the driver."""
 
     def __init__(
         self,
@@ -455,8 +443,8 @@ class PartFileWriter:
             # sorts only its own part. Clustering equal/near values
             # feeds the dict/RLE/delta/FSST codecs longer runs and
             # smaller deltas; row order is not load-bearing for keyed
-            # part output (the lineage manifest, not position,
-            # identifies parts). Measured on shuffled events @ sf0.1:
+            # part output (the lineage records, not position,
+            # identify parts). Measured on shuffled events @ sf0.1:
             # 14.9% smaller compressed output, recovering ~63% of the
             # full global-sort benefit with zero shuffle (BASELINE.md).
             batch = batch.sort_by([(c, "ascending") for c in self.sort_by])
@@ -477,7 +465,7 @@ class PartFileWriter:
         return _write_part(
             self.out_dir, f"{subdir}/{fname}" if subdir else fname, part_id,
             lambda: (self.schema_ir, zip(gids, groups)), self.opts,
-            skip=self.skip, rows=table.num_rows)
+            skip=self.skip)
 
 
 def _hive_value(v) -> str:
@@ -550,7 +538,7 @@ def write_parquet_partitioned(
     part_rows: Optional[int] = None,
 ) -> dict:
     """Hive-partitioned parquet output (``<col>=<value>/part-*.parquet``)
-    with the same lineage manifest + content-hash resume as
+    with the same per-part lineage records + content-hash resume as
     ``write_parquet_dataset`` — keyed directories let a consumer (or a
     resumed run) address one key range without listing the others.
 
@@ -567,12 +555,12 @@ def write_parquet_partitioned(
     arrow_schema = _normalized_arrow_schema(ds)
     if partition_col not in arrow_schema.names:
         raise ValueError(f"partition_col {partition_col!r} not in schema")
-    lineage, done = _open_out_dir(out_dir)
+    done = _open_out_dir(out_dir)
     writer = PartitionedPartWriter(opts, arrow_schema, out_dir, partition_col,
                                    max_group_rows, max_group_bytes,
                                    frozenset(done if resume else ()))
     total = _drain_manifests(_map_batches(
-        ds, writer, batch_size=part_rows, concurrency=concurrency), lineage, done)
+        ds, writer, batch_size=part_rows, concurrency=concurrency), done)
     total["out_dir"] = out_dir
     return total
 
@@ -646,8 +634,9 @@ def _read_parts_fn(batch: pa.Table, *, out_dir, opts, columns, max_group_rows,
                           opts, skip=skip, lineage_name=lineage_name)
 
 
-def _write_input_parts(parts, out_dir, opts, lineage, done, *, resume, columns,
-                       max_group_rows, max_group_bytes, concurrency=None) -> dict:
+def _write_input_parts(parts, out_dir, opts, done, *, resume, columns,
+                       max_group_rows, max_group_bytes, concurrency=None,
+                       lineage_name: str = "_lineage") -> dict:
     """One Ray task per ``(part key, record id, input paths)`` of
     ``parts``, written to ``part-<key>.parquet``. With ``resume`` a
     part is skipped when its file exists and every lineage record of it
@@ -666,9 +655,8 @@ def _write_input_parts(parts, out_dir, opts, lineage, done, *, resume, columns,
     fn = partial(_read_parts_fn, out_dir=out_dir, opts=opts, columns=columns,
                  max_group_rows=max_group_rows, max_group_bytes=max_group_bytes,
                  block_bytes=ray.data.DataContext.get_current().target_max_block_size,
-                 skip=frozenset(skip), lineage_name=lineage.name)
-    total = _drain_manifests(_map_batches(ds, fn, concurrency=concurrency),
-                             lineage, done)
+                 skip=frozenset(skip), lineage_name=lineage_name)
+    total = _drain_manifests(_map_batches(ds, fn, concurrency=concurrency), done)
     total["out_dir"] = out_dir
     return total
 
@@ -735,9 +723,9 @@ def write_parquet_files(
                 for f in fsio.glob_in(out_dir, "part-*.parquet")}
     for name in sorted(legacy & existing):
         fsio.remove(fsio.join(out_dir, name))
-    lineage, done = _open_out_dir(out_dir)
+    done = _open_out_dir(out_dir)
     return _write_input_parts(
-        parts, out_dir, opts, lineage, done, resume=resume, columns=columns,
+        parts, out_dir, opts, done, resume=resume, columns=columns,
         max_group_rows=max_group_rows, max_group_bytes=max_group_bytes)
 
 
@@ -817,13 +805,13 @@ def write_parquet_dataset(
     compact_parquet_dataset / write_parquet_single_file).
     """
     opts = opts or WriteOptions()
-    lineage, done = _open_out_dir(out_dir)
+    done = _open_out_dir(out_dir)
     fused = None if part_rows or repartition_blocks or sort_by \
         else _FUSED_READS.get(ds)
     parts = fused and _fused_file_parts(fused[0], done)
     if parts:
         return _write_input_parts(
-            parts, out_dir, opts, lineage, done, resume=resume,
+            parts, out_dir, opts, done, resume=resume,
             columns=fused[1], max_group_rows=max_group_rows,
             max_group_bytes=max_group_bytes, concurrency=concurrency)
     if any(_FILE_PART.fullmatch(f) for f in done):
@@ -838,7 +826,7 @@ def write_parquet_dataset(
                             max_group_rows, max_group_bytes,
                             frozenset(done if resume else ()), sort_by)
     total = _drain_manifests(_map_batches(
-        ds, writer, batch_size=part_rows, concurrency=concurrency), lineage, done)
+        ds, writer, batch_size=part_rows, concurrency=concurrency), done)
     total["out_dir"] = out_dir
     return total
 
@@ -906,12 +894,13 @@ def compact_parquet_dataset(
             )
 
     # finished parts are read even without resume: the GC below needs them
-    lineage, prior = _open_out_dir(out_dir, lineage_name=COMPACT_LINEAGE)
+    prior = _open_out_dir(out_dir, lineage_name=COMPACT_LINEAGE)
     ids = [bucket_id(b) for b in buckets]
     parts = [(i, i, b) for i, b in zip(ids, buckets)]
     total = _write_input_parts(
-        parts, out_dir, opts, lineage, prior, resume=resume, columns=columns,
-        max_group_rows=max_group_rows, max_group_bytes=max_group_bytes)
+        parts, out_dir, opts, prior, resume=resume, columns=columns,
+        max_group_rows=max_group_rows, max_group_bytes=max_group_bytes,
+        lineage_name=COMPACT_LINEAGE)
     total["input_files"] = len(idents)
     # garbage-collect parts from superseded bucket layouts: a changed
     # input produces a NEW bucket id, and without cleanup the stale

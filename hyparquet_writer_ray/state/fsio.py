@@ -16,8 +16,8 @@ sweep.
   upload on failure, so the previous object survives.
 
 Either way a kill at any instant never leaves a torn object at a final
-name. Markers, lineage records, checkpoint blobs and the manifest all
-go through :func:`write_marker`, the atomic put. A marker is written
+name. Markers, lineage records and checkpoint blobs all go through
+:func:`write_marker`, the atomic put. A marker is written
 only AFTER its directory's data files are complete, and a directory
 with data but no marker is treated as a crashed partial write and
 cleared.
@@ -276,30 +276,30 @@ def glob_in(base: str, pattern: str) -> list[str]:
     return glob(join(_glob.escape(base), pattern))
 
 
-def tmp_name(path: str, tag: str = "tmp") -> str:
+def tmp_name(path: str) -> str:
     """In-flight name for a file that becomes ``path`` by rename:
-    ``<path>.<tag>-<pid>-<random>``. The random part keeps two writers
-    with one pid (on hosts sharing an nfs/sftp namespace) or one
-    process writing the same name twice from clobbering each other's
-    tmp."""
-    return f"{path}.{tag}-{os.getpid()}-{os.urandom(4).hex()}"
+    ``<path>.inprogress-<pid>-<random>``, the one name the tmp sweeps
+    match. The random part keeps two writers with one pid (on hosts
+    sharing an nfs/sftp namespace) or one process writing the same name
+    twice from clobbering each other's tmp."""
+    return f"{path}.inprogress-{os.getpid()}-{os.urandom(4).hex()}"
 
 
 @contextmanager
-def atomic_sink(path: str, tag: str = "inprogress"):
+def atomic_sink(path: str):
     """The one streaming atomic sink: after a failure or a kill at any
     instant, ``path`` holds its previous object (or nothing), never a
     torn one.
 
-    Filesystems write ``<path>.<tag>-*`` (:func:`tmp_name`) and commit
-    it with one ``fs.mv``; the name is unique per attempt, so two tasks
-    producing the same content-addressed part never interleave into
-    one tmp (the loser's commit would find it renamed away). Object
-    stores write ``path`` directly: a PUT is invisible until it
-    completes, and a failed one is discarded."""
+    Filesystems write ``<path>.inprogress-*`` (:func:`tmp_name`) and
+    commit it with one ``fs.mv``; the name is unique per attempt, so
+    two tasks producing the same content-addressed part never
+    interleave into one tmp (the loser's commit would find it renamed
+    away). Object stores write ``path`` directly: a PUT is invisible
+    until it completes, and a failed one is discarded."""
     fs, p = _fs(path)
     if fs_rename_based(fs):
-        tmp = tmp_name(p, tag)
+        tmp = tmp_name(p)
         try:
             with fs.open(tmp, "wb") as f:
                 yield f
@@ -323,10 +323,10 @@ def atomic_sink(path: str, tag: str = "inprogress"):
 
 def write_marker(path: str, data: bytes | str = b"ok") -> None:
     """The one atomic small-object put, through :func:`atomic_sink`.
-    Completion markers, lineage records, checkpoint blobs and the
-    manifest consolidation are TRUSTED on resume, so a kill mid-write
-    must never leave a torn one at its name."""
-    with atomic_sink(path, "tmp") as f:
+    Completion markers, lineage records and checkpoint blobs are
+    TRUSTED on resume, so a kill mid-write must never leave a torn one
+    at its name."""
+    with atomic_sink(path) as f:
         f.write(data.encode() if isinstance(data, str) else data)
 
 
@@ -408,8 +408,8 @@ def clean_dest_tmps(path: str, max_age: float = STALE_TMP_AGE_SEC) -> None:
 
 def clean_stale_tmps(out_dir: str, max_age: float = STALE_TMP_AGE_SEC) -> None:
     """Remove .inprogress-* leftovers of previous killed runs anywhere
-    under ``out_dir`` (the current run's tmps don't exist yet when this
-    is called). Two live writers may share one out_dir (the compaction
+    under ``out_dir``, lineage records and checkpoint blobs included
+    (the current run's tmps don't exist yet when this is called). Two live writers may share one out_dir (the compaction
     lineage namespace explicitly supports it), hence the age gate."""
     _sweep_tmps(out_dir, "/**/*.inprogress-*", (), max_age)
 

@@ -7,15 +7,15 @@ state/fsio.py, so a local path and an fsspec URI (``s3://bucket/out``)
 get the same semantics:
 
 - ``parts/<part>.json``: a finished part's records, one atomic put
-  (fsio.write_marker) made the moment the part is durable. These are
-  the authoritative resume source.
+  (fsio.write_marker) made the moment the part is durable. They are
+  the only lineage a writer writes, and what resume trusts.
 - ``blobs/<part_id>``: encoded row groups for single-file resume, put
-  together with the part's record.
-- ``manifest.jsonl``: the driver's consolidation, buffered and put once
-  at ``close()`` (stores cannot append). A driver killed before close
-  loses only the consolidation, never a completion record. Resume
-  still reads manifests that older versions appended line by line,
-  torn trailing line included.
+  just before the part's record.
+
+``manifest.jsonl`` is read-only legacy state: out_dirs and checkpoint
+dirs written before worker-side records hold their records there (one
+JSON line each, possibly a torn trailing line), and resume still reads
+them. No writer writes it; :meth:`LineageLog.clear` removes it.
 """
 from __future__ import annotations
 
@@ -68,20 +68,18 @@ def record_from_meta(part_id: str, meta: RowGroupMeta, blob_len: int,
 
 
 class LineageLog:
-    """Manifest + per-part completion records + optional blob
-    checkpoint store.
+    """Per-part completion records + optional blob checkpoint store.
 
     Completion records are written by the WORKER that finished the part
     (atomic per-part json under ``_lineage/parts/``), so a hard-killed
     driver cannot lose records for parts already durable on disk —
-    partition-granular resume survives SIGKILL at any point. The
-    driver-side ``manifest.jsonl`` is a convenience consolidation.
+    partition-granular resume survives SIGKILL at any point.
     """
 
     def __init__(self, base_dir: str, *, store_blobs: bool = False,
                  name: str = "_lineage") -> None:
         # ``name`` namespaces independent writers sharing one out_dir
-        # (e.g. compaction keeps its own manifest so its stale-part GC
+        # (e.g. compaction keeps its own records so its stale-part GC
         # can never see — or delete — parts another writer recorded)
         self.base = base_dir
         self.name = name
@@ -93,9 +91,8 @@ class LineageLog:
         if store_blobs:
             fsio.makedirs(self.blob_dir)
         self.store_blobs = store_blobs
-        self._pending: list[str] = []
 
-    # -- worker side ----------------------------------------------------
+    # -- write side -----------------------------------------------------
     def write_part_record(self, part_key: str, recs: list[PartRecord]) -> None:
         """Atomically persist a finished part's records (call AFTER the
         part file itself is durable)."""
@@ -103,40 +100,24 @@ class LineageLog:
         fsio.write_marker(fsio.join(self.parts_dir, f"{part_key}.json"),
                           json.dumps([asdict(r) for r in recs]))
 
-    # -- write side -----------------------------------------------------
-    def append(self, rec: PartRecord, blob: bytes | None = None,
-               meta: RowGroupMeta | None = None) -> None:
-        """Record a part the driver finished; its manifest line waits
-        for :meth:`close`. A checkpointed blob is put at once, followed
-        by the part's completion record: single-file checkpointing has
-        no worker-side record, and buffering it until close() would
-        lose every record on a driver kill."""
-        if self.store_blobs and blob is not None:
-            fsio.write_marker(fsio.join(self.blob_dir, rec.part_id),
-                              pickle.dumps((blob, meta)))
-            self.write_part_record(rec.part_id, [rec])
-        self._pending.append(json.dumps(asdict(rec)) + "\n")
-
-    def close(self) -> None:
-        """Put the manifest once: earlier runs' lines, then this run's."""
-        if not self._pending:
-            return
-        prior = fsio.read_marker(self.manifest_path) \
-            if fsio.exists(self.manifest_path) else ""
-        if prior and not prior.endswith("\n"):
-            prior += "\n"  # keep an old torn line apart from the new ones
-        fsio.write_marker(self.manifest_path, prior + "".join(self._pending))
-        self._pending = []
+    def write_checkpoint(self, rec: PartRecord, blob: bytes,
+                         meta: RowGroupMeta) -> None:
+        """Single-file checkpoint of one encoded row group: put the
+        blob, then its completion record, so a record never names a
+        blob that is not durable."""
+        fsio.write_marker(fsio.join(self.blob_dir, rec.part_id),
+                          pickle.dumps((blob, meta)))
+        self.write_part_record(rec.part_id, [rec])
 
     def clear(self) -> None:
         """Forget all completion records (fresh-export semantics: the
         owning pipeline is about to rewrite the directory and stale
-        records would wrongly mark new work as done)."""
-        self._pending = []
+        records would wrongly mark new work as done). A legacy
+        ``manifest.jsonl`` goes too."""
         fsio.rm_tree(self.parts_dir)
         fsio.rm_tree(self.blob_dir)
         if self.store_blobs:
-            fsio.makedirs(self.blob_dir)  # next append needs it
+            fsio.makedirs(self.blob_dir)  # the next checkpoint needs it
         fsio.remove(self.manifest_path)
 
     # -- resume side ----------------------------------------------------
@@ -163,6 +144,7 @@ class LineageLog:
         return [r for r in recs if output(r) is None or output(r) in have]
 
     def _manifest_records(self) -> list[PartRecord]:
+        """Records of a legacy ``manifest.jsonl``, read only."""
         if not fsio.exists(self.manifest_path):
             return []
         out = []
@@ -191,9 +173,9 @@ class LineageLog:
     def _records(self) -> list[PartRecord]:
         """Every record, with one source per output file: its ``parts/``
         list when it has one (a part rewritten in place overwrote it),
-        else its manifest lines, each distinct line once (the manifest
-        is appended to on every run). Records naming no file come from
-        both."""
+        else its legacy manifest lines, each distinct line once (older
+        versions appended to the manifest on every run). Records naming
+        no file come from both."""
         parts = [r for part in self._part_record_lists() for r in part]
         files = {r.file for r in parts}
         distinct = {json.dumps(asdict(r), sort_keys=True): r

@@ -76,7 +76,7 @@ def test_kill_mid_part_then_resume(backend):
     names = _names(out)
     assert "part-2.parquet" not in names  # no torn object at its name
     assert not fsio.exists(fsio.join(out, "part-2.parquet"))
-    assert [n for n in names if ".inprogress-" in n or ".tmp-" in n] == []
+    assert [n for n in names if ".inprogress-" in n] == []
     assert [n for n in names if n.startswith("_lineage/parts/")] == \
         ["_lineage/parts/p0.json", "_lineage/parts/p1.json"]
 
@@ -142,11 +142,10 @@ def test_resume_validation_lists_instead_of_heads(store_blobs):
                              comp_bytes=1,
                              file=f"{'k=a/' if i % 2 else ''}part-{i}.parquet")
             if store_blobs:
-                log.append(rec, b"blob", None)
+                log.write_checkpoint(rec, b"blob", None)
             else:
                 fsio.write_marker(fsio.join(base, rec.file), b"PAR1")
                 log.write_part_record(rec.part_id, [rec])
-        log.close()
         gone = fsio.join(log.blob_dir, "p0") if store_blobs \
             else fsio.join(base, "part-0.parquet")
         fsio.remove(gone)

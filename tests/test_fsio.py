@@ -96,8 +96,8 @@ def _file_uri(p) -> str:
 
 def test_lineage_memory_uri_roundtrip():
     """LineageLog against an object-store-style fs: per-part records
-    are single PUTs, the manifest consolidates at close, resume reads
-    both, clear forgets everything."""
+    are single PUTs and the only records written, resume reads them,
+    clear forgets everything."""
     from hyparquet_writer_ray.state.lineage import LineageLog, PartRecord
 
     base = "memory://fsio_lineage"
@@ -112,12 +112,9 @@ def test_lineage_memory_uri_roundtrip():
                         fsio.join(base, "part-p0.parquet"))
     got = LineageLog(base).completed_parts()
     assert set(got) == {"p0"} and got["p0"].num_rows == 5
-    # driver-side manifest: buffered, PUT at close
-    log.append(PartRecord(part_id="p1", num_rows=2, raw_bytes=10,
-                          comp_bytes=5))
+    log.write_part_record("p1", [PartRecord(part_id="p1", num_rows=2,
+                                            raw_bytes=10, comp_bytes=5)])
     assert not fsio.exists(fsio.join(base, "_lineage", "manifest.jsonl"))
-    log.close()
-    assert fsio.exists(fsio.join(base, "_lineage", "manifest.jsonl"))
     got = LineageLog(base).completed_parts()
     assert set(got) == {"p0", "p1"}  # p1 has file=None -> always valid
     LineageLog(base).clear()
@@ -143,7 +140,8 @@ def test_write_parquet_dataset_file_uri_resume(ray_session, tmp_path):
     n = duckdb.sql(
         f"select count(*) from '{out_local}/part-*.parquet'").fetchone()[0]
     assert n == 20_000
-    assert os.path.exists(
+    assert len(os.listdir(os.path.join(out_local, "_lineage", "parts"))) == 4
+    assert not os.path.exists(
         os.path.join(out_local, "_lineage", "manifest.jsonl"))
     # identical rerun: every part skipped via the URI lineage records
     s2 = write_parquet_dataset(
@@ -432,13 +430,13 @@ def test_write_marker_file_uri_atomic(tmp_path):
     fsio.write_marker(_file_uri(m), "0,1,2,3")
     assert fsio.read_marker(_file_uri(m)) == "0,1,2,3"
     assert m.read_text() == "0,1,2,3"
-    assert list(tmp_path.glob("*.tmp-*")) == []
+    assert list(tmp_path.glob("*.inprogress-*")) == []
 
 
 def test_lineage_single_file_uri_records_survive_driver_kill():
-    """store_blobs + URI: each append must durably persist the
-    completion record WITH the blob — a driver killed before close()
-    (simulated by never calling it) must still resume."""
+    """store_blobs + URI: each checkpoint durably persists the
+    completion record WITH the blob, so a driver killed right after it
+    still resumes."""
     import pickle
 
     from hyparquet_writer_ray.state.lineage import LineageLog, PartRecord
@@ -446,9 +444,8 @@ def test_lineage_single_file_uri_records_survive_driver_kill():
     base = "memory://fsio_sfckpt"
     fsio.makedirs(base)
     log = LineageLog(base, store_blobs=True)
-    log.append(PartRecord(part_id="g0", num_rows=4, raw_bytes=20,
-                          comp_bytes=9), b"blobbytes", {"m": 1})
-    # NO close(): simulate SIGKILL of the driver
+    log.write_checkpoint(PartRecord(part_id="g0", num_rows=4, raw_bytes=20,
+                                    comp_bytes=9), b"blobbytes", {"m": 1})
     got = LineageLog(base, store_blobs=True).completed_parts()
     assert set(got) == {"g0"} and got["g0"].num_rows == 4
     blob, meta = LineageLog(base, store_blobs=True).load_blob("g0")
@@ -456,23 +453,19 @@ def test_lineage_single_file_uri_records_survive_driver_kill():
     fsio.rm_tree(base)
 
 
-def test_lineage_close_file_uri_keeps_prior_records(tmp_path):
-    """close() consolidation on a rename-based fs must not truncate the
-    manifest in place (tmp+mv), and must preserve run-1 records."""
+def test_lineage_file_uri_keeps_prior_records(tmp_path):
+    """On a rename-based fs (tmp+mv), records from run 1 survive run 2,
+    and no tmp is left behind."""
     from hyparquet_writer_ray.state.lineage import LineageLog, PartRecord
 
     base = _file_uri(tmp_path / "lin")
-    log1 = LineageLog(base)
-    log1.append(PartRecord(part_id="a", num_rows=1, raw_bytes=1,
-                           comp_bytes=1))
-    log1.close()
-    log2 = LineageLog(base)
-    log2.append(PartRecord(part_id="b", num_rows=2, raw_bytes=2,
-                           comp_bytes=2))
-    log2.close()
+    LineageLog(base).write_part_record("a", [PartRecord(
+        part_id="a", num_rows=1, raw_bytes=1, comp_bytes=1)])
+    LineageLog(base).write_part_record("b", [PartRecord(
+        part_id="b", num_rows=2, raw_bytes=2, comp_bytes=2)])
     got = LineageLog(base).completed_parts()
     assert set(got) == {"a", "b"}
-    assert list((tmp_path / "lin" / "_lineage").glob("*.tmp-*")) == []
+    assert list((tmp_path / "lin").rglob("*.inprogress-*")) == []
 
 
 def test_clean_dest_tmps_age_gated(tmp_path):
@@ -698,7 +691,7 @@ def test_fs_mtime_info_fallback():
 
 def test_write_marker_local_failure_cleans_tmp(tmp_path, monkeypatch):
     """A marker write whose commit fails must not leak
-    '<marker>.tmp-<pid>-<random>'."""
+    '<marker>.inprogress-<pid>-<random>'."""
     from fsspec.implementations.local import LocalFileSystem
 
     m = tmp_path / "_DONE"

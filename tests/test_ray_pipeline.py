@@ -102,13 +102,19 @@ def test_dataset_mode_and_resume(ray_data, tmp_path):
     assert out["parts"] == 4 and out["rows"] == 20_000 and out["skipped_parts"] == 0
     n = duckdb.sql(f"select count(*) from '{out_dir}/part-*.parquet'").fetchone()[0]
     assert n == 20_000
-    # manifest exists with per-partition codec/size records
-    manifest = os.path.join(out_dir, "_lineage", "manifest.jsonl")
-    assert os.path.exists(manifest)
+    # one lineage record file per part, with per-partition codec/size
+    # records; no driver-side manifest
     import json
 
-    recs = [json.loads(x) for x in open(manifest)]
-    assert all("columns" in r and r["comp_bytes"] > 0 for r in recs)
+    lineage = os.path.join(out_dir, "_lineage")
+    records = glob.glob(os.path.join(lineage, "parts", "*.json"))
+    assert len(records) == 4
+    recs = [r for path in records for r in json.load(open(path))]
+    assert sum(r["num_rows"] for r in recs) == 20_000
+    assert all(r["comp_bytes"] > 0 and r["columns"] for r in recs)
+    assert all(c["codec"] and c["encodings"] for r in recs
+               for c in r["columns"].values())
+    assert not os.path.exists(os.path.join(lineage, "manifest.jsonl"))
     # resume: identical rerun skips every part
     ds2 = webtable_dataset(20_000, rows_per_block=5_000)
     out2 = write_parquet_dataset(ds2, out_dir, concurrency=2)
@@ -116,7 +122,7 @@ def test_dataset_mode_and_resume(ray_data, tmp_path):
 
 
 def test_resume_after_partial_failure(ray_data, tmp_path):
-    """Kill-mid-run simulation: delete one part + its manifest rows, rerun,
+    """Kill-mid-run simulation: delete one part, rerun,
     only that partition is re-encoded and the final output is identical."""
     out_dir = str(tmp_path / "web2")
     ds = webtable_dataset(20_000, rows_per_block=5_000)
@@ -153,27 +159,131 @@ def test_resume_returns_fresh_totals(ray_data, tmp_path):
         assert resumed[key] == fresh[key], key
 
 
-def test_resume_from_lineage_with_checksum(ray_data, tmp_path):
-    """Lineage records written when PartRecord still had a ``checksum``
-    field resume like current ones."""
+def _to_legacy_manifest(base_dir: str) -> None:
+    """Rewrite ``base_dir``'s lineage as versions before worker-side
+    records left it: every record one ``manifest.jsonl`` line, carrying
+    the ``checksum`` field PartRecord had then, and no ``parts/``."""
     import json
+    import shutil
 
+    lineage = os.path.join(base_dir, "_lineage")
+    parts = os.path.join(lineage, "parts")
+    with open(os.path.join(lineage, "manifest.jsonl"), "w") as f:
+        for path in sorted(glob.glob(os.path.join(parts, "*.json"))):
+            for r in json.load(open(path)):
+                f.write(json.dumps(dict(r, checksum="0123456789ab")) + "\n")
+    shutil.rmtree(parts)
+
+
+def test_resume_from_lineage_with_checksum(ray_data, tmp_path):
+    """An out_dir whose only lineage is a legacy manifest (with the
+    ``checksum`` field PartRecord had then) resumes with every part
+    skipped and the totals of the fresh run."""
     out_dir = str(tmp_path / "web4")
     fresh = write_parquet_dataset(
         webtable_dataset(8_000, rows_per_block=2_000), out_dir, concurrency=2)
-    lineage = os.path.join(out_dir, "_lineage")
-    for path in glob.glob(os.path.join(lineage, "parts", "*.json")):
-        recs = [dict(r, checksum="0123456789ab") for r in json.load(open(path))]
-        with open(path, "w") as f:
-            json.dump(recs, f)
-    manifest = os.path.join(lineage, "manifest.jsonl")
-    lines = [dict(json.loads(x), checksum="0123456789ab") for x in open(manifest)]
-    with open(manifest, "w") as f:
-        f.writelines(json.dumps(r) + "\n" for r in lines)
+    _to_legacy_manifest(out_dir)
     resumed = write_parquet_dataset(
         webtable_dataset(8_000, rows_per_block=2_000), out_dir, concurrency=2)
     assert resumed["skipped_parts"] == fresh["parts"] == 4
-    assert resumed["uncompressed_bytes"] == fresh["uncompressed_bytes"]
+    for key in fresh.keys() - {"skipped_parts"}:
+        assert resumed[key] == fresh[key], key
+
+
+def test_single_file_resume_from_legacy_manifest(ray_data, tmp_path):
+    """A checkpoint_dir whose only lineage is a legacy manifest reuses
+    every checkpointed blob (no part is encoded, so no record is
+    written) and returns the totals and bytes of the fresh run."""
+    table = synthesize_table(4_000)
+    ckpt = str(tmp_path / "ckpt")
+    fresh = write_parquet_single_file(
+        ray_data.from_arrow(table).repartition(4), str(tmp_path / "a.parquet"),
+        max_group_rows=1_000, checkpoint_dir=ckpt)
+    assert fresh["row_groups"] == 4
+    _to_legacy_manifest(ckpt)
+    resumed = write_parquet_single_file(
+        ray_data.from_arrow(table).repartition(4), str(tmp_path / "b.parquet"),
+        max_group_rows=1_000, checkpoint_dir=ckpt)
+    assert not os.path.exists(os.path.join(ckpt, "_lineage", "parts"))
+    for key in fresh.keys() - {"path"}:
+        assert resumed[key] == fresh[key], key
+    assert (tmp_path / "a.parquet").read_bytes() == \
+        (tmp_path / "b.parquet").read_bytes()
+
+
+def _orphan(path: str, age: float) -> str:
+    """The tmp a write of ``path`` killed ``age`` seconds ago left."""
+    from hyparquet_writer_ray.state import fsio
+
+    tmp = fsio.tmp_name(path)
+    os.makedirs(os.path.dirname(tmp), exist_ok=True)
+    with open(tmp, "wb") as f:
+        f.write(b"torn")
+    os.utime(tmp, (os.path.getmtime(tmp) - age,) * 2)
+    return tmp
+
+
+def test_rerun_sweeps_lineage_orphans(ray_data, tmp_path):
+    """Tmps of killed lineage record and checkpoint blob writes are
+    swept by the next run when aged, in an out_dir and in a
+    checkpoint_dir; a fresh one (a live writer's) survives."""
+    from hyparquet_writer_ray.pipelines.write import write_parquet_files
+
+    src = str(tmp_path / "in.parquet")
+    pq.write_table(synthesize_table(500), src)
+    out_dir, ckpt = str(tmp_path / "out"), str(tmp_path / "ckpt")
+    write_parquet_files([src], out_dir)
+    write_parquet_single_file(ray_data.read_parquet(src),
+                              str(tmp_path / "one.parquet"), checkpoint_dir=ckpt)
+    aged = [_orphan(os.path.join(d, "_lineage", sub, name), 7200)
+            for d in (out_dir, ckpt)
+            for sub, name in (("parts", "abc.json"), ("blobs", "g0"))]
+    fresh = _orphan(os.path.join(ckpt, "_lineage", "parts", "def.json"), 0)
+    write_parquet_files([src], out_dir)
+    write_parquet_single_file(ray_data.read_parquet(src),
+                              str(tmp_path / "one.parquet"), checkpoint_dir=ckpt)
+    assert [t for t in aged if os.path.exists(t)] == []
+    assert os.path.exists(fresh)
+
+
+def test_two_drivers_share_one_out_dir(ray_data, tmp_path):
+    """Two writers finishing parts into one out_dir at the same time
+    lose no record: each part's record is its own object, and no
+    driver rewrites a shared manifest."""
+    import threading
+
+    from hyparquet_writer_ray.pipelines.write import write_parquet_files
+    from hyparquet_writer_ray.state.lineage import LineageLog
+
+    paths = []
+    for i in range(6):
+        paths.append(str(tmp_path / f"in-{i}.parquet"))
+        pq.write_table(synthesize_table(300), paths[-1])
+    out_dir = str(tmp_path / "out")
+    results, errors = [], []
+
+    def driver(inputs):
+        try:
+            results.append(write_parquet_files(inputs, out_dir))
+        except BaseException as e:  # surfaced below
+            errors.append(e)
+
+    threads = [threading.Thread(target=driver, args=(paths[i::2],))
+               for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert errors == []
+    assert sorted(r["parts"] for r in results) == [3, 3]
+    done = LineageLog(out_dir).completed_records()
+    assert set(done) == {os.path.basename(f) for f in
+                         glob.glob(os.path.join(out_dir, "part-*.parquet"))}
+    assert len(done) == 6
+    again = write_parquet_files(paths, out_dir)
+    assert (again["parts"], again["skipped_parts"]) == (6, 6)
+    assert again["rows"] == sum(r["rows"] for r in results) == 1_800
+    assert not os.path.exists(os.path.join(out_dir, "_lineage", "manifest.jsonl"))
 
 
 def test_webtable_determinism(ray_data):

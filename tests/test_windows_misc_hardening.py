@@ -157,16 +157,22 @@ def test_window_ops_accept_nanosecond_timestamps(ray_data):
 
 
 def test_lineage_tolerates_torn_manifest_line(tmp_path):
+    import json
+    from dataclasses import asdict
+
     from hyparquet_writer_ray.state.lineage import LineageLog, PartRecord
 
+    # a manifest as older versions wrote it: one line per record, the
+    # last one torn by a SIGKILL of the driver
     log = LineageLog(str(tmp_path))
-    log.append(PartRecord(part_id="p1", num_rows=5, raw_bytes=10,
-                          comp_bytes=8))
-    log.close()
-    with open(log.manifest_path, "a") as f:
-        f.write('{"part_id": "p2", "num_ro')  # torn by a SIGKILL
+    rec = PartRecord(part_id="p1", num_rows=5, raw_bytes=10, comp_bytes=8)
+    with open(log.manifest_path, "w") as f:
+        f.write(json.dumps(asdict(rec)) + "\n")
+        f.write('{"part_id": "p2", "num_ro')
     done = LineageLog(str(tmp_path)).completed_parts()
     assert "p1" in done and "p2" not in done
+    LineageLog(str(tmp_path)).clear()  # a fresh export forgets them too
+    assert LineageLog(str(tmp_path)).completed_parts() == {}
 
 
 def test_lineage_clear_keeps_blob_store_usable(tmp_path):
@@ -174,7 +180,7 @@ def test_lineage_clear_keeps_blob_store_usable(tmp_path):
 
     log = LineageLog(str(tmp_path), store_blobs=True)
     rec = PartRecord(part_id="p1", num_rows=1, raw_bytes=1, comp_bytes=1)
-    log.append(rec, b"blob", None)
+    log.write_checkpoint(rec, b"blob", None)
     log.clear()
-    log.append(rec, b"blob2", None)  # must not raise FileNotFoundError
+    log.write_checkpoint(rec, b"blob2", None)  # must not raise FileNotFoundError
     assert LineageLog(str(tmp_path), store_blobs=True).load_blob("p1")[0] == b"blob2"
