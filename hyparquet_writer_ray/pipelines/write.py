@@ -19,9 +19,11 @@ compaction) maps its per-part work over a Dataset with
 :func:`_map_batches`, writes each part and its lineage record through
 the one kernel :func:`_write_part`, and totals the parts' summary rows
 with :func:`_drain_manifests`. A part made from input files is named by
-them and resumed on their identity (``fsio.identity``), so a resume
-never reads a finished input; only a part of an opaque Dataset is
-named by a hash of its content.
+them and resumed on their identity (``fsio.identity``): the driver
+settles a finished one from the out_dir listing and its records, so a
+resume launches tasks only for the parts it writes. Only a part of an
+opaque Dataset is named by a hash of its content, which its task
+computes, so its task also decides whether it is finished.
 """
 from __future__ import annotations
 
@@ -139,7 +141,7 @@ COMPACT_LINEAGE = "_lineage_compact"
 def _open_out_dir(out_dir: str, lineage_name: str = "_lineage") -> dict:
     """Driver prologue of the part-file writers: create ``out_dir``,
     sweep the tmps killed runs left there (lineage tmps included), and
-    return its finished files (file name -> records,
+    return its finished files (file name -> size and records,
     :meth:`LineageLog.completed_records`)."""
     fsio.makedirs(out_dir)
     fsio.clean_stale_tmps(out_dir)
@@ -159,15 +161,19 @@ def _manifest_row(part_id: str, fname: str, rows: int, file_bytes: int,
 
 
 def _write_part(out_dir: str, fname: str, part_id: str, load, opts: WriteOptions,
-                *, skip: frozenset, lineage_name: str = "_lineage") -> pa.Table:
+                *, skip: frozenset = frozenset(),
+                lineage_name: str = "_lineage") -> pa.Table:
     """The one part-file kernel: writes ``out_dir/fname`` and returns
     its summary row.
 
-    A part whose file is in ``skip`` (finished by an earlier run) and
-    still on disk is not rewritten; the driver takes its totals from
-    its lineage records. Otherwise ``load()`` returns ``(schema_ir,
-    groups)``, ``groups`` being ``(record id, row-group table)`` pairs,
-    so a skipped part's input is never read. The groups are encoded and assembled into an atomic
+    ``skip`` serves the content-named writers (:class:`PartFileWriter`),
+    whose part name is a hash only this task computes: a part whose
+    file is in ``skip`` (finished by an earlier run) and still on disk
+    is not rewritten, and the driver takes its totals from its lineage
+    records. The file-granular writers settle finished parts on the
+    driver and never pass it. Otherwise ``load()`` returns
+    ``(schema_ir, groups)``, ``groups`` being ``(record id, row-group
+    table)`` pairs. The groups are encoded and assembled into an atomic
     sink, then the worker writes the part's lineage record: durable the
     moment the part is, so it survives a driver SIGKILL (see
     state/lineage.py)."""
@@ -194,26 +200,39 @@ def _write_part(out_dir: str, fname: str, part_id: str, load, opts: WriteOptions
     return _manifest_row(part_id, fname, rows, asm.offset, raw)
 
 
-def _drain_manifests(manifest_ds, done: dict[str, list]) -> dict:
+def _new_totals() -> dict:
+    return dict.fromkeys(("parts", "rows", "compressed_bytes",
+                          "uncompressed_bytes", "skipped_parts"), 0)
+
+
+def _count_skipped(total: dict, file_bytes: int, recs) -> None:
+    """Add a part finished by an earlier run to ``total``: its file
+    bytes, and its rows and uncompressed bytes from its lineage
+    records."""
+    total["parts"] += 1
+    total["skipped_parts"] += 1
+    total["compressed_bytes"] += file_bytes
+    total["rows"] += sum(r.num_rows for r in recs)
+    total["uncompressed_bytes"] += sum(r.raw_bytes for r in recs)
+
+
+def _drain_manifests(manifest_ds, done: dict) -> dict:
     """Shared driver loop for the part-file writers: run the part tasks
     and total their summary rows. ONE semantics for all writers, so a
     resume returns the totals of a fresh run: every part counts its
     file bytes on disk; a skipped (resumed) part's rows and
     uncompressed bytes come from its lineage records (``done``, from
     :meth:`LineageLog.completed_records`)."""
-    total = dict.fromkeys(("parts", "rows", "compressed_bytes",
-                           "uncompressed_bytes", "skipped_parts"), 0)
+    total = _new_totals()
     for batch in manifest_ds.iter_batches(batch_size=None,
                                           batch_format="pyarrow"):
         for row in batch.to_pylist():
+            if row["skipped"]:
+                _count_skipped(total, row["compressed_bytes"],
+                               done[row["file"]].records)
+                continue
             total["parts"] += 1
             total["compressed_bytes"] += row["compressed_bytes"]
-            if row["skipped"]:
-                recs = done[row["file"]]
-                total["skipped_parts"] += 1
-                total["rows"] += sum(r.num_rows for r in recs)
-                total["uncompressed_bytes"] += sum(r.raw_bytes for r in recs)
-                continue
             total["rows"] += row["rows"]
             total["uncompressed_bytes"] += row["uncompressed_bytes"]
     return total
@@ -621,42 +640,53 @@ def _read_groups(paths, rec_id, opts, columns, max_group_rows, max_group_bytes,
 
 
 def _read_parts_fn(batch: pa.Table, *, out_dir, opts, columns, max_group_rows,
-                   max_group_bytes, block_bytes, skip, lineage_name):
+                   max_group_bytes, block_bytes, lineage_name):
     """File-granular part task (write_parquet_files, compaction): each
-    row names one part, its record id and the input files it
+    row names one pending part, its record id and the input files it
     re-encodes. The task reads them directly, so bytes never enter the
-    object store, and never reads a skipped part's inputs."""
+    object store. Finished parts never reach a task
+    (:func:`_write_input_parts`)."""
     for key, rec_id, paths in zip(*(batch.column(c).to_pylist()
                                     for c in ("key", "rec_id", "paths"))):
         load = partial(_read_groups, paths, rec_id, opts, columns,
                        max_group_rows, max_group_bytes, block_bytes)
         yield _write_part(out_dir, f"part-{key}.parquet", key, load,
-                          opts, skip=skip, lineage_name=lineage_name)
+                          opts, lineage_name=lineage_name)
 
 
 def _write_input_parts(parts, out_dir, opts, done, *, resume, columns,
                        max_group_rows, max_group_bytes, concurrency=None,
                        lineage_name: str = "_lineage") -> dict:
-    """One Ray task per ``(part key, record id, input paths)`` of
-    ``parts``, written to ``part-<key>.parquet``. With ``resume`` a
-    part is skipped when its file exists and every lineage record of it
-    carries the record id this run expects, so a changed input (a new
-    record id) re-encodes in place."""
+    """Write each ``(part key, record id, input paths)`` of ``parts``
+    to ``part-<key>.parquet``.
+
+    With ``resume`` a part is finished when its file is in ``done``
+    (the out_dir listing) and every lineage record of it carries the
+    record id this run expects. The driver totals a finished part from
+    its records and its listed size: no Ray task, no request, no input
+    read. Every other part is pending and gets one Ray task; when none
+    is, no Dataset is built. A changed input (a new record id)
+    re-encodes in place. A part deleted after ``done`` was listed
+    counts as skipped in this run, and the next run rewrites it."""
     import ray.data
 
-    skip = set()
-    for key, rec_id, _ in parts:
-        fname = f"part-{key}.parquet"
-        if resume and fname in done and all(
-                r.part_id == rec_id for r in done[fname]):
-            skip.add(fname)
-    items = [{"key": k, "rec_id": r, "paths": p} for k, r, p in parts]
-    ds = ray.data.from_items(items, override_num_blocks=max(len(items), 1))
-    fn = partial(_read_parts_fn, out_dir=out_dir, opts=opts, columns=columns,
-                 max_group_rows=max_group_rows, max_group_bytes=max_group_bytes,
-                 block_bytes=ray.data.DataContext.get_current().target_max_block_size,
-                 skip=frozenset(skip), lineage_name=lineage_name)
-    total = _drain_manifests(_map_batches(ds, fn, concurrency=concurrency), done)
+    total = _new_totals()
+    items = []
+    for key, rec_id, paths in parts:
+        fin = done.get(f"part-{key}.parquet")
+        if resume and fin and all(r.part_id == rec_id for r in fin.records):
+            _count_skipped(total, fin.size, fin.records)
+        else:
+            items.append({"key": key, "rec_id": rec_id, "paths": paths})
+    if items:
+        ds = ray.data.from_items(items, override_num_blocks=len(items))
+        fn = partial(_read_parts_fn, out_dir=out_dir, opts=opts, columns=columns,
+                     max_group_rows=max_group_rows, max_group_bytes=max_group_bytes,
+                     block_bytes=ray.data.DataContext.get_current().target_max_block_size,
+                     lineage_name=lineage_name)
+        ran = _drain_manifests(_map_batches(ds, fn, concurrency=concurrency), done)
+        for k, v in ran.items():
+            total[k] += v
     total["out_dir"] = out_dir
     return total
 
@@ -667,12 +697,21 @@ def _file_parts(paths) -> list[tuple[str, str, list[str]]]:
     URI as given), so two inputs sharing a basename in different
     directories never collide on one output part. The record id hashes
     the input's identity (:func:`fsio.identities`: path, size, version),
-    so a regenerated input no longer matches its part's records."""
+    so a regenerated input no longer matches its part's records.
+
+    An input given twice, spelled alike or not (``in/a.parquet`` and
+    ``./in/a.parquet``), raises ValueError: its two tasks would race
+    on one part file and its rows would be counted twice."""
     parts = []
+    by_key: dict[str, str] = {}
     paths = sorted(paths)
     for p, ident in zip(paths, fsio.identities(paths)):
         stem = os.path.splitext(os.path.basename(ident[0]))[0]
         key = f"{stem}-{hashlib.sha1(ident[0].encode()).hexdigest()[:8]}"
+        if key in by_key:
+            raise ValueError(f"input {p!r} is given twice "
+                             f"(also as {by_key[key]!r})")
+        by_key[key] = p
         rec_id = hashlib.sha1(json.dumps(ident).encode()).hexdigest()[:16]
         parts.append((key, rec_id, [p]))
     return parts
@@ -719,9 +758,7 @@ def write_parquet_files(
     # ONE listing, not one DELETE round trip per input: at 100k shards
     # against an object store the per-input remove() is 100k serial
     # requests on every run, almost all for names that don't exist
-    existing = {os.path.basename(f)
-                for f in fsio.glob_in(out_dir, "part-*.parquet")}
-    for name in sorted(legacy & existing):
+    for name in sorted(legacy & fsio.listdir(out_dir).keys()):
         fsio.remove(fsio.join(out_dir, name))
     done = _open_out_dir(out_dir)
     return _write_input_parts(
@@ -737,14 +774,15 @@ _FILE_PART = re.compile(r"part-.+-[0-9a-f]{8}\.parquet")
 
 def _fused_file_parts(paths, done: dict) -> Optional[list]:
     """:func:`_file_parts` for a fused read's ``paths``, or None to
-    keep content naming: when an input is a directory, or when the
-    out_dir (``done``, its finished files) holds content-named parts
+    keep content naming: when an input is a directory or is given twice
+    (the Dataset then holds its rows twice, as Ray reads them), or when
+    the out_dir (``done``, its finished files) holds content-named parts
     and none of these inputs' parts, as a content-named run of the same
     read leaves it. File-named parts next to those would duplicate
     their rows."""
     try:
         parts = _file_parts(paths)
-    except IsADirectoryError:  # a Spark-style dataset directory
+    except (IsADirectoryError, ValueError):  # a dataset dir, a duplicate
         return None
     names = {f"part-{k}.parquet" for k, _, _ in parts}
     if any(_CONTENT_PART.fullmatch(f) for f in done) and not names & done.keys():

@@ -53,8 +53,8 @@ import pyarrow.parquet as pq
 
 __all__ = [
     "is_uri", "url_fs", "join", "exists", "makedirs", "remove",
-    "rm_tree", "glob", "glob_in", "isdir", "size", "identity", "identities",
-    "within", "fs_rename_based", "tmp_name",
+    "rm_tree", "glob", "glob_in", "listdir", "isdir", "size", "identity",
+    "identities", "within", "fs_rename_based", "tmp_name",
     "atomic_sink", "write_marker", "read_bytes", "read_marker",
     "open_input", "clean_dest_tmps", "clean_stale_tmps", "mkdtemp",
     "pq_read_table", "pq_file", "pq_write_table", "parquet_num_rows",
@@ -176,28 +176,37 @@ def _identity_of(path: str, info: dict) -> tuple[str, int, str]:
     return path, int(info["size"]), str(version)
 
 
+def listdir(path: str) -> dict[str, dict]:
+    """The files directly inside the directory ``path``, each name
+    mapped to its ``info()`` entry (``size`` and the version fields),
+    from one fresh listing: no metadata request per file. Empty when
+    ``path`` is missing."""
+    fs, p = _fs(path)
+    fs.invalidate_cache(p)
+    return {posixpath.basename(k): v
+            for k, v in fs.find(p, maxdepth=1, detail=True).items()
+            if v.get("type") == "file"}
+
+
 def identities(paths) -> list[tuple[str, int, str]]:
     """:func:`identity` of each of ``paths``, in order. URIs that share
-    a directory are looked up with one listing of it, not one metadata
-    request each (the entries of a listing carry the same size and
-    version fields); a URI alone in its directory or missing from the
-    listing gets its own lookup. A local path (``file://`` too) is one
-    ``stat`` each."""
-    by_dir: dict[str, list[tuple[str, str]]] = {}
+    a directory are looked up with one listing of it (:func:`listdir`),
+    not one metadata request each; a URI alone in its directory or
+    missing from the listing gets its own lookup. A local path
+    (``file://`` too) is one ``stat`` each."""
+    by_dir: dict[str, list[str]] = {}
     for p in paths:
-        fs, fp = _fs(p)
-        if not _is_local(fs):
-            by_dir.setdefault(posixpath.dirname(p), []).append((p, fp))
+        if not _is_local(_fs(p)[0]):
+            by_dir.setdefault(posixpath.dirname(p), []).append(p)
     listed = {}
     for d, group in by_dir.items():
         if len(group) < 2:
             continue
-        fs, fd = _fs(d)
-        fs.invalidate_cache(fd)
-        entries = fs.find(fd, maxdepth=1, detail=True)
-        for p, fp in group:
-            if fp in entries:
-                listed[p] = _identity_of(p, entries[fp])
+        entries = listdir(d)
+        for p in group:
+            info = entries.get(posixpath.basename(p))
+            if info:
+                listed[p] = _identity_of(p, info)
     return [listed.get(p) or identity(p) for p in paths]
 
 
@@ -409,9 +418,15 @@ def clean_dest_tmps(path: str, max_age: float = STALE_TMP_AGE_SEC) -> None:
 def clean_stale_tmps(out_dir: str, max_age: float = STALE_TMP_AGE_SEC) -> None:
     """Remove .inprogress-* leftovers of previous killed runs anywhere
     under ``out_dir``, lineage records and checkpoint blobs included
-    (the current run's tmps don't exist yet when this is called). Two live writers may share one out_dir (the compaction
-    lineage namespace explicitly supports it), hence the age gate."""
+    (the current run's tmps don't exist yet when this is called). Two
+    live writers may share one out_dir (the compaction lineage
+    namespace explicitly supports it), hence the age gate.
+
+    Older versions put lineage records, blobs and the manifest through
+    ``<name>.tmp-*``; those are swept under ``_lineage*/`` only, since
+    a user file elsewhere may carry that suffix."""
     _sweep_tmps(out_dir, "/**/*.inprogress-*", (), max_age)
+    _sweep_tmps(out_dir, "/_lineage*/**/*.tmp-*", (), max_age)
 
 
 def mkdtemp(prefix: str, base: str | None = None) -> str:

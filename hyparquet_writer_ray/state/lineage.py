@@ -23,7 +23,7 @@ import json
 import pickle
 import posixpath
 from dataclasses import asdict, dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..core.rowgroup import RowGroupMeta
 from ..core.types import Encoding
@@ -38,6 +38,13 @@ class PartRecord:
     comp_bytes: int  # blob size
     columns: dict = field(default_factory=dict)  # name -> {encodings, codec}
     file: Optional[str] = None  # part-file mode: output file name
+
+
+class DoneFile(NamedTuple):
+    """A finished output file: its size in bytes, from the listing that
+    found it, and its records."""
+    size: int
+    records: list[PartRecord]
 
 
 def _load_record(d: dict) -> PartRecord:
@@ -121,15 +128,16 @@ class LineageLog:
         fsio.remove(self.manifest_path)
 
     # -- resume side ----------------------------------------------------
-    def _existing(self, names: set[str]) -> set[str]:
+    def _existing(self, names: set[str]) -> dict[str, int]:
         """The ``names`` (paths relative to the base dir) that exist,
-        from one listing per distinct directory they name: resuming
-        thousands of parts on an object store costs a few LISTs, not
-        one HEAD per part."""
-        found: set[str] = set()
-        for d in {posixpath.dirname(n) for n in names}:
-            found.update(fsio.glob_in(fsio.join(self.base, d), "*"))
-        return {n for n in names if fsio.join(self.base, n) in found}
+        each mapped to its size, from one listing per distinct directory
+        they name (:func:`fsio.listdir`): resuming thousands of parts on
+        an object store costs a few LISTs, not one HEAD per part."""
+        listed = {d: fsio.listdir(fsio.join(self.base, d))
+                  for d in {posixpath.dirname(n) for n in names}}
+        found = {n: listed[posixpath.dirname(n)].get(posixpath.basename(n))
+                 for n in names}
+        return {n: int(info["size"]) for n, info in found.items() if info}
 
     def _done(self, recs: list[PartRecord]) -> list[PartRecord]:
         """The records whose output still exists: the checkpointed blob
@@ -145,10 +153,12 @@ class LineageLog:
 
     def _manifest_records(self) -> list[PartRecord]:
         """Records of a legacy ``manifest.jsonl``, read only."""
-        if not fsio.exists(self.manifest_path):
+        try:
+            text = fsio.read_marker(self.manifest_path)
+        except FileNotFoundError:
             return []
         out = []
-        for line in fsio.read_marker(self.manifest_path).splitlines():
+        for line in text.splitlines():
             line = line.strip()
             if not line:
                 continue
@@ -162,10 +172,12 @@ class LineageLog:
         """The records of each finished part (one per row group), from
         the worker-written ``parts/`` files."""
         out = []
-        for fpath in fsio.glob_in(self.parts_dir, "*.json"):
+        for name in fsio.listdir(self.parts_dir):
+            if not name.endswith(".json"):
+                continue
             try:
-                out.append([_load_record(d)
-                            for d in json.loads(fsio.read_marker(fpath))])
+                out.append([_load_record(d) for d in json.loads(
+                    fsio.read_marker(fsio.join(self.parts_dir, name)))])
             except (json.JSONDecodeError, OSError):
                 continue  # torn write of a non-atomic fs: ignore
         return out
@@ -186,16 +198,17 @@ class LineageLog:
     def completed_parts(self) -> dict[str, PartRecord]:
         return {r.part_id: r for r in self._done(self._records())}
 
-    def completed_records(self) -> dict[str, list[PartRecord]]:
+    def completed_records(self) -> dict[str, DoneFile]:
         """Part-file mode: every recorded output file that exists,
-        mapped to its records (one per row group; their ``raw_bytes``
-        sum to what the writer reported when it wrote the file)."""
+        mapped to its size in the listing that found it and its records
+        (one per row group; their ``raw_bytes`` sum to what the writer
+        reported when it wrote the file)."""
         recs: dict[str, list[PartRecord]] = {}
         for rec in self._records():
             if rec.file:
                 recs.setdefault(rec.file, []).append(rec)
         have = self._existing(set(recs))
-        return {f: r for f, r in recs.items() if f in have}
+        return {f: DoneFile(have[f], r) for f, r in recs.items() if f in have}
 
     def load_blob(self, part_id: str):
         return pickle.loads(fsio.read_bytes(fsio.join(self.blob_dir, part_id)))

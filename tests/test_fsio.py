@@ -754,6 +754,31 @@ def test_file_uri_out_dir_sweeps_aged_tmps(ray_session, tmp_path):
     assert fresh.exists()
 
 
+def test_clean_stale_tmps_sweeps_legacy_lineage_tmps(tmp_path):
+    """Versions before the one tmp name wrote lineage records, blobs and
+    the manifest through ``<name>.tmp-*``. The out_dir sweep removes an
+    aged one under ``_lineage*/`` and keeps a fresh one; a user file
+    with that suffix outside ``_lineage*/`` is never touched."""
+    import time
+
+    out = tmp_path / "out"
+    aged = [out / "_lineage" / "parts" / "p.json.tmp-1-dead",
+            out / "_lineage" / "manifest.jsonl.tmp-2-dead",
+            out / "_lineage_compact" / "blobs" / "b.tmp-3-dead"]
+    fresh = out / "_lineage" / "parts" / "q.json.tmp-4-beef"
+    user = [out / "x.tmp-1", out / "k=a" / "x.tmp-1"]
+    for f in aged + [fresh] + user:
+        f.parent.mkdir(parents=True, exist_ok=True)
+        f.write_bytes(b"x")
+    past = time.time() - 7200
+    for f in aged + user:
+        os.utime(f, (past, past))
+    fsio.clean_stale_tmps(str(out))
+    assert [f for f in aged if f.exists()] == []
+    assert fresh.exists()
+    assert all(f.exists() for f in user)
+
+
 def test_write_part_record_same_key_concurrently(tmp_path, monkeypatch):
     """Two tasks finishing the same content-addressed part write the
     same record concurrently: each needs its own tmp, or the loser's

@@ -8,8 +8,9 @@ named parts. Also: a regenerated input re-encodes, an out_dir written
 with content names keeps them, a part task streams its input a block
 at a time with the bytes of a whole-table read, URI inputs on both
 fault-injecting backend classes (tests/faultfs.py) kill and resume
-and are named from one listing, and the CLI expands URI inputs and
-subdirectories."""
+and are named from one listing, a resume hands Ray only the parts it
+writes, a duplicate input is rejected, and the CLI expands URI inputs
+and subdirectories."""
 from __future__ import annotations
 
 import glob
@@ -88,7 +89,7 @@ def test_fused_read_writes_one_file_named_part_per_input(ray_session, tmp_path):
     # record ids hash the input identity: no decoded byte was hashed
     ids = {json.dumps(fsio.identity(p)) for p in paths}
     recs = LineageLog(str(out)).completed_records()
-    assert {r.part_id for part in recs.values() for r in part} == \
+    assert {r.part_id for part in recs.values() for r in part.records} == \
         {hashlib.sha1(i.encode()).hexdigest()[:16] for i in ids}
 
 
@@ -135,7 +136,7 @@ def test_write_parquet_files_reencodes_regenerated_input(ray_session, tmp_path):
         assert resumed[key] == fresh[key], key
     recs = LineageLog(str(out)).completed_records()
     assert sorted(recs) == before
-    assert all(len(r) == 1 for r in recs.values())  # one row group each
+    assert all(len(f.records) == 1 for f in recs.values())  # one row group each
     again = W.write_parquet_files(paths, str(out))
     assert again["skipped_parts"] == 4
     assert again["uncompressed_bytes"] == fresh["uncompressed_bytes"]
@@ -345,34 +346,67 @@ class _InProcess:
         return self.batches
 
 
+class _PartTasks:
+    """Runs the file-granular part tasks in this process and records
+    what reached them: ``items``, the rows of each ``from_items`` call,
+    and ``maps``, one entry per ``_map_batches`` call. With a fault
+    store ``cls``, appending ``n`` to ``kill_after`` fails the second
+    write of the part after the ``n``-th."""
+
+    def __init__(self, monkeypatch, cls=None) -> None:
+        import ray.data
+
+        self.items: list[list[dict]] = []
+        self.maps: list = []
+        self.kill_after: list[int] = []
+
+        def from_items(items, **_):
+            self.items.append(items)
+            return pa.Table.from_pylist(items)
+
+        def tasks(table, fn, **_):
+            self.maps.append(fn)
+
+            def run():
+                for i, row in enumerate(fn(table)):
+                    yield row
+                    if self.kill_after and i + 1 == self.kill_after[0]:
+                        cls.fail_write(2)
+            return _InProcess(run())
+
+        monkeypatch.setattr(ray.data, "from_items", from_items)
+        monkeypatch.setattr(W, "_map_batches", tasks)
+
+
+_STORES = {"faultmv": faultfs.RenameFS, "faultput": faultfs.PutFS}
+
+
 @pytest.fixture(params=["faultmv", "faultput"])
 def fault_store(request, monkeypatch):
     """(protocol, kill_after) with the file-granular part tasks run in
-    this process. Appending ``n`` to ``kill_after`` fails the second
-    write of the part after the ``n``-th."""
-    import ray.data
-
-    cls = faultfs.RenameFS if request.param == "faultmv" else faultfs.PutFS
+    this process (:class:`_PartTasks`)."""
+    cls = _STORES[request.param]
     cls.reset()
-    kill_after: list[int] = []
-
-    def tasks(table, fn, **_):
-        def run():
-            for i, row in enumerate(fn(table)):
-                yield row
-                if kill_after and i + 1 == kill_after[0]:
-                    cls.fail_write(2)
-        return _InProcess(run())
-
-    monkeypatch.setattr(ray.data, "from_items",
-                        lambda items, **_: pa.Table.from_pylist(items))
-    monkeypatch.setattr(W, "_map_batches", tasks)
-    yield request.param, kill_after
+    yield request.param, _PartTasks(monkeypatch, cls).kill_after
     cls.reset()
 
 
-def _uri_inputs(proto: str) -> list[str]:
-    paths = [f"{proto}://in/in-{i}.parquet" for i in range(4)]
+@pytest.fixture(params=["local", "faultmv", "faultput"])
+def part_tasks(request, monkeypatch, tmp_path):
+    """(base dir, :class:`_PartTasks`) on a local path and on both fault
+    stores."""
+    cls = _STORES.get(request.param)
+    if cls is None:
+        yield str(tmp_path), _PartTasks(monkeypatch)
+        return
+    cls.reset()
+    yield f"{request.param}://", _PartTasks(monkeypatch, cls)
+    cls.reset()
+
+
+def _store_inputs(base: str, n: int = 4) -> list[str]:
+    fsio.makedirs(fsio.join(base, "in"))
+    paths = [fsio.join(base, "in", f"in-{i}.parquet") for i in range(n)]
     for i, p in enumerate(paths):
         fsio.pq_write_table(_table(i), p)
     return paths
@@ -383,7 +417,7 @@ def test_uri_inputs_kill_then_resume(fault_store):
     atomic-PUT store: a run killed mid-part resumes, skipping the parts
     finished before the kill, and ends equal to an uninterrupted run."""
     proto, kill_after = fault_store
-    paths = _uri_inputs(proto)
+    paths = _store_inputs(f"{proto}://")
     clean = W.write_parquet_files(paths, f"{proto}://clean")
 
     kill_after.append(2)
@@ -408,7 +442,7 @@ def test_compaction_uri_inputs(fault_store):
     """Compaction buckets URI inputs by their identity's size, refuses
     an out_dir that holds its inputs, and resumes finished buckets."""
     proto, _ = fault_store
-    paths = _uri_inputs(proto)
+    paths = _store_inputs(f"{proto}://")
     size = sum(fsio.identity(p)[1] for p in paths[:2])
     out = f"{proto}://compact"
     s = W.compact_parquet_dataset(f"{proto}://in", out, target_part_bytes=size)
@@ -422,6 +456,99 @@ def test_compaction_uri_inputs(fault_store):
     assert again["skipped_parts"] == s["parts"]
     with pytest.raises(ValueError, match="in place"):
         W.compact_parquet_dataset(paths, f"{proto}://in")
+
+
+def test_resume_hands_tasks_only_pending_parts(part_tasks):
+    """A resume builds its Ray items from the pending parts only; the
+    driver totals the finished ones, so the result equals the fresh
+    run's."""
+    base, tasks = part_tasks
+    paths = _store_inputs(base)
+    out = fsio.join(base, "out")
+    fresh = W.write_parquet_files(paths, out)
+    assert len(tasks.items[-1]) == 4
+    fsio.remove(fsio.glob_in(out, "part-*.parquet")[1])
+    resumed = W.write_parquet_files(paths, out)
+    assert [item["paths"] for item in tasks.items[-1]] == [[paths[1]]]
+    assert resumed == {**fresh, "skipped_parts": 3}
+
+
+def test_finished_resume_runs_no_task(part_tasks):
+    """With every part finished, neither the file writer nor compaction
+    builds a Dataset or maps a task, and both return the fresh totals,
+    file bytes included."""
+    base, tasks = part_tasks
+    paths = _store_inputs(base)
+    size = sum(fsio.identity(p)[1] for p in paths[:2])
+    files, compact = fsio.join(base, "files"), fsio.join(base, "compact")
+    fresh = W.write_parquet_files(paths, files)
+    fresh_c = W.compact_parquet_dataset(paths, compact, target_part_bytes=size)
+    assert fresh["compressed_bytes"] == sum(
+        len(fsio.read_bytes(p)) for p in fsio.glob_in(files, "part-*.parquet"))
+    ran = len(tasks.maps), len(tasks.items)
+    again = W.write_parquet_files(paths, files)
+    again_c = W.compact_parquet_dataset(paths, compact, target_part_bytes=size)
+    assert (len(tasks.maps), len(tasks.items)) == ran
+    assert again == {**fresh, "skipped_parts": 4}
+    assert again_c == {**fresh_c, "skipped_parts": fresh_c["parts"]}
+
+
+def test_resume_lists_finished_parts_instead_of_heads(monkeypatch):
+    """On an atomic-PUT store, resuming 3 or 30 finished parts costs the
+    same listings and not one metadata request: sizes come with the
+    listing of the out_dir."""
+    fs = faultfs.PutFS
+    fs.reset()
+    _PartTasks(monkeypatch, fs)
+
+    def calls(n: int) -> dict:
+        paths = _store_inputs(f"faultput://many{n}", n)
+        out = f"faultput://many{n}/out"
+        W.write_parquet_files(paths, out)
+        fs.calls.clear()
+        assert W.write_parquet_files(paths, out)["skipped_parts"] == n
+        return dict(fs.calls)
+
+    try:
+        few, many = calls(3), calls(30)
+        assert few == many
+        assert set(few) == {"find"}
+    finally:
+        fs.reset()
+
+
+def test_fused_resume_with_every_part_finished_runs_no_task(
+        ray_session, tmp_path, monkeypatch):
+    """The fused route through Ray: a resume with nothing pending maps
+    no task and returns the fresh totals."""
+    paths = _inputs(tmp_path / "in")
+    out = str(tmp_path / "out")
+    fresh = W.write_parquet_dataset(W.read_parquet_fused(paths), out)
+    maps = []
+    real = W._map_batches
+    monkeypatch.setattr(W, "_map_batches",
+                        lambda *a, **kw: maps.append(a) or real(*a, **kw))
+    again = W.write_parquet_dataset(W.read_parquet_fused(paths), out)
+    assert maps == []
+    assert again == {**fresh, "skipped_parts": 4}
+
+
+def test_duplicate_input_is_rejected(ray_session, tmp_path, monkeypatch):
+    """An input given twice, spelled alike or not, would send two tasks
+    racing on one part file and count its rows twice:
+    ``write_parquet_files`` raises before writing anything. A fused read
+    of such paths holds the rows twice, as Ray reads them, and keeps
+    content names."""
+    monkeypatch.chdir(tmp_path)
+    p = _inputs(tmp_path / "in", 1)[0]
+    out = tmp_path / "out"
+    for dup in ([p, p], [p, "in/in-0.parquet"], ["./in/../in/in-0.parquet", p]):
+        with pytest.raises(ValueError, match="in-0.parquet"):
+            W.write_parquet_files(dup, str(out))
+    assert not out.exists()
+    W.write_parquet_dataset(W.read_parquet_fused([p, f"{tmp_path}/in/./in-0.parquet"]),
+                            str(tmp_path / "ds"))
+    assert all(CONTENT.fullmatch(n) for n in _parts(tmp_path / "ds"))
 
 
 def _cli(*args: str) -> dict:

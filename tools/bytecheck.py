@@ -35,7 +35,11 @@ writers instead: ``write_parquet_dataset`` (plain and with ``sort_by``),
 ``checkpoint_dir``, all on four small seeded web-table files. It prints
 one ``sha256  writer/relative-name`` line per output part and per
 lineage ``parts/*.json`` record or checkpoint blob, sorted by name.
-Part names of ``write_parquet_files`` hash the absolute input path and
+Then it deletes one part per writer (for ``single``, one checkpoint
+blob), reruns every writer as a resume, and exits with an error unless
+the resumed files hash the same as the fresh ones; the printed lines
+are the fresh run's. Part names of ``write_parquet_files`` hash the
+absolute input path and
 compaction bucket ids hash input mtimes, so the inputs live at a fixed
 path (``--out``, default ``<tmpdir>/hpw-bytecheck-ray``) and get a
 fixed mtime.
@@ -133,10 +137,12 @@ def _files() -> list[tuple[str, pa.Table, WriteOptions]]:
     ]
 
 
-def _ray_writers(work: str) -> list[str]:
-    """Run every Ray writer into ``work/<writer>``; return the writers."""
+WRITERS = ["dataset", "dataset_sorted", "partitioned", "files", "compact", "single"]
+
+
+def _ray_writers(work: str) -> None:
+    """Run every Ray writer into ``work/<writer>`` (a rerun resumes)."""
     import pyarrow.parquet as pq
-    import ray
 
     from hyparquet_writer_ray.pipelines.write import (
         compact_parquet_dataset,
@@ -148,37 +154,59 @@ def _ray_writers(work: str) -> list[str]:
     )
 
     inp = os.path.join(work, "in")
-    os.makedirs(inp)
-    paths = []
-    for i in range(4):
-        path = os.path.join(inp, f"web-{i}.parquet")
-        pq.write_table(synthesize_batch(i * 2_000, 2_000), path)
-        os.utime(path, ns=(1_700_000_000 * 10**9,) * 2)
-        paths.append(path)
+    paths = [os.path.join(inp, f"web-{i}.parquet") for i in range(4)]
+    if not os.path.isdir(inp):
+        os.makedirs(inp)
+        for i, path in enumerate(paths):
+            pq.write_table(synthesize_batch(i * 2_000, 2_000), path)
+            os.utime(path, ns=(1_700_000_000 * 10**9,) * 2)
     opts = WriteOptions(auto_codec="smart")
     small = dict(max_group_rows=700)
     out = lambda name: os.path.join(work, name)  # noqa: E731
-    ray.init(address="local", num_cpus=2, include_dashboard=False)
-    try:
-        write_parquet_dataset(read_parquet_fused(inp), out("dataset"), opts, **small)
-        write_parquet_dataset(read_parquet_fused(inp), out("dataset_sorted"), opts,
-                              sort_by=["lang", "url"], **small)
-        write_parquet_partitioned(read_parquet_fused(inp), out("partitioned"), "lang",
-                                  opts, **small)
-        write_parquet_files(paths, out("files"), opts, **small)
-        compact_parquet_dataset(inp, out("compact"), opts,
-                                target_part_bytes=3 * os.path.getsize(paths[0]), **small)
-        write_parquet_single_file(read_parquet_fused(inp),
-                                  os.path.join(out("single"), "data.parquet"), opts,
-                                  checkpoint_dir=out("single/checkpoint"), **small)
-    finally:
-        ray.shutdown()
-    return ["dataset", "dataset_sorted", "partitioned", "files", "compact", "single"]
+    write_parquet_dataset(read_parquet_fused(inp), out("dataset"), opts, **small)
+    write_parquet_dataset(read_parquet_fused(inp), out("dataset_sorted"), opts,
+                          sort_by=["lang", "url"], **small)
+    write_parquet_partitioned(read_parquet_fused(inp), out("partitioned"), "lang",
+                              opts, **small)
+    write_parquet_files(paths, out("files"), opts, **small)
+    compact_parquet_dataset(inp, out("compact"), opts,
+                            target_part_bytes=3 * os.path.getsize(paths[0]), **small)
+    write_parquet_single_file(read_parquet_fused(inp),
+                              os.path.join(out("single"), "data.parquet"), opts,
+                              checkpoint_dir=out("single/checkpoint"), **small)
+
+
+def _delete_one_part(work: str, lines: list[str]) -> None:
+    """Delete each writer's first part in name order; for ``single``,
+    its first checkpoint blob."""
+    names = [line.split("  ", 1)[1] for line in lines]
+    for writer in WRITERS:
+        kind = "/blobs/" if writer == "single" else ".parquet"
+        os.remove(os.path.join(work, next(
+            n for n in names if n.startswith(writer + "/") and kind in n)))
 
 
 def _ray_lines(work: str) -> list[str]:
+    import ray
+
+    ray.init(address="local", num_cpus=2, include_dashboard=False)
+    try:
+        _ray_writers(work)
+        fresh = _hashes(work)
+        _delete_one_part(work, fresh)
+        _ray_writers(work)
+    finally:
+        ray.shutdown()
+    resumed = _hashes(work)
+    if resumed != fresh:
+        changed = sorted(set(fresh) ^ set(resumed), key=lambda line: line.split("  ", 1)[1])
+        raise SystemExit("resume changed these files:\n" + "\n".join(changed))
+    return fresh
+
+
+def _hashes(work: str) -> list[str]:
     lines = []
-    for writer in _ray_writers(work):
+    for writer in WRITERS:
         base = os.path.join(work, writer)
         for root, _, names in os.walk(base):
             for name in names:
