@@ -15,15 +15,14 @@ Two output shapes:
   checkpoint resume: a killed job skips parts already on disk.
 
 Every part-file writer (dataset, hive-partitioned, file-to-file,
-compaction) maps its per-part work over a Dataset with
-:func:`_map_batches`, writes each part and its lineage record through
-the one kernel :func:`_write_part`, and totals the parts' summary rows
-with :func:`_drain_manifests`. A part made from input files is named by
-them and resumed on their identity (``fsio.identity``): the driver
-settles a finished one from the out_dir listing and its records, so a
-resume launches tasks only for the parts it writes. Only a part of an
-opaque Dataset is named by a hash of its content, which its task
-computes, so its task also decides whether it is finished.
+compaction) writes each part and its lineage record through the one
+kernel :func:`_write_part` and totals the parts' summary rows with
+:func:`_add_row`. A part of an opaque Dataset is named by a hash of its
+content, which only its task computes, so those writers map over the
+Dataset with :func:`_map_batches`. A part made from input files is
+named by them and resumed on their identity (``fsio.identity``): the
+driver settles a finished one from the out_dir listing and its records
+and runs each pending one as a plain Ray task (:func:`_write_input_parts`).
 """
 from __future__ import annotations
 
@@ -37,6 +36,7 @@ import warnings
 import weakref
 from contextlib import contextmanager
 from functools import partial
+from itertools import islice
 from typing import Optional
 
 import pyarrow as pa
@@ -88,7 +88,9 @@ def read_parquet_fused(path_or_paths, *, columns: Optional[list[str]] = None, **
 
     The returned Dataset remembers that it is a plain read of these
     files, so ``write_parquet_dataset`` can write one part per input
-    file and resume without reading finished inputs. It does not when
+    file and resume without reading finished inputs; it then never
+    executes the read: each part's task reads its file itself
+    (:func:`_write_input_parts`). It does not when
     ``kw`` is given or a path has a ``key=value`` directory (Ray adds a
     hive column for it that a plain file read does not), nor does any
     Dataset derived from it."""
@@ -115,8 +117,9 @@ def read_parquet_fused(path_or_paths, *, columns: Optional[list[str]] = None, **
 
 def _task_concurrency(concurrency):
     """Map an actor-style (min, max) concurrency spec to the int ceiling
-    task-mode ``map_batches`` accepts — a tuple would otherwise be
-    silently dropped."""
+    on tasks in flight that task-mode ``map_batches`` accepts (a tuple
+    would otherwise be silently dropped) and :func:`_write_input_parts`
+    keeps."""
     if isinstance(concurrency, tuple):
         return concurrency[1]
     return concurrency
@@ -216,25 +219,27 @@ def _count_skipped(total: dict, file_bytes: int, recs) -> None:
     total["uncompressed_bytes"] += sum(r.raw_bytes for r in recs)
 
 
+def _add_row(total: dict, row: dict, done: dict) -> None:
+    """Add one part's summary row (:func:`_manifest_row`) to ``total``;
+    a skipped (resumed) part's rows and uncompressed bytes come from its
+    lineage records (``done``, :meth:`LineageLog.completed_records`)."""
+    if row["skipped"]:
+        _count_skipped(total, row["compressed_bytes"], done[row["file"]].records)
+        return
+    total["parts"] += 1
+    total["compressed_bytes"] += row["compressed_bytes"]
+    total["rows"] += row["rows"]
+    total["uncompressed_bytes"] += row["uncompressed_bytes"]
+
+
 def _drain_manifests(manifest_ds, done: dict) -> dict:
-    """Shared driver loop for the part-file writers: run the part tasks
-    and total their summary rows. ONE semantics for all writers, so a
-    resume returns the totals of a fresh run: every part counts its
-    file bytes on disk; a skipped (resumed) part's rows and
-    uncompressed bytes come from its lineage records (``done``, from
-    :meth:`LineageLog.completed_records`)."""
+    """Driver loop of the content-named part writers: run the part tasks
+    of ``manifest_ds`` and total their summary rows (:func:`_add_row`)."""
     total = _new_totals()
     for batch in manifest_ds.iter_batches(batch_size=None,
                                           batch_format="pyarrow"):
         for row in batch.to_pylist():
-            if row["skipped"]:
-                _count_skipped(total, row["compressed_bytes"],
-                               done[row["file"]].records)
-                continue
-            total["parts"] += 1
-            total["compressed_bytes"] += row["compressed_bytes"]
-            total["rows"] += row["rows"]
-            total["uncompressed_bytes"] += row["uncompressed_bytes"]
+            _add_row(total, row, done)
     return total
 
 
@@ -639,54 +644,97 @@ def _read_groups(paths, rec_id, opts, columns, max_group_rows, max_group_bytes,
                        split_row_groups(t, max_group_rows, max_group_bytes))
 
 
-def _read_parts_fn(batch: pa.Table, *, out_dir, opts, columns, max_group_rows,
-                   max_group_bytes, block_bytes, lineage_name):
-    """File-granular part task (write_parquet_files, compaction): each
-    row names one pending part, its record id and the input files it
-    re-encodes. The task reads them directly, so bytes never enter the
-    object store. Finished parts never reach a task
-    (:func:`_write_input_parts`)."""
-    for key, rec_id, paths in zip(*(batch.column(c).to_pylist()
-                                    for c in ("key", "rec_id", "paths"))):
-        load = partial(_read_groups, paths, rec_id, opts, columns,
-                       max_group_rows, max_group_bytes, block_bytes)
-        yield _write_part(out_dir, f"part-{key}.parquet", key, load,
-                          opts, lineage_name=lineage_name)
+_PART_REMOTE = None
+
+
+def _part_remote():
+    """ray.remote wrapper for :func:`_write_input_part`, created once per
+    process, with the retry options Ray Data gives its own tasks."""
+    global _PART_REMOTE
+    if _PART_REMOTE is None:
+        import ray
+
+        _PART_REMOTE = ray.remote(
+            max_retries=-1,
+            retry_exceptions=[ray.exceptions.RaySystemError],
+        )(_write_input_part)
+    return _PART_REMOTE
+
+
+def _write_input_part(key, rec_id, paths, *, out_dir, opts, columns,
+                      max_group_rows, max_group_bytes, block_bytes,
+                      lineage_name) -> dict:
+    """One file-granular part task: re-encode the input files ``paths``,
+    read directly (their bytes never enter the object store), into
+    ``part-<key>.parquet`` and return its summary row."""
+    load = partial(_read_groups, paths, rec_id, opts, columns,
+                   max_group_rows, max_group_bytes, block_bytes)
+    return _write_part(out_dir, f"part-{key}.parquet", key, load, opts,
+                       lineage_name=lineage_name).to_pylist()[0]
 
 
 def _write_input_parts(parts, out_dir, opts, done, *, resume, columns,
                        max_group_rows, max_group_bytes, concurrency=None,
                        lineage_name: str = "_lineage") -> dict:
     """Write each ``(part key, record id, input paths)`` of ``parts``
-    to ``part-<key>.parquet``.
+    to ``part-<key>.parquet``: each pending part as one plain Ray task
+    (:func:`_write_input_part`), at most ``concurrency`` in flight.
 
     With ``resume`` a part is finished when its file is in ``done``
     (the out_dir listing) and every lineage record of it carries the
-    record id this run expects. The driver totals a finished part from
-    its records and its listed size: no Ray task, no request, no input
-    read. Every other part is pending and gets one Ray task; when none
-    is, no Dataset is built. A changed input (a new record id)
-    re-encodes in place. A part deleted after ``done`` was listed
-    counts as skipped in this run, and the next run rewrites it."""
-    import ray.data
+    record id this run expects; the driver totals it from its records
+    and listed size, with no task, request or input read. A changed
+    input (a new record id) re-encodes in place. A part deleted after
+    ``done`` was listed counts as skipped in this run, and the next run
+    rewrites it. A failed task cancels the ones in flight and raises
+    its error; the parts finished before it keep their records."""
+    import ray
+    from ray.data import DataContext
 
     total = _new_totals()
-    items = []
+    pending = []
     for key, rec_id, paths in parts:
         fin = done.get(f"part-{key}.parquet")
         if resume and fin and all(r.part_id == rec_id for r in fin.records):
             _count_skipped(total, fin.size, fin.records)
         else:
-            items.append({"key": key, "rec_id": rec_id, "paths": paths})
-    if items:
-        ds = ray.data.from_items(items, override_num_blocks=len(items))
-        fn = partial(_read_parts_fn, out_dir=out_dir, opts=opts, columns=columns,
-                     max_group_rows=max_group_rows, max_group_bytes=max_group_bytes,
-                     block_bytes=ray.data.DataContext.get_current().target_max_block_size,
-                     lineage_name=lineage_name)
-        ran = _drain_manifests(_map_batches(ds, fn, concurrency=concurrency), done)
-        for k, v in ran.items():
-            total[k] += v
+            pending.append((key, rec_id, paths))
+    if pending:
+        ctx = DataContext.get_current()
+        task = _part_remote().options(scheduling_strategy=ctx.scheduling_strategy)
+        kw = dict(out_dir=out_dir, opts=opts, columns=columns,
+                  max_group_rows=max_group_rows, max_group_bytes=max_group_bytes,
+                  block_bytes=ctx.target_max_block_size,
+                  lineage_name=lineage_name)
+        todo = iter(pending)
+        limit = _task_concurrency(concurrency) or len(pending)
+        running = [task.remote(*p, **kw) for p in islice(todo, limit)]
+        ready = []
+        try:
+            while running:
+                # take every finished task at once: a wait costs O(tasks
+                # in flight), so one wait per task is quadratic in a
+                # job of many parts
+                ready, running = ray.wait(running, num_returns=len(running),
+                                          timeout=0)
+                if not ready:
+                    ready, running = ray.wait(running, num_returns=1)
+                while ready:
+                    _add_row(total, ray.get(ready.pop()), done)
+                running += [task.remote(*p, **kw)
+                            for p in islice(todo, limit - len(running))]
+        except BaseException:
+            # kill, not interrupt: an interrupt landing in an import
+            # half-initialises the worker's modules. Wait for each, and
+            # take its error so that Ray logs none as unhandled.
+            for ref in running:
+                ray.cancel(ref, force=True)
+            for ref in ready + running:
+                try:
+                    ray.get(ref)
+                except Exception:
+                    pass
+            raise
     total["out_dir"] = out_dir
     return total
 
@@ -699,19 +747,23 @@ def _file_parts(paths) -> list[tuple[str, str, list[str]]]:
     the input's identity (:func:`fsio.identities`: path, size, version),
     so a regenerated input no longer matches its part's records.
 
-    An input given twice, spelled alike or not (``in/a.parquet`` and
-    ``./in/a.parquet``), raises ValueError: its two tasks would race
-    on one part file and its rows would be counted twice."""
+    An input given twice, spelled alike or not (``in/a.parquet``,
+    ``./in/a.parquet``, ``file:///abs/in/a.parquet``), raises
+    ValueError: its two tasks would race on one part file and its rows
+    would be counted twice. The check compares
+    :func:`fsio.location`; keys and record ids keep hashing the path as
+    given, so out_dirs written before still resume."""
     parts = []
-    by_key: dict[str, str] = {}
+    seen: dict[tuple[str, str], str] = {}
     paths = sorted(paths)
     for p, ident in zip(paths, fsio.identities(paths)):
+        loc = fsio.location(p)
+        if loc in seen:
+            raise ValueError(f"input {p!r} is given twice "
+                             f"(also as {seen[loc]!r})")
+        seen[loc] = p
         stem = os.path.splitext(os.path.basename(ident[0]))[0]
         key = f"{stem}-{hashlib.sha1(ident[0].encode()).hexdigest()[:8]}"
-        if key in by_key:
-            raise ValueError(f"input {p!r} is given twice "
-                             f"(also as {by_key[key]!r})")
-        by_key[key] = p
         rec_id = hashlib.sha1(json.dumps(ident).encode()).hexdigest()[:16]
         parts.append((key, rec_id, [p]))
     return parts

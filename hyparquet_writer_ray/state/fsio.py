@@ -54,7 +54,7 @@ import pyarrow.parquet as pq
 __all__ = [
     "is_uri", "url_fs", "join", "exists", "makedirs", "remove",
     "rm_tree", "glob", "glob_in", "listdir", "isdir", "size", "identity",
-    "identities", "within", "fs_rename_based", "tmp_name",
+    "identities", "location", "within", "fs_rename_based", "tmp_name",
     "atomic_sink", "write_marker", "read_bytes", "read_marker",
     "open_input", "clean_dest_tmps", "clean_stale_tmps", "mkdtemp",
     "pq_read_table", "pq_file", "pq_write_table", "parquet_num_rows",
@@ -208,6 +208,17 @@ def identities(paths) -> list[tuple[str, int, str]]:
             if info:
                 listed[p] = _identity_of(p, info)
     return [listed.get(p) or identity(p) for p in paths]
+
+
+def location(path: str) -> tuple[str, str]:
+    """Where ``path`` points, spelled one way, so two spellings of one
+    file compare equal: a local path (``file://`` too) is its realpath,
+    any other its protocol and normalised in-fs path."""
+    fs, p = _fs(path)
+    if _is_local(fs):
+        return "file", os.path.realpath(p)
+    proto = fs.protocol if isinstance(fs.protocol, str) else fs.protocol[0]
+    return proto, posixpath.normpath(p)
 
 
 def within(path: str, base: str) -> bool:

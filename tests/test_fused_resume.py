@@ -9,8 +9,9 @@ with content names keeps them, a part task streams its input a block
 at a time with the bytes of a whole-table read, URI inputs on both
 fault-injecting backend classes (tests/faultfs.py) kill and resume
 and are named from one listing, a resume hands Ray only the parts it
-writes, a duplicate input is rejected, and the CLI expands URI inputs
-and subdirectories."""
+writes, ``concurrency`` caps the part tasks in flight, a failed part
+task fails the call and cancels the rest, a duplicate input is
+rejected, and the CLI expands URI inputs and subdirectories."""
 from __future__ import annotations
 
 import glob
@@ -20,6 +21,7 @@ import os
 import re
 import subprocess
 import sys
+from functools import partial
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -335,47 +337,76 @@ def test_file_parts_list_inputs_instead_of_heads():
         fs.reset()
 
 
-class _InProcess:
-    """Stands in for the Dataset of part tasks: ``fn`` runs in this
-    process, where the in-memory test filesystems live."""
-
-    def __init__(self, batches) -> None:
-        self.batches = batches
-
-    def iter_batches(self, **_):
-        return self.batches
-
-
 class _PartTasks:
-    """Runs the file-granular part tasks in this process and records
-    what reached them: ``items``, the rows of each ``from_items`` call,
-    and ``maps``, one entry per ``_map_batches`` call. With a fault
-    store ``cls``, appending ``n`` to ``kill_after`` fails the second
-    write of the part after the ``n``-th."""
+    """Stands in for Ray at the file-granular part tasks' seam
+    (``W._part_remote`` and the ``ray.wait``/``ray.get``/``ray.cancel``
+    calls of ``W._write_input_parts``): a submitted task runs in this
+    process, where the in-memory test filesystems live, when a blocking
+    ``ray.wait`` hands it back. Records ``calls``, the ``(key, record
+    id, paths)`` of every submitted task, ``peak``, the most tasks in
+    flight at once, and ``cancelled``, the tasks cancelled. With a
+    fault store ``cls``, :meth:`kill_after` fails a later part
+    mid-write."""
 
     def __init__(self, monkeypatch, cls=None) -> None:
-        import ray.data
+        import ray
 
-        self.items: list[list[dict]] = []
-        self.maps: list = []
-        self.kill_after: list[int] = []
+        self.calls: list[tuple] = []
+        self.peak = self.cancelled = 0
+        self.cls = cls
+        self._countdown = None
+        running: list = []
+        tasks = self
 
-        def from_items(items, **_):
-            self.items.append(items)
-            return pa.Table.from_pylist(items)
+        class Task:
+            def options(self, **_):
+                return self
 
-        def tasks(table, fn, **_):
-            self.maps.append(fn)
+            def remote(self, *args, **kw):
+                tasks.calls.append(args)
+                ref = [partial(W._write_input_part, *args, **kw), None]
+                running.append(ref)
+                tasks.peak = max(tasks.peak, len(running))
+                return ref
 
-            def run():
-                for i, row in enumerate(fn(table)):
-                    yield row
-                    if self.kill_after and i + 1 == self.kill_after[0]:
-                        cls.fail_write(2)
-            return _InProcess(run())
+        def wait(refs, num_returns=1, timeout=None):
+            if timeout == 0:  # nothing finishes until it is waited on
+                return [], refs
+            ref = refs[0]
+            running.remove(ref)
+            try:
+                ref[1] = ref[0]()
+            except Exception as e:
+                ref[1] = e
+            tasks._ran()
+            return [ref], refs[1:]
 
-        monkeypatch.setattr(ray.data, "from_items", from_items)
-        monkeypatch.setattr(W, "_map_batches", tasks)
+        def get(ref):
+            if isinstance(ref[1], Exception):
+                raise ref[1]
+            return ref[1]
+
+        def cancel(ref, **_):
+            tasks.cancelled += 1
+            running.remove(ref)
+            ref[1] = ray.exceptions.TaskCancelledError()
+
+        monkeypatch.setattr(W, "_part_remote", Task)
+        monkeypatch.setattr(ray, "wait", wait)
+        monkeypatch.setattr(ray, "get", get)
+        monkeypatch.setattr(ray, "cancel", cancel)
+
+    def kill_after(self, n: int) -> None:
+        """Fail the second write of the part after the ``n``-th task
+        from now to finish."""
+        self._countdown = n
+
+    def _ran(self) -> None:
+        if self._countdown is not None:
+            self._countdown -= 1
+            if self._countdown == 0:
+                self._countdown = None
+                self.cls.fail_write(2)
 
 
 _STORES = {"faultmv": faultfs.RenameFS, "faultput": faultfs.PutFS}
@@ -383,11 +414,11 @@ _STORES = {"faultmv": faultfs.RenameFS, "faultput": faultfs.PutFS}
 
 @pytest.fixture(params=["faultmv", "faultput"])
 def fault_store(request, monkeypatch):
-    """(protocol, kill_after) with the file-granular part tasks run in
-    this process (:class:`_PartTasks`)."""
+    """(protocol, :class:`_PartTasks`): the file-granular part tasks
+    run in this process."""
     cls = _STORES[request.param]
     cls.reset()
-    yield request.param, _PartTasks(monkeypatch, cls).kill_after
+    yield request.param, _PartTasks(monkeypatch, cls)
     cls.reset()
 
 
@@ -416,18 +447,17 @@ def test_uri_inputs_kill_then_resume(fault_store):
     """Inputs and out_dir on a rename-based filesystem and on an
     atomic-PUT store: a run killed mid-part resumes, skipping the parts
     finished before the kill, and ends equal to an uninterrupted run."""
-    proto, kill_after = fault_store
+    proto, tasks = fault_store
     paths = _store_inputs(f"{proto}://")
     clean = W.write_parquet_files(paths, f"{proto}://clean")
 
-    kill_after.append(2)
+    tasks.kill_after(2)
     with pytest.raises(OSError, match="injected write failure"):
         W.write_parquet_files(paths, f"{proto}://out")
     names = [p.rsplit("/", 1)[1] for p in fsio.glob_in(f"{proto}://out", "*")]
     assert sum(n.startswith("part-") for n in names) == 2
     assert not [n for n in names if ".inprogress-" in n]
 
-    kill_after.clear()
     resumed = W.write_parquet_files(paths, f"{proto}://out")
     assert (resumed["parts"], resumed["skipped_parts"]) == (4, 2)
     for key in clean.keys() - {"skipped_parts", "out_dir"}:
@@ -459,24 +489,24 @@ def test_compaction_uri_inputs(fault_store):
 
 
 def test_resume_hands_tasks_only_pending_parts(part_tasks):
-    """A resume builds its Ray items from the pending parts only; the
+    """A resume submits Ray tasks for the pending parts only; the
     driver totals the finished ones, so the result equals the fresh
     run's."""
     base, tasks = part_tasks
     paths = _store_inputs(base)
     out = fsio.join(base, "out")
     fresh = W.write_parquet_files(paths, out)
-    assert len(tasks.items[-1]) == 4
+    assert len(tasks.calls) == 4
     fsio.remove(fsio.glob_in(out, "part-*.parquet")[1])
     resumed = W.write_parquet_files(paths, out)
-    assert [item["paths"] for item in tasks.items[-1]] == [[paths[1]]]
+    assert [p for _, _, p in tasks.calls[4:]] == [[paths[1]]]
     assert resumed == {**fresh, "skipped_parts": 3}
 
 
 def test_finished_resume_runs_no_task(part_tasks):
     """With every part finished, neither the file writer nor compaction
-    builds a Dataset or maps a task, and both return the fresh totals,
-    file bytes included."""
+    submits a task, and both return the fresh totals, file bytes
+    included."""
     base, tasks = part_tasks
     paths = _store_inputs(base)
     size = sum(fsio.identity(p)[1] for p in paths[:2])
@@ -485,10 +515,10 @@ def test_finished_resume_runs_no_task(part_tasks):
     fresh_c = W.compact_parquet_dataset(paths, compact, target_part_bytes=size)
     assert fresh["compressed_bytes"] == sum(
         len(fsio.read_bytes(p)) for p in fsio.glob_in(files, "part-*.parquet"))
-    ran = len(tasks.maps), len(tasks.items)
+    ran = len(tasks.calls)
     again = W.write_parquet_files(paths, files)
     again_c = W.compact_parquet_dataset(paths, compact, target_part_bytes=size)
-    assert (len(tasks.maps), len(tasks.items)) == ran
+    assert len(tasks.calls) == ran
     assert again == {**fresh, "skipped_parts": 4}
     assert again_c == {**fresh_c, "skipped_parts": fresh_c["parts"]}
 
@@ -520,35 +550,107 @@ def test_resume_lists_finished_parts_instead_of_heads(monkeypatch):
 def test_fused_resume_with_every_part_finished_runs_no_task(
         ray_session, tmp_path, monkeypatch):
     """The fused route through Ray: a resume with nothing pending maps
-    no task and returns the fresh totals."""
+    no Dataset, submits no task and returns the fresh totals."""
     paths = _inputs(tmp_path / "in")
     out = str(tmp_path / "out")
     fresh = W.write_parquet_dataset(W.read_parquet_fused(paths), out)
-    maps = []
-    real = W._map_batches
-    monkeypatch.setattr(W, "_map_batches",
-                        lambda *a, **kw: maps.append(a) or real(*a, **kw))
+    launched = []
+    for name in ("_map_batches", "_part_remote"):
+        real = getattr(W, name)
+        monkeypatch.setattr(W, name, lambda *a, real=real, **kw:
+                            launched.append(a) or real(*a, **kw))
     again = W.write_parquet_dataset(W.read_parquet_fused(paths), out)
-    assert maps == []
+    assert launched == []
     assert again == {**fresh, "skipped_parts": 4}
 
 
 def test_duplicate_input_is_rejected(ray_session, tmp_path, monkeypatch):
-    """An input given twice, spelled alike or not, would send two tasks
-    racing on one part file and count its rows twice:
-    ``write_parquet_files`` raises before writing anything. A fused read
-    of such paths holds the rows twice, as Ray reads them, and keeps
-    content names."""
+    """An input given twice, spelled alike or not (relative, with a
+    ``.`` segment, as a ``file://`` URI), would send two tasks racing on
+    one part file and count its rows twice: ``write_parquet_files``
+    raises before writing anything. A fused read of such paths holds
+    the rows twice, as Ray reads them, and keeps content names."""
     monkeypatch.chdir(tmp_path)
     p = _inputs(tmp_path / "in", 1)[0]
     out = tmp_path / "out"
-    for dup in ([p, p], [p, "in/in-0.parquet"], ["./in/../in/in-0.parquet", p]):
+    for dup in ([p, p], [p, "in/in-0.parquet"], ["./in/../in/in-0.parquet", p],
+                [p, f"file://{p}"],
+                [f"file://{p}", f"file://{tmp_path}/in/./in-0.parquet"]):
         with pytest.raises(ValueError, match="in-0.parquet"):
             W.write_parquet_files(dup, str(out))
     assert not out.exists()
     W.write_parquet_dataset(W.read_parquet_fused([p, f"{tmp_path}/in/./in-0.parquet"]),
                             str(tmp_path / "ds"))
     assert all(CONTENT.fullmatch(n) for n in _parts(tmp_path / "ds"))
+
+
+@pytest.mark.parametrize("concurrency", [None, 1, (1, 2)])
+def test_part_tasks_in_flight_stay_under_concurrency(
+        ray_session, tmp_path, monkeypatch, concurrency):
+    """``concurrency`` caps the part tasks in flight at once (a
+    ``(min, max)`` pair at its max); unset, every pending part is
+    submitted at once."""
+    paths = _inputs(tmp_path / "in", 5)
+    ds = W.read_parquet_fused(paths)
+    tasks = _PartTasks(monkeypatch)
+    s = W.write_parquet_dataset(ds, str(tmp_path / "out"), concurrency=concurrency)
+    assert (s["parts"], s["rows"], len(tasks.calls)) == (5, 1500, 5)
+    assert tasks.peak == (W._task_concurrency(concurrency) or 5)
+    assert _rows(tmp_path / "out") == _expected(paths)
+
+
+def test_failed_part_task_cancels_the_ones_in_flight(part_tasks):
+    """A failed part task fails the call with its own error and cancels
+    every task still in flight; the parts finished before it stay."""
+    base, tasks = part_tasks
+    paths = _store_inputs(base, 6)
+    fsio.write_marker(paths[2], b"not a parquet file")
+    out = fsio.join(base, "out")
+    with pytest.raises(pa.ArrowInvalid):
+        W.write_parquet_files(paths, out)
+    assert (tasks.peak, tasks.cancelled) == (6, 3)
+    names = sorted(p.rsplit("/", 1)[1] for p in fsio.glob_in(out, "part-*.parquet"))
+    assert [FILE_NAMED.fullmatch(n).group(1) for n in names] == ["in-0", "in-1"]
+    assert LineageLog(out).completed_records().keys() == set(names)
+
+
+def test_failed_part_task_fails_the_call(ray_session, tmp_path, monkeypatch):
+    """On Ray: inputs that are not parquet files fail their part tasks.
+    The call raises that error's type once every task still in flight
+    is cancelled: nothing writes after it returns, and the second
+    failure is not left for Ray to log as an unhandled error. The parts
+    finished before the failure keep their lineage records; a rerun with
+    the inputs fixed skips them and writes the rest."""
+    import gc
+    import time
+
+    import ray._private.worker as ray_worker
+
+    unhandled = []
+    monkeypatch.setattr(ray_worker, "_unhandled_error_handler", unhandled.append)
+    paths = _inputs(tmp_path / "in", 12)
+    for p in paths[5:7]:
+        with open(p, "wb") as f:
+            f.write(b"not a parquet file")
+    out = str(tmp_path / "out")
+
+    def state():
+        return sorted(os.listdir(out)), LineageLog(out).completed_records()
+
+    with pytest.raises(pa.ArrowInvalid):
+        W.write_parquet_files(paths, out)
+    listed, finished = state()
+    assert len(finished) >= 1
+    gc.collect()
+    time.sleep(1)
+    assert state() == (listed, finished)
+    assert unhandled == []
+
+    for i in (5, 6):
+        pq.write_table(_table(i), paths[i])
+    s = W.write_parquet_files(paths, out)
+    assert (s["parts"], s["skipped_parts"], s["rows"]) == (12, len(finished), 3600)
+    assert _rows(out) == _expected(paths)
 
 
 def _cli(*args: str) -> dict:
