@@ -11,6 +11,7 @@ row starts.
 """
 from __future__ import annotations
 
+import logging
 import zlib
 from dataclasses import dataclass, field
 from typing import Optional
@@ -29,11 +30,13 @@ from .pages import write_data_page_v2_header, write_dictionary_page_header
 from .plain import plain_boolean, plain_byte_array, plain_fixed, plain_flba
 from .rle import bit_width_of, encode_rle_hybrid, write_rle_run
 from .splitstream import byte_stream_split
-from .statistics import Stats, compute_statistics
+from .statistics import Stats, compute_statistics, fold_statistics
 from .types import Codec, Encoding, FIXED_WIDTH, LeafInfo, ParquetType
 
 DICT_SAMPLE = 1000  # sample size for the dictionary decision (src/dictionary.js:80)
 DICT_MAX_RATIO = 0.5
+
+log = logging.getLogger("hyparquet_writer_ray")
 
 
 @dataclass
@@ -251,6 +254,9 @@ def _try_dictionary(values: pa.Array, leaf: LeafInfo, spec: ColumnSpec, opts: Wr
             return None
         distinct = pc.count_distinct(sample).as_py()
         if distinct == 0 or distinct / n_sample > DICT_MAX_RATIO:
+            log.debug("dictionary rejected for column %s: distinct_ratio "
+                      "%.4f > %s", ".".join(leaf.path), distinct / n_sample,
+                      DICT_MAX_RATIO)
             return None
     try:
         dict_arr = pc.dictionary_encode(values)
@@ -269,6 +275,8 @@ def _try_dictionary(values: pa.Array, leaf: LeafInfo, spec: ColumnSpec, opts: Wr
     else:
         dict_bytes = len(dictionary) * FIXED_WIDTH.get(el.type, 8)
     if not forced and opts.page_size and dict_bytes > opts.page_size:
+        log.debug("dictionary rejected for column %s: dict_bytes %d > "
+                  "page_size %d", ".".join(leaf.path), dict_bytes, opts.page_size)
         return None
     if opts.dict_sort_frequency and len(dictionary):
         dict_arr = _sort_dict_by_frequency(dict_arr)
@@ -280,21 +288,14 @@ def _sort_dict_by_frequency(dict_arr: pa.DictionaryArray) -> pa.DictionaryArray:
     original order) and remap indices — hot values get small indices,
     which pack into fewer bits per RLE run (reference TODO,
     src/dictionary.js:133)."""
-    import numpy as np
-
-    idx = dict_arr.indices
-    ivals = idx.to_numpy(zero_copy_only=False)
-    valid = ~np.isnan(ivals) if ivals.dtype.kind == "f" else np.ones(len(ivals), bool)
-    ii = ivals[valid].astype(np.int64)
-    counts = np.bincount(ii, minlength=len(dict_arr.dictionary))
+    # the encoded values are non-null, so no index is null
+    ivals = A.fixed_values(dict_arr.indices)
+    counts = np.bincount(ivals, minlength=len(dict_arr.dictionary))
     order = np.argsort(-counts, kind="stable")
     remap = np.empty(len(order), np.int64)
     remap[order] = np.arange(len(order))
-    new_vals = np.zeros(len(ivals), np.int64)
-    new_vals[valid] = remap[ii]
-    new_idx = pa.array(new_vals, mask=~valid)
     return pa.DictionaryArray.from_arrays(
-        new_idx, dict_arr.dictionary.take(pa.array(order))
+        pa.array(remap[ivals]), dict_arr.dictionary.take(pa.array(order))
     )
 
 
@@ -341,19 +342,12 @@ def encode_chunk(
     encodings: list[int] = []
     enc_stats: list[tuple[int, int, int]] = []
 
-    stats = (
-        compute_statistics(values, el, null_count=lv.null_count)
-        if opts.statistics else None
-    )
     geo_stats = None
     if spec.geospatial and opts.statistics:
         from .geo import geospatial_statistics
         if el.type != ParquetType.BYTE_ARRAY:
             raise ValueError("geospatial stats require a BYTE_ARRAY (WKB) column")
         geo_stats = geospatial_statistics(values.to_pylist())
-        if stats is not None:
-            # parquet spec: geometry columns carry no byte min/max
-            stats = Stats(None, None, lv.null_count, None, None)
 
     # FSST (opt-in, north-rule extension): train one symbol table per
     # chunk on a head sample of the value bytes; pages carry the table
@@ -426,6 +420,7 @@ def encode_chunk(
     data_page_offset = w.offset
     col_index = ColumnIndexData() if spec.column_index and len(bounds) > 1 else None
     off_index = [] if spec.offset_index and len(bounds) > 1 else None
+    page_stats: list[Stats] = []
     ascending = descending = True
     prev_min = prev_max = None
     uncomp_acc = dict_uncomp
@@ -498,6 +493,7 @@ def encode_chunk(
             pstats = compute_statistics(
                 values.slice(v0, v1 - v0), el, null_count=num_nulls
             )
+            page_stats.append(pstats)
             all_null = pstats.min_bytes is None
             col_index.null_pages.append(all_null)
             col_index.min_values.append(pstats.min_bytes or b"")
@@ -529,8 +525,21 @@ def encode_chunk(
 
     if col_index is not None:
         col_index.boundary_order = 1 if ascending else (2 if descending else 0)
+    # chunk statistics, once, from the cheapest exact source
+    # (core/statistics.py)
+    stats = None
     if opts.statistics:
         enc_stats.append((3, int(encoding), len(bounds)))
+        if spec.geospatial:
+            # parquet spec: geometry columns carry no byte min/max
+            stats = Stats(None, None, lv.null_count, None, None)
+        elif page_stats:
+            stats = fold_statistics(page_stats, values.type, el, lv.null_count)
+        else:
+            stats = compute_statistics(
+                dict_arr.dictionary if dict_arr is not None else values,
+                el, null_count=lv.null_count,
+            )
 
     blob = w.getvalue()
     meta = ChunkMeta(

@@ -2,8 +2,23 @@
 byte serialization and 16-byte truncation (reference semantics:
 src/column.js:245-284, src/unconvert.js:126-272).
 
-min/max computation is ``pyarrow.compute.min_max`` (C kernel: skips
-nulls and NaN, unsigned lexicographic for binary) — no Python loop.
+NaN is skipped, an all-NaN chunk or page has no min/max, a zero min is
+written -0.0 and a zero max +0.0. ``encode_chunk`` takes a chunk's
+statistics from one of three sources, each giving the bounds a pass
+over every value would give:
+
+- its pages: when the column index already holds per-page statistics,
+  ``fold_statistics`` folds the pages' untruncated ``min_raw`` /
+  ``max_raw`` and serializes (and truncates) once, after the fold. The
+  pages partition the chunk's values, so the min of the page minima is
+  the chunk minimum.
+- its dictionary: a dictionary-encoded chunk's dictionary holds exactly
+  the distinct non-null values, so its min/max are the chunk's.
+- its values: one pass (``compute_statistics``). float32/float64 use
+  a NaN-skipping numpy reduce (``np.fmin``/``np.fmax``) over the value
+  buffer; every other type uses ``pyarrow.compute.min_max`` (C kernel:
+  skips nulls and NaN, unsigned lexicographic for binary). Page
+  statistics use the same pass.
 """
 from __future__ import annotations
 
@@ -15,6 +30,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from . import arrays as A
 from .types import ParquetType, SchemaElement
 
 STATS_TRUNCATE_LENGTH = 16
@@ -84,60 +100,69 @@ def _decimal_flba(value, element: SchemaElement) -> bytes:
     return unscaled.to_bytes(element.type_length, "big", signed=True)
 
 
-def compute_statistics(arr: pa.Array, element: SchemaElement, null_count: int = 0) -> Stats:
-    """``arr`` holds the non-null values; ``null_count`` is supplied by the
-    caller (it is a level-space property for nested columns)."""
-    if len(arr) == 0:
-        return Stats(None, None, null_count, None, None)
-
+def _bounds(arr: pa.Array):
+    """(min, max) python scalars over the non-null, non-NaN values of an
+    array; (None, None) when there are none (empty or all NaN)."""
     t = arr.type
+    if len(arr) == 0:
+        return None, None
+    if (pa.types.is_float32(t) or pa.types.is_float64(t)) and not arr.null_count:
+        # NaN-skipping reduce over the value buffer (null slots would
+        # hold arbitrary bytes, hence the null check); all NaN gives NaN
+        v = A.fixed_values(arr)
+        lo, hi = float(np.fmin.reduce(v)), float(np.fmax.reduce(v))
+        return (None, None) if lo != lo else (lo, hi)
+    if pa.types.is_timestamp(t) or pa.types.is_date(t) or pa.types.is_time(t):
+        # compare on the underlying integers
+        arr = arr.cast(pa.int64() if t.bit_width == 64 else pa.int32())
+    elif pa.types.is_float16(t):
+        arr = arr.cast(pa.float32())
+    mm = pc.min_max(arr)
+    lo, hi = mm["min"].as_py(), mm["max"].as_py()
+    if isinstance(lo, float) and lo > hi:
+        # all NaN: min_max skips NaN and returns the identities (+inf, -inf)
+        return None, None
+    return lo, hi
+
+
+def _stats(lo, hi, t: pa.DataType, element: SchemaElement, null_count: int) -> Stats:
+    """Serialize exact (min, max) bounds of a chunk or page of arrow type ``t``."""
+    if lo is None:
+        return Stats(None, None, null_count, None, None)
     if pa.types.is_decimal(t):
-        mm = pc.min_max(arr)
-        lo, hi = mm["min"].as_py(), mm["max"].as_py()
         return Stats(
             _decimal_flba(lo, element), _decimal_flba(hi, element),
             null_count, None, None, lo, hi,
         )
-    if pa.types.is_timestamp(t) or pa.types.is_date(t) or pa.types.is_time(t):
-        # compare on the underlying integers
-        storage = arr.cast(pa.int64() if t.bit_width == 64 else pa.int32())
-        mm = pc.min_max(storage)
-        lo, hi = mm["min"].as_py(), mm["max"].as_py()
-    elif pa.types.is_float16(t):
-        vals = arr.cast(pa.float32())
-        mm = pc.min_max(vals)
-        lo, hi = mm["min"].as_py(), mm["max"].as_py()
-        if lo is None or lo > hi:  # all-NaN column (min_max -> inf/-inf)
-            return Stats(None, None, null_count, None, None)
+    if isinstance(lo, float):
         # parquet spec: a zero min is written -0.0, a zero max +0.0
         if lo == 0:
             lo = -0.0
         if hi == 0:
             hi = 0.0
-        lo_b = np.float16(lo).tobytes()
-        hi_b = np.float16(hi).tobytes()
-        return Stats(lo_b, hi_b, null_count, None, None, lo, hi)
-    else:
-        mm = pc.min_max(arr)
-        lo, hi = mm["min"].as_py(), mm["max"].as_py()
-
-    if lo is None:
-        return Stats(None, None, null_count, None, None)
-    if isinstance(lo, float) and isinstance(hi, float) and lo > hi:
-        # all-NaN column: pyarrow min_max skips NaN and returns the
-        # identity elements (+inf, -inf) — spec says omit min/max
-        return Stats(None, None, null_count, None, None)
-
-    if isinstance(lo, float):
-        # parquet spec: min -> -0.0, max -> +0.0 when zero
-        if lo == 0:
-            lo = -0.0
-        if hi == 0:
-            hi = 0.0
-
+    if pa.types.is_float16(t):
+        return Stats(np.float16(lo).tobytes(), np.float16(hi).tobytes(),
+                     null_count, None, None, lo, hi)
     min_bytes, min_exact = _serialize(lo, element, False)
     max_bytes, max_exact = _serialize(hi, element, True)
     return Stats(min_bytes, max_bytes, null_count, min_exact, max_exact, lo, hi)
+
+
+def compute_statistics(arr: pa.Array, element: SchemaElement, null_count: int = 0) -> Stats:
+    """``arr`` holds the non-null values (or, for a dictionary-encoded
+    chunk, its dictionary); ``null_count`` is supplied by the caller (it
+    is a level-space property for nested columns)."""
+    return _stats(*_bounds(arr), arr.type, element, null_count)
+
+
+def fold_statistics(pages: list[Stats], t: pa.DataType, element: SchemaElement,
+                    null_count: int) -> Stats:
+    """Chunk statistics from its pages' statistics: the min/max of the
+    pages' exact ``min_raw``/``max_raw``, serialized and truncated after
+    the fold (a truncated page bound is not a chunk bound)."""
+    lo = min((p.min_raw for p in pages if p.min_raw is not None), default=None)
+    hi = max((p.max_raw for p in pages if p.max_raw is not None), default=None)
+    return _stats(lo, hi, t, element, null_count)
 
 
 def statistics_thrift(stats: Stats):

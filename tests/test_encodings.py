@@ -226,3 +226,29 @@ def test_dict_sort_frequency_roundtrip():
     dt = pq.read_table(io.BytesIO(buf), read_dictionary=["c"]).column("c")
     first_entry = dt.chunk(0).dictionary[0].as_py()
     assert first_entry == "hot"
+
+
+def test_rejected_dictionary_is_logged(caplog):
+    """The auto decision logs one DEBUG record per rejected dictionary,
+    naming the column and the reason; an accepted or a forced
+    dictionary logs nothing."""
+    from hyparquet_writer_ray import write_table_to_bytes
+
+    n = 2_000
+    t = pa.table({
+        "unique": pa.array([f"u{i}" for i in range(n)]),  # distinct_ratio 1.0
+        "wide": pa.array([f"{i % 400:04d}" + "x" * 40 for i in range(n)]),
+        "flag": pa.array(["A", "N", "R"] * (n // 3) + ["A"] * (n % 3)),
+        "forced": pa.array([f"f{i}" for i in range(n)]),
+    })
+    opts = WriteOptions(page_size=4096, row_group_size=(n,), column_specs={
+        "forced": ColumnSpec(encoding=Encoding.RLE_DICTIONARY)})
+    with caplog.at_level("DEBUG", logger="hyparquet_writer_ray"):
+        write_table_to_bytes(t, opts)
+    records = [r for r in caplog.records if r.name == "hyparquet_writer_ray"]
+    assert all(r.levelname == "DEBUG" for r in records)
+    msgs = sorted(r.getMessage() for r in records)
+    assert msgs == [
+        "dictionary rejected for column unique: distinct_ratio 1.0000 > 0.5",
+        "dictionary rejected for column wide: dict_bytes 19200 > page_size 4096",
+    ]

@@ -27,6 +27,13 @@ The files cover:
   level, plus boolean columns, so repetition levels and the boolean
   RLE path are covered; written with small pages so each column spans
   several pages.
+- ``stats_edge.parquet``: float64 and float32 columns with NaN, -0.0,
+  +0.0 and +-inf (all-NaN pages, one row group all NaN), and
+  dictionary columns (skewed strings, doubles with NaN and signed
+  zeros) written with ``dict_sort_frequency=True`` in 5,000-row groups
+  of 1 KiB pages: multi-page chunks take their statistics from the
+  column index's page statistics, single-page dictionary chunks from
+  the dictionary.
 
 With ``--ray`` it starts a local Ray session and checks the Ray
 writers instead: ``write_parquet_dataset`` (plain and with ``sort_by``),
@@ -125,6 +132,26 @@ def _nested(n: int = 30_000, seed: int = 11) -> pa.Table:
     })
 
 
+def _stats_edge(n: int = 20_000, seed: int = 13) -> pa.Table:
+    rng = np.random.default_rng(seed)
+    special = np.array([np.nan, 0.0, -0.0, np.inf, -np.inf])
+    dbl = rng.normal(0, 1e6, n)
+    pick = rng.random(n) < 0.1
+    dbl[pick] = special[rng.integers(0, len(special), int(pick.sum()))]
+    dbl[1_000:1_500] = np.nan  # all-NaN pages among the first group's
+    dbl[5_000:10_000] = np.nan  # the second row group is all NaN
+    zeros = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+    zeros[rng.random(n) < 0.2] = np.nan
+    words = [f"w{i:02d}-" + "x" * (i % 23) for i in range(40)]
+    return pa.table({
+        "dbl": pa.array(dbl, mask=rng.random(n) < 0.05),
+        "flt": pa.array(dbl.astype(np.float32)),
+        "zeros": pa.array(zeros),
+        "dict_str": pa.array(words).take(rng.zipf(1.5, n) % len(words)),
+        "dict_dbl": pa.array(special[:3]).take(rng.integers(0, 3, n)),
+    })
+
+
 def _files() -> list[tuple[str, pa.Table, WriteOptions]]:
     web = synthesize_batch(0, 20_000)
     return [
@@ -134,6 +161,9 @@ def _files() -> list[tuple[str, pa.Table, WriteOptions]]:
         ("text_fsst.parquet", synthesize_batch(20_000, 20_000).select(["url", "text"]),
          WriteOptions(column_specs={"text": ColumnSpec(fsst=True)})),
         ("nested.parquet", _nested(), WriteOptions(page_size=16 << 10)),
+        ("stats_edge.parquet", _stats_edge(),
+         WriteOptions(page_size=1 << 10, row_group_size=(5_000,),
+                      dict_sort_frequency=True)),
     ]
 
 
