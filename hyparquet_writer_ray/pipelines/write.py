@@ -22,20 +22,23 @@ content, which only its task computes, so those writers map over the
 Dataset with :func:`_map_batches`. A part made from input files is
 named by them and resumed on their identity (``fsio.identity``): the
 driver settles a finished one from the out_dir listing and its records
-and runs each pending one as a plain Ray task (:func:`_write_input_parts`).
+and runs each pending one as a plain Ray task. Those tasks and the slice
+encodes of :func:`write_table_parallel` run through the one runner
+:func:`_run_tasks`, which has the one cancel-and-drain failure path.
 """
 from __future__ import annotations
 
 import dataclasses
 import hashlib
 import json
+import logging
 import os
 import pickle
 import re
 import warnings
 import weakref
-from contextlib import contextmanager
-from functools import partial
+from contextlib import contextmanager, nullcontext
+from functools import cache, partial
 from itertools import islice
 from typing import Optional
 
@@ -55,6 +58,8 @@ from ..stages.encode import (
 )
 from ..state import fsio
 from ..state.lineage import LineageLog, record_from_meta
+
+log = logging.getLogger("hyparquet_writer_ray")
 
 
 def _normalized_arrow_schema(ds) -> pa.Schema:
@@ -133,6 +138,61 @@ def _map_batches(ds, fn, *, batch_size=None, concurrency=None):
         fn, batch_format="pyarrow", batch_size=batch_size,
         zero_copy_batch=True, concurrency=_task_concurrency(concurrency),
     )
+
+
+@cache
+def _remote(fn):
+    """``fn`` as a Ray remote function, built once per process (a fresh
+    ``ray.remote`` re-exports the function), with the retry options Ray
+    Data gives its own tasks. Every task body here is deterministic, so
+    a retried task writes the same bytes."""
+    import ray
+
+    return ray.remote(max_retries=-1,
+                      retry_exceptions=[ray.exceptions.RaySystemError])(fn)
+
+
+def _run_tasks(submit, calls, consume, limit: int, *, ordered: bool = False) -> None:
+    """The one plain-Ray-task runner: ``submit(*args)`` for each
+    ``args`` of ``calls``, at most ``limit`` submitted and not yet
+    consumed, and ``consume(result)`` on the driver for each task: in
+    submission order when ``ordered``, else as the tasks complete.
+
+    If a task fails or ``consume`` raises, every task in flight is
+    cancelled and waited for, and the error is re-raised."""
+    import ray
+
+    todo = iter(calls)
+    running = [submit(*args) for args in islice(todo, limit)]
+    ready = []
+    try:
+        while running:
+            if ordered:  # wait for the oldest only: results keep their order
+                ready, running = ray.wait(running[:1])[0], running[1:]
+            else:
+                # take every finished task at once: a wait costs O(tasks
+                # in flight), so one wait per task is quadratic in a
+                # job of many tasks
+                ready, running = ray.wait(running, num_returns=len(running),
+                                          timeout=0)
+                if not ready:
+                    ready, running = ray.wait(running, num_returns=1)
+            while ready:
+                consume(ray.get(ready.pop()))
+            running += [submit(*args)
+                        for args in islice(todo, limit - len(running))]
+    except BaseException:
+        # kill, not interrupt: an interrupt landing in an import
+        # half-initialises the worker's modules. Wait for each, and
+        # take its error so that Ray logs none as unhandled.
+        for ref in running:
+            ray.cancel(ref, force=True)
+        for ref in ready + running:
+            try:
+                ray.get(ref)
+            except Exception:
+                pass
+        raise
 
 
 # compaction keeps its own lineage namespace: its stale-part GC must
@@ -337,18 +397,10 @@ def write_parquet_single_file(
     }
 
 
-_ENC_REMOTE = None
-
-
-def _enc_remote():
-    """ray.remote wrapper for _encode_table_slice, created once per
-    process (a fresh ray.remote per call re-exports the function)."""
-    global _ENC_REMOTE
-    if _ENC_REMOTE is None:
-        import ray
-
-        _ENC_REMOTE = ray.remote(_encode_table_slice)
-    return _ENC_REMOTE
+# write_table_parallel keeps at most this many slice tasks submitted and
+# not yet appended: at most that many encoded blobs queue ahead of the
+# assembler, so a huge table cannot fill the object store with them
+_QUEUED_SLICES = 64
 
 
 def _encode_table_slice(table: pa.Table, r0: int, r1: int,
@@ -362,13 +414,8 @@ def _encode_table_slice(table: pa.Table, r0: int, r1: int,
                             leaves, opts)
 
 
-def write_table_parallel(
-    table: pa.Table,
-    sink,
-    opts: Optional[WriteOptions] = None,
-    *,
-    max_in_flight: int = 64,
-) -> None:
+def write_table_parallel(table: pa.Table, sink,
+                         opts: Optional[WriteOptions] = None) -> None:
     """Parallel, byte-identical version of :func:`local.write_table`
     (the reference parquetWrite parity path, src/write.js:16-60).
 
@@ -381,15 +428,18 @@ def write_table_parallel(
     offsets, the output bytes equal the serial writer's exactly
     (gated by tests/test_ray_pipeline.py).
 
-    Raw ``ray.remote`` tasks are deliberate here: the input is a
-    driver-held in-memory Table with REQUIRED slice boundaries (the
-    reference's preview schedule), not a Dataset of opaque blocks.
-    ``max_in_flight`` bounds submitted-but-unconsumed slices so a huge
-    table cannot queue unbounded blobs ahead of the assembler.
+    Raw Ray tasks are deliberate here: the input is a driver-held
+    in-memory Table with REQUIRED slice boundaries (the reference's
+    preview schedule), not a Dataset of opaque blocks. They run through
+    :func:`_run_tasks` in order, at most ``_QUEUED_SLICES`` ahead of
+    the assembler. A failed slice or a failed sink write cancels every
+    slice task in flight and raises its error; a path ``sink`` is then
+    left without a file.
 
-    Falls back to the serial writer when Ray is not initialized (this
-    function never calls ray.init — driver contract) or when the
-    schedule yields fewer than two slices."""
+    Falls back to the serial writer, with a DEBUG record naming the
+    reason, when Ray is not initialized (this function never calls
+    ray.init — driver contract) or when the schedule yields fewer than
+    two slices."""
     import ray
 
     from ..local import row_group_slices, write_table
@@ -397,33 +447,22 @@ def write_table_parallel(
     opts = opts or WriteOptions()
     table = normalize_table(table)
     slices = row_group_slices(table.num_rows, opts.row_group_size)
-    if len(slices) < 2 or not ray.is_initialized():
+    serial = ("Ray is not initialized" if not ray.is_initialized() else
+              "the schedule has fewer than two slices" if len(slices) < 2
+              else None)
+    if serial:
+        log.debug("write_table_parallel writes serially: %s", serial)
         write_table(table, sink, opts)
         return
     schema_ir = schema_from_arrow(table.schema, opts.schema_overrides)
-    enc = _enc_remote()
-    tref = ray.put(table)
-
-    def _assemble(f) -> None:
+    submit = partial(_remote(_encode_table_slice).remote, ray.put(table),
+                     schema_ir=schema_ir, opts=opts)
+    with (fsio.atomic_sink(sink) if isinstance(sink, str)
+          else nullcontext(sink)) as f:
         asm = FileAssembler(f, schema_ir, opts)
-        pending = [enc.remote(tref, r0, r1, schema_ir, opts)
-                   for r0, r1 in slices[:max_in_flight]]
-        nxt = len(pending)
-        for i in range(len(slices)):
-            blob, meta = ray.get(pending[i])
-            pending[i] = None  # release the blob ref once consumed
-            if nxt < len(slices):
-                r0, r1 = slices[nxt]
-                pending.append(enc.remote(tref, r0, r1, schema_ir, opts))
-                nxt += 1
-            asm.append_group(blob, meta)
+        _run_tasks(submit, slices, lambda enc: asm.append_group(*enc),
+                   _QUEUED_SLICES, ordered=True)
         asm.finish()
-
-    if isinstance(sink, str):
-        with fsio.atomic_sink(sink) as f:
-            _assemble(f)
-        return
-    _assemble(sink)
 
 
 class PartFileWriter:
@@ -644,23 +683,6 @@ def _read_groups(paths, rec_id, opts, columns, max_group_rows, max_group_bytes,
                        split_row_groups(t, max_group_rows, max_group_bytes))
 
 
-_PART_REMOTE = None
-
-
-def _part_remote():
-    """ray.remote wrapper for :func:`_write_input_part`, created once per
-    process, with the retry options Ray Data gives its own tasks."""
-    global _PART_REMOTE
-    if _PART_REMOTE is None:
-        import ray
-
-        _PART_REMOTE = ray.remote(
-            max_retries=-1,
-            retry_exceptions=[ray.exceptions.RaySystemError],
-        )(_write_input_part)
-    return _PART_REMOTE
-
-
 def _write_input_part(key, rec_id, paths, *, out_dir, opts, columns,
                       max_group_rows, max_group_bytes, block_bytes,
                       lineage_name) -> dict:
@@ -688,53 +710,29 @@ def _write_input_parts(parts, out_dir, opts, done, *, resume, columns,
     ``done`` was listed counts as skipped in this run, and the next run
     rewrites it. A failed task cancels the ones in flight and raises
     its error; the parts finished before it keep their records."""
-    import ray
     from ray.data import DataContext
 
     total = _new_totals()
     pending = []
     for key, rec_id, paths in parts:
-        fin = done.get(f"part-{key}.parquet")
+        fname = f"part-{key}.parquet"
+        fin = done.get(fname)
         if resume and fin and all(r.part_id == rec_id for r in fin.records):
+            log.debug("part %s finished by an earlier run: skipped", fname)
             _count_skipped(total, fin.size, fin.records)
         else:
             pending.append((key, rec_id, paths))
     if pending:
         ctx = DataContext.get_current()
-        task = _part_remote().options(scheduling_strategy=ctx.scheduling_strategy)
-        kw = dict(out_dir=out_dir, opts=opts, columns=columns,
-                  max_group_rows=max_group_rows, max_group_bytes=max_group_bytes,
-                  block_bytes=ctx.target_max_block_size,
-                  lineage_name=lineage_name)
-        todo = iter(pending)
-        limit = _task_concurrency(concurrency) or len(pending)
-        running = [task.remote(*p, **kw) for p in islice(todo, limit)]
-        ready = []
-        try:
-            while running:
-                # take every finished task at once: a wait costs O(tasks
-                # in flight), so one wait per task is quadratic in a
-                # job of many parts
-                ready, running = ray.wait(running, num_returns=len(running),
-                                          timeout=0)
-                if not ready:
-                    ready, running = ray.wait(running, num_returns=1)
-                while ready:
-                    _add_row(total, ray.get(ready.pop()), done)
-                running += [task.remote(*p, **kw)
-                            for p in islice(todo, limit - len(running))]
-        except BaseException:
-            # kill, not interrupt: an interrupt landing in an import
-            # half-initialises the worker's modules. Wait for each, and
-            # take its error so that Ray logs none as unhandled.
-            for ref in running:
-                ray.cancel(ref, force=True)
-            for ref in ready + running:
-                try:
-                    ray.get(ref)
-                except Exception:
-                    pass
-            raise
+        task = _remote(_write_input_part).options(
+            scheduling_strategy=ctx.scheduling_strategy)
+        submit = partial(task.remote, out_dir=out_dir, opts=opts, columns=columns,
+                         max_group_rows=max_group_rows,
+                         max_group_bytes=max_group_bytes,
+                         block_bytes=ctx.target_max_block_size,
+                         lineage_name=lineage_name)
+        _run_tasks(submit, pending, lambda row: _add_row(total, row, done),
+                   _task_concurrency(concurrency) or len(pending))
     total["out_dir"] = out_dir
     return total
 

@@ -125,3 +125,6 @@ class PutFS(FaultMixin, MemoryFileSystem):
 
 fsspec.register_implementation("faultmv", RenameFS, clobber=True)
 fsspec.register_implementation("faultput", PutFS, clobber=True)
+
+# each store class by its protocol, for tests run on both
+STORES = {"faultmv": RenameFS, "faultput": PutFS}

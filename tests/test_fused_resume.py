@@ -9,7 +9,7 @@ with content names keeps them, a part task streams its input a block
 at a time with the bytes of a whole-table read, URI inputs on both
 fault-injecting backend classes (tests/faultfs.py) kill and resume
 and are named from one listing, a resume hands Ray only the parts it
-writes, ``concurrency`` caps the part tasks in flight, a failed part
+writes and logs the ones it skips, ``concurrency`` caps the part tasks in flight, a failed part
 task fails the call and cancels the rest, a duplicate input is
 rejected, and the CLI expands URI inputs and subdirectories."""
 from __future__ import annotations
@@ -21,13 +21,13 @@ import os
 import re
 import subprocess
 import sys
-from functools import partial
 
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
 import faultfs
+from fakeray import FakeTasks
 from hyparquet_writer_ray.pipelines import write as W
 from hyparquet_writer_ray.state import fsio
 from hyparquet_writer_ray.state.lineage import LineageLog
@@ -337,101 +337,26 @@ def test_file_parts_list_inputs_instead_of_heads():
         fs.reset()
 
 
-class _PartTasks:
-    """Stands in for Ray at the file-granular part tasks' seam
-    (``W._part_remote`` and the ``ray.wait``/``ray.get``/``ray.cancel``
-    calls of ``W._write_input_parts``): a submitted task runs in this
-    process, where the in-memory test filesystems live, when a blocking
-    ``ray.wait`` hands it back. Records ``calls``, the ``(key, record
-    id, paths)`` of every submitted task, ``peak``, the most tasks in
-    flight at once, and ``cancelled``, the tasks cancelled. With a
-    fault store ``cls``, :meth:`kill_after` fails a later part
-    mid-write."""
-
-    def __init__(self, monkeypatch, cls=None) -> None:
-        import ray
-
-        self.calls: list[tuple] = []
-        self.peak = self.cancelled = 0
-        self.cls = cls
-        self._countdown = None
-        running: list = []
-        tasks = self
-
-        class Task:
-            def options(self, **_):
-                return self
-
-            def remote(self, *args, **kw):
-                tasks.calls.append(args)
-                ref = [partial(W._write_input_part, *args, **kw), None]
-                running.append(ref)
-                tasks.peak = max(tasks.peak, len(running))
-                return ref
-
-        def wait(refs, num_returns=1, timeout=None):
-            if timeout == 0:  # nothing finishes until it is waited on
-                return [], refs
-            ref = refs[0]
-            running.remove(ref)
-            try:
-                ref[1] = ref[0]()
-            except Exception as e:
-                ref[1] = e
-            tasks._ran()
-            return [ref], refs[1:]
-
-        def get(ref):
-            if isinstance(ref[1], Exception):
-                raise ref[1]
-            return ref[1]
-
-        def cancel(ref, **_):
-            tasks.cancelled += 1
-            running.remove(ref)
-            ref[1] = ray.exceptions.TaskCancelledError()
-
-        monkeypatch.setattr(W, "_part_remote", Task)
-        monkeypatch.setattr(ray, "wait", wait)
-        monkeypatch.setattr(ray, "get", get)
-        monkeypatch.setattr(ray, "cancel", cancel)
-
-    def kill_after(self, n: int) -> None:
-        """Fail the second write of the part after the ``n``-th task
-        from now to finish."""
-        self._countdown = n
-
-    def _ran(self) -> None:
-        if self._countdown is not None:
-            self._countdown -= 1
-            if self._countdown == 0:
-                self._countdown = None
-                self.cls.fail_write(2)
-
-
-_STORES = {"faultmv": faultfs.RenameFS, "faultput": faultfs.PutFS}
-
-
 @pytest.fixture(params=["faultmv", "faultput"])
 def fault_store(request, monkeypatch):
-    """(protocol, :class:`_PartTasks`): the file-granular part tasks
+    """(protocol, :class:`FakeTasks`): the file-granular part tasks
     run in this process."""
-    cls = _STORES[request.param]
+    cls = faultfs.STORES[request.param]
     cls.reset()
-    yield request.param, _PartTasks(monkeypatch, cls)
+    yield request.param, FakeTasks(monkeypatch, cls)
     cls.reset()
 
 
 @pytest.fixture(params=["local", "faultmv", "faultput"])
 def part_tasks(request, monkeypatch, tmp_path):
-    """(base dir, :class:`_PartTasks`) on a local path and on both fault
+    """(base dir, :class:`FakeTasks`) on a local path and on both fault
     stores."""
-    cls = _STORES.get(request.param)
+    cls = faultfs.STORES.get(request.param)
     if cls is None:
-        yield str(tmp_path), _PartTasks(monkeypatch)
+        yield str(tmp_path), FakeTasks(monkeypatch)
         return
     cls.reset()
-    yield f"{request.param}://", _PartTasks(monkeypatch, cls)
+    yield f"{request.param}://", FakeTasks(monkeypatch, cls)
     cls.reset()
 
 
@@ -503,6 +428,23 @@ def test_resume_hands_tasks_only_pending_parts(part_tasks):
     assert resumed == {**fresh, "skipped_parts": 3}
 
 
+def test_parts_skipped_on_resume_are_logged(part_tasks, caplog):
+    """A resume writes one DEBUG record per part it settles on the
+    driver, naming its file, and none for a part it writes."""
+    base, _ = part_tasks
+    paths = _store_inputs(base)
+    out = fsio.join(base, "out")
+    W.write_parquet_files(paths, out)
+    names = sorted(p.rsplit("/", 1)[1] for p in fsio.glob_in(out, "part-*.parquet"))
+    for name in names[1::2]:
+        fsio.remove(fsio.join(out, name))
+    with caplog.at_level("DEBUG", logger="hyparquet_writer_ray"):
+        W.write_parquet_files(paths, out)
+    assert [r.getMessage() for r in caplog.records
+            if r.name == "hyparquet_writer_ray" and r.funcName == "_write_input_parts"] \
+        == [f"part {n} finished by an earlier run: skipped" for n in names[::2]]
+
+
 def test_finished_resume_runs_no_task(part_tasks):
     """With every part finished, neither the file writer nor compaction
     submits a task, and both return the fresh totals, file bytes
@@ -529,7 +471,7 @@ def test_resume_lists_finished_parts_instead_of_heads(monkeypatch):
     listing of the out_dir."""
     fs = faultfs.PutFS
     fs.reset()
-    _PartTasks(monkeypatch, fs)
+    FakeTasks(monkeypatch, fs)
 
     def calls(n: int) -> dict:
         paths = _store_inputs(f"faultput://many{n}", n)
@@ -555,7 +497,7 @@ def test_fused_resume_with_every_part_finished_runs_no_task(
     out = str(tmp_path / "out")
     fresh = W.write_parquet_dataset(W.read_parquet_fused(paths), out)
     launched = []
-    for name in ("_map_batches", "_part_remote"):
+    for name in ("_map_batches", "_remote"):
         real = getattr(W, name)
         monkeypatch.setattr(W, name, lambda *a, real=real, **kw:
                             launched.append(a) or real(*a, **kw))
@@ -592,7 +534,7 @@ def test_part_tasks_in_flight_stay_under_concurrency(
     submitted at once."""
     paths = _inputs(tmp_path / "in", 5)
     ds = W.read_parquet_fused(paths)
-    tasks = _PartTasks(monkeypatch)
+    tasks = FakeTasks(monkeypatch)
     s = W.write_parquet_dataset(ds, str(tmp_path / "out"), concurrency=concurrency)
     assert (s["parts"], s["rows"], len(tasks.calls)) == (5, 1500, 5)
     assert tasks.peak == (W._task_concurrency(concurrency) or 5)

@@ -45,7 +45,10 @@ lineage ``parts/*.json`` record or checkpoint blob, sorted by name.
 Then it deletes one part per writer (for ``single``, one checkpoint
 blob), reruns every writer as a resume, and exits with an error unless
 the resumed files hash the same as the fresh ones; the printed lines
-are the fresh run's. Part names of ``write_parquet_files`` hash the
+are the fresh run's. It also writes one input with
+``write_table_parallel`` in 250-row slices (``parallel/data.parquet``)
+and exits with an error unless its bytes equal the serial
+``write_table`` output of the same table. Part names of ``write_parquet_files`` hash the
 absolute input path and
 compaction bucket ids hash input mtimes, so the inputs live at a fixed
 path (``--out``, default ``<tmpdir>/hpw-bytecheck-ray``) and get a
@@ -206,6 +209,25 @@ def _ray_writers(work: str) -> None:
                               checkpoint_dir=out("single/checkpoint"), **small)
 
 
+def _parallel_line(work: str) -> str:
+    """Write one input with ``write_table_parallel`` in 250-row slices;
+    fail unless it equals the serial ``write_table`` output."""
+    import pyarrow.parquet as pq
+
+    from hyparquet_writer_ray import write_table_parallel, write_table_to_bytes
+
+    table = pq.read_table(os.path.join(work, "in", "web-0.parquet"))
+    opts = WriteOptions(row_group_size=(250,))
+    path = os.path.join(work, "parallel", "data.parquet")
+    os.makedirs(os.path.dirname(path))
+    write_table_parallel(table, path, opts)
+    with open(path, "rb") as f:
+        data = f.read()
+    if data != write_table_to_bytes(table, opts):
+        raise SystemExit("write_table_parallel differs from the serial write_table")
+    return f"{hashlib.sha256(data).hexdigest()}  parallel/data.parquet"
+
+
 def _delete_one_part(work: str, lines: list[str]) -> None:
     """Delete each writer's first part in name order; for ``single``,
     its first checkpoint blob."""
@@ -225,13 +247,14 @@ def _ray_lines(work: str) -> list[str]:
         fresh = _hashes(work)
         _delete_one_part(work, fresh)
         _ray_writers(work)
+        parallel = _parallel_line(work)
     finally:
         ray.shutdown()
     resumed = _hashes(work)
     if resumed != fresh:
         changed = sorted(set(fresh) ^ set(resumed), key=lambda line: line.split("  ", 1)[1])
         raise SystemExit("resume changed these files:\n" + "\n".join(changed))
-    return fresh
+    return sorted(fresh + [parallel], key=lambda line: line.split("  ", 1)[1])
 
 
 def _hashes(work: str) -> list[str]:
