@@ -140,7 +140,3 @@ def flba_values(arr: pa.Array, type_length: int) -> np.ndarray:
         vals = fixed_values(arr)  # uint16 view
         return vals.view(np.uint8).reshape(-1, 2)
     raise TypeError(f"unsupported FLBA arrow type {t}")
-
-
-def drop_null_np(values: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-    return values if mask is None else values[mask]

@@ -5,7 +5,6 @@ src/parquet-writer.js:28-175; see SURVEY.md §3.4).
 """
 from __future__ import annotations
 
-import io
 from typing import BinaryIO
 
 from .bufwriter import BufWriter
@@ -102,13 +101,3 @@ class FileAssembler:
             self.opts.kv_metadata, self.opts.created_by, num_leaves,
         )
         self._write(w.getvalue())
-
-
-def assemble_to_bytes(schema_ir, groups, opts: WriteOptions) -> bytes:
-    """Assemble an in-memory file from ordered (blob, RowGroupMeta) pairs."""
-    sink = io.BytesIO()
-    asm = FileAssembler(sink, schema_ir, opts)
-    for blob, meta in groups:
-        asm.append_group(blob, meta)
-    asm.finish()
-    return sink.getvalue()

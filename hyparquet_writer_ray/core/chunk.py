@@ -31,7 +31,7 @@ from .plain import plain_boolean, plain_byte_array, plain_fixed, plain_flba
 from .rle import bit_width_of, encode_rle_hybrid, write_rle_run
 from .splitstream import byte_stream_split
 from .statistics import Stats, compute_statistics, fold_statistics
-from .types import Codec, Encoding, FIXED_WIDTH, LeafInfo, ParquetType
+from .types import BoundaryOrder, Codec, Encoding, FIXED_WIDTH, LeafInfo, ParquetType
 
 DICT_SAMPLE = 1000  # sample size for the dictionary decision (src/dictionary.js:80)
 DICT_MAX_RATIO = 0.5
@@ -52,7 +52,7 @@ class ColumnIndexData:
     min_values: list = field(default_factory=list)  # bytes (b'' for all-null pages)
     max_values: list = field(default_factory=list)
     null_counts: list = field(default_factory=list)
-    boundary_order: int = 0
+    boundary_order: int = int(BoundaryOrder.UNORDERED)  # plain int: checkpoint blobs pickle it
 
 
 @dataclass
@@ -266,6 +266,8 @@ def _try_dictionary(values: pa.Array, leaf: LeafInfo, spec: ColumnSpec, opts: Wr
                 f"ColumnSpec(encoding=RLE_DICTIONARY) requested but type "
                 f"{values.type} cannot be dictionary-encoded"
             )
+        log.debug("dictionary rejected for column %s: type %s cannot be "
+                  "dictionary-encoded", ".".join(leaf.path), values.type)
         return None
     dictionary = dict_arr.dictionary
     if el.type == ParquetType.BYTE_ARRAY:
@@ -524,7 +526,10 @@ def encode_chunk(
             )
 
     if col_index is not None:
-        col_index.boundary_order = 1 if ascending else (2 if descending else 0)
+        col_index.boundary_order = int(
+            BoundaryOrder.ASCENDING if ascending
+            else BoundaryOrder.DESCENDING if descending else BoundaryOrder.UNORDERED
+        )
     # chunk statistics, once, from the cheapest exact source
     # (core/statistics.py)
     stats = None

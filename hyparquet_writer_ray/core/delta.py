@@ -7,21 +7,26 @@ Layout matches the parquet spec and the reference writer
 (LSB-first). This is the "delta + frame-of-reference" codec of the
 north rule (frame-of-reference on deltas via per-block min).
 
-Arithmetic is mod-2^64 wrapping (uint64), which keeps every adjusted
-delta within 64 bits for any int64 input; decoders wrap the same way.
-Packing is vectorized: miniblocks are grouped by bitwidth and packed in
-one numpy call per distinct width.
+Arithmetic wraps at the column's physical width (mod 2^32 or 2^64),
+which keeps every adjusted delta within that width for any input;
+decoders wrap the same way. Bit widths come from one vectorized search
+over the powers of two, and packing goes through ``rle._pack_bits``,
+the package's one multi-bit packer: one call per distinct miniblock
+width. The packed miniblocks are scattered into one buffer behind
+their blocks' width bytes, so a block costs one varint and one slice
+write.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .bufwriter import BufWriter
+from .rle import _pack_bits
 
 BLOCK = 128
 MINIBLOCKS = 4
 MB_VALUES = BLOCK // MINIBLOCKS  # 32
-_I64MAX = np.int64(2**63 - 1)
+_POW2 = np.uint64(1) << np.arange(64, dtype=np.uint64)
 
 
 def delta_binary_pack(w: BufWriter, values: np.ndarray) -> None:
@@ -35,66 +40,42 @@ def delta_binary_pack(w: BufWriter, values: np.ndarray) -> None:
     if count == 0:
         w.varint(0)
         return
-    is32 = values.dtype.itemsize <= 4
-    sdt, udt = (np.int32, np.uint32) if is32 else (np.int64, np.uint64)
-    smax = np.int32(2**31 - 1) if is32 else _I64MAX
+    sdt, udt = (np.int32, np.uint32) if values.dtype.itemsize <= 4 else (np.int64, np.uint64)
     v = values.astype(sdt, copy=False)
     w.zigzag(int(v[0]))
     if count == 1:
         return
 
-    vu = v.astype(udt)
-    deltas_u = vu[1:] - vu[:-1]  # mod 2^width
-    n = len(deltas_u)
+    n = count - 1
     nblocks = (n + BLOCK - 1) // BLOCK
-    pad = nblocks * BLOCK - n
+    # padding holds the type's max, so it never lowers a block's min
+    deltas = np.full(nblocks * BLOCK, np.iinfo(sdt).max, sdt)
+    np.subtract(v[1:], v[:-1], out=deltas[:n])  # wraps at the width
+    blocks = deltas.reshape(nblocks, BLOCK)
+    min_delta = blocks.min(axis=1)
+    mb = (blocks.view(udt) - min_delta.view(udt)[:, None]).reshape(-1, MB_VALUES)
+    mb.reshape(-1)[n:] = 0  # padding packs as zeros
+    widths = np.searchsorted(_POW2, mb.max(axis=1), side="right")  # bit_length
 
-    deltas_s = deltas_u.view(sdt)
-    if pad:
-        deltas_s = np.concatenate([deltas_s, np.full(pad, smax, dtype=sdt)])
-    blk = deltas_s.reshape(nblocks, BLOCK)
-    min_delta = blk.min(axis=1)  # signed per block
-
-    adjusted = (deltas_s.view(udt).reshape(nblocks, BLOCK)
-                - min_delta.astype(udt)[:, None]).astype(np.uint64)
-    if pad:
-        adjusted[-1, BLOCK - pad :] = 0
-
-    mb = adjusted.reshape(nblocks, MINIBLOCKS, MB_VALUES)
-    mb_max = mb.max(axis=2)  # (nblocks, 4) uint64
-    bit_widths = np.array(
-        [int(x).bit_length() for x in mb_max.reshape(-1)], dtype=np.uint8
-    ).reshape(nblocks, MINIBLOCKS)
-
-    # group miniblocks by bitwidth; pack each group in one vectorized call
-    flat_mb = mb.reshape(nblocks * MINIBLOCKS, MB_VALUES)
-    flat_bw = bit_widths.reshape(-1)
-    packed: dict[int, np.ndarray] = {}
-    group_row: dict[int, np.ndarray] = {}
-    for bw in np.unique(flat_bw):
-        bw = int(bw)
-        if bw == 0:
-            continue
-        rows = np.nonzero(flat_bw == bw)[0]
-        vals = flat_mb[rows]  # (k, 32)
-        bits = ((vals[:, :, None] >> np.arange(bw, dtype=np.uint64)) & 1).astype(np.uint8)
-        packed[bw] = np.packbits(bits.reshape(len(rows), -1), axis=1, bitorder="little")
-        group_row[bw] = rows
-    # index: flat miniblock id -> packed row
-    packed_lookup: dict[int, bytes] = {}
-    for bw, rows in group_row.items():
-        arr = packed[bw]
-        for j, r in enumerate(rows):
-            packed_lookup[int(r)] = arr[j].tobytes()
-
-    for b in range(nblocks):
-        w.zigzag(int(min_delta[b]))
-        w.write(bit_widths[b].tobytes())
-        base = b * MINIBLOCKS
-        for m in range(MINIBLOCKS):
-            bw = int(bit_widths[b, m])
-            if bw:
-                w.write(packed_lookup[base + m])
+    # per block: 4 width bytes, then its miniblocks' 4 * width bytes each
+    sizes = np.empty((nblocks, 1 + MINIBLOCKS), np.int64)
+    sizes[:, 0] = MINIBLOCKS
+    sizes[:, 1:] = 4 * widths.reshape(nblocks, MINIBLOCKS)
+    ends = np.cumsum(sizes).reshape(sizes.shape)
+    starts = ends - sizes
+    out = np.empty(int(ends[-1, -1]), np.uint8)
+    out[starts[:, :1] + np.arange(MINIBLOCKS)] = widths.reshape(nblocks, MINIBLOCKS)
+    mb_starts = starts[:, 1:].reshape(-1)
+    for bw in np.unique(widths).tolist():
+        if bw:
+            rows = np.flatnonzero(widths == bw)
+            packed = np.frombuffer(_pack_bits(mb[rows], bw), np.uint8)
+            out[mb_starts[rows, None] + np.arange(4 * bw)] = packed.reshape(len(rows), -1)
+    body, lo = memoryview(out), 0
+    for m, hi in zip(min_delta.tolist(), ends[:, -1].tolist()):
+        w.zigzag(m)
+        w.write(body[lo:hi])
+        lo = hi
 
 
 def delta_length_byte_array(w: BufWriter, lengths: np.ndarray, data: np.ndarray) -> None:

@@ -4,7 +4,9 @@
 shipped before the one-Arrow-join rewrite (a byte scatter for short
 values, a per-value slice loop for long ones), and ``delta_byte_array``
 is the DELTA_BYTE_ARRAY encoder ``core/delta.py`` shipped before its
-head and suffix gathers stopped materialising one index per data byte.
+head and suffix gathers stopped materialising one index per data byte,
+packing its prefix and suffix lengths with the frozen
+``delta_oracle.delta_binary_pack`` rather than the kernel under test.
 Both are kept verbatim in behaviour so ``test_plain_kernels.py`` can
 require the new kernels to produce the same bytes. Test-only: nothing
 in the package imports this module.
@@ -13,8 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from delta_oracle import delta_binary_pack
 from hyparquet_writer_ray.core.bufwriter import BufWriter
-from hyparquet_writer_ray.core.delta import delta_binary_pack
 
 _PREFIX_CAP = 64
 

@@ -252,3 +252,22 @@ def test_rejected_dictionary_is_logged(caplog):
         "dictionary rejected for column unique: distinct_ratio 1.0000 > 0.5",
         "dictionary rejected for column wide: dict_bytes 19200 > page_size 4096",
     ]
+
+
+def test_unsupported_dictionary_type_is_logged(caplog):
+    """A type ``pc.dictionary_encode`` has no kernel for (float16) falls
+    back to PLAIN with one DEBUG record naming the column and the type;
+    a forced dictionary on it raises and logs nothing."""
+    from hyparquet_writer_ray import write_table_to_bytes
+
+    t = pa.table({"h": pa.array(np.arange(2_000, dtype=np.float16) % 4)})
+    with caplog.at_level("DEBUG", logger="hyparquet_writer_ray"):
+        write_table_to_bytes(t, WriteOptions(row_group_size=(2_000,)))  # one chunk
+    msgs = [r.getMessage() for r in caplog.records if r.name == "hyparquet_writer_ray"]
+    assert msgs == ["dictionary rejected for column h: type halffloat cannot be "
+                    "dictionary-encoded"]
+    caplog.clear()
+    with caplog.at_level("DEBUG", logger="hyparquet_writer_ray"):
+        with pytest.raises(TypeError, match="cannot be dictionary-encoded"):
+            write_table_to_bytes(t, opts_enc("h", Encoding.RLE_DICTIONARY))
+    assert not [r for r in caplog.records if r.name == "hyparquet_writer_ray"]

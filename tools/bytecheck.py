@@ -34,6 +34,12 @@ The files cover:
   of 1 KiB pages: multi-page chunks take their statistics from the
   column index's page statistics, single-page dictionary chunks from
   the dictionary.
+- ``delta_edge.parquet``: int8, int16, int32, uint32, int64, uint64,
+  date32 and timestamp columns forced to DELTA_BINARY_PACKED, each
+  with full-range random values (wrapping deltas), a monotone run,
+  constant runs and alternating min/max extremes, plus a url-like
+  string column forced to DELTA_BYTE_ARRAY, all with nulls, in 1 KiB
+  pages.
 
 With ``--ray`` it starts a local Ray session and checks the Ray
 writers instead: ``write_parquet_dataset`` (plain and with ``sort_by``),
@@ -71,7 +77,7 @@ import pyarrow as pa
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
-from hyparquet_writer_ray import ColumnSpec, WriteOptions, write_table  # noqa: E402
+from hyparquet_writer_ray import ColumnSpec, Encoding, WriteOptions, write_table  # noqa: E402
 from hyparquet_writer_ray.sources.webtable import synthesize_batch  # noqa: E402
 
 
@@ -155,6 +161,29 @@ def _stats_edge(n: int = 20_000, seed: int = 13) -> pa.Table:
     })
 
 
+def _delta_edge(n: int = 20_000, seed: int = 17) -> pa.Table:
+    rng = np.random.default_rng(seed)
+    q = n // 4
+
+    def ints(dtype) -> pa.Array:
+        info = np.iinfo(dtype)
+        v = rng.integers(info.min, info.max, n, endpoint=True, dtype=dtype)
+        v[q:2 * q] = np.sort(v[q:2 * q])
+        v[2 * q:3 * q] = np.repeat(v[2 * q:3 * q:300], 300)[:q]
+        v[3 * q::2], v[3 * q + 1::2] = info.min, info.max
+        return pa.array(v, mask=rng.random(n) < 0.05)
+
+    hosts = np.sort(rng.integers(0, 60, n))
+    return pa.table({
+        "i8": ints(np.int8), "i16": ints(np.int16), "i32": ints(np.int32),
+        "u32": ints(np.uint32), "i64": ints(np.int64), "u64": ints(np.uint64),
+        "date": ints(np.int32).cast(pa.date32()),
+        "ts": ints(np.int64).cast(pa.timestamp("us")),
+        "url": pa.array([f"https://host{h}.example.org/p/{i % 97}/{i}" for i, h in enumerate(hosts)],
+                        mask=rng.random(n) < 0.05),
+    })
+
+
 def _files() -> list[tuple[str, pa.Table, WriteOptions]]:
     web = synthesize_batch(0, 20_000)
     return [
@@ -167,6 +196,11 @@ def _files() -> list[tuple[str, pa.Table, WriteOptions]]:
         ("stats_edge.parquet", _stats_edge(),
          WriteOptions(page_size=1 << 10, row_group_size=(5_000,),
                       dict_sort_frequency=True)),
+        ("delta_edge.parquet", _delta_edge(),
+         WriteOptions(page_size=1 << 10, column_specs={
+             **{c: ColumnSpec(encoding=Encoding.DELTA_BINARY_PACKED)
+                for c in ("i8", "i16", "i32", "u32", "i64", "u64", "date", "ts")},
+             "url": ColumnSpec(encoding=Encoding.DELTA_BYTE_ARRAY)})),
     ]
 
 
