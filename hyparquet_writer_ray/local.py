@@ -3,6 +3,10 @@ over Arrow tables (parquetWrite / parquetWriteBuffer / ParquetWriter /
 parquetWriteRows; reference src/write.js:16-72, src/write-rows.js:36-178,
 src/parquet-writer.js:18-216).
 
+Every writer takes a file object or a path, local or an fsspec URI,
+written atomically (``fsio.open_output``), and cuts row groups by the
+one schedule rule, :func:`group_sizes`.
+
 The distributed path (pipelines.write) reuses the same encode_row_group /
 FileAssembler primitives; this module is the local harness used by tests
 and small files.
@@ -10,7 +14,8 @@ and small files.
 from __future__ import annotations
 
 import io
-from typing import BinaryIO, Iterable, Optional, Union
+from itertools import chain, repeat
+from typing import BinaryIO, Iterable, Iterator, Optional, Union
 
 import pyarrow as pa
 
@@ -22,22 +27,27 @@ from .core.types import SchemaElement, leaf_columns
 from .state import fsio
 
 
-def row_group_slices(num_rows: int, schedule) -> list[tuple[int, int]]:
-    """Row ranges per the reference's rowGroupSize schedule: entries are
-    consumed in order and the last one repeats (src/parquet-writer.js:202-216)."""
+def group_sizes(schedule) -> Iterator[int]:
+    """The reference's rowGroupSize schedule as an endless stream of
+    row-group sizes: entries are consumed in order and the last one
+    repeats (src/parquet-writer.js:202-216)."""
     if isinstance(schedule, int):
         schedule = (schedule,)
     if len(schedule) == 0 or any(int(x) < 1 for x in schedule):
         raise ValueError(
             f"row_group_size entries must be >= 1, got {schedule!r}")
+    return chain(schedule, repeat(schedule[-1]))
+
+
+def row_group_slices(num_rows: int, sizes: Iterator[int]) -> list[tuple[int, int]]:
+    """Row ranges of a ``num_rows`` table, one per size drawn from
+    ``sizes`` (a :func:`group_sizes` stream)."""
     out = []
     start = 0
-    i = 0
     while start < num_rows:
-        size = schedule[min(i, len(schedule) - 1)]
-        out.append((start, min(start + size, num_rows)))
-        start += size
-        i += 1
+        stop = min(start + next(sizes), num_rows)
+        out.append((start, stop))
+        start = stop
     return out
 
 
@@ -59,26 +69,22 @@ class ParquetWriter:
             self.arrow_schema = None
             self.schema_ir = schema
         self.leaves = leaf_columns(self.schema_ir)
+        self.sizes = group_sizes(self.opts.row_group_size)
         self.assembler = FileAssembler(sink, self.schema_ir, self.opts)
-        self._groups_written = 0
 
     def write(self, table: pa.Table, split_row_groups: bool = True) -> None:
+        """Append ``table`` cut by the schedule where the last write left
+        it; unsplit, as one group that takes one schedule entry."""
         table = normalize_table(table)
         if split_row_groups:
-            slices = row_group_slices(table.num_rows, self._remaining_schedule())
+            slices = row_group_slices(table.num_rows, self.sizes)
         else:
+            next(self.sizes)
             slices = [(0, table.num_rows)]
         for (r0, r1) in slices:
             group = table.slice(r0, r1 - r0)
             blob, meta = encode_row_group(group, self.schema_ir, self.leaves, self.opts)
             self.assembler.append_group(blob, meta)
-            self._groups_written += 1
-
-    def _remaining_schedule(self):
-        sched = self.opts.row_group_size
-        if isinstance(sched, int):
-            return (sched,)
-        return tuple(sched[min(self._groups_written, len(sched) - 1):]) or (sched[-1],)
 
     def finish(self) -> None:
         self.assembler.finish()
@@ -90,22 +96,13 @@ def write_table(
     opts: Optional[WriteOptions] = None,
 ) -> None:
     """Whole-table write (reference parquetWrite, src/write.js:16-60).
-
-    A path sink (local or fsspec URI) is written through
-    ``fsio.atomic_sink``, so a failed write never leaves a truncated
-    .parquet behind and concurrent writers of one sink never share a
-    tmp. Aged orphans of hard-killed attempts (>1h, including the
-    legacy fixed ``<sink>.inprogress`` name) are swept on entry; fresh
-    tmps are a live concurrent writer's and survive."""
-    if isinstance(sink, str):
-        fsio.clean_dest_tmps(sink)
-        with fsio.atomic_sink(sink) as f:
-            write_table(table, f, opts)
-        return
+    A path ``sink`` (local or fsspec URI) is written atomically
+    (``fsio.open_output``)."""
     table = normalize_table(table)
-    pw = ParquetWriter(sink, table.schema, opts or WriteOptions())
-    pw.write(table)
-    pw.finish()
+    with fsio.open_output(sink) as f:
+        pw = ParquetWriter(f, table.schema, opts or WriteOptions())
+        pw.write(table)
+        pw.finish()
 
 
 def write_table_to_bytes(table: pa.Table, opts: Optional[WriteOptions] = None) -> bytes:
@@ -248,11 +245,9 @@ class _RowGroupBuffer:
         self.opts = opts
         self.columns = columns
         self.json_cols: list[str] = []
-        sched = opts.row_group_size
-        self.sched = (sched,) if isinstance(sched, int) else sched
+        self.sizes = group_sizes(opts.row_group_size)
         self.window: list[dict] = []
-        self.gi = 0
-        self.target = self.sched[0]
+        self.target = next(self.sizes)
         self.pw: Optional[ParquetWriter] = None
 
     def feed(self, row: dict) -> None:
@@ -298,8 +293,7 @@ class _RowGroupBuffer:
             self.pw = ParquetWriter(self.f, table.schema, self.opts)
         self.pw.write(table, split_row_groups=False)
         self.window = []
-        self.gi += 1
-        self.target = self.sched[min(self.gi, len(self.sched) - 1)]
+        self.target = next(self.sizes)
 
     def finish(self) -> None:
         self.flush()
@@ -323,17 +317,14 @@ def write_rows(
     names/order (the reference requires it; here it defaults to
     first-seen key order). Without ``schema``, types are inferred from
     the first window with the reference's value-inference semantics
-    (see :func:`auto_schema_from_rows`)."""
-    own = isinstance(sink, str)
-    f = open(sink, "wb") if own else sink
-    try:
+    (see :func:`auto_schema_from_rows`). A path ``sink`` (local or
+    fsspec URI) is written atomically (``fsio.open_output``): if
+    ``rows`` raises, no file is left at it."""
+    with fsio.open_output(sink) as f:
         buf = _RowGroupBuffer(f, schema, opts or WriteOptions(), columns)
         for row in rows:
             buf.feed(row)
         buf.finish()
-    finally:
-        if own:
-            f.close()
 
 
 async def write_rows_async(
@@ -348,13 +339,8 @@ async def write_rows_async(
     each group's write completes before the next is pulled, so a lazy
     source (DB cursor, stream) is never read ahead of the writer.
     Byte-identical output to :func:`write_rows` on the same rows."""
-    own = isinstance(sink, str)
-    f = open(sink, "wb") if own else sink
-    try:
+    with fsio.open_output(sink) as f:
         buf = _RowGroupBuffer(f, schema, opts or WriteOptions(), columns)
         async for row in rows:
             buf.feed(row)
         buf.finish()
-    finally:
-        if own:
-            f.close()

@@ -37,7 +37,7 @@ import pickle
 import re
 import warnings
 import weakref
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from functools import cache, partial
 from itertools import islice
 from typing import Optional
@@ -304,29 +304,24 @@ def _drain_manifests(manifest_ds, done: dict) -> dict:
 
 
 @contextmanager
-def _preserve_order(*datasets):
-    """Force ordered streaming execution for ``datasets``. Ray COPIES
+def _preserve_order(dataset):
+    """Force ordered streaming execution for ``dataset``. Ray COPIES
     the ambient DataContext into each dataset at creation
     (read_api.py: ``DataContext.get_current().copy()``), so flipping
     only the global context does nothing for a dataset the caller built
     earlier — order preservation would then be arrival-order luck. The
-    flag must be set on each dataset's own captured context; the global
+    flag must be set on the dataset's own captured context; the global
     one is included for operators created inside the block."""
     import ray.data
 
-    ctxs = [ray.data.DataContext.get_current()]
-    ctxs += [d.context for d in datasets]
-    uniq: list = []
-    for c in ctxs:  # derived datasets often share the parent's context
-        if not any(c is u for u in uniq):
-            uniq.append(c)
-    prev = [c.execution_options.preserve_order for c in uniq]
-    for c in uniq:
+    ctxs = (ray.data.DataContext.get_current(), dataset.context)
+    prev = [c.execution_options.preserve_order for c in ctxs]
+    for c in ctxs:
         c.execution_options.preserve_order = True
     try:
         yield
     finally:
-        for c, p in zip(uniq, prev):
+        for c, p in zip(ctxs, prev):
             c.execution_options.preserve_order = p
 
 
@@ -348,7 +343,6 @@ def write_parquet_single_file(
     opts = opts or WriteOptions()
     schema_ir = schema_from_arrow(_normalized_arrow_schema(ds),
                                   opts.schema_overrides)
-    fsio.clean_dest_tmps(path)
 
     lineage = None
     skip: frozenset[str] = frozenset()
@@ -367,7 +361,7 @@ def write_parquet_single_file(
     total_raw = 0
     n_parts = 0
     with _preserve_order(encoded):
-        with fsio.atomic_sink(path) as sink:
+        with fsio.open_output(path) as sink:
             asm = FileAssembler(sink, schema_ir, opts)
             for batch in encoded.iter_batches(batch_size=None, batch_format="pyarrow"):
                 for row in range(batch.num_rows):
@@ -442,11 +436,11 @@ def write_table_parallel(table: pa.Table, sink,
     two slices."""
     import ray
 
-    from ..local import row_group_slices, write_table
+    from ..local import group_sizes, row_group_slices, write_table
 
     opts = opts or WriteOptions()
     table = normalize_table(table)
-    slices = row_group_slices(table.num_rows, opts.row_group_size)
+    slices = row_group_slices(table.num_rows, group_sizes(opts.row_group_size))
     serial = ("Ray is not initialized" if not ray.is_initialized() else
               "the schedule has fewer than two slices" if len(slices) < 2
               else None)
@@ -457,8 +451,7 @@ def write_table_parallel(table: pa.Table, sink,
     schema_ir = schema_from_arrow(table.schema, opts.schema_overrides)
     submit = partial(_remote(_encode_table_slice).remote, ray.put(table),
                      schema_ir=schema_ir, opts=opts)
-    with (fsio.atomic_sink(sink) if isinstance(sink, str)
-          else nullcontext(sink)) as f:
+    with fsio.open_output(sink) as f:
         asm = FileAssembler(f, schema_ir, opts)
         _run_tasks(submit, slices, lambda enc: asm.append_group(*enc),
                    _QUEUED_SLICES, ordered=True)

@@ -91,7 +91,7 @@ def encode_row_groups(
 ) -> Iterator[pa.Table]:
     """map_batches task: Arrow batch -> one row per encoded row group.
 
-    Output schema: part_id:string, num_rows:int64, blob:large_binary,
+    Output schema: part_id:string, blob:large_binary,
     meta:large_binary (pickled RowGroupMeta). A group whose id is in
     ``skip_part_ids`` yields a marker row without payload, so ordering
     stays intact and the assembler reuses the checkpointed blob.
@@ -106,7 +106,6 @@ def encode_row_groups(
             meta = pickle.dumps(meta)
         yield pa.table({
             "part_id": pa.array([part_id]),
-            "num_rows": pa.array([group.num_rows], type=pa.int64()),
             "blob": pa.array([blob], type=pa.large_binary()),
             "meta": pa.array([meta], type=pa.large_binary()),
         })

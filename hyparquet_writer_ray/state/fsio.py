@@ -16,7 +16,8 @@ sweep.
   upload on failure, so the previous object survives.
 
 Either way a kill at any instant never leaves a torn object at a final
-name. Markers, lineage records and checkpoint blobs all go through
+name. Single-file writers open their sink with :func:`open_output`.
+Markers, lineage records and checkpoint blobs all go through
 :func:`write_marker`, the atomic put. A marker is written
 only AFTER its directory's data files are complete, and a directory
 with data but no marker is treated as a crashed partial write and
@@ -56,7 +57,7 @@ __all__ = [
     "rm_tree", "glob", "glob_in", "listdir", "isdir", "size", "identity",
     "identities", "location", "within", "fs_rename_based", "tmp_name",
     "atomic_sink", "write_marker", "read_bytes", "read_marker",
-    "open_input", "clean_dest_tmps", "clean_stale_tmps", "mkdtemp",
+    "open_input", "open_output", "clean_dest_tmps", "clean_stale_tmps", "mkdtemp",
     "pq_read_table", "pq_file", "pq_write_table", "parquet_num_rows",
     "read_parquet_dataset", "write_parquet_dataset_dir",
 ]
@@ -363,6 +364,20 @@ def open_input(path: str):
     """Binary read handle (a context manager) for ``path``."""
     fs, p = _fs(path)
     return fs.open(p, "rb")
+
+
+@contextmanager
+def open_output(sink):
+    """Binary write handle (a context manager) for a single-file
+    writer's ``sink``: a path is swept of aged tmps
+    (:func:`clean_dest_tmps`) and written through :func:`atomic_sink`;
+    a file object is used as is, and left open."""
+    if not isinstance(sink, str):
+        yield sink
+        return
+    clean_dest_tmps(sink)
+    with atomic_sink(sink) as f:
+        yield f
 
 
 def parquet_num_rows(path: str) -> int:

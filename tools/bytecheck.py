@@ -40,6 +40,17 @@ The files cover:
   constant runs and alternating min/max extremes, plus a url-like
   string column forced to DELTA_BYTE_ARRAY, all with nulls, in 1 KiB
   pages.
+- ``rows.parquet``: ``write_rows`` of row dicts to a path sink with
+  ``row_group_size=(700, 1500)``: inferred int32, int64, double,
+  string, boolean and timestamp columns with nulls, and a dict-valued
+  column written as JSON text.
+- ``writer_calls.parquet``: one ``ParquetWriter`` fed three
+  ``write()`` calls (split, unsplit, split) across the schedule
+  ``(300, 500, 800)``, so each call picks the schedule up where the
+  previous one left it.
+
+The ``lineitem.parquet`` to ``delta_edge.parquet`` files are written
+by ``write_table`` to a path sink.
 
 With ``--ray`` it starts a local Ray session and checks the Ray
 writers instead: ``write_parquet_dataset`` (plain and with ``sort_by``),
@@ -66,18 +77,27 @@ in DIR when given, else removed at the end)
 from __future__ import annotations
 
 import argparse
+import datetime
 import hashlib
 import os
 import shutil
 import sys
 import tempfile
+from functools import partial
 
 import numpy as np
 import pyarrow as pa
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
-from hyparquet_writer_ray import ColumnSpec, Encoding, WriteOptions, write_table  # noqa: E402
+from hyparquet_writer_ray import (  # noqa: E402
+    ColumnSpec,
+    Encoding,
+    ParquetWriter,
+    WriteOptions,
+    write_rows,
+    write_table,
+)
 from hyparquet_writer_ray.sources.webtable import synthesize_batch  # noqa: E402
 
 
@@ -204,6 +224,42 @@ def _files() -> list[tuple[str, pa.Table, WriteOptions]]:
     ]
 
 
+def _rows(n: int = 5_000, seed: int = 19) -> list[dict]:
+    rng = np.random.default_rng(seed)
+    t0 = datetime.datetime(2024, 1, 1)
+    return [{
+        "id": i,
+        "big": None if i % 13 == 4 else int(rng.integers(-2**40, 2**40)),
+        "score": None if i % 11 == 5 else float(rng.normal()),
+        "name": None if i % 7 == 3 else f"user-{int(rng.integers(0, 300))}",
+        "ok": None if i % 17 == 1 else bool(rng.random() < 0.5),
+        "ts": t0 + datetime.timedelta(milliseconds=int(rng.integers(0, 10**10))),
+        "meta": None if i % 5 == 2 else {
+            "k": int(rng.integers(0, 9)),
+            "tags": [f"t{int(x)}" for x in rng.integers(0, 20, int(rng.integers(0, 4)))],
+            "note": "ü" * int(rng.integers(0, 3))},
+    } for i in range(n)]
+
+
+def _writer_calls(path: str) -> None:
+    table = _lineitem(4_000, seed=23)
+    with open(path, "wb") as f:
+        pw = ParquetWriter(f, table.schema, WriteOptions(row_group_size=(300, 500, 800)))
+        pw.write(table.slice(0, 1_000))
+        pw.write(table.slice(1_000, 700), split_row_groups=False)
+        pw.write(table.slice(1_700))
+        pw.finish()
+
+
+def _writes():
+    """``(name, write(path))`` per file of the default check."""
+    for name, table, opts in _files():
+        yield name, partial(write_table, table, opts=opts)
+    yield "rows.parquet", partial(write_rows, _rows(),
+                                  opts=WriteOptions(row_group_size=(700, 1500)))
+    yield "writer_calls.parquet", _writer_calls
+
+
 WRITERS = ["dataset", "dataset_sorted", "partitioned", "files", "compact", "single"]
 
 
@@ -326,9 +382,9 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         out = args.out or tmp
         os.makedirs(out, exist_ok=True)
-        for name, table, opts in _files():
+        for name, write in _writes():
             path = os.path.join(out, name)
-            write_table(table, path, opts)
+            write(path)
             with open(path, "rb") as f:
                 print(f"{hashlib.sha256(f.read()).hexdigest()}  {name}")
 
