@@ -14,6 +14,7 @@ and small files.
 from __future__ import annotations
 
 import io
+import os
 from itertools import chain, repeat
 from typing import BinaryIO, Iterable, Iterator, Optional, Union
 
@@ -92,7 +93,7 @@ class ParquetWriter:
 
 def write_table(
     table: pa.Table,
-    sink: Union[str, BinaryIO],
+    sink: Union[str, os.PathLike, BinaryIO],
     opts: Optional[WriteOptions] = None,
 ) -> None:
     """Whole-table write (reference parquetWrite, src/write.js:16-60).
@@ -307,7 +308,7 @@ class _RowGroupBuffer:
 
 def write_rows(
     rows: Iterable[dict],
-    sink: Union[str, BinaryIO],
+    sink: Union[str, os.PathLike, BinaryIO],
     schema: Optional[pa.Schema] = None,
     opts: Optional[WriteOptions] = None,
     columns: Optional[list[str]] = None,
@@ -329,7 +330,7 @@ def write_rows(
 
 async def write_rows_async(
     rows,
-    sink: Union[str, BinaryIO],
+    sink: Union[str, os.PathLike, BinaryIO],
     schema: Optional[pa.Schema] = None,
     opts: Optional[WriteOptions] = None,
     columns: Optional[list[str]] = None,

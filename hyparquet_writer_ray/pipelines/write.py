@@ -79,27 +79,39 @@ _FUSED_READS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def read_parquet_fused(path_or_paths, *, columns: Optional[list[str]] = None, **kw):
-    """``ray.data.read_parquet`` shaped so the read FUSES with the next
-    ``map_batches``: one read task per input file (no ``SplitBlocks``
-    operator — SplitBlocks is what breaks ReadParquet->MapBatches
-    fusion). Feeding this into ``write_parquet_dataset`` runs
-    read -> decode -> encode -> part file inside a single task, so
-    input bytes never transit the object store (measured 3.8x
-    end-to-end vs the unfused plan at 32 cpus, BASELINE.md).
+    """A parquet read whose read FUSES with the next ``map_batches``:
+    one read task per input file and no ``SplitBlocks`` operator (which
+    breaks ReadParquet->MapBatches fusion). Feeding this into
+    ``write_parquet_dataset`` runs read -> decode -> encode -> part file
+    inside a single task, so input bytes never transit the object store
+    (measured 3.8x end-to-end vs the unfused plan at 32 cpus,
+    BASELINE.md).
 
     ``path_or_paths``: a directory (its ``*.parquet`` files), one file,
     or an explicit list; a local path or an fsspec URI. ``columns``
     prunes at the read.
 
+    A plain read of files is :class:`.read.FileRead`, built on the
+    driver without ``ray.data.read_parquet``'s footer prefetch and
+    sampling tasks. It reproduces Ray 2.49's read of the same files
+    block for block (the read batch size Ray samples, the same
+    ``pyarrow.dataset`` scan per file, the ``ReadParquet`` operator),
+    because content-named parts and single-file checkpoints hash those
+    blocks: another layout would rename every part of an existing
+    out_dir. ``kw``, a path with a ``key=value`` directory (Ray adds a
+    hive column for it) or a directory in a list still go through
+    ``ray.data.read_parquet``.
+
     The returned Dataset remembers that it is a plain read of these
     files, so ``write_parquet_dataset`` can write one part per input
     file and resume without reading finished inputs; it then never
     executes the read: each part's task reads its file itself
-    (:func:`_write_input_parts`). It does not when
-    ``kw`` is given or a path has a ``key=value`` directory (Ray adds a
-    hive column for it that a plain file read does not), nor does any
-    Dataset derived from it."""
+    (:func:`_write_input_parts`). It does not when ``kw`` is given or a
+    path has a ``key=value`` directory, nor does any Dataset derived
+    from it."""
     import ray.data
+
+    from .read import FileRead
 
     if isinstance(path_or_paths, str):
         if fsio.isdir(path_or_paths):
@@ -112,11 +124,16 @@ def read_parquet_fused(path_or_paths, *, columns: Optional[list[str]] = None, **
         raise ValueError(
             f"read_parquet_fused: no parquet files found in {path_or_paths!r}"
         )
-    ds = ray.data.read_parquet(
-        paths, columns=columns, override_num_blocks=len(paths), **kw
-    )
-    if not kw and not any("=" in d for p in paths for d in p.split("/")[:-1]):
-        _FUSED_READS[ds] = (paths, columns)
+    if kw or any("=" in d for p in paths for d in p.split("/")[:-1]):
+        return ray.data.read_parquet(
+            paths, columns=columns, override_num_blocks=len(paths), **kw)
+    try:
+        ds = ray.data.read_datasource(FileRead(paths, columns),
+                                      override_num_blocks=len(paths))
+    except IsADirectoryError:
+        ds = ray.data.read_parquet(paths, columns=columns,
+                                   override_num_blocks=len(paths))
+    _FUSED_READS[ds] = (paths, columns)
     return ds
 
 
@@ -245,6 +262,7 @@ def _write_part(out_dir: str, fname: str, part_id: str, load, opts: WriteOptions
         # a lineage record without its file on disk is NOT done
         size = fsio.size(fpath)
         if size is not None:
+            log.debug("part %s finished by an earlier run: skipped", fname)
             return _manifest_row(part_id, fname, 0, size, skipped=True)
     schema_ir, groups = load()
     leaves = leaf_columns(schema_ir)

@@ -81,7 +81,9 @@ def url_fs(path: str):
 
 
 def _fs(path: str):
-    """(fsspec filesystem, in-fs path) for any path."""
+    """(fsspec filesystem, in-fs path) for any path (``os.PathLike``
+    too)."""
+    path = os.fspath(path)
     if is_uri(path):
         return url_fs(path)
     from fsspec.implementations.local import LocalFileSystem
@@ -369,10 +371,10 @@ def open_input(path: str):
 @contextmanager
 def open_output(sink):
     """Binary write handle (a context manager) for a single-file
-    writer's ``sink``: a path is swept of aged tmps
-    (:func:`clean_dest_tmps`) and written through :func:`atomic_sink`;
-    a file object is used as is, and left open."""
-    if not isinstance(sink, str):
+    writer's ``sink``: a path (a ``str`` or an ``os.PathLike``) is
+    swept of aged tmps (:func:`clean_dest_tmps`) and written through
+    :func:`atomic_sink`; a file object is used as is, and left open."""
+    if not isinstance(sink, (str, os.PathLike)):
         yield sink
         return
     clean_dest_tmps(sink)

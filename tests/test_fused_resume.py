@@ -445,6 +445,24 @@ def test_parts_skipped_on_resume_are_logged(part_tasks, caplog):
         == [f"part {n} finished by an earlier run: skipped" for n in names[::2]]
 
 
+def test_part_skipped_in_its_task_is_logged(tmp_path, caplog):
+    """A content-named part that its task finds finished (in ``skip``
+    and on disk) is logged like a part the driver settles."""
+    fname = "part-0123456789abcdef.parquet"
+    (tmp_path / fname).write_bytes(b"x")
+
+    def load():
+        raise AssertionError("a skipped part is not read")
+
+    with caplog.at_level("DEBUG", logger="hyparquet_writer_ray"):
+        row = W._write_part(str(tmp_path), fname, "0123456789abcdef", load,
+                            W.WriteOptions(), skip=frozenset([fname]))
+    assert row.column("skipped").to_pylist() == [True]
+    assert [r.getMessage() for r in caplog.records
+            if r.name == "hyparquet_writer_ray"] == \
+        [f"part {fname} finished by an earlier run: skipped"]
+
+
 def test_finished_resume_runs_no_task(part_tasks):
     """With every part finished, neither the file writer nor compaction
     submits a task, and both return the fresh totals, file bytes

@@ -3,9 +3,9 @@
 (``local.group_sizes``).
 
 A path sink, local or URI, is written atomically and swept of aged
-tmps, whichever writer takes it; a row source that raises leaves no
-file and no tmp. A bad schedule raises the same ``ValueError`` from
-every writer."""
+tmps, whichever writer takes it and whether it is a ``str`` or a
+``pathlib.Path``; a row source that raises leaves no file and no tmp.
+A bad schedule raises the same ``ValueError`` from every writer."""
 from __future__ import annotations
 
 import asyncio
@@ -123,6 +123,33 @@ def test_path_sink_sweeps_aged_orphans(tmp_path, fake_ray, writer):
         "out.parquet", "out.parquet.inprogress-2-live"]
     if writer == "write_table_parallel":
         assert len(fake_ray.calls) == 3  # the slice tasks ran
+
+
+@pytest.mark.parametrize("writer", ["write_table", "write_rows", "write_table_parallel",
+                                    "write_parquet_single_file"])
+def test_pathlike_sink_equals_str_sink(request, tmp_path, writer):
+    """Every single-file writer takes a ``pathlib.Path`` and writes there
+    the bytes it writes to the same path given as a ``str``."""
+    if writer == "write_parquet_single_file":
+        import ray.data
+
+        from hyparquet_writer_ray.pipelines.write import write_parquet_single_file
+
+        request.getfixturevalue("ray_session")
+
+        def write(sink):
+            write_parquet_single_file(ray.data.from_arrow(_table()), sink)
+    else:
+        if writer == "write_table_parallel":
+            request.getfixturevalue("fake_ray")
+
+        def write(sink):
+            _write(writer, sink)
+    write(str(tmp_path / "str.parquet"))
+    write(tmp_path / "path.parquet")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["path.parquet", "str.parquet"]
+    assert (tmp_path / "path.parquet").read_bytes() == \
+        (tmp_path / "str.parquet").read_bytes()
 
 
 def _parquet_writer(schedule) -> None:

@@ -56,13 +56,19 @@ With ``--ray`` it starts a local Ray session and checks the Ray
 writers instead: ``write_parquet_dataset`` (plain and with ``sort_by``),
 ``write_parquet_partitioned``, ``write_parquet_files``,
 ``compact_parquet_dataset`` and ``write_parquet_single_file`` with a
-``checkpoint_dir``, all on four small seeded web-table files. It prints
+``checkpoint_dir``, all on four small seeded web-table files, plus
+``dataset_chunked`` and ``single_chunked``: ``write_parquet_dataset``
+and the checkpointed ``write_parquet_single_file`` of
+``read_parquet_fused(inp).map_batches(identity)`` under a 2 MiB
+``target_max_block_size``, whose read blocks hold several read batches
+(a 2,000-row input is one batch at the default target, so the other
+lines cannot see how the read chunks its blocks). It prints
 one ``sha256  writer/relative-name`` line per output part and per
 lineage ``parts/*.json`` record or checkpoint blob, sorted by name.
-Then it deletes one part per writer (for ``single``, one checkpoint
-blob), reruns every writer as a resume, and exits with an error unless
-the resumed files hash the same as the fresh ones; the printed lines
-are the fresh run's. It also writes one input with
+Then it deletes one part per writer (for the two single-file writers,
+one checkpoint blob), reruns every writer as a resume, and exits with
+an error unless the resumed files hash the same as the fresh ones; the
+printed lines are the fresh run's. It also writes one input with
 ``write_table_parallel`` in 250-row slices (``parallel/data.parquet``)
 and exits with an error unless its bytes equal the serial
 ``write_table`` output of the same table. Part names of ``write_parquet_files`` hash the
@@ -260,12 +266,14 @@ def _writes():
     yield "writer_calls.parquet", _writer_calls
 
 
-WRITERS = ["dataset", "dataset_sorted", "partitioned", "files", "compact", "single"]
+WRITERS = ["dataset", "dataset_sorted", "partitioned", "files", "compact", "single",
+           "dataset_chunked", "single_chunked"]
 
 
 def _ray_writers(work: str) -> None:
     """Run every Ray writer into ``work/<writer>`` (a rerun resumes)."""
     import pyarrow.parquet as pq
+    import ray.data
 
     from hyparquet_writer_ray.pipelines.write import (
         compact_parquet_dataset,
@@ -297,6 +305,24 @@ def _ray_writers(work: str) -> None:
     write_parquet_single_file(read_parquet_fused(inp),
                               os.path.join(out("single"), "data.parquet"), opts,
                               checkpoint_dir=out("single/checkpoint"), **small)
+    # The same inputs under a 2 MiB block target: each read block holds
+    # about ten read batches and each input gives two blocks, so a
+    # changed chunk layout of the read renames these content-named parts
+    # and checkpoint blobs.
+    ctx = ray.data.DataContext.get_current()
+    target, ctx.target_max_block_size = ctx.target_max_block_size, 2 << 20
+    try:
+        def chunked():
+            return read_parquet_fused(inp).map_batches(lambda b: b,
+                                                       batch_format="pyarrow")
+
+        write_parquet_dataset(chunked(), out("dataset_chunked"), opts, **small)
+        write_parquet_single_file(chunked(),
+                                  os.path.join(out("single_chunked"), "data.parquet"),
+                                  opts, checkpoint_dir=out("single_chunked/checkpoint"),
+                                  **small)
+    finally:
+        ctx.target_max_block_size = target
 
 
 def _parallel_line(work: str) -> str:
@@ -319,11 +345,11 @@ def _parallel_line(work: str) -> str:
 
 
 def _delete_one_part(work: str, lines: list[str]) -> None:
-    """Delete each writer's first part in name order; for ``single``,
-    its first checkpoint blob."""
+    """Delete each writer's first part in name order; for ``single``
+    and ``single_chunked``, its first checkpoint blob."""
     names = [line.split("  ", 1)[1] for line in lines]
     for writer in WRITERS:
-        kind = "/blobs/" if writer == "single" else ".parquet"
+        kind = "/blobs/" if writer.startswith("single") else ".parquet"
         os.remove(os.path.join(work, next(
             n for n in names if n.startswith(writer + "/") and kind in n)))
 
