@@ -22,23 +22,19 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.dataset as pads
 from pyarrow.fs import LocalFileSystem
+from ray.data._internal.datasource.parquet_datasource import (
+    PARQUET_ENCODING_RATIO_ESTIMATE_MAX_NUM_SAMPLES,
+    PARQUET_ENCODING_RATIO_ESTIMATE_MIN_NUM_SAMPLES,
+    PARQUET_ENCODING_RATIO_ESTIMATE_SAMPLING_RATIO,
+    PARQUET_READER_ROW_BATCH_SIZE,
+    SerializedFragment,
+    _sample_fragment,
+)
 from ray.data.block import BlockMetadata
 from ray.data.context import DataContext
 from ray.data.datasource import Datasource, ReadTask
 
 from ..state import fsio
-
-# Ray 2.49's read batch rule (ray/data/_internal/datasource/
-# parquet_datasource.py; tests/test_fused_read.py pins these to the
-# installed Ray): sample SAMPLING_RATIO of the inputs, at least
-# MIN_SAMPLES and at most MAX_SAMPLES, read SAMPLE_ROWS rows of each,
-# and size batches to a tenth of the block target, at most
-# ROW_BATCH_SIZE rows.
-ROW_BATCH_SIZE = 10_000
-SAMPLING_RATIO = 0.01
-MIN_SAMPLES = 2
-MAX_SAMPLES = 10
-SAMPLE_ROWS = 1024
 
 
 def _resolve(path: str):
@@ -57,28 +53,16 @@ def _fragment(fs, path: str) -> pads.ParquetFileFragment:
     return pads.ParquetFileFormat().make_fragment(path, fs)
 
 
-def _sample(frag: pads.ParquetFileFragment, columns) -> Optional[float]:
-    """Decoded bytes per row of the first rows of ``frag``'s first row
-    group, read as Ray's ``_sample_fragment`` reads them (the scan
-    decodes the whole row group, and a string column's validity bitmap
-    depends on it); None for a file with no rows."""
-    if frag.metadata.num_row_groups == 0:
-        return None
-    first = frag.subset(row_group_ids=[0])
-    rows = max(min(first.metadata.num_rows, SAMPLE_ROWS), 1)
-    batch = next(first.to_batches(columns=columns, batch_size=rows), None)
-    if batch is None or batch.num_rows == 0:
-        return None
-    return batch.nbytes / batch.num_rows
-
-
 def _read_file(fs, path: str, columns, batch_rows) -> Iterator[pa.Table]:
     """One read task's blocks: ``path`` on ``fs`` scanned like Ray's
     ``read_fragments``, one table per non-empty batch."""
     # registers Ray's tensor extension types, as Ray's read task does
     from ray.data.extensions.tensor_extension import ArrowTensorType  # noqa: F401
 
-    # Ray passes the mean itself, which pyarrow truncates
+    # No schema: Ray scans with only a ``schema=`` given to read_parquet,
+    # so each block keeps its own file's schema (metadata, field order
+    # and nullability), as in Ray's read. Ray passes the mean batch
+    # size itself, which pyarrow truncates.
     kw = {} if batch_rows is None else {"batch_size": int(batch_rows)}
     for b in _fragment(fs, path).to_batches(use_threads=False, columns=columns, **kw):
         if b.num_rows:
@@ -106,13 +90,15 @@ class FileRead(Datasource):
     """One read task per input file, named ``Parquet`` so the operator
     stays ``ReadParquet`` and fuses into the next ``map_batches``.
 
-    Built on the driver with no Ray task: the schema from the first
-    input's footer (pruned to ``columns``), sizes from one
-    :func:`fsio.identities` call, scaled by that footer's decoded bytes
-    per file byte. Ray's read batch size is sampled from the inputs Ray
-    samples, against the block target current at construction, when a
-    read task is first shipped (:class:`_ReadFile`). A directory among
-    ``paths`` raises IsADirectoryError: its files are Ray's to list."""
+    Built on the driver with no Ray task: every input's footer gives
+    its task's row count, so ``Dataset.count()`` runs no read; the
+    schema is the first footer's (pruned to ``columns``); sizes come
+    from one :func:`fsio.identities` call, scaled by the first footer's
+    decoded bytes per file byte.
+    Ray's read batch size is sampled from the inputs Ray samples,
+    against the block target current at construction, when a read task
+    is first shipped (:class:`_ReadFile`). A directory among ``paths``
+    raises IsADirectoryError: its files are Ray's to list."""
 
     def __init__(self, paths: list[str], columns: Optional[list[str]] = None):
         self._paths = list(paths)
@@ -120,7 +106,9 @@ class FileRead(Datasource):
         self._columns = columns
         self._target = DataContext.get_current().target_max_block_size
         self._sizes = [size for _, size, _ in fsio.identities(self._paths)]
-        first = _fragment(*self._files[0])
+        frags = [_fragment(*f) for f in self._files]
+        self._rows = [f.metadata.num_rows for f in frags]
+        first = frags[0]
         schema = first.physical_schema
         if columns:
             schema = pa.schema([schema.field(c) for c in columns], schema.metadata)
@@ -131,28 +119,33 @@ class FileRead(Datasource):
 
     @cached_property
     def _batch_rows(self) -> Optional[float]:
-        """Ray's read batch size: the mean over the sampled inputs of the
-        rows of each one's bytes per row in a tenth of the block target,
-        clamped to [1, ROW_BATCH_SIZE] (an empty or all-null sample
-        counts ROW_BATCH_SIZE); None without a block target."""
+        """Ray's read batch size: the mean over the inputs Ray samples of
+        the rows of each sample's bytes per row in a tenth of the block
+        target, clamped to [1, PARQUET_READER_ROW_BATCH_SIZE] (an empty
+        or all-null sample counts the maximum); None without a block
+        target. Each sample is Ray's own ``_sample_fragment``, run here."""
         if self._target is None:
             return None
         n = len(self._paths)
-        k = max(min(int(n * SAMPLING_RATIO), min(MAX_SAMPLES, n)), min(MIN_SAMPLES, n))
-        bprs = [_sample(_fragment(*self._files[i]), self._columns)
+        k = max(min(int(n * PARQUET_ENCODING_RATIO_ESTIMATE_SAMPLING_RATIO),
+                    min(PARQUET_ENCODING_RATIO_ESTIMATE_MAX_NUM_SAMPLES, n)),
+                min(PARQUET_ENCODING_RATIO_ESTIMATE_MIN_NUM_SAMPLES, n))
+        bprs = [_sample_fragment({}, self._columns, None,
+                                 SerializedFragment(_fragment(*self._files[i])))
+                .actual_bytes_per_row
                 for i in np.linspace(0, n - 1, k).astype(int).tolist()]
-        return np.mean([max(1, min(ROW_BATCH_SIZE, (self._target // 10) // b)) if b
-                        else ROW_BATCH_SIZE for b in bprs])
+        return np.mean([max(1, min(PARQUET_READER_ROW_BATCH_SIZE, (self._target // 10) // b))
+                        if b else PARQUET_READER_ROW_BATCH_SIZE for b in bprs])
 
     def estimate_inmemory_data_size(self) -> int:
         return int(sum(self._sizes) * self._ratio)
 
     def get_read_tasks(self, parallelism: int) -> list[ReadTask]:
         return [ReadTask(_ReadFile(self, i),
-                         BlockMetadata(num_rows=None, size_bytes=int(s * self._ratio),
+                         BlockMetadata(num_rows=r, size_bytes=int(s * self._ratio),
                                        input_files=[p], exec_stats=None),
                          schema=self._schema)
-                for i, (p, s) in enumerate(zip(self._paths, self._sizes))]
+                for i, (p, s, r) in enumerate(zip(self._paths, self._sizes, self._rows))]
 
     def get_name(self) -> str:
         return "Parquet"

@@ -4,10 +4,10 @@
 Content-named parts and single-file checkpoint ids hash the blocks of
 the read, so the contract is identical blocks: for every case below
 the two reads give, block for block, the same chunk lengths, the same
-schema with its metadata and the same ``content_part_id``. The copied
-batch rule is pinned to the installed Ray, the plain read builds
-without Ray's parquet datasource or any sample, and a read of a
-protocol only fsspec knows works end to end."""
+schema with its metadata and the same ``content_part_id``, also where
+the inputs' schemas differ. The plain read builds without Ray's parquet
+datasource or any sample, counts its rows from footers without reading,
+and a read of a protocol only fsspec knows works end to end."""
 from __future__ import annotations
 
 import importlib
@@ -57,6 +57,23 @@ def _mixed_widths(d) -> list[str]:
     return paths
 
 
+def _pandas(d) -> list[str]:
+    """pandas-written inputs of different lengths: their footers'
+    pandas metadata differ (the RangeIndex stop)."""
+    return [_write(d, f"pd-{n}", pa.Table.from_pandas(
+        synthesize_batch(0, n).to_pandas())) for n in (1500, 2000, 2500)]
+
+
+def _reordered(d) -> list[str]:
+    """Inputs whose fields differ in order and nullability."""
+    t = synthesize_batch(0, 2000)
+    flipped = pa.schema([f.with_nullable(t.column(f.name).null_count > 0)
+                         for f in reversed(t.schema)])
+    return [_write(d, "web", t),
+            _write(d, "flipped", t.select(flipped.names).cast(flipped)),
+            _write(d, "web-2", synthesize_batch(2000, 2000))]
+
+
 # case -> (paths under a directory, columns, target_max_block_size or None)
 CASES = {
     "under_one_block": lambda d: (_web(d, 3, 2000), None, None),
@@ -70,6 +87,8 @@ CASES = {
     "single": lambda d: (_web(d, 1, 2000), None, None),
     "multi_chunk": lambda d: (_web(d, 8, 20_000), None, None),
     "mixed_widths_1mib": lambda d: (_mixed_widths(d), None, 1 << 20),
+    "pandas_metadata": lambda d: (_pandas(d), None, None),
+    "reordered": lambda d: (_reordered(d), None, None),
 }
 
 
@@ -92,20 +111,9 @@ def test_blocks_equal_rays(ray_session, tmp_path, monkeypatch, case):
     assert _layout(ours) == want
     if case == "multi_chunk":
         assert all(len(chunks) > 1 for _, chunks, _ in want)
-
-
-def test_batch_rule_is_the_installed_rays():
-    """A Ray upgrade that changes its read batch rule fails here, not by
-    renaming every content-named part."""
-    from ray.data._internal.datasource import parquet_datasource as P
-
-    assert (P.PARQUET_READER_ROW_BATCH_SIZE,
-            P.PARQUET_ENCODING_RATIO_ESTIMATE_SAMPLING_RATIO,
-            P.PARQUET_ENCODING_RATIO_ESTIMATE_MIN_NUM_SAMPLES,
-            P.PARQUET_ENCODING_RATIO_ESTIMATE_MAX_NUM_SAMPLES,
-            P.PARQUET_ENCODING_RATIO_ESTIMATE_NUM_ROWS) == (
-        R.ROW_BATCH_SIZE, R.SAMPLING_RATIO, R.MIN_SAMPLES, R.MAX_SAMPLES,
-        R.SAMPLE_ROWS)
+    if case in ("pandas_metadata", "reordered"):
+        # each block keeps its own file's schema, as in Ray's read
+        assert len({schema for _, _, schema in want}) > 1
 
 
 def test_plain_read_builds_without_rays_datasource_or_samples(
@@ -121,11 +129,22 @@ def test_plain_read_builds_without_rays_datasource_or_samples(
 
     paths = _web(tmp_path, 3, 500)
     monkeypatch.setattr(P.ParquetDatasource, "__init__", boom)
-    monkeypatch.setattr(R, "_sample", boom)
+    monkeypatch.setattr(R, "_sample_fragment", boom)
     s = W.write_parquet_dataset(W.read_parquet_fused(paths), str(tmp_path / "out"))
     assert (s["parts"], s["rows"]) == (3, 1500)
     with pytest.raises(AssertionError, match="not to be called"):
         W.read_parquet_fused(paths, include_paths=False)
+
+
+def test_count_reads_footers_only(ray_session, tmp_path, monkeypatch):
+    """``count()`` of a plain fused read sums the inputs' footer row
+    counts: no read task is shipped, so none runs."""
+    def boom(self):
+        raise AssertionError("read task shipped")
+
+    paths = _web(tmp_path, 3, 700) + [_write(tmp_path, "empty", synthesize_batch(0, 0))]
+    monkeypatch.setattr(R._ReadFile, "__reduce__", boom)
+    assert W.read_parquet_fused(paths).count() == 2100
 
 
 def test_fsspec_only_protocol_content_path(ray_session, tmp_path, monkeypatch):
