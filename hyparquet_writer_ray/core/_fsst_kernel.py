@@ -15,6 +15,8 @@ import os
 import subprocess
 import tempfile
 
+import numpy as np
+
 _C_SRC = r"""
 #include <stdint.h>
 #include <string.h>
@@ -185,9 +187,9 @@ def _build() -> "ctypes.CDLL | None":
         return None
     lib.fsst_compress.restype = ctypes.c_size_t
     lib.fsst_compress.argtypes = [
-        ctypes.c_char_p, ctypes.c_size_t,
+        ctypes.c_void_p, ctypes.c_size_t,
         ctypes.c_char_p, ctypes.c_char_p, ctypes.c_int,
-        ctypes.c_char_p,
+        ctypes.c_void_p,
     ]
     lib.fsst_decompress.restype = ctypes.c_size_t
     lib.fsst_decompress.argtypes = [
@@ -228,15 +230,20 @@ def _packed(table) -> tuple[bytes, bytes, int]:
     return packed
 
 
-def compress(data: bytes, table) -> "bytes | None":
+def compress(data: "bytes | bytearray | memoryview", table) -> "bytes | None":
     lib = get_kernel()
     if lib is None:
         return None
     sb, sl, nsym = _packed(table)
-    out = ctypes.create_string_buffer(2 * len(data) + 8)
-    # 8 zero bytes of slack let the kernel read a full u64 at the tail
-    n = lib.fsst_compress(bytes(data) + b"\x00" * 8, len(data), sb, sl, nsym, out)
-    return out.raw[:n]
+    src = np.frombuffer(data, dtype=np.uint8)
+    n = src.size
+    # one copy, into a buffer whose 8 zero bytes of slack let the kernel
+    # read a full u64 at the tail (a view's next bytes could be anything)
+    padded = np.zeros(n + 8, dtype=np.uint8)
+    padded[:n] = src
+    out = np.empty(2 * n + 8, dtype=np.uint8)  # worst case: all escapes
+    m = lib.fsst_compress(padded.ctypes.data, n, sb, sl, nsym, out.ctypes.data)
+    return out[:m].tobytes()
 
 
 def decompress(codes, table) -> "bytes | None":

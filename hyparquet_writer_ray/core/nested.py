@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import pyarrow as pa
 
+from .arrays import drop_null_fast, single_chunk
 from .types import LeafInfo
 
 
@@ -168,7 +169,7 @@ def _walk(s: _Slots, leaf: LeafInfo, depth: int, rep_depth: int) -> LeveledValue
             raise ValueError(
                 f"column {'.'.join(leaf.path)}: null values under a "
                 f"non-nullable field; declare the field nullable")
-        vals = vals.drop_null()
+        vals = drop_null_fast(vals)
     null_count = int(len(s.def_) - (s.def_ == leaf.max_definition_level).sum())
     num_rows = int((s.rep == 0).sum()) if leaf.max_repetition_level else len(s.def_)
     return LeveledValues(
@@ -184,8 +185,6 @@ def _walk(s: _Slots, leaf: LeafInfo, depth: int, rep_depth: int) -> LeveledValue
 
 def compute_levels(col, leaf: LeafInfo) -> LeveledValues:
     """Dremel-encode one top-level column down to ``leaf``."""
-    from .arrays import single_chunk
-
     arr = single_chunk(col)
     n = len(arr)
     s = _Slots(

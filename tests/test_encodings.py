@@ -142,6 +142,37 @@ class TestDictionary:
         buf = assert_roundtrip(t, WriteOptions(page_size=4096))
         assert "RLE_DICTIONARY" not in read_encodings(buf)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        typ=st.sampled_from([pa.string(), pa.binary(), pa.large_string(), pa.large_binary()]),
+        width=st.integers(0, 9),
+        data=st.data(),
+    )
+    def test_dictionary_encode_matches_arrow(self, typ, width, data):
+        """Equal-width 1/2/4/8-byte chunks are encoded through integer
+        keys; every chunk must give ``pc.dictionary_encode``'s
+        dictionary (values, type, byte size) and indices."""
+        import pyarrow.compute as pc
+
+        from hyparquet_writer_ray.core.chunk import _dictionary_encode
+
+        text = pa.types.is_string(typ) or pa.types.is_large_string(typ)
+        alphabet = (st.text(st.characters(max_codepoint=127), min_size=width, max_size=width)
+                    .map(str.encode) if text else st.binary(min_size=width, max_size=width))
+        distinct = data.draw(st.lists(alphabet, min_size=1, max_size=6, unique=True))
+        picks = data.draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=300))
+        vals = [distinct[i] for i in picks]
+        if data.draw(st.booleans()):  # one value of another width
+            vals.insert(data.draw(st.integers(0, len(vals))), b"z" * (width + 1))
+        arr = pa.array(vals, pa.binary()).cast(typ)
+        start = data.draw(st.integers(0, len(arr) - 1))
+        for a in (arr, arr.slice(start), arr.slice(start, (len(arr) - start) // 2)):
+            got, want = _dictionary_encode(a), pc.dictionary_encode(a)
+            assert got.type == want.type
+            assert got.indices.equals(want.indices)
+            assert got.dictionary.equals(want.dictionary)
+            assert got.dictionary.nbytes == want.dictionary.nbytes
+
 
 class TestBooleanRle:
     def test_rle_for_long_bool(self):
@@ -252,6 +283,31 @@ def test_rejected_dictionary_is_logged(caplog):
         "dictionary rejected for column unique: distinct_ratio 1.0000 > 0.5",
         "dictionary rejected for column wide: dict_bytes 19200 > page_size 4096",
     ]
+
+
+def test_fsst_training_is_logged(caplog):
+    """Each chunk that trains an FSST table logs one DEBUG record
+    naming the column, the sample bytes (at most the 64 KiB ``train``
+    reads) and the symbol count."""
+    from hyparquet_writer_ray import write_table_to_bytes
+    from hyparquet_writer_ray.core import fsst
+
+    n = 3_000
+    text = [f"row {i} says hello, " + "abcd" * 10 for i in range(n)]
+    t = pa.table({"text": pa.array(text),
+                  "other": pa.array([f"o{i}" for i in range(n)])})
+    opts = WriteOptions(row_group_size=(2_000,), column_specs={
+        "text": ColumnSpec(fsst=True)})
+    with caplog.at_level("DEBUG", logger="hyparquet_writer_ray"):
+        write_table_to_bytes(t, opts)
+    msgs = [r.getMessage() for r in caplog.records
+            if r.name == "hyparquet_writer_ray" and "fsst" in r.getMessage()]
+    want = []
+    for rows in (text[:2_000], text[2_000:]):  # one record per row group
+        sample = "".join(rows).encode()[:fsst.TRAIN_SAMPLE_BYTES]
+        want.append(f"fsst table trained for column text: {len(sample)} sample "
+                    f"bytes, {len(fsst.train(sample).symbols)} symbols")
+    assert msgs == want
 
 
 def test_unsupported_dictionary_type_is_logged(caplog):

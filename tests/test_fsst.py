@@ -90,7 +90,9 @@ def test_fsst_kernel_fuzz_roundtrip():
     """The compiled kernel must roundtrip arbitrary byte strings —
     including 0xFF runs (escape-code collisions), symbol-boundary
     overlaps, and empty/tiny inputs — and agree with the pure-Python
-    decoder on its own output."""
+    decoder on its own output. Fed a ``bytearray``, or a ``memoryview``
+    whose buffer goes on with 0xFF and symbol bytes (which a read past
+    the end would match), it gives the Python parse of the view's bytes."""
     from hypothesis import given, settings, strategies as st
 
     from hyparquet_writer_ray.core import _fsst_kernel, fsst
@@ -114,8 +116,20 @@ def test_fsst_kernel_fuzz_roundtrip():
         # both paths claim the same greedy longest-match parse — hold
         # them to byte identity, not just roundtrip
         assert enc == enc_py
+        if _fsst_kernel.get_kernel() is None:
+            return
+        longest = max(tbl.symbols, key=len)
+        for tail in (b"\xff" * 16, longest * 2, b"\xff" + longest):
+            buf = bytearray(b"\x07" * 5 + data + tail)
+            view = memoryview(buf)[5 : 5 + len(data)]
+            assert _fsst_kernel.compress(view, tbl) == enc_py
+        assert _fsst_kernel.compress(bytearray(data), tbl) == enc_py
 
     run()
+    tbl = fsst.train(b"abcabcabd")
+    if _fsst_kernel.get_kernel() is not None:
+        for empty in (b"", bytearray(), memoryview(b"abc")[3:]):
+            assert _fsst_kernel.compress(empty, tbl) == b""
 
 
 def test_fsst_kernel_escape_heavy():
