@@ -9,6 +9,10 @@ Examples:
       --output /data/out --mode files --codec zstd --codec-level 12
   ray job submit --working-dir . -- \
       python -m hyparquet_writer_ray encode --input s3://... --output ...
+
+An out_dir or checkpoint dir written by an older version is upgraded
+once, before it is resumed (hyparquet_writer_ray/migrate.py):
+  python -m hyparquet_writer_ray migrate /data/out [--input /data/in]
 """
 from __future__ import annotations
 
@@ -95,6 +99,18 @@ def cmd_encode(args) -> int:
     return 0
 
 
+def cmd_migrate(args) -> int:
+    from .migrate import migrate
+
+    inputs = _expand_inputs(args.input, recursive=False) if args.input else None
+    try:
+        summary = migrate(args.dir, inputs)
+    except FileNotFoundError as e:
+        raise SystemExit(f"migrate: {e}")
+    print(json.dumps(summary))
+    return 0
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="hyparquet_writer_ray")
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -114,6 +130,13 @@ def main(argv=None) -> int:
     enc.add_argument("--repartition", type=int, default=None)
     enc.add_argument("--no-resume", action="store_true")
     enc.set_defaults(fn=cmd_encode)
+    mig = sub.add_parser("migrate", help="upgrade a dir written by an older "
+                         "version, once, so it can be resumed")
+    mig.add_argument("dir", help="an out_dir or a checkpoint_dir")
+    mig.add_argument("--input", nargs="+", default=None,
+                     help="the inputs of a files-mode run into dir: "
+                     "their legacy-named parts are removed")
+    mig.set_defaults(fn=cmd_migrate)
     args = ap.parse_args(argv)
     return args.fn(args)
 

@@ -25,6 +25,11 @@ driver settles a finished one from the out_dir listing and its records
 and runs each pending one as a plain Ray task. Those tasks and the slice
 encodes of :func:`write_table_parallel` run through the one runner
 :func:`_run_tasks`, which has the one cancel-and-drain failure path.
+
+Resume reads only today's lineage (``parts/<id>.json`` records) and
+today's part names. An out_dir written by an older version is refused
+until ``python -m hyparquet_writer_ray migrate`` (``migrate.py``) has
+converted it once.
 """
 from __future__ import annotations
 
@@ -798,29 +803,6 @@ def write_parquet_files(
     block (``target_max_block_size``) of its input at a time."""
     opts = opts or WriteOptions()
     parts = _file_parts(input_paths)
-    # legacy-name migration: parts used to be named part-<stem>.parquet
-    # (no path-hash suffix), and a URI input's hash used to cover the
-    # working directory (os.path.abspath of the URI; only a resume from
-    # the same directory can find those names). Resuming into such an
-    # out_dir re-encodes every shard under the current name and would
-    # leave the old files alongside the new ones, so part-*.parquet
-    # consumers would read duplicate rows. Remove exactly THIS run's
-    # inputs' legacy-named parts (never unrelated files, nor a name this
-    # run writes: one input's stem may equal another's hashed id)
-    # before the skip set is built.
-    legacy = set()
-    for p in input_paths:
-        stem = os.path.splitext(os.path.basename(p))[0]
-        legacy.add(f"part-{stem}.parquet")
-        if fsio.is_uri(p):
-            digest = hashlib.sha1(os.path.abspath(p).encode()).hexdigest()[:8]
-            legacy.add(f"part-{stem}-{digest}.parquet")
-    legacy -= {f"part-{k}.parquet" for k, _, _ in parts}
-    # ONE listing, not one DELETE round trip per input: at 100k shards
-    # against an object store the per-input remove() is 100k serial
-    # requests on every run, almost all for names that don't exist
-    for name in sorted(legacy & fsio.listdir(out_dir).keys()):
-        fsio.remove(fsio.join(out_dir, name))
     done = _open_out_dir(out_dir)
     return _write_input_parts(
         parts, out_dir, opts, done, resume=resume, columns=columns,
@@ -1006,12 +988,11 @@ def compact_parquet_dataset(
     # part would keep serving the old rows alongside the new ones.
     # Only files THIS compactor's lineage recorded are candidates —
     # pre-existing files it never wrote are left untouched.
-    expected = {f"part-{k}.parquet" for k, _, _ in parts}
-    removed = 0
-    for f in set(prior) - expected:
-        fp = fsio.join(out_dir, f)
-        if fsio.exists(fp):
-            fsio.remove(fp)
-            removed += 1
-    total["removed_stale_parts"] = removed
+    # Every candidate is in the out_dir listing, and fsio.remove is
+    # missing-ok, so no HEAD comes first.
+    stale = sorted(set(prior) - {f"part-{k}.parquet" for k, _, _ in parts})
+    for f in stale:
+        fsio.remove(fsio.join(out_dir, f))
+        log.debug("stale compaction part %s removed", f)
+    total["removed_stale_parts"] = len(stale)
     return total

@@ -16,7 +16,12 @@ sweep.
   upload on failure, so the previous object survives.
 
 Either way a kill at any instant never leaves a torn object at a final
-name. Single-file writers open their sink with :func:`open_output`.
+name. The one tmp name is ``<name>.inprogress-*`` (:func:`tmp_name`);
+:func:`clean_stale_tmps` and :func:`clean_dest_tmps` remove the aged
+ones a killed run left and log each at DEBUG. The tmp names of older
+versions are ``hyparquet_writer_ray/migrate.py``'s to remove, not
+every run's. Single-file writers open their sink with
+:func:`open_output`.
 Markers, lineage records and checkpoint blobs all go through
 :func:`write_marker`, the atomic put. A marker is written
 only AFTER its directory's data files are complete, and a directory
@@ -41,6 +46,7 @@ false-positived on it); real fsspec schemes are 2+ characters.
 from __future__ import annotations
 
 import glob as _glob
+import logging
 import os
 import posixpath
 import stat as _stat
@@ -51,6 +57,8 @@ from contextlib import contextmanager
 from urllib.parse import urlsplit
 
 import pyarrow.parquet as pq
+
+log = logging.getLogger("hyparquet_writer_ray")
 
 __all__ = [
     "is_uri", "url_fs", "join", "exists", "makedirs", "remove",
@@ -410,26 +418,27 @@ def _fs_mtime(fs, path: str) -> float | None:
     return m.timestamp() if hasattr(m, "timestamp") else float(m)
 
 
-def _sweep_tmps(base: str, pattern: str, fixed: tuple[str, ...],
-                max_age: float) -> None:
-    """Remove tmps older than ``max_age``: those matching ``base`` (a
-    literal path) + ``pattern``, and the fixed names ``base`` + each of
-    ``fixed``. Object stores write no tmps; a backend with no mtime
-    keeps them. Age-gated because a concurrent writer's live tmp must
-    survive — a healthy writer finishes a part in seconds, so an
-    hour-old tmp is a crashed run's, not a live one's."""
+def _sweep_tmps(base: str, pattern: str, max_age: float) -> list[str]:
+    """Remove the tmps matching ``base`` (a literal path) + ``pattern``
+    that are older than ``max_age`` and return their in-fs paths.
+    Object stores write no tmps; a backend with no mtime keeps them.
+    Age-gated because a concurrent writer's live tmp must survive — a
+    healthy writer finishes a part in seconds, so an hour-old tmp is a
+    crashed run's, not a live one's."""
     fs, p = _fs(base)
     if not fs_rename_based(fs):
-        return
+        return []
     cutoff = time.time() - max_age
-    found = fs.glob(_glob.escape(p) + pattern)
-    for f in found + [p + s for s in fixed if fs.exists(p + s)]:
+    removed = []
+    for f in fs.glob(_glob.escape(p) + pattern):
         try:
             mt = _fs_mtime(fs, f)
             if mt is not None and mt < cutoff:
                 fs.rm(f)
+                removed.append(f)
         except Exception:
             pass
+    return removed
 
 
 def clean_dest_tmps(path: str, max_age: float = STALE_TMP_AGE_SEC) -> None:
@@ -437,10 +446,9 @@ def clean_dest_tmps(path: str, max_age: float = STALE_TMP_AGE_SEC) -> None:
     single-file writes (each attempt uses a fresh random tmp name, and
     a SIGKILL skips the sink's cleanup; the dataset writers sweep via
     clean_stale_tmps, but a single-file destination has no out_dir
-    sweep), plus the FIXED ``<path>.inprogress`` name the pre-r5
-    single-file writers used — a crashed pre-upgrade run's multi-GB tmp
-    must not persist forever."""
-    _sweep_tmps(path, ".inprogress-*", (".inprogress",), max_age)
+    sweep)."""
+    for f in _sweep_tmps(path, ".inprogress-*", max_age):
+        log.debug("removed aged tmp %s", f)
 
 
 def clean_stale_tmps(out_dir: str, max_age: float = STALE_TMP_AGE_SEC) -> None:
@@ -448,13 +456,9 @@ def clean_stale_tmps(out_dir: str, max_age: float = STALE_TMP_AGE_SEC) -> None:
     under ``out_dir``, lineage records and checkpoint blobs included
     (the current run's tmps don't exist yet when this is called). Two
     live writers may share one out_dir (the compaction lineage
-    namespace explicitly supports it), hence the age gate.
-
-    Older versions put lineage records, blobs and the manifest through
-    ``<name>.tmp-*``; those are swept under ``_lineage*/`` only, since
-    a user file elsewhere may carry that suffix."""
-    _sweep_tmps(out_dir, "/**/*.inprogress-*", (), max_age)
-    _sweep_tmps(out_dir, "/_lineage*/**/*.tmp-*", (), max_age)
+    namespace explicitly supports it), hence the age gate."""
+    for f in _sweep_tmps(out_dir, "/**/*.inprogress-*", max_age):
+        log.debug("removed aged tmp %s", f)
 
 
 def mkdtemp(prefix: str, base: str | None = None) -> str:

@@ -12,10 +12,11 @@ get the same semantics:
 - ``blobs/<part_id>``: encoded row groups for single-file resume, put
   just before the part's record.
 
-``manifest.jsonl`` is read-only legacy state: out_dirs and checkpoint
-dirs written before worker-side records hold their records there (one
-JSON line each, possibly a torn trailing line), and resume still reads
-them. No writer writes it; :meth:`LineageLog.clear` removes it.
+Nothing else is read. A namespace that still holds the
+``manifest.jsonl`` of older versions, or a record this version cannot
+load, raises :class:`UnmigratedError` on resume, naming
+``python -m hyparquet_writer_ray migrate <dir>`` (hyparquet_writer_ray/
+migrate.py), which converts it once.
 """
 from __future__ import annotations
 
@@ -47,11 +48,13 @@ class DoneFile(NamedTuple):
     records: list[PartRecord]
 
 
-def _load_record(d: dict) -> PartRecord:
-    # records written before the field was dropped carry a never-read
-    # "checksum"; ignore it so they still resume
-    d.pop("checksum", None)
-    return PartRecord(**d)
+class UnmigratedError(RuntimeError):
+    """Lineage state this version does not read: the base dir must go
+    through ``python -m hyparquet_writer_ray migrate`` first."""
+
+    def __init__(self, base: str, what: str) -> None:
+        super().__init__(f"{what}; run `python -m hyparquet_writer_ray "
+                         f"migrate {base}` once, then rerun")
 
 
 def record_from_meta(part_id: str, meta: RowGroupMeta, blob_len: int,
@@ -119,13 +122,11 @@ class LineageLog:
     def clear(self) -> None:
         """Forget all completion records (fresh-export semantics: the
         owning pipeline is about to rewrite the directory and stale
-        records would wrongly mark new work as done). A legacy
-        ``manifest.jsonl`` goes too."""
-        fsio.rm_tree(self.parts_dir)
-        fsio.rm_tree(self.blob_dir)
+        records would wrongly mark new work as done): the whole
+        namespace goes, an unmigrated one's state included."""
+        fsio.rm_tree(self.dir)
         if self.store_blobs:
             fsio.makedirs(self.blob_dir)  # the next checkpoint needs it
-        fsio.remove(self.manifest_path)
 
     # -- resume side ----------------------------------------------------
     def _existing(self, names: set[str]) -> dict[str, int]:
@@ -151,49 +152,36 @@ class LineageLog:
         have = self._existing({output(r) for r in recs} - {None})
         return [r for r in recs if output(r) is None or output(r) in have]
 
-    def _manifest_records(self) -> list[PartRecord]:
-        """Records of a legacy ``manifest.jsonl``, read only."""
-        try:
-            text = fsio.read_marker(self.manifest_path)
-        except FileNotFoundError:
-            return []
-        out = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(_load_record(json.loads(line)))
-            except (json.JSONDecodeError, TypeError):
-                continue  # torn trailing line from a killed driver
-        return out
-
     def _part_record_lists(self) -> list[list[PartRecord]]:
         """The records of each finished part (one per row group), from
-        the worker-written ``parts/`` files."""
+        the worker-written ``parts/`` files. A record that is JSON but
+        not a :class:`PartRecord` raises :class:`UnmigratedError`."""
         out = []
         for name in fsio.listdir(self.parts_dir):
             if not name.endswith(".json"):
                 continue
+            path = fsio.join(self.parts_dir, name)
             try:
-                out.append([_load_record(d) for d in json.loads(
-                    fsio.read_marker(fsio.join(self.parts_dir, name)))])
+                out.append([PartRecord(**d) for d in json.loads(
+                    fsio.read_marker(path))])
             except (json.JSONDecodeError, OSError):
                 continue  # torn write of a non-atomic fs: ignore
+            except TypeError as e:
+                raise UnmigratedError(
+                    self.base, f"{path} is not a lineage record ({e})") from None
         return out
 
     def _records(self) -> list[PartRecord]:
-        """Every record, with one source per output file: its ``parts/``
-        list when it has one (a part rewritten in place overwrote it),
-        else its legacy manifest lines, each distinct line once (older
-        versions appended to the manifest on every run). Records naming
-        no file come from both."""
-        parts = [r for part in self._part_record_lists() for r in part]
-        files = {r.file for r in parts}
-        distinct = {json.dumps(asdict(r), sort_keys=True): r
-                    for r in self._manifest_records()}
-        return [r for r in distinct.values()
-                if not r.file or r.file not in files] + parts
+        """Every record of the ``parts/`` files. The one place every
+        resume goes through, so it refuses a namespace that still holds
+        a ``manifest.jsonl``: one read attempt, which finds nothing in
+        a migrated or new one."""
+        try:
+            fsio.read_bytes(self.manifest_path)
+        except FileNotFoundError:
+            return [r for part in self._part_record_lists() for r in part]
+        raise UnmigratedError(self.base, f"{self.manifest_path} is lineage "
+                              "state of an older version")
 
     def completed_parts(self) -> dict[str, PartRecord]:
         return {r.part_id: r for r in self._done(self._records())}

@@ -106,11 +106,11 @@ def test_sweep_without_mtime_keeps_tmps(proto, monkeypatch):
         monkeypatch.setattr(faultfs.RenameFS, "modified", _no_mtime)
     tmps = ["/sweep/part-a.parquet.inprogress-1-dead",
             "/sweep/sub/part-b.parquet.inprogress-2-dead",
-            "/sweep/one.parquet.inprogress"]
+            "/dest/one.parquet.inprogress-3-dead"]
     for p in tmps:
         fs.pipe_file(p, b"x")
     fsio.clean_stale_tmps(f"{proto}://sweep", max_age=0)
-    fsio.clean_dest_tmps(f"{proto}://sweep/one.parquet", max_age=0)
+    fsio.clean_dest_tmps(f"{proto}://dest/one.parquet", max_age=0)
     assert all(fs.exists(p) for p in tmps)
 
 
@@ -118,11 +118,11 @@ def test_sweep_with_mtime_removes_aged_tmps():
     """Control for the test above: with an mtime the same sweeps run."""
     fs = fsio.url_fs("faultmv://x")[0]
     fs.pipe_file("/sweep/part-a.parquet.inprogress-1-dead", b"x")
-    fs.pipe_file("/sweep/one.parquet.inprogress", b"x")
+    fs.pipe_file("/dest/one.parquet.inprogress-3-dead", b"x")
     fsio.clean_stale_tmps("faultmv://sweep", max_age=0)
-    fsio.clean_dest_tmps("faultmv://sweep/one.parquet", max_age=0)
+    fsio.clean_dest_tmps("faultmv://dest/one.parquet", max_age=0)
     assert not fs.exists("/sweep/part-a.parquet.inprogress-1-dead")
-    assert not fs.exists("/sweep/one.parquet.inprogress")
+    assert not fs.exists("/dest/one.parquet.inprogress-3-dead")
 
 
 @pytest.mark.parametrize("store_blobs", [False, True])

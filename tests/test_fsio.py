@@ -177,10 +177,11 @@ def test_uri_and_local_outputs_byte_identical(ray_session, tmp_path):
 
 
 def test_write_parquet_files_file_uri(ray_session, tmp_path):
-    """Shard-to-shard writer with a URI out_dir (incl. the legacy-name
-    cleanup going through fsspec remove)."""
+    """Shard-to-shard writer with a URI out_dir (incl. ``migrate
+    --input``'s legacy-name cleanup going through fsspec remove)."""
     import pyarrow.parquet as pq
 
+    from hyparquet_writer_ray.migrate import migrate
     from hyparquet_writer_ray.pipelines.write import write_parquet_files
 
     src = tmp_path / "in"
@@ -190,6 +191,7 @@ def test_write_parquet_files_file_uri(ray_session, tmp_path):
     out_local = tmp_path / "out_uri"
     out_local.mkdir()
     pq.write_table(pa.table({"x": [9]}), str(out_local / "part-x.parquet"))
+    migrate(_file_uri(out_local), [inp])
     s = write_parquet_files([inp], _file_uri(out_local))
     assert s["rows"] == 3
     parts = [f for f in os.listdir(str(out_local))
@@ -506,10 +508,11 @@ def test_write_parquet_dataset_metachar_out_dir_resume(ray_session, tmp_path):
 
 
 def test_write_parquet_files_untouched_unrelated_legacy(ray_session, tmp_path):
-    """The batched legacy-name migration removes only THIS run's
-    inputs' legacy names — unrelated part files stay."""
+    """``migrate --input`` removes only those inputs' legacy names —
+    unrelated part files stay."""
     import pyarrow.parquet as pq
 
+    from hyparquet_writer_ray.migrate import migrate
     from hyparquet_writer_ray.pipelines.write import write_parquet_files
 
     src = tmp_path / "in"
@@ -520,6 +523,7 @@ def test_write_parquet_files_untouched_unrelated_legacy(ray_session, tmp_path):
     out.mkdir()
     pq.write_table(pa.table({"x": [9]}), str(out / "part-x.parquet"))
     pq.write_table(pa.table({"x": [8]}), str(out / "part-other.parquet"))
+    migrate(str(out), [inp])
     write_parquet_files([inp], str(out))
     names = sorted(f for f in os.listdir(str(out)) if f.endswith(".parquet"))
     assert "part-x.parquet" not in names      # this input's legacy: gone
@@ -641,23 +645,25 @@ def test_remove_raises_on_real_failure(tmp_path):
 
 
 def test_clean_dest_tmps_legacy_fixed_name(tmp_path):
-    """The pre-r5 fixed '<path>.inprogress' orphan is swept when aged,
-    kept when fresh (a live local.write_table may own it)."""
-    from hyparquet_writer_ray.state.fsio import clean_dest_tmps as _clean_dest_tmps
+    """The pre-r5 fixed '<path>.inprogress' orphan is migrate's to
+    sweep, not every write's: swept when aged, kept when fresh (a live
+    pre-r5 writer may own it)."""
+    from hyparquet_writer_ray.migrate import migrate
 
-    dest = tmp_path / "out.parquet"
     legacy = tmp_path / "out.parquet.inprogress"
     legacy.write_bytes(b"x")
-    _clean_dest_tmps(str(dest))
+    assert migrate(str(tmp_path))["tmps_removed"] == []
     assert legacy.exists()  # fresh: kept
     past = os.path.getmtime(legacy) - 7200
     os.utime(legacy, (past, past))
-    _clean_dest_tmps(str(dest))
+    fsio.clean_dest_tmps(str(tmp_path / "out.parquet"))
+    assert legacy.exists()  # not a write's
+    assert migrate(str(tmp_path))["tmps_removed"] == [str(legacy)]
     assert not legacy.exists()  # aged: swept
     # URI branch
     legacy.write_bytes(b"x")
     os.utime(legacy, (past, past))
-    _clean_dest_tmps(_file_uri(dest))
+    migrate(_file_uri(tmp_path))
     assert not legacy.exists()
 
 
@@ -714,17 +720,24 @@ def test_write_table_unique_tmp_and_orphan_sweep(tmp_path):
 
     from hyparquet_writer_ray.local import write_table
 
+    from hyparquet_writer_ray.migrate import migrate
+
     sink = str(tmp_path / "t.parquet")
-    aged = tmp_path / "t.parquet.inprogress"        # legacy fixed name
+    aged = tmp_path / "t.parquet.inprogress-98-dead"
+    fixed = tmp_path / "t.parquet.inprogress"       # legacy fixed name
     fresh = tmp_path / "t.parquet.inprogress-99-beef"
-    aged.write_bytes(b"x")
-    fresh.write_bytes(b"y")
+    for f in (aged, fixed, fresh):
+        f.write_bytes(b"x")
     past = os.path.getmtime(aged) - 7200
     os.utime(aged, (past, past))
+    os.utime(fixed, (past, past))
     write_table(pa.table({"a": [1, 2, 3]}), sink)
     assert pq.read_table(sink).column("a").to_pylist() == [1, 2, 3]
     assert not aged.exists()      # aged orphan swept
     assert fresh.exists()         # fresh tmp untouched
+    assert fixed.exists()         # the legacy name is migrate's
+    migrate(str(tmp_path))
+    assert not fixed.exists()
     fresh.unlink()
     # no tmp of our own left behind
     assert [p.name for p in tmp_path.iterdir()] == ["t.parquet"]
@@ -754,12 +767,39 @@ def test_file_uri_out_dir_sweeps_aged_tmps(ray_session, tmp_path):
     assert fresh.exists()
 
 
+def test_tmp_sweeps_are_logged(tmp_path, caplog):
+    """Each aged tmp the out_dir and single-file sweeps remove is logged
+    as one DEBUG record naming it; a fresh tmp is neither removed nor
+    logged."""
+    out = tmp_path / "out"
+    aged = [out / "part-a.parquet.inprogress-1-dead",
+            out / "_lineage" / "parts" / "a.json.inprogress-2-dead",
+            tmp_path / "one.parquet.inprogress-3-dead"]
+    fresh = out / "part-b.parquet.inprogress-4-beef"
+    for f in aged + [fresh]:
+        f.parent.mkdir(parents=True, exist_ok=True)
+        f.write_bytes(b"x")
+    past = os.path.getmtime(fresh) - 7200
+    for f in aged:
+        os.utime(f, (past, past))
+    with caplog.at_level("DEBUG", logger="hyparquet_writer_ray"):
+        fsio.clean_stale_tmps(str(out))
+        fsio.clean_dest_tmps(str(tmp_path / "one.parquet"))
+    assert sorted(r.getMessage() for r in caplog.records
+                  if r.name == "hyparquet_writer_ray") == \
+        sorted(f"removed aged tmp {f}" for f in aged)
+    assert fresh.exists() and not any(f.exists() for f in aged)
+
+
 def test_clean_stale_tmps_sweeps_legacy_lineage_tmps(tmp_path):
     """Versions before the one tmp name wrote lineage records, blobs and
-    the manifest through ``<name>.tmp-*``. The out_dir sweep removes an
-    aged one under ``_lineage*/`` and keeps a fresh one; a user file
-    with that suffix outside ``_lineage*/`` is never touched."""
+    the manifest through ``<name>.tmp-*``. ``migrate`` removes an aged
+    one under ``_lineage*/`` and keeps a fresh one; a user file with
+    that suffix outside ``_lineage*/`` is never touched. The writers'
+    own out_dir sweep no longer looks for them."""
     import time
+
+    from hyparquet_writer_ray.migrate import migrate
 
     out = tmp_path / "out"
     aged = [out / "_lineage" / "parts" / "p.json.tmp-1-dead",
@@ -774,6 +814,8 @@ def test_clean_stale_tmps_sweeps_legacy_lineage_tmps(tmp_path):
     for f in aged + user:
         os.utime(f, (past, past))
     fsio.clean_stale_tmps(str(out))
+    assert all(f.exists() for f in aged)
+    assert sorted(migrate(str(out))["tmps_removed"]) == sorted(map(str, aged))
     assert [f for f in aged if f.exists()] == []
     assert fresh.exists()
     assert all(f.exists() for f in user)

@@ -413,6 +413,41 @@ def test_compaction_uri_inputs(fault_store):
         W.compact_parquet_dataset(paths, f"{proto}://in")
 
 
+def test_compaction_gc_heads_each_stale_part_once(monkeypatch, caplog):
+    """Compaction's GC removes the parts of a superseded bucket layout
+    with one metadata request each (the remove's own; every candidate
+    comes from the out_dir listing) and logs one DEBUG record per
+    part."""
+    fs = faultfs.PutFS
+    fs.reset()
+    FakeTasks(monkeypatch, fs)
+    paths = _store_inputs("faultput://gc")
+    out = "faultput://gc/compact"
+    first = W.compact_parquet_dataset(paths, out, target_part_bytes=1)
+    stale = sorted(p.rsplit("/", 1)[1] for p in fsio.glob_in(out, "part-*.parquet"))
+    assert first["parts"] == len(stale) == 4
+    real = W._write_input_parts
+
+    def then_count(*a, **kw):
+        total = real(*a, **kw)
+        fs.calls.clear()  # count the GC's requests only
+        return total
+
+    monkeypatch.setattr(W, "_write_input_parts", then_count)
+    try:
+        with caplog.at_level("DEBUG", logger="hyparquet_writer_ray"):
+            s = W.compact_parquet_dataset(paths, out, target_part_bytes=1 << 30)
+        assert (s["parts"], s["removed_stale_parts"]) == (1, 4)
+        assert dict(fs.calls) == {"info": 4}
+        assert [r.getMessage() for r in caplog.records
+                if r.name == "hyparquet_writer_ray" and "stale" in r.getMessage()] == \
+            [f"stale compaction part {n} removed" for n in stale]
+        assert fsio.glob_in(out, "part-*.parquet") != []
+        assert not any(fsio.exists(fsio.join(out, n)) for n in stale)
+    finally:
+        fs.reset()
+
+
 def test_resume_hands_tasks_only_pending_parts(part_tasks):
     """A resume submits Ray tasks for the pending parts only; the
     driver totals the finished ones, so the result equals the fresh
@@ -672,8 +707,11 @@ def test_cli_dataset_mode_reads_subdirectories(tmp_path):
 
 def test_uri_input_part_renamed_from_cwd_hash(ray_session, tmp_path, monkeypatch):
     """A URI input's part name used to hash the working directory plus
-    the URI. A resume from that directory removes the old part and
-    writes the current name, so no rows are duplicated."""
+    the URI. ``migrate --input`` from that directory removes the old
+    part, and the resume writes the current name, so no rows are
+    duplicated."""
+    from hyparquet_writer_ray.migrate import migrate
+
     monkeypatch.chdir(tmp_path)
     inp = f"file://{_inputs(tmp_path / 'in', 1)[0]}"
     out = tmp_path / "out"
@@ -682,6 +720,7 @@ def test_uri_input_part_renamed_from_cwd_hash(ray_session, tmp_path, monkeypatch
     old = f"part-in-0-{hashlib.sha1(os.path.abspath(inp).encode()).hexdigest()[:8]}.parquet"
     assert name != old
     os.rename(out / name, out / old)
+    assert migrate(str(out), [inp])["legacy_parts_removed"] == [old]
     s = W.write_parquet_files([inp], str(out))
     assert _parts(out) == [name]
     assert (s["parts"], s["skipped_parts"], s["rows"]) == (1, 0, 300)

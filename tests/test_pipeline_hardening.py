@@ -56,7 +56,9 @@ def test_clean_stale_tmps_spares_live_writers(tmp_path):
 def test_write_parquet_files_removes_legacy_named_parts(ray_session, tmp_path):
     """ADVICE r4: resuming into an out_dir written before the path-hash
     suffix must not leave old part-<base>.parquet files alongside the
-    new hashed names (part-* consumers would read duplicate rows)."""
+    new hashed names (part-* consumers would read duplicate rows):
+    ``migrate --input`` removes them first."""
+    from hyparquet_writer_ray.migrate import migrate
     from hyparquet_writer_ray.pipelines.write import write_parquet_files
 
     src = tmp_path / "in"
@@ -68,6 +70,7 @@ def test_write_parquet_files_removes_legacy_named_parts(ray_session, tmp_path):
     # simulate a pre-hash-naming run's output plus an unrelated part
     pq.write_table(pa.table({"x": [1, 2, 3]}), str(out / "part-x.parquet"))
     pq.write_table(pa.table({"z": [9]}), str(out / "part-other.parquet"))
+    assert migrate(str(out), [inp])["legacy_parts_removed"] == ["part-x.parquet"]
     s = write_parquet_files([inp], str(out))
     assert s["rows"] == 3
     parts = sorted(os.path.basename(p)
@@ -175,10 +178,11 @@ def test_mixture_empty_corpus_id_type_matches_pipeline_contract(ray_data, tmp_pa
 
 def test_write_parquet_files_legacy_sweep_spares_current_parts(ray_session, tmp_path):
     """One input's legacy name can equal another input's hashed name
-    (stem ``y-<hash of y's path>``). The legacy sweep must not delete
-    that current part, or it re-encodes on every resume."""
+    (stem ``y-<hash of y's path>``). ``migrate --input`` must not delete
+    that current part, or it re-encodes on the resume."""
     import hashlib
 
+    from hyparquet_writer_ray.migrate import migrate
     from hyparquet_writer_ray.pipelines.write import write_parquet_files
 
     src = tmp_path / "in"
@@ -191,5 +195,6 @@ def test_write_parquet_files_legacy_sweep_spares_current_parts(ray_session, tmp_
     out = str(tmp_path / "out")
     first = write_parquet_files([y, x], out)
     assert first["parts"] == 2 and first["rows"] == 3
+    assert migrate(out, [y, x])["legacy_parts_removed"] == []
     again = write_parquet_files([y, x], out)
     assert again["skipped_parts"] == 2 and again["rows"] == 3

@@ -11,11 +11,14 @@ import pyarrow.parquet as pq
 import pytest
 
 from hyparquet_writer_ray import WriteOptions
+from hyparquet_writer_ray.migrate import migrate
 from hyparquet_writer_ray.pipelines.write import (
     write_parquet_dataset,
     write_parquet_single_file,
 )
 from hyparquet_writer_ray.sources.webtable import synthesize_table, webtable_dataset
+from hyparquet_writer_ray.state.lineage import UnmigratedError
+from legacy import snapshot, to_legacy_manifest
 
 
 @pytest.fixture()
@@ -159,30 +162,21 @@ def test_resume_returns_fresh_totals(ray_data, tmp_path):
         assert resumed[key] == fresh[key], key
 
 
-def _to_legacy_manifest(base_dir: str) -> None:
-    """Rewrite ``base_dir``'s lineage as versions before worker-side
-    records left it: every record one ``manifest.jsonl`` line, carrying
-    the ``checksum`` field PartRecord had then, and no ``parts/``."""
-    import json
-    import shutil
-
-    lineage = os.path.join(base_dir, "_lineage")
-    parts = os.path.join(lineage, "parts")
-    with open(os.path.join(lineage, "manifest.jsonl"), "w") as f:
-        for path in sorted(glob.glob(os.path.join(parts, "*.json"))):
-            for r in json.load(open(path)):
-                f.write(json.dumps(dict(r, checksum="0123456789ab")) + "\n")
-    shutil.rmtree(parts)
-
-
 def test_resume_from_lineage_with_checksum(ray_data, tmp_path):
     """An out_dir whose only lineage is a legacy manifest (with the
-    ``checksum`` field PartRecord had then) resumes with every part
-    skipped and the totals of the fresh run."""
+    ``checksum`` field PartRecord had then) is refused, with no part
+    written, until ``migrate`` converts it; then it resumes with every
+    part skipped and the totals of the fresh run."""
     out_dir = str(tmp_path / "web4")
     fresh = write_parquet_dataset(
         webtable_dataset(8_000, rows_per_block=2_000), out_dir, concurrency=2)
-    _to_legacy_manifest(out_dir)
+    to_legacy_manifest(out_dir)
+    before = snapshot(out_dir)
+    with pytest.raises(UnmigratedError, match="hyparquet_writer_ray migrate"):
+        write_parquet_dataset(
+            webtable_dataset(8_000, rows_per_block=2_000), out_dir, concurrency=2)
+    assert snapshot(out_dir) == before
+    assert migrate(out_dir)["records_written"] == 4
     resumed = write_parquet_dataset(
         webtable_dataset(8_000, rows_per_block=2_000), out_dir, concurrency=2)
     assert resumed["skipped_parts"] == fresh["parts"] == 4
@@ -191,20 +185,29 @@ def test_resume_from_lineage_with_checksum(ray_data, tmp_path):
 
 
 def test_single_file_resume_from_legacy_manifest(ray_data, tmp_path):
-    """A checkpoint_dir whose only lineage is a legacy manifest reuses
-    every checkpointed blob (no part is encoded, so no record is
-    written) and returns the totals and bytes of the fresh run."""
+    """A checkpoint_dir whose only lineage is a legacy manifest is
+    refused, with no output written, until ``migrate`` converts it;
+    then every checkpointed blob is reused (no part is encoded, so no
+    record is written) and the totals and bytes equal the fresh run's."""
     table = synthesize_table(4_000)
     ckpt = str(tmp_path / "ckpt")
     fresh = write_parquet_single_file(
         ray_data.from_arrow(table).repartition(4), str(tmp_path / "a.parquet"),
         max_group_rows=1_000, checkpoint_dir=ckpt)
     assert fresh["row_groups"] == 4
-    _to_legacy_manifest(ckpt)
+    to_legacy_manifest(ckpt)
+    with pytest.raises(UnmigratedError, match="hyparquet_writer_ray migrate"):
+        write_parquet_single_file(
+            ray_data.from_arrow(table).repartition(4), str(tmp_path / "b.parquet"),
+            max_group_rows=1_000, checkpoint_dir=ckpt)
+    assert not (tmp_path / "b.parquet").exists()
+    migrate(ckpt)
+    records = snapshot(os.path.join(ckpt, "_lineage", "parts"))
+    assert len(records) == 4
     resumed = write_parquet_single_file(
         ray_data.from_arrow(table).repartition(4), str(tmp_path / "b.parquet"),
         max_group_rows=1_000, checkpoint_dir=ckpt)
-    assert not os.path.exists(os.path.join(ckpt, "_lineage", "parts"))
+    assert snapshot(os.path.join(ckpt, "_lineage", "parts")) == records
     for key in fresh.keys() - {"path"}:
         assert resumed[key] == fresh[key], key
     assert (tmp_path / "a.parquet").read_bytes() == \

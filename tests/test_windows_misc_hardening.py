@@ -162,13 +162,20 @@ def test_lineage_tolerates_torn_manifest_line(tmp_path):
 
     from hyparquet_writer_ray.state.lineage import LineageLog, PartRecord
 
+    from hyparquet_writer_ray.migrate import migrate
+    from hyparquet_writer_ray.state.lineage import UnmigratedError
+
     # a manifest as older versions wrote it: one line per record, the
-    # last one torn by a SIGKILL of the driver
+    # last one torn by a SIGKILL of the driver. Resume refuses it;
+    # migrate converts it and skips the torn line.
     log = LineageLog(str(tmp_path))
     rec = PartRecord(part_id="p1", num_rows=5, raw_bytes=10, comp_bytes=8)
     with open(log.manifest_path, "w") as f:
         f.write(json.dumps(asdict(rec)) + "\n")
         f.write('{"part_id": "p2", "num_ro')
+    with pytest.raises(UnmigratedError):
+        LineageLog(str(tmp_path)).completed_parts()
+    assert migrate(str(tmp_path))["records_written"] == 1
     done = LineageLog(str(tmp_path)).completed_parts()
     assert "p1" in done and "p2" not in done
     LineageLog(str(tmp_path)).clear()  # a fresh export forgets them too
