@@ -9,6 +9,7 @@ vectorized scatter over the distinct-hash array.
 """
 from __future__ import annotations
 
+import os
 from typing import Optional
 
 import numpy as np
@@ -381,23 +382,27 @@ def sbbf_check_many(words: np.ndarray, hashes: np.ndarray) -> np.ndarray:
         return (((w >> bits) & np.uint32(1)) != 0).all(axis=1)
 
 
-def load_bloom_words(path: str, column: str):
+def load_bloom_words(source, column: str):
     """(physical_type, type_length, [words per row group]) of ``column``'s
-    bloom filters in a parquet file — footer + bloom byte ranges only,
-    data pages never read. Raises if any row group lacks a bloom on the
-    column (a seen-filter against it would have to treat every value as
-    possibly-seen)."""
-    with open(path, "rb") as f:
-        fmeta = _read_footer_struct(f)
-        ci, ptype, tlen = _resolve_top_level_leaf(fmeta[2], column)
-        out = []
-        for rg in fmeta[4]:
-            rng = _bloom_range(rg, ci)
-            if rng is None:
-                raise ValueError(
-                    f"{path}: row group without a bloom filter on "
-                    f"{column!r} — write the prior dataset with "
-                    f"ColumnSpec(bloom_filter=True)")
-            f.seek(rng[0])
-            out.append(read_bloom(f.read(rng[1])))
-        return ptype, tlen, out
+    bloom filters in a parquet file, given as a local path or as a
+    seekable binary handle (``filter_seen`` opens one on any store) —
+    footer + bloom byte ranges only, data pages never read.
+    Raises if any row group lacks a bloom on the column (a seen-filter
+    against it would have to treat every value as possibly-seen)."""
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, "rb") as f:
+            return load_bloom_words(f, column)
+    fmeta = _read_footer_struct(source)
+    ci, ptype, tlen = _resolve_top_level_leaf(fmeta[2], column)
+    out = []
+    for rg in fmeta[4]:
+        rng = _bloom_range(rg, ci)
+        if rng is None:
+            name = getattr(source, "path", getattr(source, "name", "parquet file"))
+            raise ValueError(
+                f"{name}: row group without a bloom filter on "
+                f"{column!r} — write the prior dataset with "
+                f"ColumnSpec(bloom_filter=True)")
+        source.seek(rng[0])
+        out.append(read_bloom(source.read(rng[1])))
+    return ptype, tlen, out

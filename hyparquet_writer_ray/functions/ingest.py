@@ -14,7 +14,6 @@ fpp the prior writer chose). Shuffle-free, streaming, resume-safe.
 """
 from __future__ import annotations
 
-import glob
 import os
 
 import numpy as np
@@ -84,12 +83,11 @@ def filter_seen(ds, prior, column: str, *, invert: bool = False,
     against the prior corpus; no shuffle."""
     import ray
 
-    if isinstance(prior, str):
-        if os.path.isdir(prior):
-            paths = sorted(glob.glob(os.path.join(prior, "**", "*.parquet"),
-                                     recursive=True))
-        else:
-            paths = [prior]
+    from ..state import fsio
+
+    if isinstance(prior, (str, os.PathLike)):
+        prior = os.fspath(prior)
+        paths = fsio.glob_in(prior, "**/*.parquet") if fsio.isdir(prior) else [prior]
     else:
         paths = list(prior)
     if not paths:
@@ -97,7 +95,8 @@ def filter_seen(ds, prior, column: str, *, invert: bool = False,
     ptype = tlen = None
     blooms: list[np.ndarray] = []
     for p in paths:
-        pt, tl, words = load_bloom_words(p, column)
+        with fsio.open_input(p) as f:
+            pt, tl, words = load_bloom_words(f, column)
         if ptype is None:
             ptype, tlen = pt, tl
         elif (pt, tl) != (ptype, tlen):

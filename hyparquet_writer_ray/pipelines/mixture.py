@@ -171,7 +171,7 @@ def verify_mixture_output(out_dir: str) -> list[pa.Table]:
 
     out = []
     for f in fsio.glob_in(out_dir, "*.parquet"):
-        with fsio.open_input(f) as fh:
-            out.append(pq.ParquetFile(
-                fh, page_checksum_verification=True).read())
+        fs, p = fsio.arrow_fs(f)
+        with pq.ParquetFile(p, filesystem=fs, page_checksum_verification=True) as pf:
+            out.append(pf.read())
     return out

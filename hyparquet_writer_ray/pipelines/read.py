@@ -9,11 +9,13 @@ hashes the blocks of the read it came from, and a single-file
 checkpoint id hashes them too, so this read keeps Ray 2.49's blocks
 byte for byte: it samples the same inputs in-process to reach the same
 read batch size, and scans each input with the same ``pyarrow.dataset``
-fragment call as Ray's ``read_fragments``.
+fragment call as Ray's ``read_fragments``. Each input is opened on the
+filesystem that ``fsio.arrow_fs``, the one resolver, gives it on the
+driver (pyarrow's own ``LocalFileSystem`` for a local path, as Ray
+reads it), and that filesystem ships with its read task.
 """
 from __future__ import annotations
 
-import os
 from functools import cached_property, partial
 from typing import Iterator, Optional
 from urllib.parse import urlsplit
@@ -21,7 +23,6 @@ from urllib.parse import urlsplit
 import numpy as np
 import pyarrow as pa
 import pyarrow.dataset as pads
-from pyarrow.fs import LocalFileSystem
 from ray.data._internal.datasource.parquet_datasource import (
     PARQUET_ENCODING_RATIO_ESTIMATE_MAX_NUM_SAMPLES,
     PARQUET_ENCODING_RATIO_ESTIMATE_MIN_NUM_SAMPLES,
@@ -35,18 +36,6 @@ from ray.data.context import DataContext
 from ray.data.datasource import Datasource, ReadTask
 
 from ..state import fsio
-
-
-def _resolve(path: str):
-    """(pyarrow filesystem, path in it) of the input at ``path``: a
-    local path (absolute) on pyarrow's own local filesystem, as Ray
-    reads it, a URI on its fsspec filesystem. Resolved on the driver
-    and shipped with the read task, so a worker needs no protocol
-    registered."""
-    if fsio.is_uri(path):
-        fs, p = fsio.url_fs(path)
-        return fsio._pa_fs(fs), p
-    return LocalFileSystem(), os.path.abspath(path)
 
 
 def _fragment(fs, path: str) -> pads.ParquetFileFragment:
@@ -102,7 +91,7 @@ class FileRead(Datasource):
 
     def __init__(self, paths: list[str], columns: Optional[list[str]] = None):
         self._paths = list(paths)
-        self._files = [_resolve(p) for p in self._paths]
+        self._files = [fsio.arrow_fs(p) for p in self._paths]
         self._columns = columns
         self._target = DataContext.get_current().target_max_block_size
         self._sizes = [size for _, size, _ in fsio.identities(self._paths)]

@@ -28,9 +28,11 @@ only AFTER its directory's data files are complete, and a directory
 with data but no marker is treated as a crashed partial write and
 cleared.
 
-The Arrow-facing helpers (``pq_read_table``, ``pq_write_table``,
-``read_parquet_dataset``, ``write_parquet_dataset_dir``) keep pyarrow's
-native I/O for local paths.
+Arrow-side I/O resolves through :func:`arrow_fs` alone: pyarrow's
+native ``LocalFileSystem`` for a local path or ``file://``, the fsspec
+filesystem behind ``FSSpecHandler`` for any other URI. Each Arrow
+helper below, and every pyarrow open in the package, is one resolve
+and one pyarrow or Ray call.
 
 Inputs get the same resolver: :func:`identity` is the one
 ``(path, size, version)`` of an input file that resume and compaction
@@ -62,21 +64,22 @@ log = logging.getLogger("hyparquet_writer_ray")
 
 __all__ = [
     "is_uri", "url_fs", "join", "exists", "makedirs", "remove",
-    "rm_tree", "glob", "glob_in", "listdir", "isdir", "size", "identity",
+    "rm_file", "rm_tree", "glob", "glob_in", "listdir", "isdir", "size", "identity",
     "identities", "location", "within", "fs_rename_based", "tmp_name",
     "atomic_sink", "write_marker", "read_bytes", "read_marker",
     "open_input", "open_output", "clean_dest_tmps", "clean_stale_tmps", "mkdtemp",
-    "pq_read_table", "pq_file", "pq_write_table", "parquet_num_rows",
+    "arrow_fs", "pq_read_table", "pq_write_table", "parquet_num_rows",
     "read_parquet_dataset", "write_parquet_dataset_dir",
 ]
 
 
-def is_uri(path: str) -> bool:
+def is_uri(path) -> bool:
     """True for fsspec URIs (``s3://…``, ``memory://…``, ``file://…``):
     a scheme of 2+ characters followed by ``://``. One-letter schemes
     are Windows drive prefixes, and a local path with a colon in its
     first segment (``ab:cd/out``, a timestamped ``…T04:00/out``) has
-    no ``://``, so neither is a URI."""
+    no ``://``, so neither is a URI. ``path`` may be an ``os.PathLike``."""
+    path = os.fspath(path)
     n = len(urlsplit(path).scheme)
     return n > 1 and path[n : n + 3] == "://"
 
@@ -256,10 +259,18 @@ def _kind(fs, p: str) -> str | None:
 def remove(path: str) -> None:
     """Delete one file if present (missing is not an error; any OTHER
     failure raises — checkpoint cleanup that silently leaves a stale
-    file behind turns into duplicated rows on the next read)."""
-    fs, p = _fs(path)
-    if _kind(fs, p) == "directory":
+    file behind turns into duplicated rows on the next read). A
+    directory raises, after one metadata request (:func:`rm_file` has
+    none)."""
+    if _kind(*_fs(path)) == "directory":
         raise IsADirectoryError(path)
+    rm_file(path)
+
+
+def rm_file(path: str) -> None:
+    """Delete the file at ``path``, missing-ok, with no metadata
+    request: for a path that a listing returned as a file."""
+    fs, p = _fs(path)
     try:
         fs.rm_file(p)
     except FileNotFoundError:
@@ -390,10 +401,10 @@ def open_output(sink):
         yield f
 
 
-def parquet_num_rows(path: str) -> int:
+def parquet_num_rows(path) -> int:
     """Footer-only row count (no data scan)."""
-    with open_input(path) as f:
-        return pq.ParquetFile(f).metadata.num_rows
+    fs, p = arrow_fs(path)
+    return pq.read_metadata(p, filesystem=fs).num_rows
 
 
 STALE_TMP_AGE_SEC = 3600.0
@@ -472,60 +483,44 @@ def mkdtemp(prefix: str, base: str | None = None) -> str:
     return d
 
 
-def _pa_fs(fs):
-    """pyarrow FileSystem view of an fsspec filesystem — the
-    FSSpecHandler wrapper pickles, so it ships to ray workers."""
-    from pyarrow.fs import FSSpecHandler, PyFileSystem
+def arrow_fs(path):
+    """(pyarrow FileSystem, path in it) for ``path``, a ``str`` or an
+    ``os.PathLike``: pyarrow's native ``LocalFileSystem`` and the
+    absolute path for a local path or ``file://``, as Ray reads them;
+    for any other URI its fsspec filesystem behind ``FSSpecHandler``,
+    which pickles, so it ships to Ray workers."""
+    from pyarrow.fs import FSSpecHandler, LocalFileSystem, PyFileSystem
 
-    return PyFileSystem(FSSpecHandler(fs))
-
-
-def pq_read_table(path: str, **kw):
-    if is_uri(path):
-        fs, p = url_fs(path)
-        return pq.read_table(p, filesystem=fs, **kw)
-    return pq.read_table(path, **kw)
-
-
-def pq_file(path: str) -> pq.ParquetFile:
-    """``pq.ParquetFile`` on ``path``, for a read that streams row
-    groups; close it (it is a context manager)."""
-    if is_uri(path):
-        fs, p = url_fs(path)
-        return pq.ParquetFile(p, filesystem=fs)
-    return pq.ParquetFile(path)
+    fs, p = _fs(path)
+    if _is_local(fs):
+        return LocalFileSystem(), os.path.abspath(p)
+    return PyFileSystem(FSSpecHandler(fs)), p
 
 
-def pq_write_table(table, path: str, **kw) -> None:
-    if is_uri(path):
-        fs, p = url_fs(path)
-        pq.write_table(table, p, filesystem=fs, **kw)
-    else:
-        pq.write_table(table, path, **kw)
+def pq_read_table(path, **kw):
+    fs, p = arrow_fs(path)
+    return pq.read_table(p, filesystem=fs, **kw)
+
+
+def pq_write_table(table, path, **kw) -> None:
+    fs, p = arrow_fs(path)
+    pq.write_table(table, p, filesystem=fs, **kw)
 
 
 def read_parquet_dataset(path_or_paths, **kw):
-    """ray.data.read_parquet that accepts fsspec URIs (dir or list)."""
+    """``ray.data.read_parquet`` of a directory, a file or a list of
+    them, each resolved by :func:`arrow_fs`, on the first one's
+    filesystem."""
     import ray.data
 
-    first = path_or_paths if isinstance(path_or_paths, str) \
-        else path_or_paths[0]
-    if is_uri(first):
-        fs, _ = url_fs(first)
-        paths = [path_or_paths] if isinstance(path_or_paths, str) \
-            else list(path_or_paths)
-        stripped = [url_fs(p)[1] for p in paths]
-        if isinstance(path_or_paths, str):
-            stripped = stripped[0]
-        return ray.data.read_parquet(
-            stripped, filesystem=_pa_fs(fs), **kw)
-    return ray.data.read_parquet(path_or_paths, **kw)
+    if isinstance(path_or_paths, (str, os.PathLike)):
+        path_or_paths = [path_or_paths]
+    resolved = [arrow_fs(p) for p in path_or_paths]
+    return ray.data.read_parquet([p for _, p in resolved],
+                                 filesystem=resolved[0][0], **kw)
 
 
-def write_parquet_dataset_dir(ds, path: str) -> None:
-    """ds.write_parquet that accepts an fsspec URI directory."""
-    if is_uri(path):
-        fs, p = url_fs(path)
-        ds.write_parquet(p, filesystem=_pa_fs(fs))
-    else:
-        ds.write_parquet(path)
+def write_parquet_dataset_dir(ds, path) -> None:
+    """``ds.write_parquet`` into the directory ``path``."""
+    fs, p = arrow_fs(path)
+    ds.write_parquet(p, filesystem=fs)

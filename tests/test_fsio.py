@@ -939,3 +939,51 @@ def test_within_resolves_local_symlinks(tmp_path):
     assert fsio.within("faultput://b/out/x.parquet", "faultput://b/out")
     assert not fsio.within("faultput://b/outer/x.parquet", "faultput://b/out")
     assert not fsio.within("faultmv://b/out/x.parquet", "faultput://b/out")
+
+
+@pytest.mark.parametrize("kind", ["relative", "pathlib", "file_uri", "memory", "faultmv"])
+def test_arrow_fs_round_trip(tmp_path, monkeypatch, kind):
+    """``pq_write_table`` -> ``parquet_num_rows`` -> ``pq_read_table``
+    through the one resolver on every kind of path: a local path in any
+    spelling (relative, ``pathlib.Path``, ``file://``) is pyarrow's
+    native ``LocalFileSystem`` with an absolute path, any other URI its
+    fsspec filesystem."""
+    import pathlib
+
+    import faultfs
+    from pyarrow.fs import LocalFileSystem, PyFileSystem
+
+    monkeypatch.chdir(tmp_path)
+    faultfs.RenameFS.reset()
+    path = {"relative": "sub/t.parquet",
+            "pathlib": pathlib.Path("sub/t.parquet"),
+            "file_uri": f"file://{tmp_path}/sub/t.parquet",
+            "memory": "memory://arrow_fs_rt/t.parquet",
+            "faultmv": "faultmv://arrow_fs_rt/t.parquet"}[kind]
+    (tmp_path / "sub").mkdir()
+    fs, p = fsio.arrow_fs(path)
+    if kind in ("relative", "pathlib", "file_uri"):
+        assert isinstance(fs, LocalFileSystem)
+        assert p == str(tmp_path / "sub" / "t.parquet")
+    else:
+        assert isinstance(fs, PyFileSystem)
+        assert p == "/arrow_fs_rt/t.parquet"
+    t = pa.table({"x": list(range(10)), "s": [f"v{i}" for i in range(10)]})
+    fsio.pq_write_table(t, path, row_group_size=4)
+    assert fsio.parquet_num_rows(path) == 10
+    assert fsio.pq_read_table(path).equals(t)
+    if kind == "memory":
+        fsio.rm_tree("memory://arrow_fs_rt")
+    faultfs.RenameFS.reset()
+
+
+def test_pathlike_inputs_resolve_like_str(tmp_path):
+    """An ``os.PathLike`` input is the same input as its ``str``."""
+    import pyarrow.parquet as pq
+
+    p = tmp_path / "a.parquet"
+    pq.write_table(pa.table({"x": [1, 2]}), p)
+    assert not fsio.is_uri(p)
+    assert fsio.identity(p) == fsio.identity(str(p))
+    assert fsio.identities([p, str(p)]) == [fsio.identity(str(p))] * 2
+    assert fsio.location(p) == fsio.location(str(p))

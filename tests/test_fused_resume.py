@@ -318,6 +318,65 @@ def test_streamed_read_holds_one_block(tmp_path):
     assert pa.concat_tables(g for _, g in groups).equals(whole)
 
 
+def test_scan_blocks_on_a_store_equal_the_local_read(tmp_path):
+    """A part task streams a ``faultmv://`` input through the same
+    resolver and open as a local one: the same tables (values, chunk
+    lengths, ``nbytes``) at the default block and at a tenth of the
+    input."""
+    import ray.data
+
+    from hyparquet_writer_ray.core.schema import normalize_table
+
+    local = str(tmp_path / "big.parquet")
+    pq.write_table(_nullable_table(60_000), local, row_group_size=7_000)
+    faultfs.RenameFS.reset()
+    remote = "faultmv://scan/big.parquet"
+    with open(local, "rb") as f:
+        fsio.write_marker(remote, f.read())
+    default = ray.data.DataContext.get_current().target_max_block_size
+    try:
+        for block in (default, normalize_table(pq.read_table(local)).nbytes // 10):
+            want = list(W._scan_blocks([local], None, block))
+            got = list(W._scan_blocks([remote], None, block))
+            assert got[0] == want[0]
+            assert len(got) == len(want) > (2 if block != default else 1)
+            for g, w in zip(got[1:], want[1:]):
+                assert g.equals(w)
+                assert g.nbytes == w.nbytes
+                assert [[len(c) for c in col.chunks] for col in g.columns] == \
+                    [[len(c) for c in col.chunks] for col in w.columns]
+    finally:
+        faultfs.RenameFS.reset()
+
+
+def test_pathlike_inputs_write_what_str_inputs_write(ray_session, tmp_path, monkeypatch):
+    """``pathlib.Path`` inputs give the same part names, record ids and
+    bytes as the same paths given as ``str``: through
+    ``write_parquet_files``, ``compact_parquet_dataset`` (a directory)
+    and ``read_parquet_fused`` (a directory, and a list)."""
+    import pathlib
+
+    FakeTasks(monkeypatch)
+    paths = _inputs(tmp_path / "in")
+    as_path = [pathlib.Path(p) for p in paths]
+
+    def out(name: str, lineage: str = "_lineage") -> tuple:
+        d = tmp_path / name
+        recs = LineageLog(str(d), name=lineage).completed_records().values()
+        return ({n: (d / n).read_bytes() for n in _parts(d)},
+                sorted(r.part_id for part in recs for r in part.records))
+
+    W.write_parquet_files(paths, str(tmp_path / "files_str"))
+    W.write_parquet_files(as_path, str(tmp_path / "files_path"))
+    assert out("files_path") == out("files_str")
+    W.compact_parquet_dataset(str(tmp_path / "in"), str(tmp_path / "compact_str"))
+    W.compact_parquet_dataset(tmp_path / "in", str(tmp_path / "compact_path"))
+    assert out("compact_path", W.COMPACT_LINEAGE) == out("compact_str", W.COMPACT_LINEAGE)
+    for name, src in (("fused_dir", tmp_path / "in"), ("fused_list", as_path)):
+        W.write_parquet_dataset(W.read_parquet_fused(src), str(tmp_path / name))
+        assert out(name) == out("files_str")
+
+
 def test_file_parts_list_inputs_instead_of_heads():
     """Naming the parts of many URI inputs in one directory costs one
     listing, not one metadata request per input."""
@@ -415,9 +474,9 @@ def test_compaction_uri_inputs(fault_store):
 
 def test_compaction_gc_heads_each_stale_part_once(monkeypatch, caplog):
     """Compaction's GC removes the parts of a superseded bucket layout
-    with one metadata request each (the remove's own; every candidate
-    comes from the out_dir listing) and logs one DEBUG record per
-    part."""
+    with no metadata request or listing (every candidate is a file of
+    the out_dir listing the resume already made) and logs one DEBUG
+    record per part."""
     fs = faultfs.PutFS
     fs.reset()
     FakeTasks(monkeypatch, fs)
@@ -438,7 +497,7 @@ def test_compaction_gc_heads_each_stale_part_once(monkeypatch, caplog):
         with caplog.at_level("DEBUG", logger="hyparquet_writer_ray"):
             s = W.compact_parquet_dataset(paths, out, target_part_bytes=1 << 30)
         assert (s["parts"], s["removed_stale_parts"]) == (1, 4)
-        assert dict(fs.calls) == {"info": 4}
+        assert dict(fs.calls) == {}
         assert [r.getMessage() for r in caplog.records
                 if r.name == "hyparquet_writer_ray" and "stale" in r.getMessage()] == \
             [f"stale compaction part {n} removed" for n in stale]

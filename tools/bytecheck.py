@@ -71,8 +71,11 @@ an error unless the resumed files hash the same as the fresh ones; the
 printed lines are the fresh run's. It also writes one input with
 ``write_table_parallel`` in 250-row slices (``parallel/data.parquet``)
 and exits with an error unless its bytes equal the serial
-``write_table`` output of the same table. Part names of ``write_parquet_files`` hash the
-absolute input path and
+``write_table`` output of the same table. Last, it runs
+``write_parquet_files`` on the four inputs named as ``file://`` URIs
+(into ``files_uri``, which prints no line) and exits with an error
+unless every part's bytes equal the matching ``files/`` part's. Part
+names of ``write_parquet_files`` hash the absolute input path and
 compaction bucket ids hash input mtimes, so the inputs live at a fixed
 path (``--out``, default ``<tmpdir>/hpw-bytecheck-ray``) and get a
 fixed mtime.
@@ -344,6 +347,32 @@ def _parallel_line(work: str) -> str:
     return f"{hashlib.sha256(data).hexdigest()}  parallel/data.parquet"
 
 
+def _file_uri_check(work: str) -> None:
+    """Write the four inputs named as ``file://`` URIs with
+    ``write_parquet_files``; fail unless every part equals the matching
+    local ``files/`` part (the names differ only in their path hash)."""
+    from hyparquet_writer_ray.pipelines.write import write_parquet_files
+
+    inp = os.path.join(work, "in")
+    out = os.path.join(work, "files_uri")
+    write_parquet_files([f"file://{os.path.join(inp, f'web-{i}.parquet')}" for i in range(4)],
+                        out, WriteOptions(auto_codec="smart"), max_group_rows=700)
+
+    def parts(d: str) -> dict[str, bytes]:
+        found = {}
+        for name in os.listdir(d):
+            if name.endswith(".parquet"):
+                with open(os.path.join(d, name), "rb") as f:
+                    found[name.rsplit("-", 1)[0]] = f.read()
+        return found
+
+    got, want = parts(out), parts(os.path.join(work, "files"))
+    if got != want:
+        raise SystemExit("write_parquet_files of file:// inputs differs from local inputs: "
+                         + ", ".join(sorted(k for k in got.keys() | want.keys()
+                                            if got.get(k) != want.get(k))))
+
+
 def _delete_one_part(work: str, lines: list[str]) -> None:
     """Delete each writer's first part in name order; for ``single``
     and ``single_chunked``, its first checkpoint blob."""
@@ -364,6 +393,7 @@ def _ray_lines(work: str) -> list[str]:
         _delete_one_part(work, fresh)
         _ray_writers(work)
         parallel = _parallel_line(work)
+        _file_uri_check(work)
     finally:
         ray.shutdown()
     resumed = _hashes(work)
