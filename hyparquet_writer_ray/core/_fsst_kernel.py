@@ -170,6 +170,8 @@ def _build() -> "ctypes.CDLL | None":
     so = os.path.join(cache, "fsst_kernel_v6.so")
     if not os.path.exists(so):
         src = os.path.join(cache, "fsst_kernel.c")
+        # the one builtin open outside state/fsio: cc reads this source
+        # and ctypes loads the .so from local disk, never from a store
         with open(src, "w") as f:
             f.write(_C_SRC)
         tmp = so + f".build{os.getpid()}"

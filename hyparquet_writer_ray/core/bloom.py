@@ -6,10 +6,22 @@ xxhash64 runs vectorized in numpy for fixed-width values (INT32/INT64/
 FLOAT/DOUBLE hash their little-endian bytes) and as a pure-python
 scalar implementation for BYTE_ARRAY values. SBBF insertion is one
 vectorized scatter over the distinct-hash array.
+
+Reader side: :func:`bloom_might_contain` (a per-row-group probe) and
+:func:`load_bloom_words` (the words ``filter_seen`` checks against) are
+one bloom read, :func:`_blooms`, plus their own last step. It parses
+the footer and resolves the column with ``core/reader`` and reads only
+the footer and the bloom byte ranges. A source is the file's bytes
+(bytes, bytearray or memoryview), a path (``str`` or ``os.PathLike``,
+local or any fsspec URI, opened through ``state/fsio``) or an open
+seekable binary handle.
 """
 from __future__ import annotations
 
+import contextlib
+import io
 import os
+import struct
 from typing import Optional
 
 import numpy as np
@@ -17,7 +29,8 @@ import pyarrow as pa
 
 from . import arrays as A
 from .bufwriter import BufWriter
-from .thrift import write_struct
+from .reader import read_footer, top_level_leaf
+from .thrift import CompactReader, write_struct
 from .types import ParquetType, SchemaElement
 
 _M = 0xFFFFFFFFFFFFFFFF
@@ -236,98 +249,57 @@ def build_bloom(values: pa.Array, element: SchemaElement,
 
 
 def read_bloom(data) -> np.ndarray:
-    """Parse a serialized bloom back into block words (for tests)."""
-    from .thrift import CompactReader
-
+    """Parse a serialized bloom back into block words."""
     r = CompactReader(data)
-    header = r.read_struct()
-    num_bytes = header[1]
-    words = np.frombuffer(data, dtype="<u4", count=num_bytes // 4, offset=r.pos)
-    return words
+    num_bytes = r.read_struct()[1]
+    return np.frombuffer(data, dtype="<u4", count=num_bytes // 4, offset=r.pos)
 
 
+def _opened(source):
+    """Seekable binary handle (a context manager) on a parquet file:
+    bytes, bytearray or memoryview in memory; a ``str`` or an
+    ``os.PathLike``, local or any fsspec URI, through ``fsio``; any
+    other object is taken for an open handle and left open."""
+    if isinstance(source, (bytes, bytearray, memoryview)):
+        return io.BytesIO(source)
+    if isinstance(source, (str, os.PathLike)):
+        from ..state import fsio
 
-def _read_footer_struct(f):
-    """Parsed footer thrift struct of an open parquet file handle
-    (reads ONLY the footer bytes)."""
-    from .thrift import CompactReader
-
-    f.seek(0, 2)
-    size = f.tell()
-    f.seek(size - 8)
-    flen = int.from_bytes(f.read(4), "little")
-    f.seek(size - 8 - flen)
-    return CompactReader(f.read(flen)).read_struct()
+        return fsio.open_input(source)
+    return contextlib.nullcontext(source)
 
 
-def _bloom_range(rg, ci):
-    """(offset, length) of chunk ordinal ``ci``'s bloom, or None."""
-    md = rg[1][ci][3]
-    off, ln = md.get(14), md.get(15)
-    return None if off is None or not ln else (off, ln)
+def _blooms(source, column: str):
+    """(physical_type, type_length, [block words of each row group, or
+    None for a row group without a bloom]) of the top-level ``column``
+    in the parquet file ``source`` (see :func:`_opened`). Reads the
+    footer and the bloom byte ranges only, never a data page."""
+    with _opened(source) as f:
+        fmeta = read_footer(f)
+        ci, ptype, tlen = top_level_leaf(fmeta[2], column)
+        words = []
+        for rg in fmeta[4]:
+            md = rg[1][ci][3]  # 14, 15: bloom_filter_offset, _length
+            if md.get(14) is None or not md.get(15):
+                words.append(None)
+            else:
+                f.seek(md[14])
+                words.append(read_bloom(f.read(md[15])))
+    return ptype, tlen, words
 
 
 def bloom_might_contain(source, column: str, value) -> list[bool]:
-    """Reader-side bloom probe: for each row group of a parquet file (a
-    path or bytes), report whether ``value`` MIGHT be present in
-    ``column`` (False = definitely absent — the row group can be
-    skipped without reading data pages). A row group that carries no
-    bloom filter on the column reports True (cannot be skipped).
+    """Reader-side bloom probe: for each row group of a parquet file
+    (any source :func:`_opened` takes), report whether ``value`` MIGHT
+    be present in ``column`` (False = definitely absent — the row group
+    can be skipped without reading data pages). A row group that
+    carries no bloom filter on the column reports True (cannot be
+    skipped).
 
     The probe bytes are derived from the COLUMN's physical type, so an
     int probe against a DOUBLE column hashes the IEEE double bits (a
-    value-type-driven encoding would produce silent false negatives).
-    For a path source only the footer and the bloom byte ranges are
-    read — never the data pages."""
-    import struct as _struct
-
-    from .thrift import CompactReader
-
-    if isinstance(source, str):
-        with open(source, "rb") as f:
-            fmeta = _read_footer_struct(f)
-
-            def read_range(off: int, ln: int) -> bytes:
-                f.seek(off)
-                return f.read(ln)
-
-            return _bloom_probe(fmeta, read_range, column, value, _struct)
-    buf = bytes(source)
-    flen = int.from_bytes(buf[-8:-4], "little")
-    fmeta = CompactReader(buf[-8 - flen : -8]).read_struct()
-    return _bloom_probe(
-        fmeta, lambda off, ln: buf[off : off + ln], column, value, _struct
-    )
-
-
-def _resolve_top_level_leaf(schema_elems, column: str):
-    """(chunk_index, physical_type, type_length) of the TOP-LEVEL
-    primitive column named ``column``. Column chunks are ordered by DFS
-    leaf order, but the name must resolve only among direct children of
-    the root — a nested leaf sharing a bare name (e.g. a map's 'value')
-    must not shadow or shift the chunk index and probe the wrong
-    column's bloom offsets."""
-    from .types import iter_dfs_leaves
-
-    leaf = []  # (name, ptype, tlen, is_top_level) in DFS leaf order
-    for _, el, is_top in iter_dfs_leaves(
-        int(schema_elems[0].get(5) or 0),
-        ((e, e.get(5), e.get(1) is not None and not e.get(5))
-         for e in schema_elems[1:]),
-    ):
-        nm = el[4].decode() if isinstance(el[4], bytes) else el[4]
-        leaf.append((nm, el[1], el.get(2), is_top))
-    hits = [i for i, (n, _, _, top) in enumerate(leaf) if top and n == column]
-    if not hits:
-        raise KeyError(f"no top-level primitive column named {column!r}")
-    if len(hits) > 1:
-        raise KeyError(f"ambiguous column name {column!r}")
-    _, ptype, tlen, _ = leaf[hits[0]]
-    return hits[0], ptype, tlen
-
-
-def _bloom_probe(fmeta, read_range, column: str, value, _struct) -> list[bool]:
-    ci, ptype, _ = _resolve_top_level_leaf(fmeta[2], column)
+    value-type-driven encoding would produce silent false negatives)."""
+    ptype, _, words = _blooms(source, column)
     # encode the probe by the COLUMN's physical type (parquet bloom
     # hashes the stored representation): 1=INT32 2=INT64 4=FLOAT
     # 5=DOUBLE 6=BYTE_ARRAY 7=FLBA
@@ -339,7 +311,7 @@ def _bloom_probe(fmeta, read_range, column: str, value, _struct) -> list[bool]:
         width = 4 if ptype == 1 else 8
         data = (int(value) & ((1 << (8 * width)) - 1)).to_bytes(width, "little")
     elif ptype in (4, 5):
-        data = _struct.pack("<f" if ptype == 4 else "<d", float(value))
+        data = struct.pack("<f" if ptype == 4 else "<d", float(value))
     else:  # BYTE_ARRAY / FIXED_LEN_BYTE_ARRAY
         if isinstance(value, str):
             data = value.encode()
@@ -353,15 +325,7 @@ def _bloom_probe(fmeta, read_range, column: str, value, _struct) -> list[bool]:
                 f"bloom probe against a byte-array column needs a "
                 f"str/bytes value, got {type(value).__name__}")
     h = xxhash64(data)
-    out = []
-    for rg in fmeta[4]:
-        rng = _bloom_range(rg, ci)
-        if rng is None:
-            out.append(True)  # no bloom here: cannot rule the value out
-            continue
-        words = read_bloom(read_range(*rng))
-        out.append(bool(sbbf_check(words, h)))
-    return out
+    return [w is None or bool(sbbf_check(w, h)) for w in words]
 
 
 def sbbf_check_many(words: np.ndarray, hashes: np.ndarray) -> np.ndarray:
@@ -384,25 +348,17 @@ def sbbf_check_many(words: np.ndarray, hashes: np.ndarray) -> np.ndarray:
 
 def load_bloom_words(source, column: str):
     """(physical_type, type_length, [words per row group]) of ``column``'s
-    bloom filters in a parquet file, given as a local path or as a
-    seekable binary handle (``filter_seen`` opens one on any store) —
-    footer + bloom byte ranges only, data pages never read.
+    bloom filters in a parquet file (any source :func:`_opened` takes;
+    ``filter_seen`` passes a handle it opened on any store) — footer +
+    bloom byte ranges only, data pages never read.
     Raises if any row group lacks a bloom on the column (a seen-filter
     against it would have to treat every value as possibly-seen)."""
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "rb") as f:
-            return load_bloom_words(f, column)
-    fmeta = _read_footer_struct(source)
-    ci, ptype, tlen = _resolve_top_level_leaf(fmeta[2], column)
-    out = []
-    for rg in fmeta[4]:
-        rng = _bloom_range(rg, ci)
-        if rng is None:
-            name = getattr(source, "path", getattr(source, "name", "parquet file"))
-            raise ValueError(
-                f"{name}: row group without a bloom filter on "
-                f"{column!r} — write the prior dataset with "
-                f"ColumnSpec(bloom_filter=True)")
-        source.seek(rng[0])
-        out.append(read_bloom(source.read(rng[1])))
-    return ptype, tlen, out
+    ptype, tlen, words = _blooms(source, column)
+    if any(w is None for w in words):
+        name = (os.fspath(source) if isinstance(source, (str, os.PathLike))
+                else getattr(source, "path", getattr(source, "name", "parquet file")))
+        raise ValueError(
+            f"{name}: row group without a bloom filter on "
+            f"{column!r} — write the prior dataset with "
+            f"ColumnSpec(bloom_filter=True)")
+    return ptype, tlen, words

@@ -2,12 +2,9 @@
 (struct / list / map), from Arrow offset & validity buffers
 (reference: src/dremel.js:16-163).
 
-Two paths:
-- a vectorized fast path for single-level ``list<primitive>`` /
-  ``map``-free columns (covers embedding vectors etc.), all numpy;
-- a generic recursive path for arbitrary struct/list/map nesting that
-  walks Arrow child arrays level by level (still array-at-a-time: the
-  recursion is over schema depth, not rows).
+One recursive path for every struct/list/map nesting: it walks the
+Arrow child arrays level by level down to each leaf, array-at-a-time
+(the recursion is over schema depth, not rows).
 """
 from __future__ import annotations
 

@@ -1,4 +1,5 @@
-"""Minimal parquet column reader for formats generic readers can't
+"""Minimal parquet reader: the package's one footer parse and column
+resolver, and a column decoder for formats generic readers can't
 decode: FSST-compressed BYTE_ARRAY chunks (and a plain/delta-length
 decode path used by tests as an extra byte-level oracle).
 
@@ -7,27 +8,49 @@ output; this covers the hpw_fsst extension (core/fsst.py).
 """
 from __future__ import annotations
 
+import io
+
 import numpy as np
 
 from .compress import decompress as codec_decompress
 from .fsst import decode_fsst_page
 from .thrift import CompactReader
-from .types import Codec, Encoding
+from .types import Codec, Encoding, iter_dfs_leaves
 
 
-def read_footer(buf: bytes) -> dict:
-    assert buf[:4] == b"PAR1" and buf[-4:] == b"PAR1", "not a parquet file"
-    flen = int.from_bytes(buf[-8:-4], "little")
-    return CompactReader(buf[-8 - flen : -8]).read_struct()
+def read_footer(f) -> dict:
+    """Parsed FileMetaData struct of the parquet file open as the
+    seekable binary handle ``f``; reads only the footer's bytes."""
+    f.seek(0, 2)
+    size = f.tell()
+    f.seek(max(size - 8, 0))
+    tail = f.read(8)
+    if tail[4:] != b"PAR1":
+        raise ValueError("not a parquet file: no trailing PAR1")
+    flen = int.from_bytes(tail[:4], "little")
+    f.seek(size - 8 - flen)
+    return CompactReader(f.read(flen)).read_struct()
 
 
-def _leaf_names(schema_list) -> list[str]:
-    # flat preorder; leaves have no num_children (field 5)
-    out = []
-    for el in schema_list[1:]:
-        if not el.get(5):
-            out.append(el[4].decode())
-    return out
+def top_level_leaf(schema, column: str) -> tuple:
+    """(chunk ordinal, physical type, type_length) of the TOP-LEVEL
+    primitive column named ``column`` in a footer's flat ``schema``
+    list. Column chunks are ordered by DFS leaf order, but the name
+    resolves only among direct children of the root: a nested leaf
+    sharing a bare name (a struct field, a map's 'value') must neither
+    shadow the column nor shift its chunk ordinal. Raises ``KeyError``
+    for a missing or ambiguous name."""
+    hits = [(i, el) for i, el, top in iter_dfs_leaves(
+                schema[0].get(5),
+                ((e, e.get(5), e.get(1) is not None and not e.get(5))
+                 for e in schema[1:]))
+            if top and el[4].decode() == column]
+    if not hits:
+        raise KeyError(f"no top-level primitive column named {column!r}")
+    if len(hits) > 1:
+        raise KeyError(f"ambiguous column name {column!r}")
+    i, el = hits[0]
+    return i, el[1], el.get(2)
 
 
 def decode_rle_hybrid(data, bit_width: int, count: int) -> np.ndarray:
@@ -134,11 +157,11 @@ def _decode_byte_array_body(body, encoding: int, num_values: int) -> list[bytes]
 
 
 def read_byte_array_column(buf: bytes, column: str) -> list:
-    """Decode one flat BYTE_ARRAY column (all row groups), including
-    FSST-marked chunks. Returns python values with None for nulls."""
-    footer = read_footer(buf)
-    leaf_names = _leaf_names(footer[2])
-    col_idx = leaf_names.index(column)
+    """Decode the top-level BYTE_ARRAY column ``column`` (all row
+    groups) of the file ``buf``, including FSST-marked chunks. Returns
+    python values with None for nulls."""
+    footer = read_footer(io.BytesIO(buf))
+    col_idx = top_level_leaf(footer[2], column)[0]
     values: list = []
     for rg in footer[4]:
         chunk = rg[1][col_idx]

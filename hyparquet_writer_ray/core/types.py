@@ -198,7 +198,7 @@ def iter_dfs_leaves(root_children: int, elems):
     ``elems`` yields (payload, num_children, is_leaf) per element; this
     yields (leaf_ordinal, payload, is_top_level). Chunk ordinals equal
     DFS leaf order; top-level means a direct child of the root. Shared
-    by footer.resolve_sorting_columns and bloom name resolution so the
+    by footer.resolve_sorting_columns and reader.top_level_leaf so the
     two walks can never diverge."""
     stack = [int(root_children or 0)]
     leaf_ord = 0

@@ -106,7 +106,7 @@ def read_parquet_fused(path_or_paths, *, columns: Optional[list[str]] = None, **
     blocks: another layout would rename every part of an existing
     out_dir. ``kw``, a path with a ``key=value`` directory (Ray adds a
     hive column for it) or a directory in a list still go through
-    ``ray.data.read_parquet``.
+    ``ray.data.read_parquet`` (:func:`fsio.read_parquet_dataset`).
 
     The returned Dataset remembers that it is a plain read of these
     files, so ``write_parquet_dataset`` can write one part per input
@@ -132,14 +132,14 @@ def read_parquet_fused(path_or_paths, *, columns: Optional[list[str]] = None, **
             f"read_parquet_fused: no parquet files found in {path_or_paths!r}"
         )
     if kw or any("=" in d for p in paths for d in p.split("/")[:-1]):
-        return ray.data.read_parquet(
+        return fsio.read_parquet_dataset(
             paths, columns=columns, override_num_blocks=len(paths), **kw)
     try:
         ds = ray.data.read_datasource(FileRead(paths, columns),
                                       override_num_blocks=len(paths))
     except IsADirectoryError:
-        ds = ray.data.read_parquet(paths, columns=columns,
-                                   override_num_blocks=len(paths))
+        ds = fsio.read_parquet_dataset(paths, columns=columns,
+                                       override_num_blocks=len(paths))
     _FUSED_READS[ds] = (paths, columns)
     return ds
 

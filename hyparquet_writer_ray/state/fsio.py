@@ -509,15 +509,16 @@ def pq_write_table(table, path, **kw) -> None:
 
 def read_parquet_dataset(path_or_paths, **kw):
     """``ray.data.read_parquet`` of a directory, a file or a list of
-    them, each resolved by :func:`arrow_fs`, on the first one's
-    filesystem."""
+    them, on the first one's filesystem (:func:`arrow_fs`). Each path
+    goes in as its fsspec in-fs path, not made absolute, so a relative
+    local input keeps its spelling in ``include_paths`` and in the
+    blocks hashed from them."""
     import ray.data
 
     if isinstance(path_or_paths, (str, os.PathLike)):
         path_or_paths = [path_or_paths]
-    resolved = [arrow_fs(p) for p in path_or_paths]
-    return ray.data.read_parquet([p for _, p in resolved],
-                                 filesystem=resolved[0][0], **kw)
+    kw = {"filesystem": arrow_fs(path_or_paths[0])[0], **kw}
+    return ray.data.read_parquet([_fs(p)[1] for p in path_or_paths], **kw)
 
 
 def write_parquet_dataset_dir(ds, path) -> None:

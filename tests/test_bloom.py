@@ -3,8 +3,11 @@ file-level bloom placement (reference test/bloom.test.js,
 test/write.bloom.test.js)."""
 from __future__ import annotations
 
+import pathlib
+
 import numpy as np
 import pyarrow as pa
+import pytest
 
 from conftest import assert_roundtrip
 from hyparquet_writer_ray import ColumnSpec, WriteOptions
@@ -108,6 +111,46 @@ def test_bloom_might_contain_utility(tmp_path):
     import pytest as _pytest
     with _pytest.raises(KeyError):
         bloom_might_contain(p, "nope", 1)
+
+
+SOURCE_FORMS = {
+    "str": lambda p, f: p,
+    "path": lambda p, f: pathlib.Path(p),
+    "handle": lambda p, f: f,
+    "bytes": lambda p, f: pathlib.Path(p).read_bytes(),
+    "memoryview": lambda p, f: memoryview(pathlib.Path(p).read_bytes()),
+    "memory_uri": lambda p, f: "memory://bloom-source-forms/b.parquet",
+}
+
+
+@pytest.mark.parametrize("form", sorted(SOURCE_FORMS))
+def test_bloom_reads_every_source_form(tmp_path, form):
+    """The probe and ``load_bloom_words`` read one file alike whether it
+    is given as a ``str`` path, a ``pathlib.Path``, an open handle, its
+    bytes, a memoryview of them or an fsspec URI."""
+    from hyparquet_writer_ray import write_table
+    from hyparquet_writer_ray.core.bloom import bloom_might_contain, load_bloom_words
+    from hyparquet_writer_ray.state import fsio
+
+    t = pa.table({"id": pa.array(list(range(2000)) + list(range(50000, 52000)), pa.int64())})
+    p = str(tmp_path / "b.parquet")
+    write_table(t, p, WriteOptions(row_group_size=(2000,), column_specs={
+        "id": ColumnSpec(bloom_filter=True)}))
+    fsio.write_marker(SOURCE_FORMS["memory_uri"](p, None), pathlib.Path(p).read_bytes())
+
+    def read(source):
+        ptype, tlen, words = load_bloom_words(source, "id")
+        return (bloom_might_contain(source, "id", 51000),
+                bloom_might_contain(source, "id", 10),
+                ptype, tlen, [w.tolist() for w in words])
+
+    try:
+        want = read(p)
+        assert want[:2] == ([False, True], [True, False])
+        with open(p, "rb") as f:
+            assert read(SOURCE_FORMS[form](p, f)) == want
+    finally:
+        fsio.rm_tree("memory://bloom-source-forms")
 
 
 def test_bloom_probe_type_coercion_and_missing_blooms(tmp_path):

@@ -987,3 +987,23 @@ def test_pathlike_inputs_resolve_like_str(tmp_path):
     assert fsio.identity(p) == fsio.identity(str(p))
     assert fsio.identities([p, str(p)]) == [fsio.identity(str(p))] * 2
     assert fsio.location(p) == fsio.location(str(p))
+
+
+def test_no_builtin_open_outside_fsio():
+    """Every file the package reads or writes goes through ``state/fsio``:
+    no module calls the builtin ``open`` but fsio itself and the FSST
+    kernel's compiler cache, which is local by nature."""
+    import ast
+    import pathlib
+
+    pkg = pathlib.Path(fsio.__file__).resolve().parents[1]
+    allowed = {"state/fsio.py", "core/_fsst_kernel.py"}
+    calls = [
+        f"{rel}:{node.lineno}"
+        for path in sorted(pkg.rglob("*.py"))
+        if (rel := path.relative_to(pkg).as_posix()) not in allowed
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "open"
+    ]
+    assert calls == []

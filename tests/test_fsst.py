@@ -86,6 +86,25 @@ def test_reader_decodes_standard_columns_too():
     assert got == want
 
 
+def test_reader_resolves_top_level_column_past_struct_leaf():
+    """A struct field sharing a top-level column's name and sitting
+    before it in leaf order must not be decoded in its place."""
+    t = pa.table({
+        "s": pa.array([{"text": "inner-a"}, None], pa.struct([("text", pa.string())])),
+        "text": pa.array(["top-a", "top-b"]),
+    })
+    assert read_byte_array_column(write_table_to_bytes(t), "text") == [b"top-a", b"top-b"]
+
+
+def test_read_footer_rejects_a_file_without_trailing_magic():
+    from hyparquet_writer_ray.core.reader import read_footer
+
+    buf = write_table_to_bytes(pa.table({"x": [1, 2]}))
+    assert read_footer(io.BytesIO(buf))[3] == 2  # num_rows
+    with pytest.raises(ValueError, match="PAR1"):
+        read_footer(io.BytesIO(buf[:-4] + b"PARX"))
+
+
 def test_fsst_kernel_fuzz_roundtrip():
     """The compiled kernel must roundtrip arbitrary byte strings —
     including 0xFF runs (escape-code collisions), symbol-boundary

@@ -167,6 +167,37 @@ def test_fsspec_only_protocol_content_path(ray_session, tmp_path, monkeypatch):
     assert sorted(got) == sorted(u for t in tables for u in t.column("url").to_pylist())
 
 
+def test_fallback_read_of_fsspec_only_protocol(ray_session, tmp_path, monkeypatch):
+    """A fused read given ``kw`` goes through Ray's parquet datasource
+    on the inputs' own filesystem, so a ``sharedfs://`` input reads
+    through fsspec there too."""
+    monkeypatch.syspath_prepend(ROOT)
+    shared = importlib.import_module("tests.sharedfs")
+    monkeypatch.setattr(shared.SharedFS, "root", str(tmp_path / "store"))
+    fsio.makedirs("sharedfs://in")
+    for i in range(2):
+        fsio.pq_write_table(synthesize_batch(i * 100, 100), f"sharedfs://in/in-{i}.parquet")
+    ds = W.read_parquet_fused("sharedfs://in", include_paths=True)
+    assert ds.count() == 200
+    assert sorted(set(ds.to_pandas()["path"])) == ["in/in-0.parquet", "in/in-1.parquet"]
+
+
+def test_fallback_read_keeps_relative_paths(ray_session, tmp_path, monkeypatch):
+    """A fused read of a relative local directory given ``kw`` is Ray's
+    read of the same spelling, block for block: ``include_paths`` keeps
+    the paths relative, so the blocks' content ids, and the parts named
+    from them, do not depend on where the working directory is."""
+    import ray.data
+
+    monkeypatch.chdir(ROOT)
+    (tmp_path / "in").mkdir()
+    rel = [os.path.relpath(p, ROOT) for p in _web(tmp_path / "in", 2, 300)]
+    ours = W.read_parquet_fused(os.path.dirname(rel[0]), include_paths=True)
+    rays = ray.data.read_parquet(rel, include_paths=True, override_num_blocks=2)
+    assert sorted(set(ours.to_pandas()["path"])) == rel
+    assert _layout(ours) == _layout(rays)
+
+
 def test_fault_store_read_equals_local_read(tmp_path):
     """The read tasks of a ``faultmv://`` read, run in this process
     (the store is this process's memory), yield the blocks of the same

@@ -86,3 +86,23 @@ def test_geometry_column_in_file():
     stats = md.get(12, {})
     assert 5 not in stats and 6 not in stats  # no min/max for geometry
     assert stats.get(3) == 1  # null_count preserved
+
+
+def test_geometry_schema_override_in_footer():
+    """``geometry_schema_override`` marks a WKB column GEOMETRY with its
+    crs, next to its geospatial statistics. pyarrow cannot read such a
+    file, so the package's own footer reader is the oracle."""
+    from hyparquet_writer_ray import write_table_to_bytes
+    from hyparquet_writer_ray.core.reader import read_footer, top_level_leaf
+
+    t = pa.table({"g": pa.array(
+        [geo.geojson_to_wkb({"type": "Point", "coordinates": [3.0, -4.0]})], pa.binary())})
+    buf = write_table_to_bytes(t, WriteOptions(
+        schema_overrides={"g": geo.geometry_schema_override("OGC:CRS84")},
+        column_specs={"g": ColumnSpec(geospatial=True)}))
+    fmeta = read_footer(io.BytesIO(buf))
+    el = fmeta[2][1]
+    assert el[4] == b"g" and el[10] == {17: {1: b"OGC:CRS84"}}
+    ci = top_level_leaf(fmeta[2], "g")[0]
+    bbox = fmeta[4][0][1][ci][3][17][1]
+    assert (bbox[1], bbox[2], bbox[3], bbox[4]) == (3.0, 3.0, -4.0, -4.0)
