@@ -1,16 +1,27 @@
-"""Optional compiled FSST scan kernel.
+"""Optional compiled FSST kernel: the scan and the trainer.
 
 Greedy longest-match FSST encode/decode is an inherently sequential
-byte-chase; a ~60-line C kernel runs it at hundreds of MB/s where any
-Python-level scan (regex or numpy passes) tops out at tens. The kernel
-is compiled ON DEMAND with the system C compiler into a per-user cache
-dir and loaded via ctypes; when no compiler is available the caller
-falls back to the pure-Python paths in :mod:`fsst` — output semantics
-are identical (same greedy longest-match parse).
+byte-chase; C runs it at hundreds of MB/s where any Python-level scan
+(regex or numpy passes) tops out at tens. The C source below has three
+entry points:
+
+- ``fsst_compress`` / ``fsst_decompress``: the greedy longest-match
+  scan and its inverse;
+- ``fsst_train``: ``fsst.train``'s generations (each one compresses the
+  sample with ``fsst_compress``, counts symbols and pairs, ranks them
+  by gain), returning the same table as the Python trainer.
+
+The kernel is compiled ON DEMAND with the system C compiler into a
+per-user cache dir, as a file named by the source's hash, and loaded
+via ctypes; when no compiler is available the caller falls back to the
+pure-Python paths in :mod:`fsst` — output is identical (same greedy
+longest-match parse, same trained table).
 """
 from __future__ import annotations
 
+import contextlib
 import ctypes
+import hashlib
 import os
 import subprocess
 import tempfile
@@ -19,6 +30,7 @@ import numpy as np
 
 _C_SRC = r"""
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 /* Greedy longest-match parse, identical to the Python paths, but with
@@ -34,18 +46,27 @@ _C_SRC = r"""
    holding only a 2-gram skip the run walk entirely. Length-1 symbols
    sit in a 256-entry direct table. The caller guarantees 8 readable
    bytes past data+n (zero padding); the `len <= rem` guard keeps
-   padding from ever matching. */
+   padding from ever matching.
+
+   The tables are thread-local. In a -fPIC build each use of a
+   thread-local name may call __tls_get_addr, and gcc re-derives the
+   address per byte rather than keep it in a register; the empty asm
+   makes the pointers opaque, so it takes each address once per call
+   (+12-20% MB/s on web text, +17-40% on urls: interleaved runs against
+   the per-byte form on a 1-vCPU host). */
 typedef struct { uint64_t val; uint64_t mask; uint8_t code; uint8_t len; uint8_t last; uint8_t pad; } Cand;
 
 size_t fsst_compress(const uint8_t* data, size_t n,
                      const uint8_t* sym_bytes /* 255*8, zero padded */,
                      const uint8_t* sym_len, int nsym, uint8_t* out) {
-    static _Thread_local int16_t head[65536];
-    static _Thread_local int16_t code2[65536];
-    static _Thread_local Cand pool[255];
+    static _Thread_local int16_t head_tls[65536];
+    static _Thread_local int16_t code2_tls[65536];
+    static _Thread_local Cand pool_tls[255];
+    int16_t* head = head_tls; int16_t* code2 = code2_tls; Cand* pool = pool_tls;
+    __asm__("" : "+r"(head), "+r"(code2), "+r"(pool));
     uint8_t code1[256];
-    memset(head, 0xFF, sizeof head);
-    memset(code2, 0xFF, sizeof code2);
+    memset(head, 0xFF, sizeof head_tls);
+    memset(code2, 0xFF, sizeof code2_tls);
     memset(code1, 0xFF, sizeof code1);
     /* global priority order of the len>=3 symbols (runs); len==2 go to
        the direct table (symbols are distinct so at most one per f2) */
@@ -145,6 +166,251 @@ size_t fsst_decompress(const uint8_t* codes, size_t n,
     }
     return o;
 }
+
+/* fsst_train: the generational trainer of fsst.train, byte for byte.
+   Every rule below mirrors a line of the Python fallback, whose dicts
+   iterate in insertion order and whose sorts are stable; ties are
+   therefore broken by first-encounter position, reproduced here as an
+   explicit `ord` key. A symbol is (val, len): its bytes as a
+   little-endian u64, zero above len. Pairs are counted by their
+   merged bytes, and a pair spelling a symbol merges into it; the
+   greedy parse never produces either case (a longer symbol would have
+   matched), but keeping both makes the two trainers agree on any
+   parse. */
+#define TRAIN_SAMPLE_BYTES 65536
+#define GENERATIONS 4
+#define MAX_SYMBOLS 255
+
+typedef struct { uint64_t val; int64_t gain; uint32_t ord; uint8_t len; } TCand;
+typedef struct { uint64_t val; uint32_t cnt; uint32_t slot; uint8_t len; uint8_t is_sym; } TPair;
+
+static int tcand_cmp(const void* a, const void* b) {
+    const TCand* x = (const TCand*)a; const TCand* y = (const TCand*)b;
+    if (x->gain != y->gain) return x->gain > y->gain ? -1 : 1;
+    return x->ord < y->ord ? -1 : (x->ord > y->ord);
+}
+
+/* a ranks before b in fsst.train's stable sort by descending gain */
+static int tbefore(const TCand* a, const TCand* b) {
+    return a->gain != b->gain ? a->gain > b->gain : a->ord < b->ord;
+}
+
+/* heap of k candidates whose root ranks last */
+static void tsift(TCand* h, uint32_t k, uint32_t i) {
+    for (;;) {
+        uint32_t w = i, l = 2 * i + 1, r = l + 1;
+        if (l < k && tbefore(&h[w], &h[l])) w = l;
+        if (r < k && tbefore(&h[w], &h[r])) w = r;
+        if (w == i) return;
+        TCand t = h[i]; h[i] = h[w]; h[w] = t;
+        i = w;
+    }
+}
+
+/* moves the best k of c[0..n) to c[0..k) in rank order and returns how
+   many that is: k <= 255, so a heap spares the full sort of the n */
+static uint32_t ttop(TCand* c, uint32_t n, uint32_t k) {
+    if (k > n) k = n;
+    if (k < n) {
+        for (uint32_t i = k / 2; i-- > 0;) tsift(c, k, i);
+        for (uint32_t j = k; k && j < n; j++)
+            if (tbefore(&c[j], &c[0])) { c[0] = c[j]; tsift(c, k, 0); }
+    }
+    qsort(c, k, sizeof(TCand), tcand_cmp);
+    return k;
+}
+
+static uint32_t thash(uint64_t val, uint8_t len, int bits) {
+    return (uint32_t)(((val ^ ((uint64_t)len << 59)) * 0x9E3779B97F4A7C15ULL) >> (64 - bits));
+}
+
+/* slot of (val, len) in the pair table, or of the empty slot it takes */
+static uint32_t tfind(const int32_t* slots, const TPair* ents, int bits,
+                      uint64_t val, uint8_t len) {
+    uint32_t mask = (1u << bits) - 1, h = thash(val, len, bits);
+    while (slots[h] >= 0 && !(ents[slots[h]].val == val && ents[slots[h]].len == len))
+        h = (h + 1) & mask;
+    return h;
+}
+
+/* entry of the pair (val, len), inserted with count 0 on first sight;
+   the table starts small and doubles past half full, within the slots
+   allocated for the largest sample */
+static int32_t tpair(int32_t* slots, TPair* ents, uint32_t* nents, int* bits,
+                     uint64_t val, uint8_t len) {
+    uint32_t h = tfind(slots, ents, *bits, val, len);
+    if (slots[h] < 0 && 2 * (*nents + 1) > (1u << *bits)) {
+        (*bits)++;
+        memset(slots, 0xFF, sizeof(int32_t) << *bits);
+        for (uint32_t k = 0; k < *nents; k++) {
+            ents[k].slot = tfind(slots, ents, *bits, ents[k].val, ents[k].len);
+            slots[ents[k].slot] = (int32_t)k;
+        }
+        h = tfind(slots, ents, *bits, val, len);
+    }
+    if (slots[h] < 0) {
+        TPair* p = &ents[*nents];
+        p->val = val; p->len = len; p->cnt = 0; p->slot = h; p->is_sym = 0;
+        slots[h] = (int32_t)(*nents)++;
+    }
+    return slots[h];
+}
+
+static void tput(uint8_t* sb, uint8_t* sl, int c, uint64_t val, uint8_t len) {
+    memcpy(sb + c * 8, &val, 8);
+    sl[c] = len;
+}
+
+int fsst_train(const uint8_t* sample, size_t n,
+               uint8_t* sb /* out: 255*8 */, uint8_t* sl /* out: 255 */) {
+    /* pair entry + 1 of each code pair (prev << 8 | cur), 0 unseen, -1
+       longer than 8 bytes: most stream steps end at this lookup */
+    static _Thread_local int32_t cpair_tls[65536];
+    int32_t* cpair = cpair_tls;
+    __asm__("" : "+r"(cpair));  /* one address per call, as above */
+    if (n > TRAIN_SAMPLE_BYTES) n = TRAIN_SAMPLE_BYTES;
+    memset(sb, 0, MAX_SYMBOLS * 8);
+    memset(sl, 0, MAX_SYMBOLS);
+    if (n == 0) return 0;
+    int maxbits = 4, bits = 10;
+    while ((1u << maxbits) < 2 * n) maxbits++;
+    if (bits > maxbits) bits = maxbits;
+    uint8_t* padded = calloc(n + 8, 1);
+    uint8_t* codes = malloc(2 * n + 8);
+    int32_t* slots = malloc(sizeof(int32_t) << maxbits);
+    TPair* pairs = malloc(sizeof(TPair) * n);
+    TCand* cands = malloc(sizeof(TCand) * (n + 2 * 256));
+    if (!padded || !codes || !slots || !pairs || !cands) {
+        free(padded); free(codes); free(slots); free(pairs); free(cands);
+        return -1;
+    }
+    memcpy(padded, sample, n);
+    memset(slots, 0xFF, sizeof(int32_t) << bits);
+
+    /* generation 0: single bytes by count, ties by first encounter */
+    int64_t bcount[256] = {0};
+    int32_t first[256];
+    for (int b = 0; b < 256; b++) first[b] = -1;
+    for (size_t i = 0; i < n; i++) {
+        if (first[sample[i]] < 0) first[sample[i]] = (int32_t)i;
+        bcount[sample[i]]++;
+    }
+    TCand g0[256]; int ndistinct = 0;
+    for (int b = 0; b < 256; b++)
+        if (bcount[b]) {
+            g0[ndistinct].val = (uint64_t)b; g0[ndistinct].len = 1;
+            g0[ndistinct].gain = bcount[b]; g0[ndistinct].ord = (uint32_t)first[b];
+            ndistinct++;
+        }
+    qsort(g0, ndistinct, sizeof(TCand), tcand_cmp);
+    int nsym = ndistinct < MAX_SYMBOLS ? ndistinct : MAX_SYMBOLS;
+    for (int c = 0; c < nsym; c++) tput(sb, sl, c, g0[c].val, 1);
+    /* the near-saturated rule ranks singles by (-count, byte) */
+    for (int k = 0; k < ndistinct; k++) g0[k].ord = (uint32_t)g0[k].val;
+    qsort(g0, ndistinct, sizeof(TCand), tcand_cmp);
+
+    for (int gen = 0; gen < GENERATIONS; gen++) {
+        size_t m = fsst_compress(padded, n, sb, sl, nsym, codes);
+        uint64_t symval[MAX_SYMBOLS];
+        for (int c = 0; c < nsym; c++) memcpy(&symval[c], sb + c * 8, 8);
+        /* symbol ids: code c, or MAX_SYMBOLS + b for an escaped byte b
+           (a byte is escaped only when no 1-byte symbol holds it) */
+        int64_t scount[MAX_SYMBOLS + 256] = {0};
+        int sorder[MAX_SYMBOLS + 256]; int nsorder = 0;
+        uint32_t npairs = 0;
+        memset(cpair, 0, sizeof cpair_tls);
+        int pid = -1; uint64_t pval = 0; uint8_t plen = 0;
+        for (size_t i = 0; i < m; ) {
+            int id; uint64_t val; uint8_t len;
+            if (codes[i] == 255) {
+                id = MAX_SYMBOLS + codes[i + 1]; val = codes[i + 1]; len = 1; i += 2;
+            } else {
+                id = codes[i]; val = symval[id]; len = sl[id]; i += 1;
+            }
+            if (scount[id]++ == 0) sorder[nsorder++] = id;
+            /* merged bytes, not code pairs, key the count: two code
+               pairs spelling the same bytes share the entry made at the
+               first of them */
+            if (pid >= 0) {
+                int32_t* e = pid < MAX_SYMBOLS && id < MAX_SYMBOLS
+                    ? &cpair[pid << 8 | id] : NULL;
+                int32_t k = e ? *e : 0;
+                if (k == 0) {
+                    k = plen + len <= 8
+                        ? tpair(slots, pairs, &npairs, &bits,
+                                pval | (val << (8 * plen)), (uint8_t)(plen + len)) + 1
+                        : -1;
+                    if (e) *e = k;
+                }
+                if (k > 0) pairs[k - 1].cnt++;
+            }
+            pid = id; pval = val; plen = len;
+        }
+        /* candidates: symbols in first-encounter order, then the pairs
+           that are not already a symbol; a pair equal to a symbol keeps
+           the symbol's place and the larger gain */
+        uint32_t nc = 0;
+        for (int k = 0; k < nsorder; k++) {
+            int id = sorder[k];
+            TCand* cd = &cands[nc];
+            if (id >= MAX_SYMBOLS) { cd->val = (uint64_t)(id - MAX_SYMBOLS); cd->len = 1; }
+            else { cd->val = symval[id]; cd->len = sl[id]; }
+            cd->gain = scount[id] * (cd->len > 1 ? cd->len - 1 : 1);
+            if (cd->len > 1) {
+                uint32_t h = tfind(slots, pairs, bits, cd->val, cd->len);
+                if (slots[h] >= 0) {
+                    TPair* p = &pairs[slots[h]];
+                    int64_t g = (int64_t)p->cnt * (p->len - 1);
+                    if (g > cd->gain) cd->gain = g;
+                    p->is_sym = 1;
+                }
+            }
+            cd->ord = nc++;
+        }
+        for (uint32_t k = 0; k < npairs; k++) {
+            if (pairs[k].is_sym) continue;
+            TCand* cd = &cands[nc];
+            cd->val = pairs[k].val; cd->len = pairs[k].len;
+            cd->gain = (int64_t)pairs[k].cnt * (pairs[k].len - 1);
+            cd->ord = nc++;
+        }
+        /* multis stay in cands, in order; 1-byte candidates (at most
+           one per byte value) move to ones */
+        TCand ones[256]; int nones = 0; uint32_t nmulti = 0;
+        for (uint32_t k = 0; k < nc; k++) {
+            if (cands[k].len > 1) cands[nmulti++] = cands[k];
+            else ones[nones++] = cands[k];
+        }
+        /* singles: every sample byte, unless the alphabet is near
+           saturated and would crowd out the multi-byte symbols */
+        uint8_t single[256] = {0};
+        if (nmulti && ndistinct > MAX_SYMBOLS - 32) {
+            int reserve = nmulti < 32 ? (int)nmulti : 32;
+            for (int k = 0; k < MAX_SYMBOLS - reserve && k < ndistinct; k++)
+                single[g0[k].val] = 1;
+        } else {
+            for (int b = 0; b < 256; b++) single[b] = bcount[b] > 0;
+        }
+        nsym = 0;
+        for (int b = 0; b < 256 && nsym < MAX_SYMBOLS; b++)
+            if (single[b]) tput(sb, sl, nsym++, (uint64_t)b, 1);
+        /* multis by gain, then the `extra` fill: with room left every
+           multi is in, so only 1-byte candidates outside the singles
+           can still be added */
+        uint32_t ntop = ttop(cands, nmulti, (uint32_t)(MAX_SYMBOLS - nsym));
+        for (uint32_t k = 0; k < ntop; k++)
+            tput(sb, sl, nsym++, cands[k].val, cands[k].len);
+        if (nsym < MAX_SYMBOLS) {
+            qsort(ones, nones, sizeof(TCand), tcand_cmp);
+            for (int k = 0; k < nones && nsym < MAX_SYMBOLS; k++)
+                if (!single[ones[k].val]) tput(sb, sl, nsym++, ones[k].val, 1);
+        }
+        for (int c = nsym; c < MAX_SYMBOLS; c++) { memset(sb + c * 8, 0, 8); sl[c] = 0; }
+        for (uint32_t k = 0; k < npairs; k++) slots[pairs[k].slot] = -1;
+    }
+    free(padded); free(codes); free(slots); free(pairs); free(cands);
+    return nsym;
+}
 """
 
 _lib = None
@@ -167,15 +433,19 @@ def _build() -> "ctypes.CDLL | None":
             return None
     except OSError:
         return None
-    so = os.path.join(cache, "fsst_kernel_v6.so")
+    # named by the source's hash: an edited kernel never loads a stale build
+    digest = hashlib.sha256(_C_SRC.encode()).hexdigest()[:16]
+    so = os.path.join(cache, f"fsst_kernel_{digest}.so")
     if not os.path.exists(so):
-        src = os.path.join(cache, "fsst_kernel.c")
-        # the one builtin open outside state/fsio: cc reads this source
-        # and ctypes loads the .so from local disk, never from a store
-        with open(src, "w") as f:
-            f.write(_C_SRC)
+        # per-process names: a worker building at the same time never
+        # truncates the source another worker's cc is reading
         tmp = so + f".build{os.getpid()}"
+        src = tmp + ".c"
         try:
+            # the one builtin open outside state/fsio: cc reads this source
+            # and ctypes loads the .so from local disk, never from a store
+            with open(src, "w") as f:
+                f.write(_C_SRC)
             subprocess.run(
                 ["cc", "-O3", "-shared", "-fPIC", "-o", tmp, src],
                 check=True, capture_output=True, timeout=60,
@@ -183,6 +453,9 @@ def _build() -> "ctypes.CDLL | None":
             os.replace(tmp, so)  # atomic: concurrent workers race safely
         except (OSError, subprocess.SubprocessError):
             return None
+        finally:
+            with contextlib.suppress(OSError):
+                os.remove(src)
     try:
         lib = ctypes.CDLL(so)
     except OSError:
@@ -195,9 +468,13 @@ def _build() -> "ctypes.CDLL | None":
     ]
     lib.fsst_decompress.restype = ctypes.c_size_t
     lib.fsst_decompress.argtypes = [
-        ctypes.c_char_p, ctypes.c_size_t,
+        ctypes.c_void_p, ctypes.c_size_t,
         ctypes.c_char_p, ctypes.c_char_p,
         ctypes.c_char_p,
+    ]
+    lib.fsst_train.restype = ctypes.c_int
+    lib.fsst_train.argtypes = [
+        ctypes.c_void_p, ctypes.c_size_t, ctypes.c_char_p, ctypes.c_char_p,
     ]
     return lib
 
@@ -253,9 +530,25 @@ def decompress(codes, table) -> "bytes | None":
     if lib is None:
         return None
     sb, sl, _ = _packed(table)
-    out = ctypes.create_string_buffer(8 * len(codes) + 16)
-    n = lib.fsst_decompress(bytes(codes), len(codes), sb, sl, out)
+    src = np.frombuffer(codes, dtype=np.uint8)
+    out = ctypes.create_string_buffer(8 * src.size + 16)
+    n = lib.fsst_decompress(src.ctypes.data, src.size, sb, sl, out)
     if n == ctypes.c_size_t(-1).value:
         raise ValueError("FSST page ends with a truncated escape "
                          "sequence — corrupt data")
-    return out.raw[:n]
+    return ctypes.string_at(out, n)
+
+
+def train(sample: bytes) -> "list[bytes] | None":
+    """``fsst.train``'s symbols, trained by ``fsst_train``."""
+    lib = get_kernel()
+    if lib is None:
+        return None
+    src = np.frombuffer(sample, dtype=np.uint8)
+    sb = ctypes.create_string_buffer(255 * 8)
+    sl = ctypes.create_string_buffer(255)
+    nsym = lib.fsst_train(src.ctypes.data, src.size, sb, sl)
+    if nsym < 0:
+        raise MemoryError("fsst_train could not allocate its buffers")
+    raw, lens = sb.raw, sl.raw
+    return [raw[i * 8 : i * 8 + lens[i]] for i in range(nsym)]

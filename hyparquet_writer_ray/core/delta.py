@@ -12,9 +12,8 @@ which keeps every adjusted delta within that width for any input;
 decoders wrap the same way. Bit widths come from one vectorized search
 over the powers of two, and packing goes through ``rle._pack_bits``,
 the package's one multi-bit packer: one call per distinct miniblock
-width. The packed miniblocks are scattered into one buffer behind
-their blocks' width bytes, so a block costs one varint and one slice
-write.
+width. Every block's ``zigzag(min_delta)`` varint, width bytes and
+packed miniblocks are scattered into one buffer, written once.
 """
 from __future__ import annotations
 
@@ -27,6 +26,18 @@ BLOCK = 128
 MINIBLOCKS = 4
 MB_VALUES = BLOCK // MINIBLOCKS  # 32
 _POW2 = np.uint64(1) << np.arange(64, dtype=np.uint64)
+_VARINT_SHIFTS = np.arange(0, 70, 7, dtype=np.uint64)  # a u64 takes <= 10 bytes
+
+
+def _zigzag_varints(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``BufWriter.zigzag`` of each value, as a (len(v), 10) byte matrix
+    whose row i holds its varint in the first ``nbytes[i]`` bytes."""
+    v = v.astype(np.int64)
+    z = (v << 1).view(np.uint64) ^ (v >> 63).view(np.uint64)
+    nbytes = np.maximum((np.searchsorted(_POW2, z, side="right") + 6) // 7, 1)
+    groups = ((z[:, None] >> _VARINT_SHIFTS) & np.uint64(0x7F)).astype(np.uint8)
+    groups[np.arange(len(_VARINT_SHIFTS)) < nbytes[:, None] - 1] |= 0x80
+    return groups, nbytes
 
 
 def delta_binary_pack(w: BufWriter, values: np.ndarray) -> None:
@@ -57,25 +68,27 @@ def delta_binary_pack(w: BufWriter, values: np.ndarray) -> None:
     mb.reshape(-1)[n:] = 0  # padding packs as zeros
     widths = np.searchsorted(_POW2, mb.max(axis=1), side="right")  # bit_length
 
-    # per block: 4 width bytes, then its miniblocks' 4 * width bytes each
-    sizes = np.empty((nblocks, 1 + MINIBLOCKS), np.int64)
-    sizes[:, 0] = MINIBLOCKS
-    sizes[:, 1:] = 4 * widths.reshape(nblocks, MINIBLOCKS)
+    # per block: its min_delta varint, 4 width bytes, then its
+    # miniblocks' 4 * width bytes each
+    varints, nbytes = _zigzag_varints(min_delta)
+    sizes = np.empty((nblocks, 2 + MINIBLOCKS), np.int64)
+    sizes[:, 0] = nbytes
+    sizes[:, 1] = MINIBLOCKS
+    sizes[:, 2:] = 4 * widths.reshape(nblocks, MINIBLOCKS)
     ends = np.cumsum(sizes).reshape(sizes.shape)
     starts = ends - sizes
     out = np.empty(int(ends[-1, -1]), np.uint8)
-    out[starts[:, :1] + np.arange(MINIBLOCKS)] = widths.reshape(nblocks, MINIBLOCKS)
-    mb_starts = starts[:, 1:].reshape(-1)
+    vpos = starts[:, :1] + np.arange(varints.shape[1])
+    in_varint = vpos < ends[:, :1]
+    out[vpos[in_varint]] = varints[in_varint]
+    out[starts[:, 1:2] + np.arange(MINIBLOCKS)] = widths.reshape(nblocks, MINIBLOCKS)
+    mb_starts = starts[:, 2:].reshape(-1)
     for bw in np.unique(widths).tolist():
         if bw:
             rows = np.flatnonzero(widths == bw)
             packed = np.frombuffer(_pack_bits(mb[rows], bw), np.uint8)
             out[mb_starts[rows, None] + np.arange(4 * bw)] = packed.reshape(len(rows), -1)
-    body, lo = memoryview(out), 0
-    for m, hi in zip(min_delta.tolist(), ends[:, -1].tolist()):
-        w.zigzag(m)
-        w.write(body[lo:hi])
-        lo = hi
+    w.write(memoryview(out))
 
 
 def delta_length_byte_array(w: BufWriter, lengths: np.ndarray, data: np.ndarray) -> None:

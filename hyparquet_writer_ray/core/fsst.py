@@ -2,8 +2,9 @@
 Leis — "FSST: Fast Random Access String Compression", VLDB 2020).
 
 A 255-entry table of 1-8 byte symbols + escape code 255 (next byte is a
-literal). The table is trained per partition on a sample via iterative
-pair-merging generations, matching the paper's scheme in spirit.
+literal). The table is trained per column chunk on a sample via
+iterative pair-merging generations, matching the paper's scheme in
+spirit.
 
 This is the north-rule extension codec (not in the reference writer,
 SURVEY.md §7.2 step 6): opt-in per column. Encoded pages carry their
@@ -13,12 +14,14 @@ a parquet-spec encoding: columns written with it are readable by this
 library (see decode_fsst), not by generic parquet readers — the chunk
 is marked via ColumnMetaData key_value_metadata {"hpw_fsst": "1"}.
 
-Encoding prefers the compiled scan kernel (``_fsst_kernel``: ~60 lines
-of C built on demand with the system compiler — greedy longest-match is
-a sequential byte-chase that C runs 30-50x faster than any Python-level
-scan). Without a C compiler the longest-first trie-factored regex
-alternation is used: the scan runs in C inside ``re``, Python only
-touches match boundaries. Both produce the same greedy parse.
+Training and encoding run in the compiled kernel (``_fsst_kernel``, C
+built on demand with the system compiler — greedy longest-match is a
+sequential byte-chase that C runs 30-50x faster than any Python-level
+scan, and ``fsst_train`` runs the generations around it). The Python
+code here is the fallback for hosts without a C compiler: ``train``'s
+body, and for encoding the longest-first trie-factored regex
+alternation (the scan runs in C inside ``re``, Python only touches
+match boundaries). Both give the same table and the same greedy parse.
 """
 from __future__ import annotations
 
@@ -70,13 +73,13 @@ class SymbolTable:
         return cls(syms), pos
 
 
-def _count_stream_scalar(codes: bytes, table: "SymbolTable"):
-    """Per-generation symbol/pair counting, scalar reference path.
+def _count_stream(codes: bytes, table: "SymbolTable"):
+    """Per-generation symbol/pair counting of the fallback trainer.
 
     Returns ``(sym_counts, pair_counts)`` dicts whose INSERTION ORDER is
     first-encounter order in the code stream — ``train``'s tie-breaking
-    (stable sort over dict iteration order) depends on it, so the
-    vectorized twin below must reproduce it exactly."""
+    (stable sort over dict iteration order) depends on it, and the
+    kernel's ``fsst_train`` reproduces it exactly."""
     pair_counts: dict[bytes, int] = {}
     sym_counts: dict[bytes, int] = {}
     i = 0
@@ -99,45 +102,20 @@ def _count_stream_scalar(codes: bytes, table: "SymbolTable"):
     return sym_counts, pair_counts
 
 
-def _count_stream_np(codes: bytes, table: "SymbolTable"):
-    """Vectorized twin of :func:`_count_stream_scalar` for escape-free
-    streams (the common case: after generation 0 the table covers every
-    sample byte, and code 255 is always the escape marker). bincount for
-    symbol counts, a u16 (code,code) key + ``np.unique`` for adjacent
-    pairs; both dicts are built in first-encounter order (unique indices
-    re-sorted by first occurrence) so the resulting table is
-    bit-identical to the scalar path's."""
-    import numpy as np
-
-    syms = table.symbols
-    ids = np.frombuffer(codes, dtype=np.uint8)
-    uniq, first = np.unique(ids, return_index=True)
-    counts = np.bincount(ids, minlength=len(syms))
-    sym_counts = {
-        syms[int(u)]: int(counts[u]) for u in uniq[np.argsort(first, kind="stable")]
-    }
-    pair_counts: dict[bytes, int] = {}
-    if len(ids) >= 2:
-        pk = (ids[:-1].astype(np.uint16) << np.uint16(8)) | ids[1:]
-        pu, pfirst, pcnt = np.unique(pk, return_index=True, return_counts=True)
-        # two distinct code pairs can concatenate to the same merged
-        # bytes; inserting in stream-first-occurrence order makes the
-        # dict's first insertion match the scalar loop's
-        for idx in np.argsort(pfirst, kind="stable"):
-            key = int(pu[idx])
-            merged = syms[key >> 8] + syms[key & 0xFF]
-            if len(merged) <= MAX_SYMBOL_LEN:
-                pair_counts[merged] = pair_counts.get(merged, 0) + int(pcnt[idx])
-    return sym_counts, pair_counts
-
-
 def train(sample: bytes) -> SymbolTable:
     """Iterative symbol-table construction: start from frequent single
     bytes, then repeatedly merge adjacent symbol pairs that maximize
-    gain (count x extra bytes saved), capped at 8-byte symbols."""
+    gain (count x extra bytes saved), capped at 8-byte symbols.
+
+    The compiled kernel's ``fsst_train`` runs these generations when a C
+    compiler works; the Python body below is the fallback without one,
+    and the two return the same table."""
     sample = sample[:TRAIN_SAMPLE_BYTES]
     if not sample:
         return SymbolTable([])
+    symbols = _fsst_kernel.train(sample)
+    if symbols is not None:
+        return SymbolTable(symbols)
     # generation 0: frequent single bytes (first-encounter dict order =
     # the old scalar loop's, so stable-sort tie-breaking is unchanged)
     import numpy as np
@@ -152,12 +130,7 @@ def train(sample: bytes) -> SymbolTable:
     table = SymbolTable(symbols)
 
     for _ in range(GENERATIONS):
-        codes = compress(sample, table)
-        # count adjacent code pairs (code 255 is ALWAYS the escape
-        # marker — symbols hold codes 0..254 — so its absence proves the
-        # stream is escape-free and the vectorized counter applies)
-        count = _count_stream_scalar if ESCAPE in codes else _count_stream_np
-        sym_counts, pair_counts = count(codes, table)
+        sym_counts, pair_counts = _count_stream(compress(sample, table), table)
         # gain = count * (len - 1): bytes saved vs one code per symbol
         candidates: dict[bytes, int] = {}
         for sym, cnt in sym_counts.items():

@@ -194,7 +194,7 @@ def read_byte_array_column(buf: bytes, column: str) -> list:
             levels_end = data_start + rep_len + def_len
             body_comp = mv[levels_end : data_start + comp_size]
             if is_fsst:
-                body = decode_fsst_page(bytes(body_comp))
+                body = decode_fsst_page(body_comp)
             else:
                 body = codec_decompress(
                     bytes(body_comp), Codec(codec), header[2] - rep_len - def_len
