@@ -1,32 +1,46 @@
-"""Optional compiled FSST kernel: the scan and the trainer.
+"""The package's compiled kernel: FSST and the integer page encoders.
 
-Greedy longest-match FSST encode/decode is an inherently sequential
-byte-chase; C runs it at hundreds of MB/s where any Python-level scan
-(regex or numpy passes) tops out at tens. The C source below has three
-entry points:
+One C source (``_C_SRC``) is compiled ON DEMAND with the system C
+compiler into a per-user cache dir, as a file named by the source's
+hash, and loaded via ctypes. Its entry points:
 
-- ``fsst_compress`` / ``fsst_decompress``: the greedy longest-match
-  scan and its inverse;
+- ``fsst_compress`` / ``fsst_decompress``: FSST's greedy longest-match
+  scan and its inverse. It is an inherently sequential byte-chase,
+  which C runs at hundreds of MB/s where any Python-level scan (regex
+  or numpy passes) tops out at tens;
 - ``fsst_train``: ``fsst.train``'s generations (each one compresses the
   sample with ``fsst_compress``, counts symbols and pairs, ranks them
-  by gain), returning the same table as the Python trainer.
+  by gain), returning the same table as the Python trainer;
+- ``rle_hybrid``: the whole RLE / bit-packed hybrid stream of
+  ``rle.encode_rle_hybrid``;
+- ``delta_binary_pack``: the whole DELTA_BINARY_PACKED stream of
+  ``delta.delta_binary_pack``, header through the last block.
 
-The kernel is compiled ON DEMAND with the system C compiler into a
-per-user cache dir, as a file named by the source's hash, and loaded
-via ctypes; when no compiler is available the caller falls back to the
-pure-Python paths in :mod:`fsst` — output is identical (same greedy
-longest-match parse, same trained table).
+The page loop calls the two integer encoders once per page, mostly on
+a few hundred values, so in numpy their cost is fixed per-call
+overhead; in C it is the work.
+
+Every entry point reproduces its Python counterpart byte for byte.
+When no compiler works (or the host is big-endian, or the cache dir is
+unsafe) the wrappers below return None, one DEBUG record says why, and
+each caller runs its own fallback: the Python paths in :mod:`fsst`,
+and the numpy bodies of :mod:`rle` and :mod:`delta`.
 """
 from __future__ import annotations
 
 import contextlib
 import ctypes
 import hashlib
+import logging
 import os
+import re
 import subprocess
+import sys
 import tempfile
 
 import numpy as np
+
+log = logging.getLogger("hyparquet_writer_ray")
 
 _C_SRC = r"""
 #include <stdint.h>
@@ -411,31 +425,164 @@ int fsst_train(const uint8_t* sample, size_t n,
     free(padded); free(codes); free(slots); free(pairs); free(cands);
     return nsym;
 }
+/* ---- integer page encoders ------------------------------------------- */
+
+static size_t put_varint(uint8_t* out, uint64_t v) {
+    size_t o = 0;
+    while (v >= 0x80) { out[o++] = (uint8_t)(v | 0x80); v >>= 7; }
+    out[o++] = (uint8_t)v;
+    return o;
+}
+
+static uint64_t zigzag64(int64_t x) {
+    return ((uint64_t)x << 1) ^ (0 - ((uint64_t)x >> 63));
+}
+
+/* rle._pack_bits: cnt values of bw bits (bw <= 64, cnt * bw a multiple
+   of 8) packed LSB-first into cnt * bw / 8 bytes, through a 64-bit
+   accumulator that is stored whenever it fills */
+#define PACK_BITS(NAME, T)                                                \
+static size_t NAME(const T* v, size_t cnt, int bw, uint8_t* out) {       \
+    uint64_t acc = 0; int nb = 0; size_t o = 0;                           \
+    if (bw == 0) return 0;                                                \
+    for (size_t i = 0; i < cnt; i++) {                                    \
+        acc |= (uint64_t)v[i] << nb;                                      \
+        nb += bw;                                                         \
+        if (nb >= 64) {                                                   \
+            memcpy(out + o, &acc, 8); o += 8;                             \
+            nb -= 64;                                                     \
+            acc = nb ? (uint64_t)v[i] >> (bw - nb) : 0;                   \
+        }                                                                 \
+    }                                                                     \
+    memcpy(out + o, &acc, (size_t)nb >> 3);                               \
+    return o + ((size_t)nb >> 3);                                         \
+}
+PACK_BITS(pack_u32, uint32_t)
+PACK_BITS(pack_u64, uint64_t)
+
+/* a bit-packed literal: varint(groups << 1 | 1), then the groups of 8
+   values, the last one zero-padded */
+static size_t put_literal(const uint32_t* v, size_t len, int bw, uint8_t* out) {
+    if (len == 0) return 0;
+    size_t full = len & ~(size_t)7;
+    size_t o = put_varint(out, (uint64_t)((len + 7) >> 3) << 1 | 1);
+    o += pack_u32(v, full, bw, out + o);
+    if (full < len) {
+        uint32_t tail[8] = {0};
+        memcpy(tail, v + full, (len - full) * sizeof(uint32_t));
+        o += pack_u32(tail, 8, bw, out + o);
+    }
+    return o;
+}
+
+/* rle_hybrid: encode_rle_hybrid's stream for v[0..n), bw <= 32, byte
+   for byte. Its segment plan: each maximal run of >= 8 equal values,
+   in order, pads the literal before it to whole groups by stealing
+   (pos - rstart) mod 8 values from its head, and is kept only if >= 8
+   values remain; otherwise it folds into the literals. A kept run is
+   varint(count << 1) and its value in ceil(bw / 8) little-endian
+   bytes. The scan counts the equal neighbours ending at each value
+   without a branch, and branches only when there are 7 (a streak of
+   8): on low-entropy literals (2-3 distinct values) a branch per value
+   would mispredict about every other value. */
+size_t rle_hybrid(const uint32_t* v, size_t n, int bw, uint8_t* out) {
+    size_t o = 0, pos = 0, same = 0;
+    int vbytes = (bw + 7) >> 3;
+    for (size_t k = 1; k < n; k++) {
+        same = (same + 1) * (v[k] == v[k - 1]);
+        if (same < 7) continue;
+        size_t rstart = k - 7, j = k + 1;
+        while (j < n && v[j] == v[rstart]) j++;
+        size_t steal = (8 - (rstart - pos) % 8) % 8;
+        if (j - rstart >= 8 + steal) {
+            o += put_literal(v + pos, rstart + steal - pos, bw, out + o);
+            o += put_varint(out + o, (uint64_t)(j - rstart - steal) << 1);
+            for (int b = 0; b < vbytes; b++) out[o++] = (uint8_t)(v[rstart] >> (8 * b));
+            pos = j;
+        }
+        k = j;  /* v[j] starts a new streak */
+        same = 0;
+    }
+    return o + put_literal(v + pos, n - pos, bw, out + o);
+}
+
+/* delta_binary_pack: delta.delta_binary_pack's stream for count int32
+   (wide == 0) or int64 values, byte for byte. Deltas wrap at that
+   width; each block of 128 (the last one padded with the width's max,
+   which never lowers the min) writes zigzag(min_delta) as an int64, its
+   4 miniblock widths (the bit length of each miniblock's max, padding
+   packing as zeros), and every miniblock at 4 * width bytes. */
+size_t delta_binary_pack(const void* values, size_t count, int wide, uint8_t* out) {
+    const int32_t* v32 = (const int32_t*)values;
+    const int64_t* v64 = (const int64_t*)values;
+    size_t o = put_varint(out, 128);
+    o += put_varint(out + o, 4);
+    o += put_varint(out + o, count);
+    o += put_varint(out + o, zigzag64(count == 0 ? 0 : wide ? v64[0] : v32[0]));
+    uint64_t mask = wide ? ~0ULL : 0xFFFFFFFFULL;
+    int64_t d[128];
+    uint64_t mb[128];
+    for (size_t b0 = 0; b0 + 1 < count; b0 += 128) {
+        size_t m = count - 1 - b0 < 128 ? count - 1 - b0 : 128;
+        int64_t mn = wide ? INT64_MAX : INT32_MAX;
+        if (wide)
+            for (size_t k = 0; k < m; k++)
+                d[k] = (int64_t)((uint64_t)v64[b0 + k + 1] - (uint64_t)v64[b0 + k]);
+        else
+            for (size_t k = 0; k < m; k++)
+                d[k] = (int32_t)((uint32_t)v32[b0 + k + 1] - (uint32_t)v32[b0 + k]);
+        for (size_t k = 0; k < m; k++) if (d[k] < mn) mn = d[k];
+        o += put_varint(out + o, zigzag64(mn));
+        uint8_t* widths = out + o;
+        o += 4;
+        for (int q = 0; q < 4; q++) {
+            uint64_t any = 0;  /* its bit length is the max's */
+            for (size_t k = 32 * q; k < 32 * q + 32; k++) {
+                mb[k] = k < m ? ((uint64_t)d[k] - (uint64_t)mn) & mask : 0;
+                any |= mb[k];
+            }
+            int bw = any ? 64 - __builtin_clzll(any) : 0;
+            widths[q] = (uint8_t)bw;
+            o += pack_u64(mb + 32 * q, 32, bw, out + o);
+        }
+    }
+    return o;
+}
 """
 
 _lib = None
 _tried = False
+# every library (and leftover source) name a version of _C_SRC has been
+# built under; a build in progress (``*.so.build<pid>``) never matches
+_BUILT = re.compile(r"(fsst_)?kernel(_\w+)?\.(so|c)")
+
+
+def _unavailable(reason: str) -> None:
+    log.debug("compiled kernel unavailable (%s): FSST and the page "
+              "encoders run their Python and numpy fallbacks", reason)
 
 
 def _build() -> "ctypes.CDLL | None":
-    if __import__("sys").byteorder != "little":
+    if sys.byteorder != "little":
         # the kernel's masked u64 loads assume little-endian layout
-        return None
+        return _unavailable("big-endian host")
     uid = getattr(os, "getuid", lambda: 0)()  # no getuid on Windows
+    # the dir keeps the name it had when the kernel was FSST-only, so a
+    # build also finds the libraries older sources left there
     cache = os.path.join(tempfile.gettempdir(), f"hpw_fsst_kernel_{uid}")
-    os.makedirs(cache, mode=0o700, exist_ok=True)
     try:
+        os.makedirs(cache, mode=0o700, exist_ok=True)
         st = os.stat(cache)
-        if (hasattr(os, "getuid") and st.st_uid != os.getuid()) or \
-                (st.st_mode & 0o022):
-            # a pre-existing world/group-writable or foreign-owned dir
-            # under /tmp could be .so-planted; never load from it
-            return None
-    except OSError:
-        return None
+    except OSError as e:
+        return _unavailable(f"no cache dir: {e}")
+    if (hasattr(os, "getuid") and st.st_uid != os.getuid()) or (st.st_mode & 0o022):
+        # a pre-existing world/group-writable or foreign-owned dir
+        # under /tmp could be .so-planted; never load from it
+        return _unavailable(f"cache dir {cache} is foreign-owned or "
+                            "group/world-writable")
     # named by the source's hash: an edited kernel never loads a stale build
-    digest = hashlib.sha256(_C_SRC.encode()).hexdigest()[:16]
-    so = os.path.join(cache, f"fsst_kernel_{digest}.so")
+    name = f"kernel_{hashlib.sha256(_C_SRC.encode()).hexdigest()[:16]}.so"
+    so = os.path.join(cache, name)
     if not os.path.exists(so):
         # per-process names: a worker building at the same time never
         # truncates the source another worker's cc is reading
@@ -451,15 +598,21 @@ def _build() -> "ctypes.CDLL | None":
                 check=True, capture_output=True, timeout=60,
             )
             os.replace(tmp, so)  # atomic: concurrent workers race safely
-        except (OSError, subprocess.SubprocessError):
-            return None
+        except (OSError, subprocess.SubprocessError) as e:
+            return _unavailable(f"cc failed: {e}")
         finally:
             with contextlib.suppress(OSError):
                 os.remove(src)
+        # older sources' builds: unlinked, not overwritten, since a
+        # running process may still have one mapped
+        for old in os.listdir(cache):
+            if old != name and _BUILT.fullmatch(old):
+                with contextlib.suppress(OSError):
+                    os.remove(os.path.join(cache, old))
     try:
         lib = ctypes.CDLL(so)
-    except OSError:
-        return None
+    except OSError as e:
+        return _unavailable(f"cannot load {so}: {e}")
     lib.fsst_compress.restype = ctypes.c_size_t
     lib.fsst_compress.argtypes = [
         ctypes.c_void_p, ctypes.c_size_t,
@@ -475,6 +628,14 @@ def _build() -> "ctypes.CDLL | None":
     lib.fsst_train.restype = ctypes.c_int
     lib.fsst_train.argtypes = [
         ctypes.c_void_p, ctypes.c_size_t, ctypes.c_char_p, ctypes.c_char_p,
+    ]
+    lib.rle_hybrid.restype = ctypes.c_size_t
+    lib.rle_hybrid.argtypes = [
+        ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int, ctypes.c_void_p,
+    ]
+    lib.delta_binary_pack.restype = ctypes.c_size_t
+    lib.delta_binary_pack.argtypes = [
+        ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int, ctypes.c_void_p,
     ]
     return lib
 
@@ -552,3 +713,44 @@ def train(sample: bytes) -> "list[bytes] | None":
         raise MemoryError("fsst_train could not allocate its buffers")
     raw, lens = sb.raw, sl.raw
     return [raw[i * 8 : i * 8 + lens[i]] for i in range(nsym)]
+
+
+def rle_bound(n: int, bit_width: int) -> int:
+    """Worst-case size of ``rle_hybrid``'s stream of n values: at most
+    n // 8 runs and one literal before each plus a trailing one, each
+    segment at most two 5-byte varints and a 4-byte run value, and at
+    most n // 8 + 1 groups of ``bit_width`` packed bytes."""
+    return (n // 8 + 2) * (bit_width + 14)
+
+
+def rle_hybrid(values: np.ndarray, bit_width: int) -> "memoryview | None":
+    """``rle.encode_rle_hybrid``'s bytes for ``values`` (unsigned, each
+    below ``2**bit_width``), or None without the kernel or past 32 bits."""
+    lib = get_kernel()
+    if lib is None or bit_width > 32:
+        return None
+    # held for the call: the kernel reads the converted copy, if any
+    v = np.ascontiguousarray(values, dtype=np.uint32)
+    out = np.empty(rle_bound(v.size, bit_width), np.uint8)
+    return out.data[:lib.rle_hybrid(v.ctypes.data, v.size, bit_width, out.ctypes.data)]
+
+
+def delta_bound(count: int) -> int:
+    """Worst-case size of ``delta_binary_pack``'s stream of count values:
+    a header of at most 23 bytes, and per block of 128 a 10-byte varint,
+    4 width bytes and 4 miniblocks of 32 64-bit values."""
+    return (count + 127) // 128 * 1038 + 40
+
+
+def delta_binary_pack(values: np.ndarray) -> "memoryview | None":
+    """``delta.delta_binary_pack``'s bytes for ``values``, or None
+    without the kernel. Values of 4 bytes or fewer wrap as int32, wider
+    ones as int64."""
+    lib = get_kernel()
+    if lib is None:
+        return None
+    wide = values.dtype.itemsize > 4
+    # held for the call: the kernel reads the converted copy, if any
+    v = np.ascontiguousarray(values, dtype=np.int64 if wide else np.int32)
+    out = np.empty(delta_bound(v.size), np.uint8)
+    return out.data[:lib.delta_binary_pack(v.ctypes.data, v.size, wide, out.ctypes.data)]

@@ -336,27 +336,38 @@ def _sort_dict_by_frequency(dict_arr: pa.DictionaryArray) -> pa.DictionaryArray:
 _DELTA_TYPES = (ParquetType.INT32, ParquetType.INT64)
 
 
-def _smart_encoding(values: pa.Array, leaf: LeafInfo) -> Encoding:
+def _smart_encoding(values: pa.Array, leaf: LeafInfo, n_slots: int) -> Encoding:
     """Extended auto-selection ('smart' mode): delta for integer columns with
     small deltas (sorted-ish ids/timestamps), delta-length for text,
-    byte-stream-split for floats. Samples the first 1000 values —
-    deterministic per chunk."""
+    byte-stream-split for floats, RLE for booleans of more than 16 slots.
+    Samples the first 1000 values — deterministic per chunk. Logs the
+    choice and the rule that made it, once per chunk."""
     el = leaf.element
     if el.type in _DELTA_TYPES:
         sample = values.slice(0, DICT_SAMPLE)
+        encoding = Encoding.PLAIN
+        rule = f"max-delta rule: {len(sample)} sampled values, fewer than 8"
         if len(sample) >= 8:
             v = A.fixed_values(sample).astype(np.int64)
             deltas = np.abs(np.diff(v.astype(np.uint64)).view(np.int64))
-            maxd = int(np.max(deltas)) if len(deltas) else 0
+            bits = int(np.max(deltas)).bit_length() if len(deltas) else 0
             width = FIXED_WIDTH[el.type] * 8
-            if int(maxd).bit_length() + 8 < width:
-                return Encoding.DELTA_BINARY_PACKED
-        return Encoding.PLAIN
-    if el.type == ParquetType.BYTE_ARRAY:
-        return Encoding.DELTA_LENGTH_BYTE_ARRAY
-    if el.type in (ParquetType.FLOAT, ParquetType.DOUBLE):
-        return Encoding.BYTE_STREAM_SPLIT
-    return Encoding.PLAIN
+            small = bits + 8 < width
+            if small:
+                encoding = Encoding.DELTA_BINARY_PACKED
+            rule = (f"max-delta rule: sampled max delta of {bits} bits + 8 "
+                    f"{'<' if small else '>='} width {width}")
+    elif el.type == ParquetType.BYTE_ARRAY:
+        encoding, rule = Encoding.DELTA_LENGTH_BYTE_ARRAY, "byte-array rule"
+    elif el.type in (ParquetType.FLOAT, ParquetType.DOUBLE):
+        encoding, rule = Encoding.BYTE_STREAM_SPLIT, "float rule"
+    elif el.type == ParquetType.BOOLEAN and n_slots > 16:
+        encoding, rule = Encoding.RLE, "boolean rule: more than 16 slots"
+    else:
+        encoding, rule = Encoding.PLAIN, "PLAIN default"
+    log.debug("smart encoding for column %s: %s (%s)", ".".join(leaf.path),
+              encoding.name, rule)
+    return encoding
 
 
 def encode_chunk(
@@ -438,9 +449,7 @@ def encode_chunk(
         if spec.encoding is not None:
             encoding = spec.encoding
         elif opts.auto_codec == "smart":
-            encoding = _smart_encoding(values, leaf)
-            if el.type == ParquetType.BOOLEAN and n_slots > 16:
-                encoding = Encoding.RLE
+            encoding = _smart_encoding(values, leaf, n_slots)
         else:
             encoding = (
                 Encoding.RLE

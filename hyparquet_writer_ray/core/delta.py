@@ -9,16 +9,24 @@ north rule (frame-of-reference on deltas via per-block min).
 
 Arithmetic wraps at the column's physical width (mod 2^32 or 2^64),
 which keeps every adjusted delta within that width for any input;
-decoders wrap the same way. Bit widths come from one vectorized search
-over the powers of two, and packing goes through ``rle._pack_bits``,
-the package's one multi-bit packer: one call per distinct miniblock
-width. Every block's ``zigzag(min_delta)`` varint, width bytes and
-packed miniblocks are scattered into one buffer, written once.
+decoders wrap the same way.
+
+:func:`delta_binary_pack` runs the compiled kernel's
+``delta_binary_pack`` (``_kernel``), which writes the whole stream in
+one C pass, whenever a C compiler works. Its numpy body is the fallback
+without one, and gives the same bytes: bit widths come from one
+vectorized search over the powers of two, and packing goes through
+``rle._pack_bits``, one call per distinct miniblock width. Every
+block's ``zigzag(min_delta)`` varint, width bytes and packed miniblocks
+are scattered into one buffer, written once. The two byte-array
+encodings, :func:`delta_length_byte_array` and
+:func:`delta_byte_array`, write their lengths through it.
 """
 from __future__ import annotations
 
 import numpy as np
 
+from . import _kernel
 from .bufwriter import BufWriter
 from .rle import _pack_bits
 
@@ -44,6 +52,10 @@ def delta_binary_pack(w: BufWriter, values: np.ndarray) -> None:
     """Arithmetic wraps mod 2^32 for 32-bit inputs and mod 2^64 otherwise —
     decoders wrap at the column's physical width, so INT32 adjusted deltas
     must stay within 32 bits (parquet-cpp rejects bit widths > type width)."""
+    stream = _kernel.delta_binary_pack(values)
+    if stream is not None:
+        w.write(stream)
+        return
     count = len(values)
     w.varint(BLOCK)
     w.varint(MINIBLOCKS)

@@ -14,7 +14,7 @@ a parquet-spec encoding: columns written with it are readable by this
 library (see decode_fsst), not by generic parquet readers — the chunk
 is marked via ColumnMetaData key_value_metadata {"hpw_fsst": "1"}.
 
-Training and encoding run in the compiled kernel (``_fsst_kernel``, C
+Training and encoding run in the compiled kernel (``_kernel``, C
 built on demand with the system compiler — greedy longest-match is a
 sequential byte-chase that C runs 30-50x faster than any Python-level
 scan, and ``fsst_train`` runs the generations around it). The Python
@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from . import _fsst_kernel
+from . import _kernel
 
 ESCAPE = 255
 MAX_SYMBOL_LEN = 8
@@ -113,7 +113,7 @@ def train(sample: bytes) -> SymbolTable:
     sample = sample[:TRAIN_SAMPLE_BYTES]
     if not sample:
         return SymbolTable([])
-    symbols = _fsst_kernel.train(sample)
+    symbols = _kernel.train(sample)
     if symbols is not None:
         return SymbolTable(symbols)
     # generation 0: frequent single bytes (first-encounter dict order =
@@ -213,7 +213,7 @@ def compress(data: bytes, table: SymbolTable) -> bytes:
         for b in data:
             out += bytes([ESCAPE, b])
         return bytes(out)
-    fast = _fsst_kernel.compress(data, table)
+    fast = _kernel.compress(data, table)
     if fast is not None:
         return fast
     code_of = {s: i for i, s in enumerate(table.symbols)}
@@ -239,7 +239,7 @@ def compress(data: bytes, table: SymbolTable) -> bytes:
 
 def decompress(codes, table: SymbolTable) -> bytes:
     if table.symbols:
-        fast = _fsst_kernel.decompress(codes, table)
+        fast = _kernel.decompress(codes, table)
         if fast is not None:
             return fast
     out = bytearray()

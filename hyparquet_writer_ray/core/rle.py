@@ -1,4 +1,4 @@
-"""Parquet RLE / bit-packed hybrid encoding, numpy-vectorized.
+"""Parquet RLE / bit-packed hybrid encoding.
 
 Semantics match the reference (src/encoding.js:12-106): runs of >= 8
 equal values become RLE runs ``varint(count<<1) + value``; everything
@@ -7,7 +7,11 @@ else is bit-packed in groups of 8 values with header
 differ from the reference (both are valid parquet); correctness is
 decode equality through pyarrow/duckdb.
 
-A call encodes in three steps:
+:func:`encode_rle_hybrid` is the entry point. It runs the compiled
+kernel's ``rle_hybrid`` (``_kernel``), which writes the whole stream in
+one C pass, whenever a C compiler works and the width is at most 32
+bits. Its numpy body below is the fallback without one, and gives the
+same bytes in three steps:
 
 1. *Segment plan.* The runs of length >= 8 are found with vectorized
    shifted-equality masks (:func:`_long_runs`); only they are visited
@@ -23,11 +27,15 @@ A call encodes in three steps:
    not one packer call.
 3. *Emit.* Headers, slices of the packed bytes and run values are
    appended to the writer in plan order.
+
+:func:`_pack_bits` is the fallback's packer, and that of the numpy
+``delta_binary_pack``; :func:`write_rle_run` writes one run.
 """
 from __future__ import annotations
 
 import numpy as np
 
+from . import _kernel
 from .bufwriter import BufWriter
 
 
@@ -87,6 +95,10 @@ def encode_rle_hybrid(w: BufWriter, values: np.ndarray, bit_width: int) -> int:
     n = len(values)
     if n == 0:
         return 0
+    stream = _kernel.rle_hybrid(values, bit_width)
+    if stream is not None:
+        w.write(stream)
+        return len(stream)
     values = np.ascontiguousarray(values)
     # 1. segment plan: (literal start, literal end, run start, run count)
     plan = []

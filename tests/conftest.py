@@ -20,6 +20,16 @@ def ray_session():
     ray.shutdown()
 
 
+@pytest.fixture
+def no_kernel(monkeypatch):
+    """The compiled kernel disabled for one test: FSST and the page
+    encoders run their Python and numpy fallbacks."""
+    from hyparquet_writer_ray.core import _kernel
+
+    monkeypatch.setattr(_kernel, "_tried", True)
+    monkeypatch.setattr(_kernel, "_lib", None)
+
+
 def roundtrip(table: pa.Table, opts=None) -> pa.Table:
     """Write with our engine, read back with pyarrow (independent oracle)."""
     from hyparquet_writer_ray import write_table_to_bytes

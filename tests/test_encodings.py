@@ -327,3 +327,37 @@ def test_unsupported_dictionary_type_is_logged(caplog):
         with pytest.raises(TypeError, match="cannot be dictionary-encoded"):
             write_table_to_bytes(t, opts_enc("h", Encoding.RLE_DICTIONARY))
     assert not [r for r in caplog.records if r.name == "hyparquet_writer_ray"]
+
+
+def test_smart_encoding_is_logged(caplog):
+    """``auto_codec="smart"`` logs one DEBUG record per chunk that it
+    encodes, naming the column, the encoding and the rule that chose it."""
+    from hyparquet_writer_ray import write_table_to_bytes
+
+    n = 1_000
+    i = np.arange(n)
+    big = pa.table({
+        "ts": pa.array(i * 1_000, pa.timestamp("ms")),  # 10-bit deltas
+        "swing": pa.array((-1) ** i * i * 1_000_000, pa.int32()),  # 31-bit deltas
+        "text": pa.array([f"doc {k}" for k in i]),
+        "value": pa.array(np.random.default_rng(0).normal(0, 1, n)),
+        "flag": pa.array(i % 3 == 0),
+        "fixed": pa.array([int(k).to_bytes(4, "little") for k in i], pa.binary(4)),
+    })
+    small = pa.table({"id": pa.array(np.arange(5, dtype=np.int64) * 7)})
+    with caplog.at_level("DEBUG", logger="hyparquet_writer_ray"):
+        for t in (big, small):
+            write_table_to_bytes(t, WriteOptions(auto_codec="smart"))
+    msgs = [r.getMessage() for r in caplog.records
+            if r.name == "hyparquet_writer_ray" and "smart" in r.getMessage()]
+    rule = "smart encoding for column {}: {} ({})".format
+    assert msgs == [
+        rule("ts", "DELTA_BINARY_PACKED",
+             "max-delta rule: sampled max delta of 10 bits + 8 < width 64"),
+        rule("swing", "PLAIN", "max-delta rule: sampled max delta of 31 bits + 8 >= width 32"),
+        rule("text", "DELTA_LENGTH_BYTE_ARRAY", "byte-array rule"),
+        rule("value", "BYTE_STREAM_SPLIT", "float rule"),
+        rule("flag", "RLE", "boolean rule: more than 16 slots"),
+        rule("fixed", "PLAIN", "PLAIN default"),
+        rule("id", "PLAIN", "max-delta rule: 5 sampled values, fewer than 8"),
+    ]

@@ -991,13 +991,13 @@ def test_pathlike_inputs_resolve_like_str(tmp_path):
 
 def test_no_builtin_open_outside_fsio():
     """Every file the package reads or writes goes through ``state/fsio``:
-    no module calls the builtin ``open`` but fsio itself and the FSST
+    no module calls the builtin ``open`` but fsio itself and the compiled
     kernel's compiler cache, which is local by nature."""
     import ast
     import pathlib
 
     pkg = pathlib.Path(fsio.__file__).resolve().parents[1]
-    allowed = {"state/fsio.py", "core/_fsst_kernel.py"}
+    allowed = {"state/fsio.py", "core/_kernel.py"}
     calls = [
         f"{rel}:{node.lineno}"
         for path in sorted(pkg.rglob("*.py"))

@@ -114,7 +114,7 @@ def test_fsst_kernel_fuzz_roundtrip():
     the end would match), it gives the Python parse of the view's bytes."""
     from hypothesis import given, settings, strategies as st
 
-    from hyparquet_writer_ray.core import _fsst_kernel, fsst
+    from hyparquet_writer_ray.core import _kernel, fsst
 
     @settings(max_examples=120, deadline=None)
     @given(st.binary(min_size=0, max_size=4000))
@@ -123,32 +123,32 @@ def test_fsst_kernel_fuzz_roundtrip():
         enc = fsst.compress(data, tbl)
         assert fsst.decompress(enc, tbl) == data
         # pure-python decoder agrees on the kernel's parse
-        lib = _fsst_kernel._lib
-        _fsst_kernel._lib = None
+        lib = _kernel._lib
+        _kernel._lib = None
         try:
             assert fsst.decompress(enc, tbl) == data
             enc_py = fsst.compress(data, tbl)
         finally:
-            _fsst_kernel._lib = lib
+            _kernel._lib = lib
         # and the kernel decodes the python parse
         assert fsst.decompress(enc_py, tbl) == data
         # both paths claim the same greedy longest-match parse — hold
         # them to byte identity, not just roundtrip
         assert enc == enc_py
-        if _fsst_kernel.get_kernel() is None:
+        if _kernel.get_kernel() is None:
             return
         longest = max(tbl.symbols, key=len)
         for tail in (b"\xff" * 16, longest * 2, b"\xff" + longest):
             buf = bytearray(b"\x07" * 5 + data + tail)
             view = memoryview(buf)[5 : 5 + len(data)]
-            assert _fsst_kernel.compress(view, tbl) == enc_py
-        assert _fsst_kernel.compress(bytearray(data), tbl) == enc_py
+            assert _kernel.compress(view, tbl) == enc_py
+        assert _kernel.compress(bytearray(data), tbl) == enc_py
 
     run()
     tbl = fsst.train(b"abcabcabd")
-    if _fsst_kernel.get_kernel() is not None:
+    if _kernel.get_kernel() is not None:
         for empty in (b"", bytearray(), memoryview(b"abc")[3:]):
-            assert _fsst_kernel.compress(empty, tbl) == b""
+            assert _kernel.compress(empty, tbl) == b""
 
 
 def test_fsst_kernel_escape_heavy():
@@ -178,27 +178,27 @@ def test_deserialize_rejects_crafted_symbol_lengths():
 def test_kernel_rejects_oversized_symbols_directly():
     import pytest
 
-    from hyparquet_writer_ray.core import _fsst_kernel
+    from hyparquet_writer_ray.core import _kernel
     from hyparquet_writer_ray.core.fsst import SymbolTable
 
     t = SymbolTable([b"A" * 200, b"B"])
     with pytest.raises(ValueError, match="outside 1..8"):
-        _fsst_kernel._packed(t)
+        _kernel._packed(t)
 
 
 def test_truncated_escape_raises_on_both_paths():
     import pytest
 
-    from hyparquet_writer_ray.core import _fsst_kernel
+    from hyparquet_writer_ray.core import _kernel
     from hyparquet_writer_ray.core.fsst import SymbolTable, decompress
 
     table = SymbolTable([b"ab"])
     corrupt = bytes([0, 255])  # symbol then a lone escape marker
     with pytest.raises(ValueError, match="truncated escape"):
         decompress(corrupt, table)
-    if _fsst_kernel.get_kernel() is not None:  # kernel path agrees
+    if _kernel.get_kernel() is not None:  # kernel path agrees
         with pytest.raises(ValueError, match="truncated escape"):
-            _fsst_kernel.decompress(corrupt, table)
+            _kernel.decompress(corrupt, table)
 
 
 def test_decompress_unregistered_codec_clear_error():
@@ -231,20 +231,20 @@ def test_count_stream_merges_pairs_spelling_the_same_bytes():
 
 
 def _fallback_train(sample):
-    from hyparquet_writer_ray.core import _fsst_kernel
+    from hyparquet_writer_ray.core import _kernel
 
-    lib = _fsst_kernel._lib
-    _fsst_kernel._lib = None
+    lib = _kernel._lib
+    _kernel._lib = None
     try:
         return fsst.train(sample)
     finally:
-        _fsst_kernel._lib = lib
+        _kernel._lib = lib
 
 
 def _assert_trainers_agree(sample):
-    from hyparquet_writer_ray.core import _fsst_kernel
+    from hyparquet_writer_ray.core import _kernel
 
-    if _fsst_kernel.get_kernel() is None:
+    if _kernel.get_kernel() is None:
         pytest.skip("no C compiler: the fallback is the only trainer")
     assert fsst.train(sample).symbols == _fallback_train(sample).symbols
 
@@ -345,21 +345,21 @@ def test_fsst_write_without_kernel_is_byte_identical():
     """A text_fsst-shaped write (web url + text, FSST on text) gives the
     same file bytes from the fallback trainer and scan as from the
     kernel."""
-    from hyparquet_writer_ray.core import _fsst_kernel
+    from hyparquet_writer_ray.core import _kernel
     from hyparquet_writer_ray.sources.webtable import synthesize_batch
 
-    if _fsst_kernel.get_kernel() is None:
+    if _kernel.get_kernel() is None:
         pytest.skip("no C compiler: the fallback is the only path")
     t = synthesize_batch(3_000, 3_000).select(["url", "text"])
     opts = WriteOptions(column_specs={"text": ColumnSpec(fsst=True)},
                         row_group_size=(1_000,))
     with_kernel = write_table_to_bytes(t, opts)
-    lib = _fsst_kernel._lib
-    _fsst_kernel._lib = None
+    lib = _kernel._lib
+    _kernel._lib = None
     try:
         without = write_table_to_bytes(t, opts)
     finally:
-        _fsst_kernel._lib = lib
+        _kernel._lib = lib
     assert with_kernel == without
 
 
@@ -369,22 +369,22 @@ def test_kernel_cache_is_named_by_source_hash(monkeypatch, tmp_path):
     import hashlib
     import tempfile
 
-    from hyparquet_writer_ray.core import _fsst_kernel
+    from hyparquet_writer_ray.core import _kernel
 
-    if _fsst_kernel.get_kernel() is None:
+    if _kernel.get_kernel() is None:
         pytest.skip("no C compiler")
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
 
     def built(src):
         digest = hashlib.sha256(src.encode()).hexdigest()[:16]
-        return [p.name for p in tmp_path.rglob(f"fsst_kernel_{digest}.so")]
+        return [p.name for p in tmp_path.rglob(f"kernel_{digest}.so")]
 
-    src = _fsst_kernel._C_SRC
-    assert _fsst_kernel._build() is not None
+    src = _kernel._C_SRC
+    assert _kernel._build() is not None
     assert built(src)
     edited = src + "\nint hpw_cache_probe(void) { return 7; }\n"
-    monkeypatch.setattr(_fsst_kernel, "_C_SRC", edited)
-    lib = _fsst_kernel._build()
+    monkeypatch.setattr(_kernel, "_C_SRC", edited)
+    lib = _kernel._build()
     assert built(edited) and built(edited) != built(src)
     assert lib.hpw_cache_probe() == 7
     assert not list(tmp_path.rglob("*.c"))  # build sources are removed

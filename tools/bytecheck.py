@@ -80,8 +80,14 @@ compaction bucket ids hash input mtimes, so the inputs live at a fixed
 path (``--out``, default ``<tmpdir>/hpw-bytecheck-ray``) and get a
 fixed mtime.
 
-Usage: python tools/bytecheck.py [--ray] [--out DIR]   (files are kept
-in DIR when given, else removed at the end)
+With ``--no-kernel`` it writes the default files with the compiled
+kernel (``core/_kernel``) disabled, so every encoder runs its Python or
+numpy fallback; its lines must equal the plain run's:
+
+    diff <(python tools/bytecheck.py) <(python tools/bytecheck.py --no-kernel)
+
+Usage: python tools/bytecheck.py [--ray | --no-kernel] [--out DIR]
+(files are kept in DIR when given, else removed at the end)
 """
 from __future__ import annotations
 
@@ -424,7 +430,15 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--out", help="directory to keep the files in")
     ap.add_argument("--ray", action="store_true", help="check the Ray writers")
+    ap.add_argument("--no-kernel", action="store_true",
+                    help="write the default files without the compiled kernel")
     args = ap.parse_args()
+    if args.no_kernel:
+        if args.ray:
+            ap.error("--no-kernel applies to the default files only: "
+                     "Ray workers load the kernel in their own processes")
+        from hyparquet_writer_ray.core import _kernel
+        _kernel._tried, _kernel._lib = True, None
     if args.ray:
         work = args.out or os.path.join(tempfile.gettempdir(), "hpw-bytecheck-ray")
         shutil.rmtree(work, ignore_errors=True)
