@@ -18,7 +18,7 @@ from .footer import (
 )
 from .options import WriteOptions
 from .rowgroup import RowGroupMeta
-from .thrift import write_struct
+from .thrift import serialize
 from .types import SchemaElement
 
 MAGIC = b"PAR1"
@@ -55,21 +55,15 @@ class FileAssembler:
         for chunks, _, _ in self.groups:
             for c in chunks:
                 if c.meta.column_index is not None:
-                    start = self.offset
-                    w = BufWriter()
-                    write_struct(w, column_index_thrift(c.meta.column_index))
-                    self._write(w.getvalue())
-                    c.column_index_offset = start
-                    c.column_index_length = self.offset - start
+                    c.column_index_offset = self.offset
+                    self._write(serialize(column_index_thrift(c.meta.column_index)))
+                    c.column_index_length = self.offset - c.column_index_offset
         for chunks, _, _ in self.groups:
             for c in chunks:
                 if c.offset_index_abs is not None:
-                    start = self.offset
-                    w = BufWriter()
-                    write_struct(w, offset_index_thrift(c.offset_index_abs))
-                    self._write(w.getvalue())
-                    c.offset_index_offset = start
-                    c.offset_index_length = self.offset - start
+                    c.offset_index_offset = self.offset
+                    self._write(serialize(offset_index_thrift(c.offset_index_abs)))
+                    c.offset_index_length = self.offset - c.offset_index_offset
         for chunks, _, _ in self.groups:
             for c in chunks:
                 if c.meta.bloom is not None:

@@ -25,20 +25,11 @@ class BufWriter:
     def u32(self, v: int) -> None:
         self._buf += struct.pack("<I", v & 0xFFFFFFFF)
 
-    def i32(self, v: int) -> None:
-        self._buf += struct.pack("<i", v)
-
-    def i64(self, v: int) -> None:
-        self._buf += struct.pack("<q", v)
-
-    def f32(self, v: float) -> None:
-        self._buf += struct.pack("<f", v)
-
     def f64(self, v: float) -> None:
         self._buf += struct.pack("<d", v)
 
     def write(self, data) -> None:
-        self._buf += data
+        self._buf.extend(data)  # any buffer's bytes (an ndarray's ``+=`` adds)
 
     # -- varint / zigzag (ULEB128) --------------------------------------
     def varint(self, v: int) -> None:

@@ -52,7 +52,7 @@ class ColumnIndexData:
     min_values: list = field(default_factory=list)  # bytes (b'' for all-null pages)
     max_values: list = field(default_factory=list)
     null_counts: list = field(default_factory=list)
-    boundary_order: int = int(BoundaryOrder.UNORDERED)  # plain int: checkpoint blobs pickle it
+    boundary_order: int = int(BoundaryOrder.UNORDERED)
 
 
 @dataclass

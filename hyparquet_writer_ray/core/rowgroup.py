@@ -1,17 +1,31 @@
 """Row-group encoding: one Arrow table (block) -> one relocatable blob
 containing every leaf's column chunk, plus metadata with relative
 offsets (reference: src/parquet-writer.js:63-144). This is the pure
-function each Ray encode task runs."""
+function each Ray encode task runs.
+
+:func:`dumps` / :func:`loads`: the one serialized form of an encoded row
+group (single-file stage rows, checkpoint blobs): the blob, a Thrift
+struct, its u32 length, :data:`TRAILER`. Field 1 is the footer's
+``RowGroup`` (offsets relative to the blob); 2-4 list each chunk's
+``ColumnIndex``, chunk-relative ``OffsetIndex`` and bloom, ``{}``/``b""`` if none."""
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 import pyarrow as pa
 
-from .chunk import ChunkMeta, encode_chunk
+from .bufwriter import BufWriter
+from .chunk import ChunkMeta, ColumnIndexData, PageLocation, encode_chunk
+from .footer import AbsoluteChunk, column_index_thrift, offset_index_thrift, row_group_thrift
+from .geo import GeoStats
 from .nested import nested_leaf_arrays
 from .options import WriteOptions
+from .statistics import Stats
+from .thrift import CompactReader, write_struct
 from .types import LeafInfo, SchemaElement
+
+TRAILER = b"HRG1"
 
 
 @dataclass
@@ -50,6 +64,72 @@ def encode_row_group(
         chunks=chunks,
         total_byte_size=total_uncomp,
         total_compressed_size=pos,
+    )
+
+
+def dumps(blob, meta: RowGroupMeta) -> bytes:
+    """``blob`` and ``meta`` as one relocatable byte string."""
+    w = BufWriter()
+    w.write(blob)
+    start, cms = w.offset, [cm for _, cm in meta.chunks]
+    write_struct(w, {
+        1: row_group_thrift([AbsoluteChunk(cm, rel) for rel, cm in meta.chunks],
+                            meta.total_byte_size, meta.num_rows,
+                            total_compressed_size=meta.total_compressed_size),
+        2: [{} if c.column_index is None else column_index_thrift(c.column_index)
+            for c in cms],
+        3: [{} if c.offset_index is None else offset_index_thrift(c.offset_index)
+            for c in cms],
+        4: [cm.bloom or b"" for cm in cms],
+    })
+    w.u32(w.offset - start)
+    w.write(TRAILER)
+    return w.getvalue()
+
+
+def loads(data) -> tuple[memoryview, RowGroupMeta]:
+    """The ``(blob, meta)`` of :func:`dumps`'s bytes, the blob a view
+    of ``data``; ``ValueError`` for any other bytes."""
+    mv = memoryview(data).cast("B")
+    end = len(mv) - 8
+    if end < 0 or mv[end + 4:] != TRAILER:
+        raise ValueError("not a row group: no trailer")
+    start = end - int.from_bytes(mv[end:end + 4], "little")
+    try:
+        if start < 0:
+            raise ValueError("length past the start")
+        r = CompactReader(mv[start:end])
+        s = r.read_struct()
+        rg, cis, ois, blooms = s[1], s[2], s[3], s[4]
+        if r.pos != end - start or rg[6] != start or not (
+                len(rg[1]) == len(cis) == len(ois) == len(blooms)):
+            raise ValueError("inconsistent lengths")
+        chunks = [_chunk(*c) for c in zip(rg[1], cis, ois, blooms)]
+    except (LookupError, TypeError, AttributeError, ValueError, RecursionError,
+            struct.error) as e:  # any parse failure: the bytes are not a group
+        raise ValueError(f"not a row group: {e!r}") from None
+    return mv[:start], RowGroupMeta(num_rows=rg[3], chunks=chunks, total_byte_size=rg[2],
+                                    total_compressed_size=rg[6])
+
+
+def _chunk(cc: dict, ci: dict, oi: dict, bloom: bytes) -> tuple[int, ChunkMeta]:
+    """Inverse of ``AbsoluteChunk(cm, rel).thrift()`` and the index builders."""
+    rel, md = cc[2], cc[3]
+    st, geo = md.get(12), md.get(17)
+    return rel, ChunkMeta(
+        path=[p.decode() for p in md[3]], ptype=md[1], encodings=md[2],
+        codec=md[4], num_values=md[5], total_compressed_size=md[7],
+        total_uncompressed_size=md[6], data_page_offset=md[9] - rel,
+        dictionary_page_offset=md[11] - rel if 11 in md else None,
+        stats=Stats(min_bytes=st.get(6), max_bytes=st.get(5), null_count=st[3],
+                    is_min_exact=st.get(8), is_max_exact=st.get(7)) if st else None,
+        encoding_stats=[(e[1], e[2], e[3]) for e in md[13]] if 13 in md else None,
+        column_index=ColumnIndexData(ci[1], ci[2], ci[3], ci[5], ci[4]) if ci else None,
+        offset_index=[PageLocation(p[1], p[2], p[3]) for p in oi[1]] if oi else None,
+        bloom=bloom or None,
+        kv_metadata=[(e[1].decode(), e[2].decode()) for e in md[8]] if 8 in md else None,
+        geo_stats=GeoStats(*((geo.get(1) or {}).get(i) for i in range(1, 9)),
+                           geospatial_types=geo[2]) if geo else None,
     )
 
 

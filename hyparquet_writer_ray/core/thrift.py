@@ -10,6 +10,8 @@ Thrift C++/Java readers, which compare against CT_BOOLEAN_TRUE == 1).
 """
 from __future__ import annotations
 
+import struct
+
 from .bufwriter import BufWriter
 
 STOP = 0
@@ -163,8 +165,6 @@ class CompactReader:
         return (n >> 1) ^ -(n & 1)
 
     def read_value(self, ctype: int):
-        import struct as _struct
-
         if ctype == CT_TRUE:
             return True
         if ctype == CT_FALSE:
@@ -176,7 +176,7 @@ class CompactReader:
         if ctype in (CT_I16, CT_I32, CT_I64):
             return self.zigzag()
         if ctype == CT_DOUBLE:
-            (v,) = _struct.unpack_from("<d", self.data, self.pos)
+            (v,) = struct.unpack_from("<d", self.data, self.pos)
             self.pos += 8
             return v
         if ctype == CT_BINARY:

@@ -2,9 +2,9 @@
 ``python -m hyparquet_writer_ray migrate <dir> [--input ...]``.
 
 The writers read only today's layout (state/lineage.py): ``parts/<id>.json``
-records, ``blobs/<id>``, ``*.inprogress-*`` tmps and today's part
-names, and refuse a lineage namespace that still holds a
-``manifest.jsonl``. Every older format lives here instead, and is
+records, ``blobs/<id>`` (``core/rowgroup.dumps`` bytes), ``*.inprogress-*``
+tmps and today's part names, and refuse a lineage namespace that still
+holds a ``manifest.jsonl``. Every older format lives here instead, and is
 converted once. For each ``_lineage*`` namespace directly under
 ``<dir>`` (``_lineage``, ``_lineage_compact``, a checkpoint dir's):
 
@@ -16,6 +16,9 @@ converted once. For each ``_lineage*`` namespace directly under
   one) are skipped, and the ``checksum`` field older records carry is
   dropped.
 - A ``parts/`` record that carries ``checksum`` is rewritten without it.
+- A checkpoint ``blobs/<id>`` that ``core/rowgroup.loads`` rejects (an
+  older version's pickle, never unpickled) is deleted with its
+  ``parts/<id>.json``; the next run re-encodes just those row groups.
 
 Then, for the whole directory:
 
@@ -39,6 +42,7 @@ import os
 import posixpath
 from dataclasses import asdict
 
+from .core.rowgroup import loads
 from .state import fsio
 from .state.lineage import LineageLog, PartRecord
 
@@ -103,6 +107,21 @@ def _migrate_lineage(log: LineageLog, summary: dict) -> bool:
     return manifest is not None
 
 
+def _drop_old_blobs(log: LineageLog) -> list[str]:
+    """``log``'s blobs (not tmps) that ``loads`` rejects, removed after their records."""
+    dropped = []
+    for name in fsio.listdir(log.blob_dir):
+        path = fsio.join(log.blob_dir, name)
+        try:
+            if "." not in name:  # else a tmp, left to the aged-tmp sweeps
+                loads(fsio.read_bytes(path))
+        except ValueError:
+            fsio.rm_file(fsio.join(log.parts_dir, f"{name}.json"))
+            fsio.rm_file(path)
+            dropped.append(path)
+    return dropped
+
+
 def _legacy_parts(base: str, inputs: list[str]) -> list[str]:
     """The legacy part names of ``inputs`` in ``base``, removed."""
     from .pipelines.write import _file_parts
@@ -129,12 +148,13 @@ def migrate(base: str, inputs: list[str] | None = None) -> dict:
     if not fsio.isdir(base):
         raise FileNotFoundError(f"{base}: no such directory")
     summary = {"dir": base, "records_written": 0, "records_rewritten": 0,
-               "legacy_parts_removed": [], "tmps_removed": [],
-               "manifests_removed": []}
+               "blobs_removed": [], "legacy_parts_removed": [],
+               "tmps_removed": [], "manifests_removed": []}
     logs = [LineageLog(base, name=posixpath.basename(d.rstrip("/")))
             for d in fsio.glob_in(base, "_lineage*") if fsio.isdir(d)]
     manifests = [log.manifest_path for log in logs
                  if _migrate_lineage(log, summary)]
+    summary["blobs_removed"] = [p for log in logs for p in _drop_old_blobs(log)]
     if inputs:
         summary["legacy_parts_removed"] = _legacy_parts(base, inputs)
     for pattern in ("/_lineage*/**/*.tmp-*", "/*.inprogress"):

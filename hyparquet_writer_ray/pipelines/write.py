@@ -38,7 +38,6 @@ import hashlib
 import json
 import logging
 import os
-import pickle
 import re
 import warnings
 import weakref
@@ -52,7 +51,7 @@ import pyarrow.parquet as pq
 
 from ..core.assemble import FileAssembler
 from ..core.options import WriteOptions
-from ..core.rowgroup import encode_row_group
+from ..core.rowgroup import encode_row_group, loads
 from ..core.schema import _normalize_type, normalize_table, schema_from_arrow
 from ..core.types import leaf_columns
 from ..stages.encode import (
@@ -63,7 +62,7 @@ from ..stages.encode import (
     split_row_groups,
 )
 from ..state import fsio
-from ..state.lineage import LineageLog, record_from_meta
+from ..state.lineage import LineageLog, UnmigratedError, record_from_meta
 
 log = logging.getLogger("hyparquet_writer_ray")
 
@@ -391,16 +390,17 @@ def write_parquet_single_file(
             for batch in encoded.iter_batches(batch_size=None, batch_format="pyarrow"):
                 for row in range(batch.num_rows):
                     part_id = batch.column("part_id")[row].as_py()
-                    blob = batch.column("blob")[row].as_py()
-                    if blob is None:
-                        # resume marker: reuse checkpointed blob
-                        blob, meta = lineage.load_blob(part_id)
-                    else:
-                        meta = pickle.loads(batch.column("meta")[row].as_py())
-                        if lineage is not None:
-                            lineage.write_checkpoint(
-                                record_from_meta(part_id, meta, len(blob)), blob, meta
-                            )
+                    group = batch.column("group")[row].as_py()
+                    try:  # a null group: reuse the checkpointed one
+                        blob, meta = loads(group or lineage.load_blob(part_id))
+                    except ValueError as e:
+                        if group is not None:
+                            raise
+                        raise UnmigratedError(checkpoint_dir, f"checkpoint blob {part_id} "
+                                              f"is not a row group ({e})") from None
+                    if group is not None and lineage is not None:
+                        lineage.write_checkpoint(
+                            record_from_meta(part_id, meta, len(blob)), group)
                     asm.append_group(blob, meta)
                     total_comp += len(blob)
                     total_raw += meta.total_byte_size

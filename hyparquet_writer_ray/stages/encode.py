@@ -1,18 +1,17 @@
 """Ray Data encode stage: row-group splitting, content-addressed part
 ids, and the single-file writer's ``map_batches`` task, which turns one
-Arrow batch into one or more encoded row groups — relocatable blobs +
-pickled metadata rows (SURVEY.md §7.3).
+Arrow batch into one or more encoded row groups, each one row of
+``core/rowgroup.dumps`` bytes (SURVEY.md §7.3).
 """
 from __future__ import annotations
 
 import hashlib
-import pickle
 from typing import Iterator
 
 import pyarrow as pa
 
 from ..core.options import WriteOptions
-from ..core.rowgroup import encode_row_group
+from ..core.rowgroup import dumps, encode_row_group
 from ..core.schema import normalize_table
 from ..core.types import SchemaElement, leaf_columns
 
@@ -91,21 +90,18 @@ def encode_row_groups(
 ) -> Iterator[pa.Table]:
     """map_batches task: Arrow batch -> one row per encoded row group.
 
-    Output schema: part_id:string, blob:large_binary,
-    meta:large_binary (pickled RowGroupMeta). A group whose id is in
-    ``skip_part_ids`` yields a marker row without payload, so ordering
-    stays intact and the assembler reuses the checkpointed blob.
+    Output schema: part_id:string, group:large_binary (the group's
+    ``core/rowgroup.dumps`` bytes). A group whose id is in
+    ``skip_part_ids`` yields a null ``group``, so ordering stays intact
+    and the assembler reuses the checkpointed group.
     """
     leaves = leaf_columns(schema_ir)
     for group in split_row_groups(normalize_table(batch), max_group_rows,
                                   max_group_bytes):
         part_id = content_part_id(group)
-        blob = meta = None
-        if part_id not in skip_part_ids:
-            blob, meta = encode_row_group(group, schema_ir, leaves, opts)
-            meta = pickle.dumps(meta)
+        data = None if part_id in skip_part_ids else dumps(
+            *encode_row_group(group, schema_ir, leaves, opts))
         yield pa.table({
             "part_id": pa.array([part_id]),
-            "blob": pa.array([blob], type=pa.large_binary()),
-            "meta": pa.array([meta], type=pa.large_binary()),
+            "group": pa.array([data], type=pa.large_binary()),
         })

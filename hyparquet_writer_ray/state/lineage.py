@@ -9,8 +9,9 @@ get the same semantics:
 - ``parts/<part>.json``: a finished part's records, one atomic put
   (fsio.write_marker) made the moment the part is durable. They are
   the only lineage a writer writes, and what resume trusts.
-- ``blobs/<part_id>``: encoded row groups for single-file resume, put
-  just before the part's record.
+- ``blobs/<part_id>``: a single-file checkpoint: one encoded row
+  group as the relocatable bytes of ``core/rowgroup.dumps``, stored and
+  returned as is, put just before the part's record.
 
 Nothing else is read. A namespace that still holds the
 ``manifest.jsonl`` of older versions, or a record this version cannot
@@ -21,7 +22,6 @@ migrate.py), which converts it once.
 from __future__ import annotations
 
 import json
-import pickle
 import posixpath
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple, Optional
@@ -110,13 +110,11 @@ class LineageLog:
         fsio.write_marker(fsio.join(self.parts_dir, f"{part_key}.json"),
                           json.dumps([asdict(r) for r in recs]))
 
-    def write_checkpoint(self, rec: PartRecord, blob: bytes,
-                         meta: RowGroupMeta) -> None:
-        """Single-file checkpoint of one encoded row group: put the
-        blob, then its completion record, so a record never names a
+    def write_checkpoint(self, rec: PartRecord, group: bytes) -> None:
+        """Single-file checkpoint of one encoded row group's bytes: put
+        the blob, then its completion record, so a record never names a
         blob that is not durable."""
-        fsio.write_marker(fsio.join(self.blob_dir, rec.part_id),
-                          pickle.dumps((blob, meta)))
+        fsio.write_marker(fsio.join(self.blob_dir, rec.part_id), group)
         self.write_part_record(rec.part_id, [rec])
 
     def clear(self) -> None:
@@ -198,5 +196,6 @@ class LineageLog:
         have = self._existing(set(recs))
         return {f: DoneFile(have[f], r) for f, r in recs.items() if f in have}
 
-    def load_blob(self, part_id: str):
-        return pickle.loads(fsio.read_bytes(fsio.join(self.blob_dir, part_id)))
+    def load_blob(self, part_id: str) -> bytes:
+        """The bytes :meth:`write_checkpoint` stored for ``part_id``."""
+        return fsio.read_bytes(fsio.join(self.blob_dir, part_id))

@@ -142,7 +142,7 @@ def test_resume_validation_lists_instead_of_heads(store_blobs):
                              comp_bytes=1,
                              file=f"{'k=a/' if i % 2 else ''}part-{i}.parquet")
             if store_blobs:
-                log.write_checkpoint(rec, b"blob", None)
+                log.write_checkpoint(rec, b"blob")
             else:
                 fsio.write_marker(fsio.join(base, rec.file), b"PAR1")
                 log.write_part_record(rec.part_id, [rec])

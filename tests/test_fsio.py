@@ -439,19 +439,16 @@ def test_lineage_single_file_uri_records_survive_driver_kill():
     """store_blobs + URI: each checkpoint durably persists the
     completion record WITH the blob, so a driver killed right after it
     still resumes."""
-    import pickle
-
     from hyparquet_writer_ray.state.lineage import LineageLog, PartRecord
 
     base = "memory://fsio_sfckpt"
     fsio.makedirs(base)
     log = LineageLog(base, store_blobs=True)
     log.write_checkpoint(PartRecord(part_id="g0", num_rows=4, raw_bytes=20,
-                                    comp_bytes=9), b"blobbytes", {"m": 1})
+                                    comp_bytes=9), b"groupbytes")
     got = LineageLog(base, store_blobs=True).completed_parts()
     assert set(got) == {"g0"} and got["g0"].num_rows == 4
-    blob, meta = LineageLog(base, store_blobs=True).load_blob("g0")
-    assert blob == b"blobbytes" and meta == {"m": 1}
+    assert LineageLog(base, store_blobs=True).load_blob("g0") == b"groupbytes"
     fsio.rm_tree(base)
 
 
@@ -1007,3 +1004,23 @@ def test_no_builtin_open_outside_fsio():
         and node.func.id == "open"
     ]
     assert calls == []
+
+
+def test_no_pickle_in_package():
+    """No module of the package imports ``pickle``: row groups and
+    checkpoints travel as ``core/rowgroup.dumps`` bytes, so no state a
+    writer reads back can run code when it is loaded."""
+    import ast
+    import pathlib
+
+    pkg = pathlib.Path(fsio.__file__).resolve().parents[1]
+    imports = [
+        f"{path.relative_to(pkg).as_posix()}:{node.lineno}"
+        for path in sorted(pkg.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Import) and any(
+            a.name.split(".")[0] in ("pickle", "_pickle") for a in node.names)
+        or isinstance(node, ast.ImportFrom)
+        and (node.module or "").split(".")[0] in ("pickle", "_pickle")
+    ]
+    assert imports == []

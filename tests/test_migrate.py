@@ -98,6 +98,68 @@ def test_writer_refuses_unmigrated_dir_then_resumes(ray_session, tmp_path, kind)
     assert resumed == {**fresh, "skipped_parts": fresh["parts"]}
 
 
+class _CreatesFile:
+    """Unpickling this creates the file at ``path``."""
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+
+    def __reduce__(self):
+        return open, (self.path, "w")
+
+
+def test_pickled_checkpoint_is_refused_then_dropped(ray_session, tmp_path, monkeypatch):
+    """A checkpoint blob of an older version (a pickle, here one whose
+    unpickling would create a file) next to its valid record: the
+    single-file resume raises the error naming ``migrate``, never
+    unpickles it and leaves no output, and the checkpoint it wrote
+    before the refusal loads. ``migrate`` deletes that blob and its
+    record; the rerun re-encodes the group and writes a fresh run's
+    bytes."""
+    import pickle
+
+    from hyparquet_writer_ray.core.rowgroup import loads
+
+    paths = _inputs(tmp_path / "in")
+    ckpt = str(tmp_path / "ckpt")
+    _, run = _writer("single", paths, ckpt)
+    order = []  # part ids in the order the driver checkpoints them
+    real = LineageLog.write_checkpoint
+
+    def recording(self, rec, group):
+        order.append(rec.part_id)
+        real(self, rec, group)
+
+    monkeypatch.setattr(LineageLog, "write_checkpoint", recording)
+    run(0)
+    monkeypatch.setattr(LineageLog, "write_checkpoint", real)
+    log = LineageLog(ckpt, store_blobs=True)
+    first, evil = (os.path.join(log.blob_dir, p) for p in (order[0], order[-1]))
+    os.remove(first)  # re-encoded, and checkpointed, before the old blob
+    marker = tmp_path / "unpickled"
+    with open(evil, "wb") as f:
+        f.write(pickle.dumps(_CreatesFile(str(marker))))
+
+    with pytest.raises(UnmigratedError, match=re.escape(
+            f"python -m hyparquet_writer_ray migrate {ckpt}`")):
+        run(1)
+    assert not marker.exists()
+    assert not any(p.name.startswith("1.parquet") for p in tmp_path.iterdir())
+    assert set(log.completed_parts()) == set(order)
+    for p in order[:-1]:
+        loads(log.load_blob(p))
+
+    summary = migrate(ckpt)
+    assert summary["blobs_removed"] == [evil]
+    assert not os.path.exists(evil)
+    assert not os.path.exists(os.path.join(log.parts_dir, f"{order[-1]}.json"))
+    assert migrate(ckpt)["blobs_removed"] == []
+    assert not marker.exists()
+    run(2)
+    assert (tmp_path / "2.parquet").read_bytes() == (tmp_path / "0.parquet").read_bytes()
+    assert set(log.completed_parts()) == set(order)
+
+
 def _rec(part_id: str, file=None, rows: int = 1) -> PartRecord:
     return PartRecord(part_id=part_id, num_rows=rows, raw_bytes=2, comp_bytes=3,
                       file=file)
@@ -142,7 +204,7 @@ def test_migrate_writes_manifest_lines_as_records(tmp_path):
     summary = migrate(base)
     assert summary == {
         "dir": base, "records_written": 3, "records_rewritten": 1,
-        "legacy_parts_removed": [], "tmps_removed": [],
+        "blobs_removed": [], "legacy_parts_removed": [], "tmps_removed": [],
         "manifests_removed": [log.manifest_path]}
     assert _parts(base) == {
         "0123456789abcdef.json": _written(hive),
@@ -192,7 +254,7 @@ def test_clear_forgets_an_unmigrated_namespace(tmp_path):
         f.write(_line(_rec("p1")))
     log.clear()
     assert LineageLog(base, store_blobs=True).completed_parts() == {}
-    log.write_checkpoint(_rec("p2"), b"blob", None)
+    log.write_checkpoint(_rec("p2"), b"blob")
     assert set(LineageLog(base, store_blobs=True).completed_parts()) == {"p2"}
 
 
@@ -251,8 +313,8 @@ def test_cli_migrates_then_has_nothing_to_do(ray_session, tmp_path):
         to_legacy_manifest(d)
     pq.write_table(pa.table({"id": [1]}), os.path.join(files_out, "part-in-0.parquet"))
 
-    nothing = {"records_written": 0, "records_rewritten": 0, "legacy_parts_removed": [],
-               "tmps_removed": [], "manifests_removed": []}
+    nothing = {"records_written": 0, "records_rewritten": 0, "blobs_removed": [],
+               "legacy_parts_removed": [], "tmps_removed": [], "manifests_removed": []}
     for d, extra, legacy in ((ds_out, [], []), (ckpt, [], []),
                              (files_out, ["--input", str(tmp_path / "in")],
                               ["part-in-0.parquet"])):

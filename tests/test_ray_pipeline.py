@@ -353,6 +353,8 @@ def test_single_file_checkpoint_resume(ray_data, tmp_path):
     a = pq.read_table(tmp_path / "a.parquet")
     b = pq.read_table(tmp_path / "b.parquet")
     assert a.equals(b)
+    # every group of the rerun came from a checkpoint: same bytes
+    assert (tmp_path / "a.parquet").read_bytes() == (tmp_path / "b.parquet").read_bytes()
 
 
 def test_write_parquet_files_shard_mode(ray_data, tmp_path):

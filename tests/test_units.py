@@ -22,6 +22,18 @@ def test_varint_known_values():
     assert w.getvalue() == bytes([0, 0x7F, 0x80, 0x01, 0xAC, 0x02])
 
 
+def test_write_appends_the_bytes_of_any_buffer():
+    """An ndarray or memoryview appends its bytes after what is there
+    (a numpy ``+=`` would broadcast-add into them instead)."""
+    w = BufWriter()
+    w.write(b"prefix")
+    w.write(np.array([3, 250], np.uint8))
+    w.write(memoryview(b"-view-")[1:5])
+    w.write(np.array([1], np.uint32))
+    assert w.getvalue() == b"prefix\x03\xfaview\x01\x00\x00\x00"
+    assert w.offset == 16
+
+
 def test_zigzag_known_values():
     for v, expect in [(0, [0]), (-1, [1]), (1, [2]), (-2, [3]), (2, [4])]:
         w = BufWriter()

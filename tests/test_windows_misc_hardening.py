@@ -187,7 +187,7 @@ def test_lineage_clear_keeps_blob_store_usable(tmp_path):
 
     log = LineageLog(str(tmp_path), store_blobs=True)
     rec = PartRecord(part_id="p1", num_rows=1, raw_bytes=1, comp_bytes=1)
-    log.write_checkpoint(rec, b"blob", None)
+    log.write_checkpoint(rec, b"blob")
     log.clear()
-    log.write_checkpoint(rec, b"blob2", None)  # must not raise FileNotFoundError
-    assert LineageLog(str(tmp_path), store_blobs=True).load_blob("p1")[0] == b"blob2"
+    log.write_checkpoint(rec, b"blob2")  # must not raise FileNotFoundError
+    assert LineageLog(str(tmp_path), store_blobs=True).load_blob("p1") == b"blob2"

@@ -64,7 +64,9 @@ and the checkpointed ``write_parquet_single_file`` of
 (a 2,000-row input is one batch at the default target, so the other
 lines cannot see how the read chunks its blocks). It prints
 one ``sha256  writer/relative-name`` line per output part and per
-lineage ``parts/*.json`` record or checkpoint blob, sorted by name.
+lineage ``parts/*.json`` record or checkpoint blob, sorted by name (a
+checkpoint blob holds one row group as ``core/rowgroup.dumps`` bytes:
+the blob, its metadata as Thrift, their length and a trailer).
 Then it deletes one part per writer (for the two single-file writers,
 one checkpoint blob), reruns every writer as a resume, and exits with
 an error unless the resumed files hash the same as the fresh ones; the
