@@ -1,8 +1,11 @@
-"""The package's compiled kernel: FSST and the integer page encoders.
+"""The package's compiled kernel: FSST, the integer page encoders and
+the byte-array layouts.
 
 One C source (``_C_SRC``) is compiled ON DEMAND with the system C
 compiler into a per-user cache dir, as a file named by the source's
-hash, and loaded via ctypes. Its entry points:
+hash, and loaded via ctypes; the dir keeps the few builds used last,
+so checkouts of different sources do not rebuild in turn. Its entry
+points:
 
 - ``fsst_compress`` / ``fsst_decompress``: FSST's greedy longest-match
   scan and its inverse. It is an inherently sequential byte-chase,
@@ -14,7 +17,11 @@ hash, and loaded via ctypes. Its entry points:
 - ``rle_hybrid``: the whole RLE / bit-packed hybrid stream of
   ``rle.encode_rle_hybrid``;
 - ``delta_binary_pack``: the whole DELTA_BINARY_PACKED stream of
-  ``delta.delta_binary_pack``, header through the last block.
+  ``delta.delta_binary_pack``, header through the last block;
+- ``compact_byte_array``: ``drop_null`` of a string/binary array whose
+  null slots own bytes, one copy per run of values;
+- ``plain_byte_array``: the PLAIN BYTE_ARRAY layout (u32 length, bytes)
+  written once, into a buffer ``fsst_compress`` can scan in place.
 
 The page loop calls the two integer encoders once per page, mostly on
 a few hundred values, so in numpy their cost is fixed per-call
@@ -24,7 +31,8 @@ Every entry point reproduces its Python counterpart byte for byte.
 When no compiler works (or the host is big-endian, or the cache dir is
 unsafe) the wrappers below return None, one DEBUG record says why, and
 each caller runs its own fallback: the Python paths in :mod:`fsst`,
-and the numpy bodies of :mod:`rle` and :mod:`delta`.
+the numpy bodies of :mod:`rle` and :mod:`delta`, Arrow's ``drop_null``
+and the Arrow join of :mod:`plain`.
 """
 from __future__ import annotations
 
@@ -60,7 +68,8 @@ _C_SRC = r"""
    holding only a 2-gram skip the run walk entirely. Length-1 symbols
    sit in a 256-entry direct table. The caller guarantees 8 readable
    bytes past data+n (zero padding); the `len <= rem` guard keeps
-   padding from ever matching.
+   padding from ever matching. Output bound: 2 * n bytes, every byte
+   escaped.
 
    The tables are thread-local. In a -fPIC build each use of a
    thread-local name may call __tls_get_addr, and gcc re-derives the
@@ -548,6 +557,58 @@ size_t delta_binary_pack(const void* values, size_t count, int wide, uint8_t* ou
     }
     return o;
 }
+
+/* ---- byte-array layouts ---------------------------------------------- */
+
+/* compact_byte_array: drop_null's values of a string/binary array whose
+   null slots may own bytes. off[0..n] are the array's offsets (int32,
+   or int64 when wide), valid[i] is 1 for a value. Writes the result's
+   offsets, from 0, to out_off (same width, one more than the values)
+   and its bytes to out, one memcpy per run of valid slots (a run's
+   bytes are contiguous in data). Output bound: out receives exactly
+   the bytes of the valid slots, the sum of off[i + 1] - off[i] over
+   valid i, and that count is returned. */
+#define COMPACT(NAME, T)                                                  \
+static size_t NAME(const T* off, const uint8_t* valid, size_t n,          \
+                   const uint8_t* data, T* out_off, uint8_t* out) {       \
+    size_t o = 0, k = 0, i = 0;                                           \
+    out_off[0] = 0;                                                       \
+    while (i < n) {                                                       \
+        if (!valid[i]) { i++; continue; }                                 \
+        size_t j = i;                                                     \
+        T shift = (T)o - off[i];                                          \
+        for (; j < n && valid[j]; j++) out_off[++k] = off[j + 1] + shift; \
+        memcpy(out + o, data + off[i], (size_t)(off[j] - off[i]));        \
+        o += (size_t)(off[j] - off[i]);                                   \
+        i = j;                                                            \
+    }                                                                     \
+    return o;                                                             \
+}
+COMPACT(compact32, int32_t)
+COMPACT(compact64, int64_t)
+
+size_t compact_byte_array(const void* off, int wide, const uint8_t* valid, size_t n,
+                          const uint8_t* data, void* out_off, uint8_t* out) {
+    return wide ? compact64(off, valid, n, data, out_off, out)
+                : compact32(off, valid, n, data, out_off, out);
+}
+
+/* plain_byte_array: PLAIN BYTE_ARRAY, each value's u32 little-endian
+   length then its bytes; the n lengths index data from its start.
+   Output bound: exactly 4 * n + sum(lengths) bytes, the count
+   returned. */
+size_t plain_byte_array(const int64_t* lengths, size_t n, const uint8_t* data,
+                        uint8_t* out) {
+    size_t o = 0, p = 0;
+    for (size_t i = 0; i < n; i++) {
+        uint32_t len = (uint32_t)lengths[i];
+        memcpy(out + o, &len, 4);
+        memcpy(out + o + 4, data + p, (size_t)lengths[i]);
+        o += 4 + (size_t)lengths[i];
+        p += (size_t)lengths[i];
+    }
+    return o;
+}
 """
 
 _lib = None
@@ -555,11 +616,33 @@ _tried = False
 # every library (and leftover source) name a version of _C_SRC has been
 # built under; a build in progress (``*.so.build<pid>``) never matches
 _BUILT = re.compile(r"(fsst_)?kernel(_\w+)?\.(so|c)")
+# libraries a build leaves in the cache dir, those loaded last: two
+# checkouts or package versions sharing the dir each keep their own
+_KEEP_BUILDS = 4
+# zero bytes a buffer from ``plain_byte_array`` holds past its view:
+# ``fsst_compress`` reads a full u64 at every position, so it scans such
+# a view in place where any other input is copied into a padded buffer
+SLACK = 8
 
 
 def _unavailable(reason: str) -> None:
-    log.debug("compiled kernel unavailable (%s): FSST and the page "
-              "encoders run their Python and numpy fallbacks", reason)
+    log.debug("compiled kernel unavailable (%s): FSST, the page encoders "
+              "and the byte-array layouts run their fallbacks", reason)
+
+
+def _evict(cache: str) -> None:
+    """Unlinks every build in ``cache`` but the ``_KEEP_BUILDS`` libraries
+    used last, and any leftover source. Unlinked, not overwritten, since
+    a running process may still have one mapped."""
+    built = {}
+    for name in os.listdir(cache):
+        if _BUILT.fullmatch(name):
+            with contextlib.suppress(OSError):  # another build removed it
+                built[name] = os.path.getmtime(os.path.join(cache, name))
+    libs = sorted((n for n in built if n.endswith(".so")), key=built.get, reverse=True)
+    for name in built.keys() - set(libs[:_KEEP_BUILDS]):
+        with contextlib.suppress(OSError):
+            os.remove(os.path.join(cache, name))
 
 
 def _build() -> "ctypes.CDLL | None":
@@ -603,12 +686,10 @@ def _build() -> "ctypes.CDLL | None":
         finally:
             with contextlib.suppress(OSError):
                 os.remove(src)
-        # older sources' builds: unlinked, not overwritten, since a
-        # running process may still have one mapped
-        for old in os.listdir(cache):
-            if old != name and _BUILT.fullmatch(old):
-                with contextlib.suppress(OSError):
-                    os.remove(os.path.join(cache, old))
+        _evict(cache)
+    else:
+        with contextlib.suppress(OSError):
+            os.utime(so)  # its mtime is its last use: _evict keeps it
     try:
         lib = ctypes.CDLL(so)
     except OSError as e:
@@ -636,6 +717,15 @@ def _build() -> "ctypes.CDLL | None":
     lib.delta_binary_pack.restype = ctypes.c_size_t
     lib.delta_binary_pack.argtypes = [
         ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int, ctypes.c_void_p,
+    ]
+    lib.compact_byte_array.restype = ctypes.c_size_t
+    lib.compact_byte_array.argtypes = [
+        ctypes.c_void_p, ctypes.c_int, ctypes.c_void_p, ctypes.c_size_t,
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+    ]
+    lib.plain_byte_array.restype = ctypes.c_size_t
+    lib.plain_byte_array.argtypes = [
+        ctypes.c_void_p, ctypes.c_size_t, ctypes.c_void_p, ctypes.c_void_p,
     ]
     return lib
 
@@ -670,20 +760,30 @@ def _packed(table) -> tuple[bytes, bytes, int]:
     return packed
 
 
-def compress(data: "bytes | bytearray | memoryview", table) -> "bytes | None":
+def _slack_follows(data, src: np.ndarray) -> bool:
+    """Whether ``SLACK`` bytes past the end of ``src`` (the bytes of
+    ``data``) lie inside the numpy array ``data`` is a view of, as they
+    do for ``plain_byte_array``'s views."""
+    base = getattr(data, "obj", None)
+    return (isinstance(base, np.ndarray) and base.flags.c_contiguous
+            and src.ctypes.data + src.nbytes + SLACK <= base.ctypes.data + base.nbytes)
+
+
+def compress(data: "bytes | bytearray | memoryview", table) -> "memoryview | None":
     lib = get_kernel()
     if lib is None:
         return None
     sb, sl, nsym = _packed(table)
     src = np.frombuffer(data, dtype=np.uint8)
     n = src.size
-    # one copy, into a buffer whose 8 zero bytes of slack let the kernel
-    # read a full u64 at the tail (a view's next bytes could be anything)
-    padded = np.zeros(n + 8, dtype=np.uint8)
-    padded[:n] = src
+    if not _slack_follows(data, src):
+        # one copy, into a buffer whose slack lets the kernel read a
+        # full u64 at the tail (a view's next bytes could be anything)
+        padded = np.zeros(n + SLACK, dtype=np.uint8)
+        padded[:n] = src
+        src = padded
     out = np.empty(2 * n + 8, dtype=np.uint8)  # worst case: all escapes
-    m = lib.fsst_compress(padded.ctypes.data, n, sb, sl, nsym, out.ctypes.data)
-    return out[:m].tobytes()
+    return out.data[:lib.fsst_compress(src.ctypes.data, n, sb, sl, nsym, out.ctypes.data)]
 
 
 def decompress(codes, table) -> "bytes | None":
@@ -754,3 +854,45 @@ def delta_binary_pack(values: np.ndarray) -> "memoryview | None":
     v = np.ascontiguousarray(values, dtype=np.int64 if wide else np.int32)
     out = np.empty(delta_bound(v.size), np.uint8)
     return out.data[:lib.delta_binary_pack(v.ctypes.data, v.size, wide, out.ctypes.data)]
+
+
+def compact_byte_array(offsets: np.ndarray, valid: np.ndarray,
+                       data) -> "tuple[np.ndarray, np.ndarray] | None":
+    """The offsets and bytes of ``drop_null`` of a string/binary array,
+    or None without the kernel. ``offsets`` are the array's own (int32
+    or int64, ``len(valid) + 1`` of them), ``valid`` is True for a value
+    and ``data`` the value buffer; the bytes are exactly the valid
+    slots'."""
+    lib = get_kernel()
+    if lib is None:
+        return None
+    valid = np.ascontiguousarray(valid, dtype=bool)  # one byte per slot
+    offsets = np.ascontiguousarray(offsets)
+    src = np.frombuffer(data, dtype=np.uint8)
+    if (offsets.dtype not in (np.int32, np.int64) or offsets.size != valid.size + 1
+            or offsets[0] < 0 or offsets[-1] > src.size):
+        raise ValueError("offsets do not index the value buffer")
+    out_off = np.empty(int(np.count_nonzero(valid)) + 1, offsets.dtype)
+    out = np.empty(int(np.diff(offsets)[valid].sum()), np.uint8)
+    lib.compact_byte_array(offsets.ctypes.data, offsets.dtype.itemsize == 8,
+                           valid.ctypes.data, valid.size, src.ctypes.data,
+                           out_off.ctypes.data, out.ctypes.data)
+    return out_off, out
+
+
+def plain_byte_array(lengths: np.ndarray, data: np.ndarray) -> "memoryview | None":
+    """``plain.plain_byte_array``'s bytes, or None without the kernel: a
+    view of a buffer sized exactly plus ``SLACK`` zero bytes, so FSST
+    scans the page in place."""
+    lib = get_kernel()
+    if lib is None:
+        return None
+    lens = np.ascontiguousarray(lengths, dtype=np.int64)
+    src = np.ascontiguousarray(data, dtype=np.uint8)
+    if lens.sum() != src.nbytes:
+        raise ValueError("the lengths do not add up to the data")
+    size = 4 * lens.size + src.nbytes
+    out = np.empty(size + SLACK, np.uint8)
+    out[size:] = 0
+    return out.data[:lib.plain_byte_array(lens.ctypes.data, lens.size, src.ctypes.data,
+                                          out.ctypes.data)]

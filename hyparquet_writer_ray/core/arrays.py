@@ -9,6 +9,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from . import _kernel
+
 # Arrow type id -> numpy dtype for fixed-width physical storage
 _FIXED_NP = {
     "int8": np.int8,
@@ -62,11 +64,6 @@ def offset_dtype(t: pa.DataType):
     return None
 
 
-# Mean valid bytes per run of valid slots below which Arrow's
-# ``drop_null`` beats the per-run copy (see drop_null_fast).
-_RUN_COPY_MIN_BYTES = 1024
-
-
 def drop_null_fast(arr: pa.Array) -> pa.Array:
     """``drop_null`` with at most one copy of the value bytes for
     string/binary arrays (and their large variants).
@@ -75,19 +72,17 @@ def drop_null_fast(arr: pa.Array) -> pa.Array:
       are rebuilt (one vector gather) and the data buffer is reused
       zero-copy. For a web-page table the data buffer is the dominant
       payload, so Arrow's drop_null copy was ~20% of encode-task CPU.
-    - Null slots that own bytes (``pc.if_else`` output, say): each
-      maximal run of valid slots is copied with one slice copy into
-      one fresh buffer, and the offsets are one ``cumsum`` of the
-      valid lengths. Arrow's filter copies value by value into a
-      growing buffer: on 100k 256-byte strings at 2% nulls it took
-      42 ms against 5.5 ms for the run copy.
-    - The run copy costs about 0.5 us of Python per run, so when the
-      valid runs hold on average fewer than ``_RUN_COPY_MIN_BYTES``
-      (1 KiB) each, ``drop_null`` is used instead. Measured on 100k
-      strings on one vCPU, median of 9, run copy against
-      ``drop_null``: 1,113 bytes/run 8.3 / 9.3 ms, 526 bytes/run
-      10.3 / 16.6 ms, 297 bytes/run 7.0 / 2.3 ms, 141 bytes/run
-      13.0 / 2.0 ms.
+    - Null slots that own bytes (``pc.if_else`` output, say): the
+      compiled kernel's ``compact_byte_array`` writes the offsets and
+      copies each run of valid slots into one buffer of exactly the
+      valid bytes. Without a compiler, Arrow's ``drop_null``, which
+      copies value by value into a growing buffer. Measured on one
+      vCPU (medians of 9 in each of 3 processes), kernel against
+      ``drop_null``: the 200k-row ``text`` column of
+      ``synthesize_batch`` (53.5 MB) 19.3-20.2 / 86-110 ms, 100k
+      256-byte strings at 2% nulls 4.4 / 15.7-21.7 ms. The Python
+      copy of each run it replaced took 20.7-25.3 and 4.5-7.2 ms, and
+      gave way to ``drop_null`` below 1 KiB per run.
 
     Other types use ``drop_null``."""
     if arr.null_count == 0:
@@ -100,29 +95,16 @@ def drop_null_fast(arr: pa.Array) -> pa.Array:
     offs = np.frombuffer(arr.buffers()[1], dtype=odt, count=arr.offset + n + 1)
     offs = offs[arr.offset:]
     valid = validity_mask(arr)
-    lens = np.diff(offs)
-    if not lens[~valid].any():
+    if not np.diff(offs)[~valid].any():
         new_offs = np.concatenate([offs[:-1][valid], offs[-1:]])
         return pa.Array.from_buffers(
             t, int(valid.sum()), [None, pa.py_buffer(new_offs), arr.buffers()[2]])
-    edges = np.flatnonzero(np.diff(valid, prepend=False, append=False))
-    starts = offs[edges[0::2]].tolist()
-    ends = offs[edges[1::2]].tolist()
-    vlens = lens[valid]
-    total = int(vlens.sum())
-    if total < _RUN_COPY_MIN_BYTES * len(starts):
+    compact = _kernel.compact_byte_array(offs, valid, arr.buffers()[2])
+    if compact is None:
         return arr.drop_null()
-    new_offs = np.zeros(len(vlens) + 1, dtype=odt)
-    np.cumsum(vlens, out=new_offs[1:])
-    out = np.empty(total, dtype=np.uint8)
-    dst, src = memoryview(out), memoryview(arr.buffers()[2]).cast("B")
-    pos = 0
-    for b0, b1 in zip(starts, ends):
-        end = pos + b1 - b0
-        dst[pos:end] = src[b0:b1]
-        pos = end
+    new_offs, data = compact
     return pa.Array.from_buffers(
-        t, len(vlens), [None, pa.py_buffer(new_offs), pa.py_buffer(out)])
+        t, len(new_offs) - 1, [None, pa.py_buffer(new_offs), pa.py_buffer(data)])
 
 
 def fixed_values(arr: pa.Array) -> np.ndarray:

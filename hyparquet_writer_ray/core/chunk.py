@@ -98,21 +98,32 @@ def _prepare(col, leaf: LeafInfo) -> LeveledValues:
     return LeveledValues(values, def_levels, None, max_def, 0, n, nulls)
 
 
-def _encode_values(page: BufWriter, arr: pa.Array, leaf: LeafInfo, encoding: Encoding) -> None:
-    """Encode non-null values into ``page``."""
+def _encode_values(arr: pa.Array, leaf: LeafInfo, encoding: Encoding) -> "bytes | memoryview":
+    """The page body of the non-null values ``arr``."""
     el = leaf.element
     t = el.type
     if encoding == Encoding.PLAIN:
         if t == ParquetType.BOOLEAN:
-            page.write(plain_boolean(A.fixed_values(arr)))
-        elif t == ParquetType.BYTE_ARRAY:
-            lengths, data = A.byte_array_values(arr)
-            page.write(plain_byte_array(lengths, data))
-        elif t == ParquetType.FIXED_LEN_BYTE_ARRAY:
-            page.write(plain_flba(A.flba_values(arr, el.type_length)))
-        else:
-            page.write(plain_fixed(A.fixed_values(arr), t))
-    elif encoding == Encoding.RLE:
+            return plain_boolean(A.fixed_values(arr))
+        if t == ParquetType.BYTE_ARRAY:
+            return plain_byte_array(*A.byte_array_values(arr))
+        if t == ParquetType.FIXED_LEN_BYTE_ARRAY:
+            return plain_flba(A.flba_values(arr, el.type_length))
+        return plain_fixed(A.fixed_values(arr), t)
+    if encoding == Encoding.BYTE_STREAM_SPLIT:
+        if t == ParquetType.FIXED_LEN_BYTE_ARRAY:
+            return byte_stream_split(A.flba_values(arr, el.type_length))
+        if t not in FIXED_WIDTH:
+            raise ValueError("BYTE_STREAM_SPLIT unsupported for this type")
+        v = np.ascontiguousarray(A.fixed_values(arr))
+        width = FIXED_WIDTH[t]
+        if v.dtype.itemsize != width:
+            # narrow arrow ints (int8/16, uint8/16/32) split at the
+            # parquet PHYSICAL width, not their arrow width
+            v = v.astype(f"<i{width}" if v.dtype.kind == "i" else f"<u{width}")
+        return byte_stream_split(v)
+    page = BufWriter()
+    if encoding == Encoding.RLE:
         if t != ParquetType.BOOLEAN:
             raise ValueError("RLE encoding only supported for BOOLEAN type")
         body = BufWriter()
@@ -126,29 +137,14 @@ def _encode_values(page: BufWriter, arr: pa.Array, leaf: LeafInfo, encoding: Enc
     elif encoding == Encoding.DELTA_LENGTH_BYTE_ARRAY:
         if t != ParquetType.BYTE_ARRAY:
             raise ValueError("DELTA_LENGTH_BYTE_ARRAY only supports BYTE_ARRAY")
-        lengths, data = A.byte_array_values(arr)
-        delta_length_byte_array(page, lengths, data)
+        delta_length_byte_array(page, *A.byte_array_values(arr))
     elif encoding == Encoding.DELTA_BYTE_ARRAY:
         if t != ParquetType.BYTE_ARRAY:
             raise ValueError("DELTA_BYTE_ARRAY only supports BYTE_ARRAY")
-        lengths, data = A.byte_array_values(arr)
-        delta_byte_array(page, lengths, data)
-    elif encoding == Encoding.BYTE_STREAM_SPLIT:
-        if t == ParquetType.FIXED_LEN_BYTE_ARRAY:
-            page.write(byte_stream_split(A.flba_values(arr, el.type_length)))
-        elif t in FIXED_WIDTH:
-            v = np.ascontiguousarray(A.fixed_values(arr))
-            width = FIXED_WIDTH[t]
-            if v.dtype.itemsize != width:
-                # narrow arrow ints (int8/16, uint8/16/32) split at the
-                # parquet PHYSICAL width, not their arrow width
-                v = v.astype(
-                    f"<i{width}" if v.dtype.kind == "i" else f"<u{width}")
-            page.write(byte_stream_split(v))
-        else:
-            raise ValueError("BYTE_STREAM_SPLIT unsupported for this type")
+        delta_byte_array(page, *A.byte_array_values(arr))
     else:
         raise ValueError(f"unsupported encoding {encoding}")
+    return page.view()
 
 
 def _value_sizes(values: pa.Array, leaf: LeafInfo):
@@ -164,7 +160,8 @@ def _value_sizes(values: pa.Array, leaf: LeafInfo):
 
 
 def _page_bounds(lv: LeveledValues, leaf: LeafInfo, page_size: int,
-                 value_size: "float | None" = None) -> tuple[list[tuple[int, int]], np.ndarray]:
+                 value_size: "float | None" = None
+                 ) -> "tuple[list[tuple[int, int]], np.ndarray | range]":
     """Slot-range pages aligned to row starts.
 
     Returns (bounds, vcum) where ``vcum[s]`` = number of values before
@@ -172,8 +169,8 @@ def _page_bounds(lv: LeveledValues, leaf: LeafInfo, page_size: int,
     """
     n_slots = lv.num_rows if lv.def_levels is None else len(lv.def_levels)
     if lv.def_levels is None or lv.null_count == 0:
-        # every slot holds a value
-        vcum = np.arange(n_slots + 1, dtype=np.int64)
+        # every slot holds a value: slot s has s values before it
+        vcum = range(n_slots + 1)
         has_val = None
     else:
         has_val = lv.def_levels == lv.max_def
@@ -375,7 +372,7 @@ def encode_chunk(
     leaf: LeafInfo,
     spec: ColumnSpec,
     opts: WriteOptions,
-) -> tuple[bytes, ChunkMeta]:
+) -> tuple[memoryview, ChunkMeta]:
     """Encode one column chunk (one row group x one leaf column)."""
     lv = _prepare(col, leaf)
     el = leaf.element
@@ -431,9 +428,7 @@ def encode_chunk(
     if dict_arr is not None:
         encoding = Encoding.RLE_DICTIONARY
         dictionary_page_offset = w.offset
-        dict_body = BufWriter()
-        _encode_values(dict_body, dict_arr.dictionary, leaf, Encoding.PLAIN)
-        raw = dict_body.view()
+        raw = _encode_values(dict_arr.dictionary, leaf, Encoding.PLAIN)
         comp = compress(raw, codec, opts.compressors, opts.codec_level)
         write_dictionary_page_header(
             w, uncompressed_page_size=len(raw), compressed_page_size=len(comp),
@@ -502,29 +497,32 @@ def encode_chunk(
         else:
             num_rows = nslots
 
-        body = BufWriter()
         if idx_np_all is not None:
+            body = BufWriter()
             body.u8(bit_width)
             encode_rle_hybrid(body, idx_np_all[v0:v1], bit_width)
+            raw = body.view()
         else:
-            _encode_values(body, values.slice(v0, v1 - v0), leaf, encoding)
+            raw = _encode_values(values.slice(v0, v1 - v0), leaf, encoding)
 
-        raw = body.view()
         if fsst_table is not None:
             from . import fsst as F
-            comp = fsst_header + F.compress(raw, fsst_table)
+            comp = (fsst_header, F.compress(raw, fsst_table))
         else:
-            comp = compress(raw, codec, opts.compressors, opts.codec_level)
+            comp = (compress(raw, codec, opts.compressors, opts.codec_level),)
+        comp_len = sum(map(len, comp))
         lvl_bytes = lvl.view()
         crc = None
         if opts.page_crc:
             # spec: V2 page CRC covers the page as written after the
             # header — uncompressed level runs then compressed values
-            crc = zlib.crc32(comp, zlib.crc32(lvl_bytes))
+            crc = zlib.crc32(lvl_bytes)
+            for part in comp:
+                crc = zlib.crc32(part, crc)
         write_data_page_v2_header(
             w,
             uncompressed_page_size=lvl.offset + len(raw),
-            compressed_page_size=lvl.offset + len(comp),
+            compressed_page_size=lvl.offset + comp_len,
             num_values=nslots,
             num_nulls=num_nulls,
             num_rows=num_rows,
@@ -535,8 +533,9 @@ def encode_chunk(
             crc=crc,
         )
         w.write(lvl_bytes)
-        w.write(comp)
-        uncomp_acc += (w.offset - page_start) - len(comp) + len(raw)
+        for part in comp:
+            w.write(part)
+        uncomp_acc += (w.offset - page_start) - comp_len + len(raw)
 
         if col_index is not None:
             pstats = compute_statistics(
@@ -593,7 +592,7 @@ def encode_chunk(
                 el, null_count=lv.null_count,
             )
 
-    blob = w.getvalue()
+    blob = w.view()
     meta = ChunkMeta(
         path=leaf.path,
         ptype=int(el.type),

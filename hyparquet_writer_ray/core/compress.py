@@ -4,7 +4,9 @@ Built-ins go through pyarrow's C codecs (raw block formats, exactly what
 parquet pages need). Users may register extra codecs per the reference's
 ``compressors`` plug-in map (src/types.d.ts:3-4): a callable
 ``bytes -> bytes`` keyed by codec name. Pages arrive as views of the
-page buffer; only a plug-in is handed a ``bytes`` copy.
+page body; only a plug-in is handed a ``bytes`` copy. A built-in
+codec's output is returned as a view of pyarrow's buffer, not copied
+into ``bytes``.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ _codec_cache: dict[tuple, pa.Codec] = {}
 
 def compress(data: "bytes | memoryview", codec: Codec,
              compressors: Optional[dict[str, Callable[[bytes], bytes]]] = None,
-             level: Optional[int] = None) -> bytes:
+             level: Optional[int] = None) -> "bytes | memoryview":
     if codec == Codec.UNCOMPRESSED:
         return data
     if compressors and codec.name in compressors:
@@ -41,7 +43,10 @@ def compress(data: "bytes | memoryview", codec: Codec,
         c = _codec_cache[key] = (
             pa.Codec(name) if level is None else pa.Codec(name, compression_level=level)
         )
-    return c.compress(data, asbytes=True)
+    buf = c.compress(data, asbytes=False)
+    # a pyarrow buffer's own memoryview has signed items and its capacity
+    # as its shape: cast to bytes and trimmed, its len is the output's
+    return memoryview(buf).cast("B")[:buf.size]
 
 
 def decompress(data: bytes, codec: Codec, uncompressed_size: int,

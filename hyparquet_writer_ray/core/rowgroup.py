@@ -15,14 +15,13 @@ from dataclasses import dataclass
 
 import pyarrow as pa
 
-from .bufwriter import BufWriter
 from .chunk import ChunkMeta, ColumnIndexData, PageLocation, encode_chunk
 from .footer import AbsoluteChunk, column_index_thrift, offset_index_thrift, row_group_thrift
 from .geo import GeoStats
 from .nested import nested_leaf_arrays
 from .options import WriteOptions
 from .statistics import Stats
-from .thrift import CompactReader, write_struct
+from .thrift import CompactReader, serialize
 from .types import LeafInfo, SchemaElement
 
 TRAILER = b"HRG1"
@@ -68,11 +67,9 @@ def encode_row_group(
 
 
 def dumps(blob, meta: RowGroupMeta) -> bytes:
-    """``blob`` and ``meta`` as one relocatable byte string."""
-    w = BufWriter()
-    w.write(blob)
-    start, cms = w.offset, [cm for _, cm in meta.chunks]
-    write_struct(w, {
+    """``blob`` and ``meta`` as one relocatable byte string, joined once."""
+    cms = [cm for _, cm in meta.chunks]
+    struct_bytes = serialize({
         1: row_group_thrift([AbsoluteChunk(cm, rel) for rel, cm in meta.chunks],
                             meta.total_byte_size, meta.num_rows,
                             total_compressed_size=meta.total_compressed_size),
@@ -82,9 +79,7 @@ def dumps(blob, meta: RowGroupMeta) -> bytes:
             for c in cms],
         4: [cm.bloom or b"" for cm in cms],
     })
-    w.u32(w.offset - start)
-    w.write(TRAILER)
-    return w.getvalue()
+    return b"".join((blob, struct_bytes, len(struct_bytes).to_bytes(4, "little"), TRAILER))
 
 
 def loads(data) -> tuple[memoryview, RowGroupMeta]:

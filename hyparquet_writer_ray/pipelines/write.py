@@ -390,7 +390,7 @@ def write_parquet_single_file(
             for batch in encoded.iter_batches(batch_size=None, batch_format="pyarrow"):
                 for row in range(batch.num_rows):
                     part_id = batch.column("part_id")[row].as_py()
-                    group = batch.column("group")[row].as_py()
+                    group = batch.column("group")[row].as_buffer()
                     try:  # a null group: reuse the checkpointed one
                         blob, meta = loads(group or lineage.load_blob(part_id))
                     except ValueError as e:

@@ -110,8 +110,9 @@ class LineageLog:
         fsio.write_marker(fsio.join(self.parts_dir, f"{part_key}.json"),
                           json.dumps([asdict(r) for r in recs]))
 
-    def write_checkpoint(self, rec: PartRecord, group: bytes) -> None:
-        """Single-file checkpoint of one encoded row group's bytes: put
+    def write_checkpoint(self, rec: PartRecord, group) -> None:
+        """Single-file checkpoint of one encoded row group's bytes (any
+        buffer, a ``pyarrow.Buffer`` of the stage's output, say): put
         the blob, then its completion record, so a record never names a
         blob that is not durable."""
         fsio.write_marker(fsio.join(self.blob_dir, rec.part_id), group)

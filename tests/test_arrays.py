@@ -6,6 +6,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pytest
 
+from hyparquet_writer_ray.core import _kernel
 from hyparquet_writer_ray.core import arrays as A
 
 BYTE_TYPES = [pa.string(), pa.binary(), pa.large_string(), pa.large_binary()]
@@ -26,12 +27,6 @@ def _nulls(values: pa.Array, mask: np.ndarray, canonical: bool) -> pa.Array:
         return pa.array([None if m else v for v, m in zip(values.to_pylist(), mask)],
                         values.type)
     return pc.if_else(pa.array(~mask), values, pa.scalar(None, values.type))
-
-
-def _bytes_per_run(arr: pa.Array) -> float:
-    valid = A.validity_mask(arr)
-    runs = np.count_nonzero(np.diff(valid, prepend=False, append=False)) // 2
-    return pc.sum(pc.binary_length(arr)).as_py() / max(runs, 1)
 
 
 def _check(arr: pa.Array) -> pa.Array:
@@ -67,22 +62,25 @@ def test_drop_null_fast_layouts(typ, canonical, mask_name):
 
 
 @pytest.mark.parametrize("typ", BYTE_TYPES, ids=str)
+@pytest.mark.parametrize("canonical", [True, False], ids=["canonical", "if_else"])
 @pytest.mark.parametrize("avg,frac", [(512, 0.02), (512, 0.1), (8, 0.02), (8, 0.5)])
-def test_drop_null_fast_both_sides_of_the_run_copy_crossover(typ, avg, frac):
-    """Long values with few runs take the per-run copy, short values
-    with many runs Arrow's ``drop_null``: both give its values. Only
-    ``drop_null`` allocates the value bytes from Arrow's memory pool."""
+def test_drop_null_fast_kernel_equals_drop_null(typ, canonical, avg, frac):
+    """Long and short values in few or many runs, on both layouts: the
+    offsets-only path (canonical) and the compaction kernel (null slots
+    owning bytes) give ``drop_null``'s values without allocating the
+    value bytes from Arrow's memory pool, which only ``drop_null``, the
+    fallback without a compiler, does. The kernel's buffer holds
+    exactly the valid bytes."""
     n = 5_000
     mask = np.random.default_rng(2).random(n) < frac
-    arr = _nulls(_values(n, avg, typ), mask, canonical=False)
-    above = _bytes_per_run(arr) >= A._RUN_COPY_MIN_BYTES
-    assert above == (avg == 512)
+    arr = _nulls(_values(n, avg, typ), mask, canonical)
     before = pa.total_allocated_bytes()
     got = A.drop_null_fast(arr)
     pooled = pa.total_allocated_bytes() - before
     valid_bytes = pc.sum(pc.binary_length(arr)).as_py()
-    assert (pooled < valid_bytes) == above
-    if above:  # the run copy writes one buffer of exactly the valid bytes
+    kernel = not canonical and _kernel.get_kernel() is not None
+    assert (pooled < valid_bytes) == (canonical or kernel)
+    if kernel:
         assert got.buffers()[2].size == valid_bytes
     _check(arr)
     _check(arr.slice(101, n - 300))

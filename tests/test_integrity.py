@@ -85,6 +85,33 @@ def test_page_crc_with_fsst_reader():
     assert [v.decode() for v in back] == t.column("s").to_pylist()
 
 
+def test_fsst_page_crc_covers_levels_table_and_codes():
+    """An FSST page is written as its level runs, its symbol table and
+    its codes, three pieces; its CRC is the CRC-32 of all of them, as
+    pyarrow would verify it on a standard page."""
+    import io
+    import zlib
+
+    from hyparquet_writer_ray.core.reader import read_footer
+    from hyparquet_writer_ray.core.thrift import CompactReader
+
+    words = ["hello", "world", "fsst", None]
+    t = pa.table({"s": pa.array(
+        [None if words[i % 4] is None else f"{words[i % 4]} {i % 50}" * 3
+         for i in range(6000)])})
+    blob = write_table_to_bytes(t, WriteOptions(
+        page_crc=True, page_size=8192, column_specs={"s": ColumnSpec(fsst=True)}))
+    md = read_footer(io.BytesIO(blob))[4][0][1][0][3]
+    pos, end, pages = md[9], md[9] + md[7], 0
+    while pos < end:
+        r = CompactReader(memoryview(blob), pos)
+        header = r.read_struct()
+        page = blob[r.pos:r.pos + header[3]]
+        assert header[4] & 0xFFFFFFFF == zlib.crc32(page)
+        pos, pages = r.pos + header[3], pages + 1
+    assert pages > 1
+
+
 def test_sorting_columns_in_footer(tmp_path):
     t = _sample_table().sort_by([("k", "ascending"), ("s", "ascending")])
     opts = WriteOptions(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import os
+import subprocess
 import tempfile
 
 import numpy as np
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyparquet_writer_ray import WriteOptions, write_table_to_bytes
+from hyparquet_writer_ray import ColumnSpec, WriteOptions, write_table_to_bytes
 from hyparquet_writer_ray.core import _kernel
 from hyparquet_writer_ray.core import arrays as A
 from hyparquet_writer_ray.core.bufwriter import BufWriter
@@ -184,13 +185,18 @@ def _lineitem(n: int = 60_000, seed: int = 5) -> pa.Table:
     })
 
 
-@pytest.mark.parametrize("shape", ["webtable_smart", "lineitem_default"])
+@pytest.mark.parametrize("shape", ["webtable_smart", "webtable_fsst", "lineitem_default"])
 def test_write_without_kernel_is_byte_identical(lib, shape):
     """A web-table part with ``auto_codec="smart"`` (delta lengths, level
-    runs of nullable text) and a lineitem-shaped table with default
-    options (dictionary indexes) are the same bytes on both paths."""
+    runs of nullable text), one with FSST text and page CRCs (nulls that
+    own bytes, PLAIN byte-array pages scanned in place) and a
+    lineitem-shaped table with default options (dictionary indexes) are
+    the same bytes on both paths."""
     if shape == "webtable_smart":
         table, opts = synthesize_batch(0, 4_000), WriteOptions(auto_codec="smart")
+    elif shape == "webtable_fsst":
+        table = synthesize_batch(0, 4_000)
+        opts = WriteOptions(page_crc=True, column_specs={"text": ColumnSpec(fsst=True)})
     else:
         table, opts = _lineitem(), WriteOptions()
     with_kernel = write_table_to_bytes(table, opts)
@@ -206,26 +212,73 @@ def _libraries(cache: str) -> list[str]:
     return sorted(n for n in os.listdir(cache) if n.endswith(".so"))
 
 
-def test_a_build_unlinks_older_builds(lib, monkeypatch, tmp_path):
-    """Each build removes the libraries of every other source, including
-    the names of the FSST-only kernel; two builds leave one library, and
-    it loads."""
+def _cache(monkeypatch, tmp_path):
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     cache = tmp_path / f"hpw_fsst_kernel_{getattr(os, 'getuid', lambda: 0)()}"
     cache.mkdir(mode=0o700)
-    for old in ("fsst_kernel_0123456789abcdef.so", "fsst_kernel_v6.so", "fsst_kernel.c"):
-        (cache / old).write_bytes(b"stale")
+    return cache
+
+
+def _name(src: str) -> str:
+    return f"kernel_{hashlib.sha256(src.encode()).hexdigest()[:16]}.so"
+
+
+def _stale(cache, name: str, mtime: int) -> None:
+    (cache / name).write_bytes(b"stale")
+    os.utime(cache / name, (mtime, mtime))
+
+
+def test_a_build_unlinks_older_builds(lib, monkeypatch, tmp_path):
+    """A build keeps the ``_KEEP_BUILDS`` libraries used last, itself
+    included, and unlinks older ones, the FSST-only kernel's names and
+    leftover sources among them; the new library loads."""
+    cache = _cache(monkeypatch, tmp_path)
+    stale = [f"fsst_kernel_{i:016x}.so" for i in range(_kernel._KEEP_BUILDS)] \
+        + ["fsst_kernel_v6.so", "kernel_0123456789abcdef.so"]
+    for age, name in enumerate(stale):
+        _stale(cache, name, 1_000_000 - age)  # the first is the newest
+    _stale(cache, "fsst_kernel.c", 2_000_000)
     (cache / "kernel_0123456789abcdef.so.build1").write_bytes(b"in progress")
-    assert _kernel._build() is not None
     edited = _kernel._C_SRC + "\nint hpw_cache_probe(void) { return 7; }\n"
     monkeypatch.setattr(_kernel, "_C_SRC", edited)
     built = _kernel._build()
-    digest = hashlib.sha256(edited.encode()).hexdigest()[:16]
-    assert _libraries(str(cache)) == [f"kernel_{digest}.so"]
     assert built.hpw_cache_probe() == 7
+    assert _libraries(str(cache)) == sorted(
+        [_name(edited)] + stale[:_kernel._KEEP_BUILDS - 1])
     # another process's build in progress is not a library to remove
     assert (cache / "kernel_0123456789abcdef.so.build1").exists()
     assert not (cache / "fsst_kernel.c").exists()
+
+
+def test_alternating_sources_build_once_each(lib, monkeypatch, tmp_path):
+    """Two sources loaded in turn, as two checkouts sharing the cache dir
+    do, compile once each; a load marks its library used, so a later
+    build unlinks the libraries used longest ago instead."""
+    cache = _cache(monkeypatch, tmp_path)
+    runs = []
+    real_run = subprocess.run
+    monkeypatch.setattr(_kernel.subprocess, "run",
+                        lambda *a, **k: runs.append(a) or real_run(*a, **k))
+    sources = [_kernel._C_SRC + f"\nint hpw_source(void) {{ return {i}; }}\n"
+               for i in range(3)]
+    for src in sources[:2] * 3:
+        monkeypatch.setattr(_kernel, "_C_SRC", src)
+        assert _kernel._build().hpw_source() == sources.index(src)
+    assert len(runs) == 2
+    a, b = (cache / _name(src) for src in sources[:2])
+    os.utime(a, (100, 100))
+    os.utime(b, (200, 200))
+    fillers = [f"kernel_{i:016x}.so" for i in range(_kernel._KEEP_BUILDS - 2)]
+    for i, name in enumerate(fillers):
+        _stale(cache, name, 300 + i)
+    monkeypatch.setattr(_kernel, "_C_SRC", sources[0])
+    _kernel._build()  # a load, no build: a becomes the newest
+    monkeypatch.setattr(_kernel, "_C_SRC", sources[2])
+    _kernel._build()
+    assert len(runs) == 3
+    # b, loaded longest ago, is the one library past the bound
+    assert _libraries(str(cache)) == sorted(
+        [_name(sources[0]), _name(sources[2])] + fillers)
 
 
 def test_fallback_is_logged_once(monkeypatch, tmp_path, caplog):

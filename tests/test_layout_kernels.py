@@ -1,0 +1,177 @@
+"""The compiled kernel's byte-array layouts against their fallbacks.
+
+``compact_byte_array`` (``arrays.drop_null_fast`` on null slots that own
+bytes) must give Arrow's ``drop_null``, and ``plain_byte_array`` the
+frozen two-strategy encoder of ``plain_oracle.py``, on sliced arrays,
+``large_*`` offsets, empty and all-null arrays, zero-length values, and
+null slots that own bytes or are canonical. Collected again by
+``test_numpy_fallback``, the same tests hold the fallbacks (Arrow's
+``drop_null`` and the Arrow join) to the same answers."""
+from __future__ import annotations
+
+import numpy as np
+import pyarrow as pa
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import plain_oracle as oracle
+from hyparquet_writer_ray.core import _kernel
+from hyparquet_writer_ray.core import arrays as A
+from hyparquet_writer_ray.core.plain import plain_byte_array
+
+BYTE_TYPES = [pa.string(), pa.binary(), pa.large_string(), pa.large_binary()]
+
+
+def _array(rng, typ: pa.DataType, n: int, null_frac: float, empty_frac: float,
+           owned: bool) -> pa.Array:
+    """n values of 0-60 bytes (``empty_frac`` of them zero-length) with
+    ``null_frac`` of the slots null: owning the bytes they had
+    (``owned``) or zero-length, as ``pa.array`` builds them."""
+    lens = rng.integers(0, 61, n) * (rng.random(n) >= empty_frac)
+    data = rng.integers(97, 123, int(lens.sum()), dtype=np.uint8)
+    offsets = np.zeros(n + 1, np.int64)
+    np.cumsum(lens, out=offsets[1:])
+    odt = A.offset_dtype(typ)
+    values = pa.Array.from_buffers(typ, n, [
+        None, pa.py_buffer(offsets.astype(odt)), pa.py_buffer(data)])
+    valid = rng.random(n) >= null_frac
+    if owned:
+        bitmap = pa.py_buffer(np.packbits(valid, bitorder="little"))
+        return pa.Array.from_buffers(typ, n, [bitmap] + values.buffers()[1:],
+                                     null_count=int(n - valid.sum()))
+    return pa.array([v if ok else None for v, ok in zip(values.to_pylist(), valid)], typ)
+
+
+def _check_drop_null(arr: pa.Array) -> None:
+    got = A.drop_null_fast(arr)
+    want = arr.drop_null()
+    got.validate(full=True)
+    assert got.type == want.type and got.equals(want)
+    if _kernel.get_kernel() is None or arr.null_count == 0 or arr.buffers()[2] is None:
+        return
+    # the entry point itself: offsets from 0 and exactly the valid bytes
+    odt = A.offset_dtype(arr.type)
+    offs = np.frombuffer(arr.buffers()[1], odt, count=arr.offset + len(arr) + 1)[arr.offset:]
+    valid = A.validity_mask(arr)
+    size = int(np.diff(offs)[valid].sum())
+    new_offs, data = _kernel.compact_byte_array(offs, valid, arr.buffers()[2])
+    lengths, want_data = A.byte_array_values(want)
+    assert new_offs.dtype == odt and new_offs[0] == 0
+    assert (np.diff(new_offs) == lengths).all()
+    assert data.nbytes == size and bytes(data) == bytes(want_data)
+
+
+def _check_plain(arr: pa.Array) -> None:
+    lengths, data = A.byte_array_values(arr)
+    got = plain_byte_array(lengths, data)
+    assert bytes(got) == bytes(oracle.plain_byte_array(lengths, data))
+    assert len(got) == 4 * len(lengths) + data.nbytes
+
+
+@settings(max_examples=200, deadline=None)
+@given(typ=st.sampled_from(BYTE_TYPES), n=st.integers(0, 400),
+       null_frac=st.sampled_from([0.0, 0.03, 0.5, 1.0]),
+       empty_frac=st.sampled_from([0.0, 0.3, 1.0]), owned=st.booleans(),
+       seed=st.integers(0, 2**32 - 1), start=st.integers(0, 50), length=st.integers(0, 400))
+def test_layout_kernels_match_fallbacks(typ, n, null_frac, empty_frac, owned, seed,
+                                        start, length):
+    arr = _array(np.random.default_rng(seed), typ, n, null_frac, empty_frac, owned)
+    # a slice starts at a non-zero offset into every buffer
+    for a in (arr, arr.slice(min(start, n)), arr.slice(min(start, n), length)):
+        _check_drop_null(a)
+        _check_plain(a)
+        _check_plain(A.drop_null_fast(a))
+
+
+@pytest.mark.parametrize("typ", BYTE_TYPES, ids=str)
+@pytest.mark.parametrize("owned", [True, False], ids=["owned", "canonical"])
+@pytest.mark.parametrize("case", ["empty", "all_null", "all_zero_length", "one_valid"])
+def test_layout_kernels_edge_cases(typ, owned, case):
+    rng = np.random.default_rng(0)
+    arr = {
+        "empty": lambda: _array(rng, typ, 0, 0.5, 0.0, owned),
+        "all_null": lambda: _array(rng, typ, 300, 1.0, 0.0, owned),
+        "all_zero_length": lambda: _array(rng, typ, 300, 0.5, 1.0, owned),
+        "one_valid": lambda: _array(rng, typ, 300, 0.999, 0.0, owned),
+    }[case]()
+    for a in (arr, arr.slice(7), arr.slice(len(arr) // 2, 0)):
+        _check_drop_null(a)
+        _check_plain(a)
+
+
+GUARD = 64
+
+
+def _guarded(size: int) -> np.ndarray:
+    return np.full(size + GUARD, 0xA5, np.uint8)
+
+
+@pytest.fixture
+def lib():
+    lib = _kernel.get_kernel()
+    if lib is None:
+        pytest.skip("no C compiler")
+    return lib
+
+
+@pytest.mark.parametrize("typ", BYTE_TYPES, ids=str)
+def test_layout_kernels_stay_within_their_bounds(lib, typ):
+    """Each entry point writes exactly the bytes its comment states and
+    nothing past them."""
+    rng = np.random.default_rng(1)
+    for n, null_frac in ((0, 0.0), (1, 0.0), (1, 1.0), (500, 0.2), (500, 1.0)):
+        arr = _array(rng, typ, n, null_frac, 0.2, owned=True)
+        odt = A.offset_dtype(typ)
+        offs = np.frombuffer(arr.buffers()[1], odt, count=n + 1)
+        valid = A.validity_mask(arr)
+        valid = np.ones(n, np.uint8) if valid is None else valid.astype(np.uint8)
+        size = int(np.diff(offs)[valid == 1].sum())
+        out = _guarded(size)
+        out_off = _guarded((int(valid.sum()) + 1) * np.dtype(odt).itemsize)
+        src = np.frombuffer(arr.buffers()[2], np.uint8)
+        m = lib.compact_byte_array(offs.ctypes.data, odt is np.int64, valid.ctypes.data, n,
+                                   src.ctypes.data, out_off.ctypes.data, out.ctypes.data)
+        assert m == size
+        assert (out[size:] == 0xA5).all() and (out_off[-GUARD:] == 0xA5).all()
+
+        lengths, data = A.byte_array_values(arr)
+        bound = 4 * n + data.nbytes
+        out = _guarded(bound)
+        lens = lengths.astype(np.int64)
+        m = lib.plain_byte_array(lens.ctypes.data, n, data.ctypes.data, out.ctypes.data)
+        assert m == bound
+        assert (out[bound:] == 0xA5).all()
+
+
+def test_layout_kernels_refuse_inconsistent_inputs(lib):
+    """The wrappers check what the C code trusts before passing pointers:
+    offsets that run past the value buffer, or lengths that do not add
+    up to the data, raise instead of reading out of bounds."""
+    offs = np.array([0, 3, 9], np.int32)
+    with pytest.raises(ValueError, match="offsets"):
+        _kernel.compact_byte_array(offs, np.array([True, False]), b"abcdef")
+    with pytest.raises(ValueError, match="offsets"):
+        _kernel.compact_byte_array(offs[:2], np.array([True, False]), b"abcdef")
+    with pytest.raises(ValueError, match="lengths"):
+        _kernel.plain_byte_array(np.array([3, 9]), np.zeros(6, np.uint8))
+
+
+def test_plain_byte_array_view_is_scanned_in_place(lib):
+    """The kernel's PLAIN view ends ``SLACK`` zero bytes before its
+    buffer does, so FSST reads it without a padded copy and gives the
+    codes of the same bytes copied."""
+    from hyparquet_writer_ray.core import fsst as F
+
+    arr = _array(np.random.default_rng(2), pa.string(), 2_000, 0.0, 0.1, owned=False)
+    view = plain_byte_array(*A.byte_array_values(arr))
+    base = view.obj
+    assert bytes(base[len(view):]) == bytes(_kernel.SLACK)
+    assert _kernel._slack_follows(view, np.frombuffer(view, np.uint8))
+    assert not _kernel._slack_follows(bytes(view), np.frombuffer(bytes(view), np.uint8))
+    # a view that ends short of the slack is copied, not read past
+    short = memoryview(base)[: len(base) - 3]
+    assert not _kernel._slack_follows(short, np.frombuffer(short, np.uint8))
+    table = F.train(bytes(view)[:F.TRAIN_SAMPLE_BYTES])
+    assert bytes(F.compress(view, table)) == bytes(F.compress(bytes(view), table))
+    assert bytes(F.compress(short, table)) == bytes(F.compress(bytes(short), table))

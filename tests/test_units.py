@@ -158,3 +158,28 @@ def test_compressor_plugin_receives_bytes():
     buf = write_table_to_bytes(t, WriteOptions(compressors={"SNAPPY": snappy}))
     assert pq.read_table(io.BytesIO(buf)).equals(t)
     assert calls  # the plug-in ran, and saw only bytes
+
+
+def test_compress_returns_the_codec_bytes_as_a_view():
+    """A built-in codec's output is a byte view of pyarrow's buffer, as
+    long as its size (a plain memoryview of it has the capacity as its
+    shape and signed items): the same length and bytes
+    as ``asbytes=True``, from ``bytes``, ``bytearray`` and numpy views
+    alike. ``UNCOMPRESSED`` hands the input back and a plug-in's output
+    is returned as the plug-in made it."""
+    import pyarrow as pa
+
+    from hyparquet_writer_ray.core.compress import _PA_NAME, compress
+    from hyparquet_writer_ray.core.types import Codec
+
+    rng = np.random.default_rng(4)
+    page = rng.integers(0, 4, 50_000, dtype=np.uint8)
+    for data in (page.tobytes(), bytearray(page), page.data, page[3:].data, b""):
+        for codec, name in _PA_NAME.items():
+            got = compress(data, codec)
+            want = pa.Codec(name).compress(data, asbytes=True)
+            assert len(got) == len(want)
+            assert got == want  # a byte view: unsigned, as ``bytes`` compares
+        assert compress(data, Codec.UNCOMPRESSED) is data
+        out = compress(data, Codec.SNAPPY, {"SNAPPY": lambda b: b"plug-in " + b})
+        assert out == b"plug-in " + bytes(data)
