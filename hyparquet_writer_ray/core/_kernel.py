@@ -1,5 +1,5 @@
-"""The package's compiled kernel: FSST, the integer page encoders and
-the byte-array layouts.
+"""The package's compiled kernel: FSST, the integer page encoders, the
+byte-array layouts and the dictionary encoder.
 
 One C source (``_C_SRC``) is compiled ON DEMAND with the system C
 compiler into a per-user cache dir, as a file named by the source's
@@ -21,7 +21,11 @@ points:
 - ``compact_byte_array``: ``drop_null`` of a string/binary array whose
   null slots own bytes, one copy per run of values;
 - ``plain_byte_array``: the PLAIN BYTE_ARRAY layout (u32 length, bytes)
-  written once, into a buffer ``fsst_compress`` can scan in place.
+  written once, into a buffer ``fsst_compress`` can scan in place;
+- ``dict_encode``: ``pc.dictionary_encode`` of 1-, 2-, 4- or 8-byte keys
+  (fixed-width values, or equal-width strings read as integers) in one
+  hash pass that also runs the reference dictionary trial, writing the
+  uint32 indices the RLE page loop reads.
 
 The page loop calls the two integer encoders once per page, mostly on
 a few hundred values, so in numpy their cost is fixed per-call
@@ -31,8 +35,9 @@ Every entry point reproduces its Python counterpart byte for byte.
 When no compiler works (or the host is big-endian, or the cache dir is
 unsafe) the wrappers below return None, one DEBUG record says why, and
 each caller runs its own fallback: the Python paths in :mod:`fsst`,
-the numpy bodies of :mod:`rle` and :mod:`delta`, Arrow's ``drop_null``
-and the Arrow join of :mod:`plain`.
+the numpy bodies of :mod:`rle` and :mod:`delta`, Arrow's ``drop_null``,
+the Arrow join of :mod:`plain`, and Arrow's ``count_distinct`` and
+``dictionary_encode`` in :mod:`chunk`.
 """
 from __future__ import annotations
 
@@ -609,6 +614,104 @@ size_t plain_byte_array(const int64_t* lengths, size_t n, const uint8_t* data,
     }
     return o;
 }
+
+/* ---- dictionary encoder ---------------------------------------------- */
+
+#define DICT_OK 0
+#define DICT_REJECTED 1
+#define DICT_NAN 2
+#define DICT_SIGNED_ZERO 3
+
+/* a float key Arrow's hash-dependent equality would decide: a NaN
+   (fkind 4: float32 bits, 8: float64 bits) or -0.0 */
+static int dict_float_key(uint64_t k, int fkind) {
+    if (fkind == 4) {
+        if ((k & 0x7FFFFFFFu) > 0x7F800000u) return DICT_NAN;
+        if (k == 0x80000000u) return DICT_SIGNED_ZERO;
+    } else if (fkind == 8) {
+        if ((k & 0x7FFFFFFFFFFFFFFFULL) > 0x7FF0000000000000ULL) return DICT_NAN;
+        if (k == 0x8000000000000000ULL) return DICT_SIGNED_ZERO;
+    }
+    return DICT_OK;
+}
+
+static size_t dict_slot(uint64_t key, int bits) {
+    key ^= key >> 32;
+    return (size_t)((key * 0x9E3779B97F4A7C15ULL) >> (64 - bits));
+}
+
+/* dict_encode: pc.dictionary_encode of n keys compared by their bits,
+   in one open-addressing pass. dict receives each new key in first-seen
+   order and idx[i] the position of v[i] in it; *count is the number of
+   keys. With trial > 0 the reference trial runs in the same pass: after
+   the first min(n, trial) values, more than half of them distinct is
+   DICT_REJECTED, *count then being that sample's distinct count. A key
+   that is a float NaN or -0.0 returns DICT_NAN or DICT_SIGNED_ZERO the
+   moment it would be inserted, the output left unfinished; -1 is an
+   allocation failure. The table (slot = dict position + 1, 0 empty)
+   starts at 64 slots and doubles past half full, so a chunk of few
+   distinct keys clears only a few cache lines. */
+#define DICT_ENCODE(NAME, T)                                              \
+static int NAME(const T* v, size_t n, int fkind, size_t trial,            \
+                uint32_t* idx, T* dict, size_t* count) {                  \
+    int bits = 6;                                                         \
+    uint32_t* slots = calloc((size_t)1 << bits, sizeof(uint32_t));        \
+    if (!slots) return -1;                                                \
+    size_t k = 0, i = 0, end = trial && trial < n ? trial : n;            \
+    for (;;) {                                                            \
+        for (; i < end; i++) {                                            \
+            T key = v[i];                                                 \
+            size_t mask = ((size_t)1 << bits) - 1;                        \
+            size_t h = dict_slot(key, bits);                              \
+            uint32_t s;                                                   \
+            while ((s = slots[h]) && dict[s - 1] != key) h = (h + 1) & mask; \
+            if (!s) {                                                     \
+                int bad = fkind ? dict_float_key(key, fkind) : DICT_OK;   \
+                if (bad) { free(slots); return bad; }                     \
+                if (2 * (k + 1) > ((size_t)1 << bits)) {                  \
+                    free(slots);                                          \
+                    slots = calloc((size_t)1 << ++bits, sizeof(uint32_t)); \
+                    if (!slots) return -1;                                \
+                    mask = ((size_t)1 << bits) - 1;                       \
+                    for (size_t j = 0; j < k; j++) {                      \
+                        h = dict_slot(dict[j], bits);                     \
+                        while (slots[h]) h = (h + 1) & mask;              \
+                        slots[h] = (uint32_t)(j + 1);                     \
+                    }                                                     \
+                    h = dict_slot(key, bits);                             \
+                    while (slots[h]) h = (h + 1) & mask;                  \
+                }                                                         \
+                dict[k] = key;                                            \
+                s = slots[h] = (uint32_t)++k;                             \
+            }                                                             \
+            idx[i] = s - 1;                                               \
+        }                                                                 \
+        if (trial) {                                                      \
+            if (2 * k > end) { free(slots); *count = k; return DICT_REJECTED; } \
+            trial = 0;                                                    \
+        }                                                                 \
+        if (end == n) break;                                              \
+        end = n;                                                          \
+    }                                                                     \
+    free(slots);                                                          \
+    *count = k;                                                           \
+    return DICT_OK;                                                       \
+}
+DICT_ENCODE(dict8, uint8_t)
+DICT_ENCODE(dict16, uint16_t)
+DICT_ENCODE(dict32, uint32_t)
+DICT_ENCODE(dict64, uint64_t)
+
+int dict_encode(const void* keys, size_t n, int width, int fkind, size_t trial,
+                uint32_t* idx, void* dict, size_t* count) {
+    switch (width) {
+    case 1: return dict8(keys, n, fkind, trial, idx, dict, count);
+    case 2: return dict16(keys, n, fkind, trial, idx, dict, count);
+    case 4: return dict32(keys, n, fkind, trial, idx, dict, count);
+    case 8: return dict64(keys, n, fkind, trial, idx, dict, count);
+    }
+    return -1;
+}
 """
 
 _lib = None
@@ -626,8 +729,9 @@ SLACK = 8
 
 
 def _unavailable(reason: str) -> None:
-    log.debug("compiled kernel unavailable (%s): FSST, the page encoders "
-              "and the byte-array layouts run their fallbacks", reason)
+    log.debug("compiled kernel unavailable (%s): FSST, the page encoders, "
+              "the byte-array layouts and the dictionary encoder run their "
+              "fallbacks", reason)
 
 
 def _evict(cache: str) -> None:
@@ -726,6 +830,11 @@ def _build() -> "ctypes.CDLL | None":
     lib.plain_byte_array.restype = ctypes.c_size_t
     lib.plain_byte_array.argtypes = [
         ctypes.c_void_p, ctypes.c_size_t, ctypes.c_void_p, ctypes.c_void_p,
+    ]
+    lib.dict_encode.restype = ctypes.c_int
+    lib.dict_encode.argtypes = [
+        ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int, ctypes.c_int, ctypes.c_size_t,
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.POINTER(ctypes.c_size_t),
     ]
     return lib
 
@@ -896,3 +1005,41 @@ def plain_byte_array(lengths: np.ndarray, data: np.ndarray) -> "memoryview | Non
     out[size:] = 0
     return out.data[:lib.plain_byte_array(lens.ctypes.data, lens.size, src.ctypes.data,
                                           out.ctypes.data)]
+
+
+# dict_encode's outcomes besides a dictionary: the trial rejected the
+# chunk, or a float key that only Arrow can place
+DICT_REJECTED, DICT_NAN, DICT_SIGNED_ZERO = 1, 2, 3
+
+
+def dict_encode(keys: np.ndarray, trial: int
+                ) -> "tuple[int, np.ndarray, np.ndarray] | None":
+    """``(status, indices, dictionary)`` of ``keys`` (one dimension, 1, 2,
+    4 or 8 bytes each, compared by their bits), or None without the
+    kernel. Status 0: ``indices`` (uint32, one per key) and
+    ``dictionary`` (the keys in first-seen order) are
+    ``pc.dictionary_encode``'s. With ``trial`` > 0 the first
+    ``min(len(keys), trial)`` keys decide first: more than half of them
+    distinct is ``DICT_REJECTED``, ``dictionary`` then holding that
+    sample's distinct keys. A float NaN or -0.0, whose place in Arrow's
+    dictionary depends on its hash, is ``DICT_NAN`` or
+    ``DICT_SIGNED_ZERO`` and nothing else is valid."""
+    lib = get_kernel()
+    if lib is None:
+        return None
+    width = keys.dtype.itemsize
+    if keys.ndim != 1 or width not in (1, 2, 4, 8) or keys.dtype.kind not in "iuf" \
+            or keys.size >= 1 << 32 or trial < 0:
+        raise ValueError(f"dict_encode takes 1-d 1/2/4/8-byte numbers, not {keys.dtype} "
+                         f"x {keys.shape} (trial {trial})")
+    fkind = width if keys.dtype.kind == "f" else 0
+    # held for the call: the kernel reads the copy, if any
+    v = np.ascontiguousarray(keys).view(f"<u{width}")
+    idx = np.empty(v.size, np.uint32)
+    dictionary = np.empty(v.size, v.dtype)
+    count = ctypes.c_size_t()
+    status = lib.dict_encode(v.ctypes.data, v.size, width, fkind, trial,
+                             idx.ctypes.data, dictionary.ctypes.data, ctypes.byref(count))
+    if status < 0:
+        raise MemoryError("dict_encode could not allocate its table")
+    return status, idx, dictionary[:count.value]

@@ -36,16 +36,18 @@ class FileAssembler:
         self.groups: list[tuple[list[AbsoluteChunk], RowGroupMeta, int]] = []
         self._write(MAGIC)
 
-    def _write(self, data: bytes) -> None:
+    def _write(self, data: "bytes | memoryview") -> None:
         self.sink.write(data)
         self.offset += len(data)
 
-    def append_group(self, blob: bytes, meta: RowGroupMeta) -> None:
+    def append_group(self, parts: list, meta: RowGroupMeta) -> None:
+        """Write the group's blob, given as its parts in order."""
         group_offset = self.offset
         abs_chunks = [
             AbsoluteChunk(cm, group_offset + rel) for rel, cm in meta.chunks
         ]
-        self._write(blob)
+        for part in parts:
+            self._write(part)
         self.num_rows += meta.num_rows
         self.groups.append((abs_chunks, meta, group_offset))
 

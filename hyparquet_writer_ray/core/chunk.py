@@ -20,6 +20,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from . import _kernel
 from . import arrays as A
 from .bufwriter import BufWriter
 from .compress import compress
@@ -34,7 +35,7 @@ from .statistics import Stats, compute_statistics, fold_statistics
 from .types import BoundaryOrder, Codec, Encoding, FIXED_WIDTH, LeafInfo, ParquetType
 
 DICT_SAMPLE = 1000  # sample size for the dictionary decision (src/dictionary.js:80)
-DICT_MAX_RATIO = 0.5
+DICT_MAX_RATIO = 0.5  # more than half of the sample distinct rejects: 2 * distinct > n
 
 log = logging.getLogger("hyparquet_writer_ray")
 
@@ -230,8 +231,14 @@ def _page_bounds(lv: LeveledValues, leaf: LeafInfo, page_size: int,
     return bounds, vcum
 
 
-def _try_dictionary(values: pa.Array, leaf: LeafInfo, spec: ColumnSpec, opts: WriteOptions):
-    """Reference dictionary decision (src/dictionary.js:72-135)."""
+def _try_dictionary(values: pa.Array, leaf: LeafInfo, spec: ColumnSpec, opts: WriteOptions
+                    ) -> "tuple[pa.Array, np.ndarray] | None":
+    """Reference dictionary decision (src/dictionary.js:72-135): the
+    dictionary, in the chunk's own type, and the uint32 index of each
+    value, or None for no dictionary. The compiled kernel's
+    ``dict_encode`` runs the trial and the encode in one pass where it
+    can (:func:`_kernel_dictionary`); Arrow's ``count_distinct`` and
+    ``dictionary_encode`` do elsewhere."""
     el = leaf.element
     forced = spec.encoding == Encoding.RLE_DICTIONARY
     if spec.encoding is not None and not forced:
@@ -243,30 +250,33 @@ def _try_dictionary(values: pa.Array, leaf: LeafInfo, spec: ColumnSpec, opts: Wr
                 "BOOLEAN columns"
             )
         return None
-    if not forced:
-        # sample-based auto decision; an explicit request bypasses it
-        sample = values.slice(0, DICT_SAMPLE)
-        n_sample = len(sample)
-        if n_sample == 0:
-            return None
-        distinct = pc.count_distinct(sample).as_py()
-        if distinct == 0 or distinct / n_sample > DICT_MAX_RATIO:
-            log.debug("dictionary rejected for column %s: distinct_ratio "
-                      "%.4f > %s", ".".join(leaf.path), distinct / n_sample,
-                      DICT_MAX_RATIO)
-            return None
-    try:
-        dict_arr = _dictionary_encode(values)
-    except pa.ArrowNotImplementedError:
-        if forced:
-            raise TypeError(
-                f"ColumnSpec(encoding=RLE_DICTIONARY) requested but type "
-                f"{values.type} cannot be dictionary-encoded"
-            )
-        log.debug("dictionary rejected for column %s: type %s cannot be "
-                  "dictionary-encoded", ".".join(leaf.path), values.type)
+    # sample-based auto decision; an explicit request bypasses it
+    n_sample = min(len(values), DICT_SAMPLE)
+    if not forced and n_sample == 0:
         return None
-    dictionary = dict_arr.dictionary
+    got = _kernel_dictionary(values, leaf, 0 if forced else n_sample)
+    if got is None and not forced:
+        distinct = pc.count_distinct(values.slice(0, n_sample)).as_py()
+        got = distinct if distinct == 0 or 2 * distinct > n_sample else None
+    if isinstance(got, int):
+        log.debug("dictionary rejected for column %s: distinct_ratio "
+                  "%.4f > %s", ".".join(leaf.path), got / n_sample,
+                  DICT_MAX_RATIO)
+        return None
+    if got is None:
+        try:
+            dict_arr = _dictionary_encode(values)
+        except pa.ArrowNotImplementedError:
+            if forced:
+                raise TypeError(
+                    f"ColumnSpec(encoding=RLE_DICTIONARY) requested but type "
+                    f"{values.type} cannot be dictionary-encoded"
+                )
+            log.debug("dictionary rejected for column %s: type %s cannot be "
+                      "dictionary-encoded", ".".join(leaf.path), values.type)
+            return None
+        got = dict_arr.dictionary, A.fixed_values(dict_arr.indices).astype(np.uint32)
+    dictionary, indices = got
     if el.type == ParquetType.BYTE_ARRAY:
         dict_bytes = dictionary.nbytes
     elif el.type == ParquetType.FIXED_LEN_BYTE_ARRAY:
@@ -278,56 +288,114 @@ def _try_dictionary(values: pa.Array, leaf: LeafInfo, spec: ColumnSpec, opts: Wr
                   "page_size %d", ".".join(leaf.path), dict_bytes, opts.page_size)
         return None
     if opts.dict_sort_frequency and len(dictionary):
-        dict_arr = _sort_dict_by_frequency(dict_arr)
-    return dict_arr
+        return _sort_dict_by_frequency(dictionary, indices)
+    return dictionary, indices
+
+
+_KERNEL_TYPES = (ParquetType.INT32, ParquetType.INT64, ParquetType.FLOAT, ParquetType.DOUBLE)
+_HANDED_BACK = {_kernel.DICT_NAN: "NaN", _kernel.DICT_SIGNED_ZERO: "signed zero"}
+
+
+def _kernel_dictionary(values: pa.Array, leaf: LeafInfo, trial: int
+                       ) -> "tuple[pa.Array, np.ndarray] | int | None":
+    """``_try_dictionary``'s dictionary and indices from the compiled
+    kernel's ``dict_encode``, with the reference trial over the first
+    ``trial`` values (0: none), or the sample's distinct count if the
+    trial rejects the chunk. None leaves the chunk to Arrow: without
+    the kernel, for FLBA and variable-width byte arrays, and, with one
+    DEBUG record naming the reason, for a fixed-width chunk the kernel
+    cannot take (a type ``fixed_values`` cannot view, or a float NaN or
+    -0.0, which Arrow places by its hash)."""
+    if _kernel.get_kernel() is None:
+        return None
+    t = leaf.element.type
+    if t == ParquetType.BYTE_ARRAY:
+        keys = _equal_width_keys(values)
+        if keys is None:
+            return None
+    elif t in _KERNEL_TYPES:
+        try:
+            keys = A.fixed_values(values)
+        except TypeError:
+            return _handed_back(leaf, f"unsupported type {values.type}")
+    else:
+        return None
+    status, indices, dictionary = _kernel.dict_encode(keys, trial)
+    if status == _kernel.DICT_REJECTED:
+        return len(dictionary)
+    if status:
+        return _handed_back(leaf, _HANDED_BACK[status])
+    return _key_dictionary(values.type, dictionary), indices
+
+
+def _handed_back(leaf: LeafInfo, reason: str) -> None:
+    log.debug("dictionary of column %s left to Arrow: %s", ".".join(leaf.path), reason)
 
 
 _KEY_DTYPES = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
 
 
-def _dictionary_encode(values: pa.Array) -> pa.DictionaryArray:
-    """``pc.dictionary_encode``, through integer keys when every value of
-    a non-null string/binary chunk is 1, 2, 4 or 8 bytes long.
+def _equal_width_keys(values: pa.Array) -> "np.ndarray | None":
+    """The value bytes of a non-null string/binary chunk whose values are
+    all 1, 2, 4 or 8 bytes long, as one unsigned integer per value (a
+    view); None for any other chunk.
 
     Equal-width values are equal exactly when their bytes, read as one
     unsigned integer, are; so the keys give the same first-occurrence
-    dictionary and the same indices, and the dictionary is rebuilt in
-    the chunk's own type from the key bytes. Hashing integers skips
-    the per-value offset walk: on 100k 1-byte strings (one vCPU) this
-    takes 0.9 ms against 3.4 ms for ``pc.dictionary_encode``."""
-    t = values.type
+    dictionary and the same indices as the strings. Hashing integers
+    skips the per-value offset walk: on 100k 1-byte strings (one vCPU)
+    Arrow takes 0.9 ms through the keys against 3.4 ms for
+    ``pc.dictionary_encode`` of the strings."""
+    odt = A.offset_dtype(values.type)
+    n = len(values)
+    if odt is None or values.null_count or not n:
+        return None
+    offsets = np.frombuffer(values.buffers()[1], dtype=odt,
+                            count=values.offset + n + 1)[values.offset:]
+    width = int(offsets[1] - offsets[0])
+    # the total first: a variable-width chunk rarely adds up to n * width
+    if (width not in _KEY_DTYPES or offsets[-1] - offsets[0] != n * width
+            or (np.diff(offsets) != width).any()):
+        return None
+    data = np.frombuffer(values.buffers()[2], dtype=np.uint8, count=n * width,
+                         offset=int(offsets[0]))
+    return data.view(_KEY_DTYPES[width])
+
+
+def _key_dictionary(t: pa.DataType, keys: np.ndarray) -> pa.Array:
+    """The dictionary of type ``t`` whose values' bytes are ``keys``: the
+    fixed-width values themselves, or equal-width strings/binaries."""
     odt = A.offset_dtype(t)
-    if odt is not None and values.null_count == 0 and len(values):
-        span = pc.min_max(pc.binary_length(values))
-        width = span["min"].as_py()
-        if width in _KEY_DTYPES and span["max"].as_py() == width:
-            start = int(np.frombuffer(values.buffers()[1], dtype=odt,
-                                      count=values.offset + 1)[-1])
-            data = np.frombuffer(values.buffers()[2], dtype=np.uint8,
-                                 count=len(values) * width, offset=start)
-            enc = pc.dictionary_encode(pa.array(data.view(_KEY_DTYPES[width])))
-            keys = A.fixed_values(enc.dictionary)
-            offsets = np.arange(len(keys) + 1, dtype=odt) * width
-            dictionary = pa.Array.from_buffers(
-                t, len(keys), [None, pa.py_buffer(offsets), pa.py_buffer(keys)])
-            return pa.DictionaryArray.from_arrays(enc.indices, dictionary)
-    return pc.dictionary_encode(values)
+    if odt is None:
+        return pa.Array.from_buffers(t, len(keys), [None, pa.py_buffer(keys)])
+    offsets = np.arange(len(keys) + 1, dtype=odt) * keys.dtype.itemsize
+    return pa.Array.from_buffers(
+        t, len(keys), [None, pa.py_buffer(offsets), pa.py_buffer(keys)])
 
 
-def _sort_dict_by_frequency(dict_arr: pa.DictionaryArray) -> pa.DictionaryArray:
+def _dictionary_encode(values: pa.Array) -> pa.DictionaryArray:
+    """``pc.dictionary_encode``, through integer keys for the chunks
+    :func:`_equal_width_keys` takes (Arrow's path of those chunks when
+    the kernel is unavailable)."""
+    keys = _equal_width_keys(values)
+    if keys is None:
+        return pc.dictionary_encode(values)
+    enc = pc.dictionary_encode(pa.array(keys))
+    return pa.DictionaryArray.from_arrays(
+        enc.indices, _key_dictionary(values.type, A.fixed_values(enc.dictionary)))
+
+
+def _sort_dict_by_frequency(dictionary: pa.Array, indices: np.ndarray
+                            ) -> tuple[pa.Array, np.ndarray]:
     """Reorder dictionary entries by descending frequency (ties by
     original order) and remap indices — hot values get small indices,
     which pack into fewer bits per RLE run (reference TODO,
     src/dictionary.js:133)."""
-    # the encoded values are non-null, so no index is null
-    ivals = A.fixed_values(dict_arr.indices)
-    counts = np.bincount(ivals, minlength=len(dict_arr.dictionary))
+    counts = np.bincount(indices, minlength=len(dictionary))
     order = np.argsort(-counts, kind="stable")
-    remap = np.empty(len(order), np.int64)
+    remap = np.empty(len(order), np.uint32)
     remap[order] = np.arange(len(order))
-    return pa.DictionaryArray.from_arrays(
-        pa.array(remap[ivals]), dict_arr.dictionary.take(pa.array(order))
-    )
+    return dictionary.take(pa.array(order)), remap[indices]
 
 
 _DELTA_TYPES = (ParquetType.INT32, ParquetType.INT64)
@@ -420,26 +488,26 @@ def encode_chunk(
         bloom = build_bloom(values, el, **bloom_opts)
 
     # --- encoding decision -------------------------------------------------
-    dict_arr = _try_dictionary(values, leaf, spec, opts)
+    dictionary = idx_np_all = None
+    enc = _try_dictionary(values, leaf, spec, opts)
     dictionary_page_offset: Optional[int] = None
     dict_uncomp = 0
-    idx_np_all = None
     bit_width = 0
-    if dict_arr is not None:
+    if enc is not None:
+        dictionary, idx_np_all = enc
         encoding = Encoding.RLE_DICTIONARY
         dictionary_page_offset = w.offset
-        raw = _encode_values(dict_arr.dictionary, leaf, Encoding.PLAIN)
+        raw = _encode_values(dictionary, leaf, Encoding.PLAIN)
         comp = compress(raw, codec, opts.compressors, opts.codec_level)
         write_dictionary_page_header(
             w, uncompressed_page_size=len(raw), compressed_page_size=len(comp),
-            num_values=len(dict_arr.dictionary),
+            num_values=len(dictionary),
             crc=zlib.crc32(comp) if opts.page_crc else None,
         )
         w.write(comp)
         dict_uncomp = (w.offset - dictionary_page_offset) - len(comp) + len(raw)
         enc_stats.append((2, int(Encoding.PLAIN), 1))
-        bit_width = bit_width_of(max(len(dict_arr.dictionary) - 1, 0))
-        idx_np_all = A.fixed_values(dict_arr.indices).astype(np.uint32)
+        bit_width = bit_width_of(max(len(dictionary) - 1, 0))
     else:
         if spec.encoding is not None:
             encoding = spec.encoding
@@ -588,7 +656,7 @@ def encode_chunk(
             stats = fold_statistics(page_stats, values.type, el, lv.null_count)
         else:
             stats = compute_statistics(
-                dict_arr.dictionary if dict_arr is not None else values,
+                dictionary if dictionary is not None else values,
                 el, null_count=lv.null_count,
             )
 

@@ -1,7 +1,9 @@
 """Row-group encoding: one Arrow table (block) -> one relocatable blob
 containing every leaf's column chunk, plus metadata with relative
 offsets (reference: src/parquet-writer.js:63-144). This is the pure
-function each Ray encode task runs.
+function each Ray encode task runs. The blob travels as its parts, a
+list of buffers written in order (each chunk's, as encoded), and is
+joined only where it leaves the process.
 
 :func:`dumps` / :func:`loads`: the one serialized form of an encoded row
 group (single-file stage rows, checkpoint blobs): the blob, a Thrift
@@ -41,8 +43,10 @@ def encode_row_group(
     schema_ir: list[SchemaElement],
     leaves: list[LeafInfo],
     opts: WriteOptions,
-) -> tuple[bytes, RowGroupMeta]:
-    parts: list[bytes] = []
+) -> tuple[list[memoryview], RowGroupMeta]:
+    """The group's blob as its chunk blobs, in schema order, and its
+    metadata."""
+    parts: list[memoryview] = []
     chunks: list[tuple[int, ChunkMeta]] = []
     pos = 0
     total_uncomp = 0
@@ -58,7 +62,7 @@ def encode_row_group(
         pos += len(blob)
         total_uncomp += meta.total_uncompressed_size
 
-    return b"".join(parts), RowGroupMeta(
+    return parts, RowGroupMeta(
         num_rows=table.num_rows,
         chunks=chunks,
         total_byte_size=total_uncomp,
@@ -66,8 +70,9 @@ def encode_row_group(
     )
 
 
-def dumps(blob, meta: RowGroupMeta) -> bytes:
-    """``blob`` and ``meta`` as one relocatable byte string, joined once."""
+def dumps(parts: list, meta: RowGroupMeta) -> bytes:
+    """The blob ``parts`` and ``meta`` as one relocatable byte string,
+    joined once."""
     cms = [cm for _, cm in meta.chunks]
     struct_bytes = serialize({
         1: row_group_thrift([AbsoluteChunk(cm, rel) for rel, cm in meta.chunks],
@@ -79,12 +84,12 @@ def dumps(blob, meta: RowGroupMeta) -> bytes:
             for c in cms],
         4: [cm.bloom or b"" for cm in cms],
     })
-    return b"".join((blob, struct_bytes, len(struct_bytes).to_bytes(4, "little"), TRAILER))
+    return b"".join((*parts, struct_bytes, len(struct_bytes).to_bytes(4, "little"), TRAILER))
 
 
-def loads(data) -> tuple[memoryview, RowGroupMeta]:
-    """The ``(blob, meta)`` of :func:`dumps`'s bytes, the blob a view
-    of ``data``; ``ValueError`` for any other bytes."""
+def loads(data) -> tuple[list[memoryview], RowGroupMeta]:
+    """The ``(parts, meta)`` of :func:`dumps`'s bytes, the blob one part,
+    a view of ``data``; ``ValueError`` for any other bytes."""
     mv = memoryview(data).cast("B")
     end = len(mv) - 8
     if end < 0 or mv[end + 4:] != TRAILER:
@@ -103,7 +108,7 @@ def loads(data) -> tuple[memoryview, RowGroupMeta]:
     except (LookupError, TypeError, AttributeError, ValueError, RecursionError,
             struct.error) as e:  # any parse failure: the bytes are not a group
         raise ValueError(f"not a row group: {e!r}") from None
-    return mv[:start], RowGroupMeta(num_rows=rg[3], chunks=chunks, total_byte_size=rg[2],
+    return [mv[:start]], RowGroupMeta(num_rows=rg[3], chunks=chunks, total_byte_size=rg[2],
                                     total_compressed_size=rg[6])
 
 

@@ -84,8 +84,8 @@ class ParquetWriter:
             slices = [(0, table.num_rows)]
         for (r0, r1) in slices:
             group = table.slice(r0, r1 - r0)
-            blob, meta = encode_row_group(group, self.schema_ir, self.leaves, self.opts)
-            self.assembler.append_group(blob, meta)
+            self.assembler.append_group(
+                *encode_row_group(group, self.schema_ir, self.leaves, self.opts))
 
     def finish(self) -> None:
         self.assembler.finish()

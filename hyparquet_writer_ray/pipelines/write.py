@@ -277,11 +277,11 @@ def _write_part(out_dir: str, fname: str, part_id: str, load, opts: WriteOptions
     with fsio.atomic_sink(fpath) as sink:
         asm = FileAssembler(sink, schema_ir, opts)
         for rec_id, group in groups:
-            blob, meta = encode_row_group(group, schema_ir, leaves, opts)
-            asm.append_group(blob, meta)
+            parts, meta = encode_row_group(group, schema_ir, leaves, opts)
+            asm.append_group(parts, meta)
             rows += group.num_rows
             raw += meta.total_byte_size
-            recs.append(record_from_meta(rec_id, meta, len(blob), file=fname))
+            recs.append(record_from_meta(rec_id, meta, file=fname))
         asm.finish()
     LineageLog(out_dir, name=lineage_name).write_part_record(part_id, recs)
     return _manifest_row(part_id, fname, rows, asm.offset, raw)
@@ -392,7 +392,7 @@ def write_parquet_single_file(
                     part_id = batch.column("part_id")[row].as_py()
                     group = batch.column("group")[row].as_buffer()
                     try:  # a null group: reuse the checkpointed one
-                        blob, meta = loads(group or lineage.load_blob(part_id))
+                        parts, meta = loads(group or lineage.load_blob(part_id))
                     except ValueError as e:
                         if group is not None:
                             raise
@@ -400,9 +400,9 @@ def write_parquet_single_file(
                                               f"is not a row group ({e})") from None
                     if group is not None and lineage is not None:
                         lineage.write_checkpoint(
-                            record_from_meta(part_id, meta, len(blob)), group)
-                    asm.append_group(blob, meta)
-                    total_comp += len(blob)
+                            record_from_meta(part_id, meta), group)
+                    asm.append_group(parts, meta)
+                    total_comp += meta.total_compressed_size
                     total_raw += meta.total_byte_size
                     n_parts += 1
             asm.finish()
@@ -427,10 +427,11 @@ def _encode_table_slice(table: pa.Table, r0: int, r1: int,
     """One row-group slice of a driver-held table, encoded in a Ray
     task. encode_row_group is deterministic and its blob carries
     relative offsets (core/chunk.py), so the ordered assembler can
-    rebase — output is byte-identical to the serial writer."""
-    leaves = leaf_columns(schema_ir)
-    return encode_row_group(table.slice(r0, r1 - r0), schema_ir,
-                            leaves, opts)
+    rebase — output is byte-identical to the serial writer. The chunk
+    blobs are joined into one part here, once, to leave the task."""
+    parts, meta = encode_row_group(table.slice(r0, r1 - r0), schema_ir,
+                                   leaf_columns(schema_ir), opts)
+    return [b"".join(parts)], meta
 
 
 def write_table_parallel(table: pa.Table, sink,

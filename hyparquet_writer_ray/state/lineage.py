@@ -57,7 +57,7 @@ class UnmigratedError(RuntimeError):
                          f"migrate {base}` once, then rerun")
 
 
-def record_from_meta(part_id: str, meta: RowGroupMeta, blob_len: int,
+def record_from_meta(part_id: str, meta: RowGroupMeta,
                      file: Optional[str] = None) -> PartRecord:
     cols = {}
     for _, cm in meta.chunks:
@@ -71,7 +71,7 @@ def record_from_meta(part_id: str, meta: RowGroupMeta, blob_len: int,
         part_id=part_id,
         num_rows=meta.num_rows,
         raw_bytes=meta.total_byte_size,
-        comp_bytes=blob_len,
+        comp_bytes=meta.total_compressed_size,
         columns=cols,
         file=file,
     )

@@ -363,6 +363,27 @@ def test_fsst_write_without_kernel_is_byte_identical():
     assert with_kernel == without
 
 
+def test_fsst_pages_decode_through_the_frozen_oracle():
+    """Every page of a text_fsst-shaped write, nulls and bytes the
+    training sample never saw (escaped) included, decodes through
+    ``tests/fsst_oracle.py`` to the input's non-null values."""
+    import fsst_oracle
+    from hyparquet_writer_ray.sources.webtable import synthesize_batch
+
+    t = synthesize_batch(0, 6_000).select(["url", "text"])
+    text = t.column("text").to_pylist()
+    for i in range(3_000, 6_000, 7):  # past the 2,000-value training head
+        if text[i] is not None:
+            text[i] += "\x01\x7f\u20ac"
+    t = t.set_column(1, "text", pa.array(text))
+    opts = WriteOptions(page_size=64 << 10, row_group_size=(2_500,),
+                        column_specs={"text": ColumnSpec(fsst=True)})
+    values, pages, nulls, escapes = fsst_oracle.read_fsst_column(
+        write_table_to_bytes(t, opts), "text")
+    assert values == [v.encode() for v in text if v is not None]
+    assert pages > 3 and nulls == t.column("text").null_count > 0 and escapes > 0
+
+
 def test_kernel_cache_is_named_by_source_hash(monkeypatch, tmp_path):
     """An edited kernel source builds and loads its own library file,
     never a stale build of the old source."""

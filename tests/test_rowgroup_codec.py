@@ -120,7 +120,7 @@ def test_roundtrip_assembles_the_same_bytes(case):
     data = [dumps(blob, meta) for blob, meta in groups]
     loaded = [loads(d) for d in data]
     assert has_feature([m for _, m in loaded])
-    assert [bytes(b) for b, _ in loaded] == [b for b, _ in groups]
+    assert [b"".join(p) for p, _ in loaded] == [b"".join(p) for p, _ in groups]
     assert _assemble(schema_ir, opts, loaded) == _assemble(schema_ir, opts, groups)
     assert [dumps(*g) for g in loaded] == data
 

@@ -40,6 +40,15 @@ The files cover:
   constant runs and alternating min/max extremes, plus a url-like
   string column forced to DELTA_BYTE_ARRAY, all with nulls, in 1 KiB
   pages.
+- ``dict_edge.parquet``: dictionary chunks of int8, int16 (with
+  nulls), uint32, date32, a time-zoned timestamp, float32, a float64
+  column with one NaN late in one chunk, and 2- and 8-byte strings;
+  int32 columns at the trial's boundary (exactly 500 and 501 distinct
+  values in a 1,000-value sample, 500 in a 999-row chunk), an int64
+  column whose dictionary outgrows the 4 KiB page in the larger
+  chunks, and an all-distinct column forced to RLE_DICTIONARY. The
+  input is a slice at a non-zero offset, cut into row groups of 999,
+  1,000, 1,001, 6,000, 6,000 and 300 rows.
 - ``rows.parquet``: ``write_rows`` of row dicts to a path sink with
   ``row_group_size=(700, 1500)``: inferred int32, int64, double,
   string, boolean and timestamp columns with nulls, and a dict-valued
@@ -49,7 +58,7 @@ The files cover:
   ``(300, 500, 800)``, so each call picks the schedule up where the
   previous one left it.
 
-The ``lineitem.parquet`` to ``delta_edge.parquet`` files are written
+The ``lineitem.parquet`` to ``dict_edge.parquet`` files are written
 by ``write_table`` to a path sink.
 
 With ``--ray`` it starts a local Ray session and checks the Ray
@@ -221,6 +230,34 @@ def _delta_edge(n: int = 20_000, seed: int = 17) -> pa.Table:
     })
 
 
+def _dict_edge(n: int = 15_300, seed: int = 29) -> pa.Table:
+    rng = np.random.default_rng(seed)
+    skip = 123  # sliced off below
+    m = n + skip
+    i = np.arange(m) - skip
+
+    def pick(values, dtype=None) -> np.ndarray:
+        return np.asarray(values, dtype)[rng.integers(0, len(values), m)]
+
+    f64 = pick(np.round(rng.normal(0, 50, 20), 1))
+    f64[12_000 + skip] = np.nan
+    return pa.table({
+        "i8": pick(np.arange(-128, 128), np.int8),
+        "i16": pa.array(pick(np.arange(-200, 200), np.int16), mask=rng.random(m) < 0.05),
+        "u32": pick(rng.integers(0, 2**32, 50), np.uint32),
+        "date": pa.array(pick(np.arange(10_950, 11_250), np.int32), pa.date32()),
+        "ts_tz": pa.array(pick(rng.integers(0, 2**50, 100)), pa.timestamp("us", tz="America/New_York")),
+        "f32": pick([np.inf, -np.inf, 0.0, *rng.normal(0, 1e3, 61)], np.float32),
+        "f64_late_nan": f64,
+        "s2": pa.array(pick([f"{c}{d}" for c in "ABCDEFGH" for d in "xyz"])),
+        "s8": pa.array(pick([f"code{k:04d}".encode() for k in range(40)]), pa.binary()),
+        "b500": (i % 500).astype(np.int32),
+        "b501": (i % 501).astype(np.int32),
+        "wide": i // 3,
+        "forced": i,
+    }).slice(skip)
+
+
 def _files() -> list[tuple[str, pa.Table, WriteOptions]]:
     web = synthesize_batch(0, 20_000)
     return [
@@ -238,6 +275,9 @@ def _files() -> list[tuple[str, pa.Table, WriteOptions]]:
              **{c: ColumnSpec(encoding=Encoding.DELTA_BINARY_PACKED)
                 for c in ("i8", "i16", "i32", "u32", "i64", "u64", "date", "ts")},
              "url": ColumnSpec(encoding=Encoding.DELTA_BYTE_ARRAY)})),
+        ("dict_edge.parquet", _dict_edge(),
+         WriteOptions(page_size=4 << 10, row_group_size=(999, 1_000, 1_001, 6_000, 6_000, 300),
+                      column_specs={"forced": ColumnSpec(encoding=Encoding.RLE_DICTIONARY)})),
     ]
 
 
