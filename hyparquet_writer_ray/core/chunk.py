@@ -265,7 +265,7 @@ def _try_dictionary(values: pa.Array, leaf: LeafInfo, spec: ColumnSpec, opts: Wr
         return None
     if got is None:
         try:
-            dict_arr = _dictionary_encode(values)
+            dict_arr = pc.dictionary_encode(values)
         except pa.ArrowNotImplementedError:
             if forced:
                 raise TypeError(
@@ -341,11 +341,9 @@ def _equal_width_keys(values: pa.Array) -> "np.ndarray | None":
     view); None for any other chunk.
 
     Equal-width values are equal exactly when their bytes, read as one
-    unsigned integer, are; so the keys give the same first-occurrence
-    dictionary and the same indices as the strings. Hashing integers
-    skips the per-value offset walk: on 100k 1-byte strings (one vCPU)
-    Arrow takes 0.9 ms through the keys against 3.4 ms for
-    ``pc.dictionary_encode`` of the strings."""
+    unsigned integer, are; so the kernel's ``dict_encode`` over the keys
+    gives the strings' first-occurrence dictionary and indices, as
+    ``pc.dictionary_encode`` does, without a per-value offset walk."""
     odt = A.offset_dtype(values.type)
     n = len(values)
     if odt is None or values.null_count or not n:
@@ -371,18 +369,6 @@ def _key_dictionary(t: pa.DataType, keys: np.ndarray) -> pa.Array:
     offsets = np.arange(len(keys) + 1, dtype=odt) * keys.dtype.itemsize
     return pa.Array.from_buffers(
         t, len(keys), [None, pa.py_buffer(offsets), pa.py_buffer(keys)])
-
-
-def _dictionary_encode(values: pa.Array) -> pa.DictionaryArray:
-    """``pc.dictionary_encode``, through integer keys for the chunks
-    :func:`_equal_width_keys` takes (Arrow's path of those chunks when
-    the kernel is unavailable)."""
-    keys = _equal_width_keys(values)
-    if keys is None:
-        return pc.dictionary_encode(values)
-    enc = pc.dictionary_encode(pa.array(keys))
-    return pa.DictionaryArray.from_arrays(
-        enc.indices, _key_dictionary(values.type, A.fixed_values(enc.dictionary)))
 
 
 def _sort_dict_by_frequency(dictionary: pa.Array, indices: np.ndarray

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import pyarrow as pa
 
-from .arrays import drop_null_fast, single_chunk
+from .arrays import drop_null_fast, single_chunk, validity_mask
 from .types import LeafInfo
 
 
@@ -51,14 +51,6 @@ class _Slots:
     arr: pa.Array
 
 
-def _validity(arr: pa.Array) -> np.ndarray:
-    if arr.null_count == 0:
-        return np.ones(len(arr), dtype=bool)
-    buf = arr.buffers()[0]
-    bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8), bitorder="little")
-    return bits[arr.offset : arr.offset + len(arr)].astype(bool)
-
-
 def _list_offsets(arr: pa.Array) -> np.ndarray:
     t = arr.type
     dt = np.int64 if (pa.types.is_large_list(t)) else np.int32
@@ -68,7 +60,7 @@ def _list_offsets(arr: pa.Array) -> np.ndarray:
 
 def _descend_optional(s: _Slots, arr: pa.Array) -> _Slots:
     """Consume one OPTIONAL nesting level: null slots terminate here."""
-    valid = _validity(arr)[s.index] if arr.null_count else np.ones(len(s.index), bool)
+    valid = validity_mask(arr)[s.index] if arr.null_count else np.ones(len(s.index), bool)
     new_def = s.def_.copy()
     present_idx = np.nonzero(s.present)[0]
     new_def[present_idx[valid]] += 1

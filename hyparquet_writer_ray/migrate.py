@@ -8,17 +8,17 @@ holds a ``manifest.jsonl``. Every older format lives here instead, and is
 converted once. For each ``_lineage*`` namespace directly under
 ``<dir>`` (``_lineage``, ``_lineage_compact``, a checkpoint dir's):
 
-- Each distinct ``manifest.jsonl`` line becomes a record, keyed as the
-  writers key it: ``parts/<file name minus "part-" and ".parquet">.json``,
-  one list per file, or ``parts/<part_id>.json`` for a checkpoint
-  record (no file). A file that already has a ``parts/`` list keeps it.
-  Lines that do not parse (a driver killed mid-append tore the last
-  one) are skipped, and the ``checksum`` field older records carry is
-  dropped.
+- Each distinct ``manifest.jsonl`` line of a part file becomes a
+  record, keyed as the writers key it: ``parts/<file name minus "part-"
+  and ".parquet">.json``, one list per file. A file that already has a
+  ``parts/`` list keeps it. Lines that do not parse (a driver killed
+  mid-append tore the last one) are skipped, and the ``checksum`` field
+  older records carry is dropped. A line naming no file (a single-file
+  checkpoint's) needs no record: a checkpoint is its blob.
 - A ``parts/`` record that carries ``checksum`` is rewritten without it.
 - A checkpoint ``blobs/<id>`` that ``core/rowgroup.loads`` rejects (an
-  older version's pickle, never unpickled) is deleted with its
-  ``parts/<id>.json``; the next run re-encodes just those row groups.
+  older version's pickle, never unpickled) is deleted; the next run
+  re-encodes just those row groups.
 
 Then, for the whole directory:
 
@@ -72,17 +72,15 @@ def _manifest_records(path: str) -> list[PartRecord] | None:
 
 
 def _key(rec: PartRecord) -> str:
-    """The ``parts/`` key a writer gives ``rec``'s part."""
-    if rec.file is None:
-        return rec.part_id
+    """The ``parts/`` key a writer gives ``rec``'s part file."""
     name = posixpath.basename(rec.file)
     return name.removeprefix("part-").removesuffix(".parquet")
 
 
 def _migrate_lineage(log: LineageLog, summary: dict) -> bool:
-    """Write ``log``'s manifest lines as ``parts/`` records and drop
-    ``checksum`` from the records that carry it; True when ``log`` has
-    a manifest."""
+    """Write ``log``'s manifest lines of part files as ``parts/``
+    records and drop ``checksum`` from the records that carry it; True
+    when ``log`` has a manifest."""
     lists = {}
     for name in fsio.listdir(log.parts_dir):
         if not name.endswith(".json"):
@@ -99,7 +97,7 @@ def _migrate_lineage(log: LineageLog, summary: dict) -> bool:
     files = {d.get("file") for dicts in lists.values() for d in dicts} - {None}
     new: dict[str, list[PartRecord]] = {}
     for rec in manifest or ():
-        if rec.file not in files and _key(rec) not in lists:
+        if rec.file and rec.file not in files and _key(rec) not in lists:
             new.setdefault(_key(rec), []).append(rec)
     for key, recs in new.items():
         log.write_part_record(key, recs)
@@ -108,7 +106,7 @@ def _migrate_lineage(log: LineageLog, summary: dict) -> bool:
 
 
 def _drop_old_blobs(log: LineageLog) -> list[str]:
-    """``log``'s blobs (not tmps) that ``loads`` rejects, removed after their records."""
+    """``log``'s blobs (not tmps) that ``loads`` rejects, removed."""
     dropped = []
     for name in fsio.listdir(log.blob_dir):
         path = fsio.join(log.blob_dir, name)
@@ -116,7 +114,6 @@ def _drop_old_blobs(log: LineageLog) -> list[str]:
             if "." not in name:  # else a tmp, left to the aged-tmp sweeps
                 loads(fsio.read_bytes(path))
         except ValueError:
-            fsio.rm_file(fsio.join(log.parts_dir, f"{name}.json"))
             fsio.rm_file(path)
             dropped.append(path)
     return dropped

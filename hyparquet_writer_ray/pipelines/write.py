@@ -26,10 +26,10 @@ and runs each pending one as a plain Ray task. Those tasks and the slice
 encodes of :func:`write_table_parallel` run through the one runner
 :func:`_run_tasks`, which has the one cancel-and-drain failure path.
 
-Resume reads only today's lineage (``parts/<id>.json`` records) and
-today's part names. An out_dir written by an older version is refused
-until ``python -m hyparquet_writer_ray migrate`` (``migrate.py``) has
-converted it once.
+Resume reads only today's lineage (``parts/<id>.json`` records, and
+a checkpoint dir's ``blobs/<id>``) and today's part names. An out_dir
+written by an older version is refused until ``python -m
+hyparquet_writer_ray migrate`` (``migrate.py``) has converted it once.
 """
 from __future__ import annotations
 
@@ -318,12 +318,17 @@ def _add_row(total: dict, row: dict, done: dict) -> None:
 
 def _drain_manifests(manifest_ds, done: dict) -> dict:
     """Driver loop of the content-named part writers: run the part tasks
-    of ``manifest_ds`` and total their summary rows (:func:`_add_row`)."""
+    of ``manifest_ds`` and total their summary rows (:func:`_add_row`),
+    each part file once: blocks of equal content (an input read twice)
+    name, and write, one part."""
     total = _new_totals()
+    seen = set()
     for batch in manifest_ds.iter_batches(batch_size=None,
                                           batch_format="pyarrow"):
         for row in batch.to_pylist():
-            _add_row(total, row, done)
+            if row["file"] not in seen:
+                seen.add(row["file"])
+                _add_row(total, row, done)
     return total
 
 
@@ -361,8 +366,8 @@ def write_parquet_single_file(
 ) -> dict:
     """Encode ``ds`` into one parquet file at ``path``.
 
-    Returns summary stats. With ``checkpoint_dir``, encoded blobs are
-    checkpointed per partition and a rerun reuses finished partitions.
+    Returns summary stats. With ``checkpoint_dir``, each encoded row
+    group is checkpointed as one blob, and a rerun reuses the blobs.
     """
     opts = opts or WriteOptions()
     schema_ir = schema_from_arrow(_normalized_arrow_schema(ds),
@@ -372,8 +377,8 @@ def write_parquet_single_file(
     skip: frozenset[str] = frozenset()
     if checkpoint_dir:
         fsio.clean_stale_tmps(checkpoint_dir)
-        lineage = LineageLog(checkpoint_dir, store_blobs=True)
-        skip = frozenset(lineage.completed_parts())
+        lineage = LineageLog(checkpoint_dir)
+        skip = lineage.completed_parts()
 
     encoded = _map_batches(ds, partial(
         encode_row_groups, schema_ir=schema_ir, opts=opts,
@@ -399,8 +404,7 @@ def write_parquet_single_file(
                         raise UnmigratedError(checkpoint_dir, f"checkpoint blob {part_id} "
                                               f"is not a row group ({e})") from None
                     if group is not None and lineage is not None:
-                        lineage.write_checkpoint(
-                            record_from_meta(part_id, meta), group)
+                        lineage.write_checkpoint(part_id, group)
                     asm.append_group(parts, meta)
                     total_comp += meta.total_compressed_size
                     total_raw += meta.total_byte_size

@@ -4,20 +4,22 @@ checkpointed so a killed job resumes at partition granularity").
 
 Everything lives under ``<base_dir>/_lineage/`` and goes through
 state/fsio.py, so a local path and an fsspec URI (``s3://bucket/out``)
-get the same semantics:
+get the same semantics. Each finished unit of work is one atomic put
+(fsio.write_marker) made the moment it is durable, and resume trusts
+nothing else:
 
-- ``parts/<part>.json``: a finished part's records, one atomic put
-  (fsio.write_marker) made the moment the part is durable. They are
-  the only lineage a writer writes, and what resume trusts.
-- ``blobs/<part_id>``: a single-file checkpoint: one encoded row
-  group as the relocatable bytes of ``core/rowgroup.dumps``, stored and
-  returned as is, put just before the part's record.
+- ``parts/<part>.json``: a part file's records (one per row group: its
+  codec and size metrics), written by the part-file writers.
+- ``blobs/<part_id>``: a single-file checkpoint: one encoded row group
+  as the relocatable bytes of ``core/rowgroup.dumps``, stored and
+  returned as is. The blob is its own record: its Thrift ``RowGroup``
+  carries every chunk's encodings, codec and sizes, and its name is
+  the part id, so a resume is one listing of ``blobs/``.
 
-Nothing else is read. A namespace that still holds the
-``manifest.jsonl`` of older versions, or a record this version cannot
-load, raises :class:`UnmigratedError` on resume, naming
-``python -m hyparquet_writer_ray migrate <dir>`` (hyparquet_writer_ray/
-migrate.py), which converts it once.
+A namespace that still holds the ``manifest.jsonl`` of older versions,
+or a record this version cannot load, raises :class:`UnmigratedError`
+on resume, naming ``python -m hyparquet_writer_ray migrate <dir>``
+(hyparquet_writer_ray/migrate.py), which converts it once.
 """
 from __future__ import annotations
 
@@ -78,7 +80,7 @@ def record_from_meta(part_id: str, meta: RowGroupMeta,
 
 
 class LineageLog:
-    """Per-part completion records + optional blob checkpoint store.
+    """Per-part completion records + the single-file checkpoint store.
 
     Completion records are written by the WORKER that finished the part
     (atomic per-part json under ``_lineage/parts/``), so a hard-killed
@@ -86,21 +88,16 @@ class LineageLog:
     partition-granular resume survives SIGKILL at any point.
     """
 
-    def __init__(self, base_dir: str, *, store_blobs: bool = False,
-                 name: str = "_lineage") -> None:
+    def __init__(self, base_dir: str, *, name: str = "_lineage") -> None:
         # ``name`` namespaces independent writers sharing one out_dir
         # (e.g. compaction keeps its own records so its stale-part GC
         # can never see — or delete — parts another writer recorded)
         self.base = base_dir
-        self.name = name
         self.dir = fsio.join(base_dir, name)
         self.blob_dir = fsio.join(self.dir, "blobs")
         self.parts_dir = fsio.join(self.dir, "parts")
         self.manifest_path = fsio.join(self.dir, "manifest.jsonl")
         fsio.makedirs(self.dir)
-        if store_blobs:
-            fsio.makedirs(self.blob_dir)
-        self.store_blobs = store_blobs
 
     # -- write side -----------------------------------------------------
     def write_part_record(self, part_key: str, recs: list[PartRecord]) -> None:
@@ -110,13 +107,12 @@ class LineageLog:
         fsio.write_marker(fsio.join(self.parts_dir, f"{part_key}.json"),
                           json.dumps([asdict(r) for r in recs]))
 
-    def write_checkpoint(self, rec: PartRecord, group) -> None:
+    def write_checkpoint(self, part_id: str, group) -> None:
         """Single-file checkpoint of one encoded row group's bytes (any
-        buffer, a ``pyarrow.Buffer`` of the stage's output, say): put
-        the blob, then its completion record, so a record never names a
-        blob that is not durable."""
-        fsio.write_marker(fsio.join(self.blob_dir, rec.part_id), group)
-        self.write_part_record(rec.part_id, [rec])
+        buffer, a ``pyarrow.Buffer`` of the stage's output, say): one
+        atomic put of the blob, which is also its completion record."""
+        fsio.makedirs(self.blob_dir)
+        fsio.write_marker(fsio.join(self.blob_dir, part_id), group)
 
     def clear(self) -> None:
         """Forget all completion records (fresh-export semantics: the
@@ -124,8 +120,6 @@ class LineageLog:
         records would wrongly mark new work as done): the whole
         namespace goes, an unmigrated one's state included."""
         fsio.rm_tree(self.dir)
-        if self.store_blobs:
-            fsio.makedirs(self.blob_dir)  # the next checkpoint needs it
 
     # -- resume side ----------------------------------------------------
     def _existing(self, names: set[str]) -> dict[str, int]:
@@ -139,30 +133,30 @@ class LineageLog:
                  for n in names}
         return {n: int(info["size"]) for n, info in found.items() if info}
 
-    def _done(self, recs: list[PartRecord]) -> list[PartRecord]:
-        """The records whose output still exists: the checkpointed blob
-        with ``store_blobs``, else the part file. A record naming no
-        file is done; one whose file is gone is NOT."""
-        def output(rec: PartRecord) -> Optional[str]:
-            if self.store_blobs:
-                return f"{self.name}/blobs/{rec.part_id}"
-            return rec.file
+    def _refuse_unmigrated(self) -> None:
+        """The one probe every resume makes first: refuse a namespace
+        that still holds a ``manifest.jsonl`` (one read attempt, which
+        finds nothing in a migrated or new one)."""
+        try:
+            fsio.read_bytes(self.manifest_path)
+        except FileNotFoundError:
+            return
+        raise UnmigratedError(self.base, f"{self.manifest_path} is lineage "
+                              "state of an older version")
 
-        have = self._existing({output(r) for r in recs} - {None})
-        return [r for r in recs if output(r) is None or output(r) in have]
-
-    def _part_record_lists(self) -> list[list[PartRecord]]:
-        """The records of each finished part (one per row group), from
-        the worker-written ``parts/`` files. A record that is JSON but
-        not a :class:`PartRecord` raises :class:`UnmigratedError`."""
+    def _records(self) -> list[PartRecord]:
+        """Every record of the worker-written ``parts/`` files (one per
+        row group of each finished part). A record that is JSON but not
+        a :class:`PartRecord` raises :class:`UnmigratedError`."""
+        self._refuse_unmigrated()
         out = []
         for name in fsio.listdir(self.parts_dir):
             if not name.endswith(".json"):
                 continue
             path = fsio.join(self.parts_dir, name)
             try:
-                out.append([PartRecord(**d) for d in json.loads(
-                    fsio.read_marker(path))])
+                out += [PartRecord(**d) for d in json.loads(
+                    fsio.read_marker(path))]
             except (json.JSONDecodeError, OSError):
                 continue  # torn write of a non-atomic fs: ignore
             except TypeError as e:
@@ -170,20 +164,12 @@ class LineageLog:
                     self.base, f"{path} is not a lineage record ({e})") from None
         return out
 
-    def _records(self) -> list[PartRecord]:
-        """Every record of the ``parts/`` files. The one place every
-        resume goes through, so it refuses a namespace that still holds
-        a ``manifest.jsonl``: one read attempt, which finds nothing in
-        a migrated or new one."""
-        try:
-            fsio.read_bytes(self.manifest_path)
-        except FileNotFoundError:
-            return [r for part in self._part_record_lists() for r in part]
-        raise UnmigratedError(self.base, f"{self.manifest_path} is lineage "
-                              "state of an older version")
-
-    def completed_parts(self) -> dict[str, PartRecord]:
-        return {r.part_id: r for r in self._done(self._records())}
+    def completed_parts(self) -> frozenset[str]:
+        """Single-file mode: the part ids of the checkpointed row groups,
+        from one listing of ``blobs/`` (the ``<id>.inprogress-*`` tmps
+        of puts in flight excluded)."""
+        self._refuse_unmigrated()
+        return frozenset(n for n in fsio.listdir(self.blob_dir) if "." not in n)
 
     def completed_records(self) -> dict[str, DoneFile]:
         """Part-file mode: every recorded output file that exists,

@@ -14,8 +14,9 @@ Either can be told to fail the N-th ``write`` call from now
 (:meth:`FaultMixin.fail_write`), which is how a test kills a writer
 mid-part. Every class keeps its own store; :meth:`FaultMixin.reset`
 empties it. ``calls`` counts metadata lookups (``info``, which
-``exists``/``size`` go through) and listings (``find``, which ``glob``
-goes through).
+``exists``/``size`` go through), listings (``find``, which ``glob``
+goes through), whole-object reads (``cat_file``) and, on
+``faultput://``, completed PUTs (``put``).
 """
 from __future__ import annotations
 
@@ -65,6 +66,10 @@ class FaultMixin:
         self.calls["find"] += 1
         return super().find(path, *args, **kwargs)
 
+    def cat_file(self, path, *args, **kwargs):
+        self.calls["cat_file"] += 1
+        return super().cat_file(path, *args, **kwargs)
+
 
 class _VisibleFile(MemoryFile):
     def write(self, data):
@@ -102,6 +107,7 @@ class _PutFile(io.BytesIO):
         if not self.closed and not self._aborted:
             self.fs.store[self.path] = MemoryFile(self.fs, self.path,
                                                   self.getvalue())
+            self.fs.calls["put"] += 1
         super().close()
 
 

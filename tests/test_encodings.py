@@ -149,13 +149,20 @@ class TestDictionary:
         data=st.data(),
     )
     def test_dictionary_encode_matches_arrow(self, typ, width, data):
-        """Equal-width 1/2/4/8-byte chunks are encoded through integer
-        keys; every chunk must give ``pc.dictionary_encode``'s
-        dictionary (values, type, byte size) and indices."""
+        """The kernel's integer-key dictionary takes exactly the
+        equal-width 1/2/4/8-byte chunks (widths 0 and 9, and a chunk
+        with one value of another width, are left to Arrow) and gives
+        ``pc.dictionary_encode``'s dictionary (values, type, byte size)
+        and indices."""
         import pyarrow.compute as pc
 
-        from hyparquet_writer_ray.core.chunk import _dictionary_encode
+        from hyparquet_writer_ray.core import _kernel
+        from hyparquet_writer_ray.core.chunk import _kernel_dictionary
+        from hyparquet_writer_ray.core.schema import schema_from_arrow
+        from hyparquet_writer_ray.core.types import leaf_columns
 
+        if _kernel.get_kernel() is None:
+            pytest.skip("no compiled kernel")
         text = pa.types.is_string(typ) or pa.types.is_large_string(typ)
         alphabet = (st.text(st.characters(max_codepoint=127), min_size=width, max_size=width)
                     .map(str.encode) if text else st.binary(min_size=width, max_size=width))
@@ -165,13 +172,20 @@ class TestDictionary:
         if data.draw(st.booleans()):  # one value of another width
             vals.insert(data.draw(st.integers(0, len(vals))), b"z" * (width + 1))
         arr = pa.array(vals, pa.binary()).cast(typ)
+        leaf = leaf_columns(schema_from_arrow(pa.schema([("s", typ, False)])))[0]
         start = data.draw(st.integers(0, len(arr) - 1))
         for a in (arr, arr.slice(start), arr.slice(start, (len(arr) - start) // 2)):
-            got, want = _dictionary_encode(a), pc.dictionary_encode(a)
-            assert got.type == want.type
-            assert got.indices.equals(want.indices)
-            assert got.dictionary.equals(want.dictionary)
-            assert got.dictionary.nbytes == want.dictionary.nbytes
+            got = _kernel_dictionary(a, leaf, 0)
+            widths = set(pc.binary_length(a).to_pylist())
+            if not len(a) or widths - {1, 2, 4, 8} or len(widths) > 1:
+                assert got is None
+                continue
+            dictionary, indices = got
+            want = pc.dictionary_encode(a)
+            assert dictionary.type == want.dictionary.type
+            assert dictionary.equals(want.dictionary)
+            assert dictionary.nbytes == want.dictionary.nbytes
+            assert indices.tolist() == want.indices.to_pylist()
 
 
 class TestBooleanRle:

@@ -125,41 +125,61 @@ def test_sweep_with_mtime_removes_aged_tmps():
     assert not fs.exists("/dest/one.parquet.inprogress-3-dead")
 
 
-@pytest.mark.parametrize("store_blobs", [False, True])
-def test_resume_validation_lists_instead_of_heads(store_blobs):
-    """Resume checks each record's output against one listing per
+def test_resume_validation_lists_instead_of_heads():
+    """Resume checks each record's part file against one listing per
     directory the records name (plus the parts/ listing), not one HEAD
     per record: the lookups do not grow with the number of parts. A
-    record whose output is gone is not done."""
+    record whose output is gone is not done. Reads are the manifest
+    probe plus one GET per record file."""
     fs = faultfs.PutFS
 
     def validate(n: int) -> dict:
         base = f"faultput://res{n}"
-        log = LineageLog(base, store_blobs=store_blobs)
+        log = LineageLog(base)
         for i in range(n):
             # part files in two directories: the root and a hive subdir
             rec = PartRecord(part_id=f"p{i}", num_rows=1, raw_bytes=i,
                              comp_bytes=1,
                              file=f"{'k=a/' if i % 2 else ''}part-{i}.parquet")
-            if store_blobs:
-                log.write_checkpoint(rec, b"blob")
-            else:
-                fsio.write_marker(fsio.join(base, rec.file), b"PAR1")
-                log.write_part_record(rec.part_id, [rec])
-        gone = fsio.join(log.blob_dir, "p0") if store_blobs \
-            else fsio.join(base, "part-0.parquet")
-        fsio.remove(gone)
+            fsio.write_marker(fsio.join(base, rec.file), b"PAR1")
+            log.write_part_record(rec.part_id, [rec])
+        fsio.remove(fsio.join(base, "part-0.parquet"))
         fs.calls.clear()
-        if store_blobs:
-            got = set(LineageLog(base, store_blobs=True).completed_parts())
-            assert got == {f"p{i}" for i in range(1, n)}
-        else:
-            got = set(LineageLog(base).completed_records())
-            assert got == {f"{'k=a/' if i % 2 else ''}part-{i}.parquet"
-                           for i in range(1, n)}
-        return dict(fs.calls)
+        got = set(LineageLog(base).completed_records())
+        assert got == {f"{'k=a/' if i % 2 else ''}part-{i}.parquet"
+                       for i in range(1, n)}
+        calls = dict(fs.calls)
+        assert calls.pop("cat_file") == 1 + n
+        return calls
 
     few, many = validate(3), validate(12)
     assert few == many
-    # parts/ plus blobs/, or parts/ plus the two part directories
-    assert many["find"] == (2 if store_blobs else 3)
+    # parts/ plus the two part directories
+    assert many == {"find": 3}
+
+
+def test_checkpoint_is_one_put_and_resume_one_listing():
+    """A single-file checkpoint is one PUT, of its blob, and a resume
+    over 30 checkpoints makes the same requests as one over 3,000: the
+    manifest probe and one listing of blobs/. A blob whose put never
+    completed is not done."""
+    fs = faultfs.PutFS
+
+    def resume(n: int) -> dict:
+        base = f"faultput://ckpt{n}"
+        log = LineageLog(base)
+        for i in range(n):
+            fs.calls.clear()
+            log.write_checkpoint(f"p{i}", b"blob")
+            assert fs.calls["put"] == 1
+        fs.fail_write(1)
+        with pytest.raises(OSError, match="injected write failure"):
+            log.write_checkpoint("torn", b"blob")
+        fs.calls.clear()
+        assert LineageLog(base).completed_parts() == {f"p{i}" for i in range(n)}
+        calls = dict(fs.calls)
+        assert LineageLog(base).load_blob("p0") == b"blob"
+        return calls
+
+    few, many = resume(30), resume(3000)
+    assert few == many == {"cat_file": 1, "find": 1}

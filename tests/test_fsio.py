@@ -6,6 +6,7 @@ distributed kill-resume paths end-to-end through real Ray workers
 (every byte routed through the fsspec branch of state/fsio.py)."""
 from __future__ import annotations
 
+import json
 import os
 
 import numpy as np
@@ -107,18 +108,18 @@ def test_lineage_memory_uri_roundtrip():
                        comp_bytes=40, file="part-p0.parquet")]
     # worker-side record: durable immediately
     log.write_part_record("p0", recs)
-    # the referenced part file must exist for _validate
+    # the referenced part file must exist for the record to count
     fsio.pq_write_table(pa.table({"x": [1, 2, 3, 4, 5]}),
                         fsio.join(base, "part-p0.parquet"))
-    got = LineageLog(base).completed_parts()
-    assert set(got) == {"p0"} and got["p0"].num_rows == 5
-    log.write_part_record("p1", [PartRecord(part_id="p1", num_rows=2,
-                                            raw_bytes=10, comp_bytes=5)])
+    got = LineageLog(base).completed_records()
+    assert set(got) == {"part-p0.parquet"} and got["part-p0.parquet"].records == recs
+    log.write_part_record("p1", [PartRecord(part_id="p1", num_rows=2, raw_bytes=10,
+                                            comp_bytes=5, file="part-p1.parquet")])
     assert not fsio.exists(fsio.join(base, "_lineage", "manifest.jsonl"))
-    got = LineageLog(base).completed_parts()
-    assert set(got) == {"p0", "p1"}  # p1 has file=None -> always valid
+    # p1's file was never written: not done
+    assert set(LineageLog(base).completed_records()) == {"part-p0.parquet"}
     LineageLog(base).clear()
-    assert LineageLog(base).completed_parts() == {}
+    assert LineageLog(base).completed_records() == {}
     fsio.rm_tree(base)
 
 
@@ -391,15 +392,13 @@ def test_glob_in_escapes_metachar_dirs(tmp_path):
 
 
 def test_lineage_completed_parts_metachar_dir(tmp_path):
-    """Reproducer from the r5 review: per-part records written under
-    run[1] must be found on resume."""
-    from hyparquet_writer_ray.state.lineage import LineageLog, PartRecord
+    """Reproducer from the r5 review: checkpoints written under run[1]
+    must be found on resume."""
+    from hyparquet_writer_ray.state.lineage import LineageLog
 
     base = str(tmp_path / "run[1]")
-    log = LineageLog(base)
-    log.write_part_record("p0", [PartRecord(
-        part_id="p0", num_rows=3, raw_bytes=10, comp_bytes=5)])
-    assert set(LineageLog(base).completed_parts()) == {"p0"}
+    LineageLog(base).write_checkpoint("p0", b"blob")
+    assert LineageLog(base).completed_parts() == {"p0"}
 
 
 def test_part_sink_file_uri_never_exposes_partial(tmp_path):
@@ -436,19 +435,17 @@ def test_write_marker_file_uri_atomic(tmp_path):
 
 
 def test_lineage_single_file_uri_records_survive_driver_kill():
-    """store_blobs + URI: each checkpoint durably persists the
-    completion record WITH the blob, so a driver killed right after it
-    still resumes."""
-    from hyparquet_writer_ray.state.lineage import LineageLog, PartRecord
+    """URI: each checkpoint is one durable put of its blob, which is
+    its own completion record, so a driver killed right after it still
+    resumes."""
+    from hyparquet_writer_ray.state.lineage import LineageLog
 
     base = "memory://fsio_sfckpt"
     fsio.makedirs(base)
-    log = LineageLog(base, store_blobs=True)
-    log.write_checkpoint(PartRecord(part_id="g0", num_rows=4, raw_bytes=20,
-                                    comp_bytes=9), b"groupbytes")
-    got = LineageLog(base, store_blobs=True).completed_parts()
-    assert set(got) == {"g0"} and got["g0"].num_rows == 4
-    assert LineageLog(base, store_blobs=True).load_blob("g0") == b"groupbytes"
+    LineageLog(base).write_checkpoint("g0", b"groupbytes")
+    assert LineageLog(base).completed_parts() == {"g0"}
+    assert LineageLog(base).load_blob("g0") == b"groupbytes"
+    assert not fsio.exists(fsio.join(base, "_lineage", "parts"))
     fsio.rm_tree(base)
 
 
@@ -462,8 +459,10 @@ def test_lineage_file_uri_keeps_prior_records(tmp_path):
         part_id="a", num_rows=1, raw_bytes=1, comp_bytes=1)])
     LineageLog(base).write_part_record("b", [PartRecord(
         part_id="b", num_rows=2, raw_bytes=2, comp_bytes=2)])
-    got = LineageLog(base).completed_parts()
-    assert set(got) == {"a", "b"}
+    parts = tmp_path / "lin" / "_lineage" / "parts"
+    assert sorted(p.name for p in parts.iterdir()) == ["a.json", "b.json"]
+    assert [json.loads(p.read_text())[0]["num_rows"]
+            for p in sorted(parts.iterdir())] == [1, 2]
     assert list((tmp_path / "lin").rglob("*.inprogress-*")) == []
 
 

@@ -580,7 +580,8 @@ def test_finished_resume_runs_no_task(part_tasks):
 def test_resume_lists_finished_parts_instead_of_heads(monkeypatch):
     """On an atomic-PUT store, resuming 3 or 30 finished parts costs the
     same listings and not one metadata request: sizes come with the
-    listing of the out_dir."""
+    listing of the out_dir. Reads are the manifest probe plus one GET
+    per record file."""
     fs = faultfs.PutFS
     fs.reset()
     FakeTasks(monkeypatch, fs)
@@ -591,7 +592,9 @@ def test_resume_lists_finished_parts_instead_of_heads(monkeypatch):
         W.write_parquet_files(paths, out)
         fs.calls.clear()
         assert W.write_parquet_files(paths, out)["skipped_parts"] == n
-        return dict(fs.calls)
+        calls = dict(fs.calls)
+        assert calls.pop("cat_file") == 1 + n
+        return calls
 
     try:
         few, many = calls(3), calls(30)
@@ -623,7 +626,9 @@ def test_duplicate_input_is_rejected(ray_session, tmp_path, monkeypatch):
     ``.`` segment, as a ``file://`` URI), would send two tasks racing on
     one part file and count its rows twice: ``write_parquet_files``
     raises before writing anything. A fused read of such paths holds
-    the rows twice, as Ray reads them, and keeps content names."""
+    the rows twice, as Ray reads them, and keeps content names: its two
+    equal blocks write one part, and the totals count that part once,
+    fresh and on a rerun."""
     monkeypatch.chdir(tmp_path)
     p = _inputs(tmp_path / "in", 1)[0]
     out = tmp_path / "out"
@@ -633,9 +638,13 @@ def test_duplicate_input_is_rejected(ray_session, tmp_path, monkeypatch):
         with pytest.raises(ValueError, match="in-0.parquet"):
             W.write_parquet_files(dup, str(out))
     assert not out.exists()
-    W.write_parquet_dataset(W.read_parquet_fused([p, f"{tmp_path}/in/./in-0.parquet"]),
-                            str(tmp_path / "ds"))
-    assert all(CONTENT.fullmatch(n) for n in _parts(tmp_path / "ds"))
+    ds = tmp_path / "ds"
+    for skipped in (0, 1):
+        s = W.write_parquet_dataset(
+            W.read_parquet_fused([p, f"{tmp_path}/in/./in-0.parquet"]), str(ds))
+        assert all(CONTENT.fullmatch(n) for n in _parts(ds))
+        assert (s["parts"], s["skipped_parts"], s["rows"]) == \
+            (len(_parts(ds)), skipped, len(_rows(ds))) == (1, skipped, 300)
 
 
 @pytest.mark.parametrize("concurrency", [None, 1, (1, 2)])

@@ -86,7 +86,9 @@ def test_writer_refuses_unmigrated_dir_then_resumes(ray_session, tmp_path, kind)
     assert snapshot(tmp_path) == before
     summary = migrate(out)
     assert summary["manifests_removed"] == [os.path.join(out, name, "manifest.jsonl")]
-    assert summary["records_written"] == len(os.listdir(os.path.join(out, name, "parts")))
+    parts = os.path.join(out, name, "parts")
+    assert os.path.isdir(parts) == (kind != "single")  # a checkpoint is its blob
+    assert summary["records_written"] == (len(os.listdir(parts)) if kind != "single" else 0)
     migrated = snapshot(out)
     resumed = run(1)
     if kind == "single":
@@ -110,12 +112,11 @@ class _CreatesFile:
 
 def test_pickled_checkpoint_is_refused_then_dropped(ray_session, tmp_path, monkeypatch):
     """A checkpoint blob of an older version (a pickle, here one whose
-    unpickling would create a file) next to its valid record: the
-    single-file resume raises the error naming ``migrate``, never
-    unpickles it and leaves no output, and the checkpoint it wrote
-    before the refusal loads. ``migrate`` deletes that blob and its
-    record; the rerun re-encodes the group and writes a fresh run's
-    bytes."""
+    unpickling would create a file): the single-file resume raises the
+    error naming ``migrate``, never unpickles it and leaves no output,
+    and the checkpoint it wrote before the refusal loads. ``migrate``
+    deletes that blob; the rerun re-encodes the group and writes a
+    fresh run's bytes."""
     import pickle
 
     from hyparquet_writer_ray.core.rowgroup import loads
@@ -126,14 +127,14 @@ def test_pickled_checkpoint_is_refused_then_dropped(ray_session, tmp_path, monke
     order = []  # part ids in the order the driver checkpoints them
     real = LineageLog.write_checkpoint
 
-    def recording(self, rec, group):
-        order.append(rec.part_id)
-        real(self, rec, group)
+    def recording(self, part_id, group):
+        order.append(part_id)
+        real(self, part_id, group)
 
     monkeypatch.setattr(LineageLog, "write_checkpoint", recording)
     run(0)
     monkeypatch.setattr(LineageLog, "write_checkpoint", real)
-    log = LineageLog(ckpt, store_blobs=True)
+    log = LineageLog(ckpt)
     first, evil = (os.path.join(log.blob_dir, p) for p in (order[0], order[-1]))
     os.remove(first)  # re-encoded, and checkpointed, before the old blob
     marker = tmp_path / "unpickled"
@@ -152,7 +153,6 @@ def test_pickled_checkpoint_is_refused_then_dropped(ray_session, tmp_path, monke
     summary = migrate(ckpt)
     assert summary["blobs_removed"] == [evil]
     assert not os.path.exists(evil)
-    assert not os.path.exists(os.path.join(log.parts_dir, f"{order[-1]}.json"))
     assert migrate(ckpt)["blobs_removed"] == []
     assert not marker.exists()
     run(2)
@@ -180,11 +180,13 @@ def _written(*recs: PartRecord) -> bytes:
 
 
 def test_migrate_writes_manifest_lines_as_records(tmp_path):
-    """Each distinct manifest line becomes a record keyed as the writers
-    key it (content, file-named and hive parts by file, checkpoint
-    records by part id); a file with a ``parts/`` list keeps it; a torn
-    line and ``checksum`` are dropped, also from a ``parts/`` record.
-    Output: the bytes a writer puts. A second run has nothing to do."""
+    """Each distinct manifest line of a part file becomes a record keyed
+    as the writers key it (content, file-named and hive parts by file);
+    a file with a ``parts/`` list keeps it; a checkpoint line (no file)
+    becomes no record, and a checkpoint record an earlier version put in
+    ``parts/`` is left as it is; a torn line and ``checksum`` are
+    dropped, also from a ``parts/`` record. Output: the bytes a writer
+    puts. A second run has nothing to do."""
     base = str(tmp_path)
     log = LineageLog(base)
     kept = _rec("new", "part-a.parquet")
@@ -203,7 +205,7 @@ def test_migrate_writes_manifest_lines_as_records(tmp_path):
         f.write('{"part_id": "torn", "num_ro')
     summary = migrate(base)
     assert summary == {
-        "dir": base, "records_written": 3, "records_rewritten": 1,
+        "dir": base, "records_written": 2, "records_rewritten": 1,
         "blobs_removed": [], "legacy_parts_removed": [], "tmps_removed": [],
         "manifests_removed": [log.manifest_path]}
     assert _parts(base) == {
@@ -212,9 +214,7 @@ def test_migrate_writes_manifest_lines_as_records(tmp_path):
         "b.json": _written(b0, b1),
         "c.json": _written(_rec("c", "part-c.parquet")),
         "p8.json": _written(_rec("p8")),
-        "p9.json": _written(old_ckpt),
     }
-    assert set(LineageLog(base).completed_parts()) == {"p8", "p9"}
     again = migrate(base)
     assert again == {**summary, "records_written": 0, "records_rewritten": 0,
                      "manifests_removed": []}
@@ -226,6 +226,8 @@ def test_killed_migrate_reruns(tmp_path, monkeypatch):
     uninterrupted migrate does."""
     base = str(tmp_path / "a")
     log = LineageLog(base)
+    with open(os.path.join(base, "part-x.parquet"), "wb") as f:
+        f.write(b"PAR1")
     with open(log.manifest_path, "w") as f:
         f.write(_line(_rec("p1"), checksum="01") + _line(_rec("x", "part-x.parquet")))
     real = fsio.remove
@@ -237,25 +239,25 @@ def test_killed_migrate_reruns(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="killed"):
         migrate(base)
     monkeypatch.setattr(fsio, "remove", real)
-    with pytest.raises(UnmigratedError):
-        LineageLog(base).completed_parts()
+    for resume in (LineageLog(base).completed_records, LineageLog(base).completed_parts):
+        with pytest.raises(UnmigratedError):
+            resume()
     assert migrate(base)["manifests_removed"] == [log.manifest_path]
-    assert _parts(base) == {"p1.json": _written(_rec("p1")),
-                            "x.json": _written(_rec("x", "part-x.parquet"))}
-    assert set(LineageLog(base).completed_parts()) == {"p1"}
+    assert _parts(base) == {"x.json": _written(_rec("x", "part-x.parquet"))}
+    assert set(LineageLog(base).completed_records()) == {"part-x.parquet"}
 
 
 def test_clear_forgets_an_unmigrated_namespace(tmp_path):
     """A fresh export's ``clear`` removes the whole namespace, an older
     version's manifest included, so it needs no ``migrate``."""
     base = str(tmp_path)
-    log = LineageLog(base, store_blobs=True)
+    log = LineageLog(base)
     with open(log.manifest_path, "w") as f:
         f.write(_line(_rec("p1")))
     log.clear()
-    assert LineageLog(base, store_blobs=True).completed_parts() == {}
-    log.write_checkpoint(_rec("p2"), b"blob")
-    assert set(LineageLog(base, store_blobs=True).completed_parts()) == {"p2"}
+    assert LineageLog(base).completed_parts() == set()
+    log.write_checkpoint("p2", b"blob")
+    assert LineageLog(base).completed_parts() == {"p2"}
 
 
 @pytest.mark.parametrize("record", [
@@ -268,20 +270,21 @@ def test_malformed_record_fails_with_a_message(tmp_path, record):
     """A ``parts/`` record that is JSON but not a record (an unknown key,
     a missing field, the ``checksum`` of a dir whose manifest was
     deleted by hand, not an object) raises the error naming ``migrate``
-    and the record's path, from both resume entry points."""
+    and the record's path from the part-file resume; a checkpoint
+    resume reads no record."""
     base = str(tmp_path)
     path = os.path.join(base, "_lineage", "parts", "x.json")
     fsio.makedirs(os.path.dirname(path))
     fsio.write_marker(path, json.dumps([record]))
-    for resume in (LineageLog(base).completed_records,
-                   LineageLog(base).completed_parts):
-        with pytest.raises(UnmigratedError) as e:
-            resume()
-        assert path in str(e.value)
-        assert f"python -m hyparquet_writer_ray migrate {base}`" in str(e.value)
+    with pytest.raises(UnmigratedError) as e:
+        LineageLog(base).completed_records()
+    assert path in str(e.value)
+    assert f"python -m hyparquet_writer_ray migrate {base}`" in str(e.value)
+    assert LineageLog(base).completed_parts() == set()
     if "checksum" in record:
         migrate(base)  # the leftover checksum is rewritten away
-        assert set(LineageLog(base).completed_parts()) == {"x"}
+        assert LineageLog(base).completed_records() == {}
+        assert "checksum" not in fsio.read_marker(path)
 
 
 def _migrate_cli(*args: str, check: bool = True) -> subprocess.CompletedProcess:
@@ -320,7 +323,7 @@ def test_cli_migrates_then_has_nothing_to_do(ray_session, tmp_path):
                               ["part-in-0.parquet"])):
         first = _summary(_migrate_cli(d, *extra))
         assert first["manifests_removed"] == [os.path.join(d, "_lineage", "manifest.jsonl")]
-        assert first["records_written"] > 0
+        assert (first["records_written"] > 0) == (d != ckpt)  # a checkpoint is its blob
         assert first["legacy_parts_removed"] == legacy
         assert _summary(_migrate_cli(d, *extra)) == {"dir": d, **nothing}
     assert W.write_parquet_files(paths, files_out)["skipped_parts"] == 4

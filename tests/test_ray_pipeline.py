@@ -186,9 +186,11 @@ def test_resume_from_lineage_with_checksum(ray_data, tmp_path):
 
 def test_single_file_resume_from_legacy_manifest(ray_data, tmp_path):
     """A checkpoint_dir whose only lineage is a legacy manifest is
-    refused, with no output written, until ``migrate`` converts it;
-    then every checkpointed blob is reused (no part is encoded, so no
-    record is written) and the totals and bytes equal the fresh run's."""
+    refused, with no output written, until ``migrate`` deletes it (a
+    checkpoint needs no record: it is its blob); then every
+    checkpointed blob is reused (no part is encoded, so nothing is
+    written to the checkpoint dir) and the totals and bytes equal the
+    fresh run's."""
     table = synthesize_table(4_000)
     ckpt = str(tmp_path / "ckpt")
     fresh = write_parquet_single_file(
@@ -201,17 +203,54 @@ def test_single_file_resume_from_legacy_manifest(ray_data, tmp_path):
             ray_data.from_arrow(table).repartition(4), str(tmp_path / "b.parquet"),
             max_group_rows=1_000, checkpoint_dir=ckpt)
     assert not (tmp_path / "b.parquet").exists()
-    migrate(ckpt)
-    records = snapshot(os.path.join(ckpt, "_lineage", "parts"))
-    assert len(records) == 4
+    assert migrate(ckpt)["records_written"] == 0
+    migrated = snapshot(ckpt)
+    assert len(migrated) == 4 and not os.path.exists(os.path.join(ckpt, "_lineage", "parts"))
     resumed = write_parquet_single_file(
         ray_data.from_arrow(table).repartition(4), str(tmp_path / "b.parquet"),
         max_group_rows=1_000, checkpoint_dir=ckpt)
-    assert snapshot(os.path.join(ckpt, "_lineage", "parts")) == records
+    assert snapshot(ckpt) == migrated
     for key in fresh.keys() - {"path"}:
         assert resumed[key] == fresh[key], key
     assert (tmp_path / "a.parquet").read_bytes() == \
         (tmp_path / "b.parquet").read_bytes()
+
+
+def test_single_file_resume_ignores_old_checkpoint_records(ray_data, tmp_path, monkeypatch):
+    """A checkpoint_dir as versions that put a file-less
+    ``parts/<id>.json`` record after each blob left it, one blob
+    without its record (a kill between the two puts): the rerun reuses
+    every blob, encodes no group, leaves the old records as they are
+    and writes the fresh run's bytes."""
+    from hyparquet_writer_ray.core.rowgroup import loads
+    from hyparquet_writer_ray.state.lineage import LineageLog, record_from_meta
+
+    table = synthesize_table(4_000)
+    ckpt = str(tmp_path / "ckpt")
+
+    def run(name: str) -> dict:
+        return write_parquet_single_file(
+            ray_data.from_arrow(table).repartition(4), str(tmp_path / name),
+            max_group_rows=1_000, checkpoint_dir=ckpt)
+
+    fresh = run("a.parquet")
+    log = LineageLog(ckpt)
+    ids = sorted(log.completed_parts())
+    assert len(ids) == 4
+    for part_id in ids[1:]:  # ids[0] was killed before its record
+        meta = loads(log.load_blob(part_id))[1]
+        log.write_part_record(part_id, [record_from_meta(part_id, meta)])
+    before = snapshot(ckpt)
+    encoded = []
+    real = LineageLog.write_checkpoint
+    monkeypatch.setattr(LineageLog, "write_checkpoint",
+                        lambda self, part_id, group: (encoded.append(part_id),
+                                                      real(self, part_id, group)))
+    resumed = run("b.parquet")
+    assert encoded == []
+    assert snapshot(ckpt) == before
+    assert {**resumed, "path": fresh["path"]} == fresh
+    assert (tmp_path / "a.parquet").read_bytes() == (tmp_path / "b.parquet").read_bytes()
 
 
 def _orphan(path: str, age: float) -> str:

@@ -169,25 +169,26 @@ def test_lineage_tolerates_torn_manifest_line(tmp_path):
     # last one torn by a SIGKILL of the driver. Resume refuses it;
     # migrate converts it and skips the torn line.
     log = LineageLog(str(tmp_path))
-    rec = PartRecord(part_id="p1", num_rows=5, raw_bytes=10, comp_bytes=8)
+    rec = PartRecord(part_id="p1", num_rows=5, raw_bytes=10, comp_bytes=8,
+                     file="part-p1.parquet")
+    (tmp_path / rec.file).write_bytes(b"PAR1")
     with open(log.manifest_path, "w") as f:
         f.write(json.dumps(asdict(rec)) + "\n")
         f.write('{"part_id": "p2", "num_ro')
     with pytest.raises(UnmigratedError):
-        LineageLog(str(tmp_path)).completed_parts()
+        LineageLog(str(tmp_path)).completed_records()
     assert migrate(str(tmp_path))["records_written"] == 1
-    done = LineageLog(str(tmp_path)).completed_parts()
-    assert "p1" in done and "p2" not in done
+    done = LineageLog(str(tmp_path)).completed_records()
+    assert list(done) == ["part-p1.parquet"] and done[rec.file].records == [rec]
     LineageLog(str(tmp_path)).clear()  # a fresh export forgets them too
-    assert LineageLog(str(tmp_path)).completed_parts() == {}
+    assert LineageLog(str(tmp_path)).completed_records() == {}
 
 
 def test_lineage_clear_keeps_blob_store_usable(tmp_path):
-    from hyparquet_writer_ray.state.lineage import LineageLog, PartRecord
+    from hyparquet_writer_ray.state.lineage import LineageLog
 
-    log = LineageLog(str(tmp_path), store_blobs=True)
-    rec = PartRecord(part_id="p1", num_rows=1, raw_bytes=1, comp_bytes=1)
-    log.write_checkpoint(rec, b"blob")
+    log = LineageLog(str(tmp_path))
+    log.write_checkpoint("p1", b"blob")
     log.clear()
-    log.write_checkpoint(rec, b"blob2")  # must not raise FileNotFoundError
-    assert LineageLog(str(tmp_path), store_blobs=True).load_blob("p1") == b"blob2"
+    log.write_checkpoint("p1", b"blob2")  # must not raise FileNotFoundError
+    assert LineageLog(str(tmp_path)).load_blob("p1") == b"blob2"

@@ -74,8 +74,9 @@ and the checkpointed ``write_parquet_single_file`` of
 lines cannot see how the read chunks its blocks). It prints
 one ``sha256  writer/relative-name`` line per output part and per
 lineage ``parts/*.json`` record or checkpoint blob, sorted by name (a
-checkpoint blob holds one row group as ``core/rowgroup.dumps`` bytes:
-the blob, its metadata as Thrift, their length and a trailer).
+checkpoint dir holds blobs only: each is one row group as
+``core/rowgroup.dumps`` bytes, the blob, its metadata as Thrift, their
+length and a trailer, and is its own record).
 Then it deletes one part per writer (for the two single-file writers,
 one checkpoint blob), reruns every writer as a resume, and exits with
 an error unless the resumed files hash the same as the fresh ones; the
