@@ -16,9 +16,12 @@ converted once. For each ``_lineage*`` namespace directly under
   older records carry is dropped. A line naming no file (a single-file
   checkpoint's) needs no record: a checkpoint is its blob.
 - A ``parts/`` record that carries ``checksum`` is rewritten without it.
-- A checkpoint ``blobs/<id>`` that ``core/rowgroup.loads`` rejects (an
-  older version's pickle, never unpickled) is deleted; the next run
-  re-encodes just those row groups.
+- A checkpoint ``blobs/<id>`` whose last bytes are not
+  ``core/rowgroup``'s ``TRAILER`` (an older version's pickle, never
+  unpickled, or a blob torn by a kill) is deleted; the next run
+  re-encodes just those row groups. Only each blob's tail is read. A
+  blob that carries the trailer is kept even if it does not load: the
+  resume names it as corrupt.
 
 Then, for the whole directory:
 
@@ -42,7 +45,7 @@ import os
 import posixpath
 from dataclasses import asdict
 
-from .core.rowgroup import loads
+from .core.rowgroup import TRAILER
 from .state import fsio
 from .state.lineage import LineageLog, PartRecord
 
@@ -106,14 +109,12 @@ def _migrate_lineage(log: LineageLog, summary: dict) -> bool:
 
 
 def _drop_old_blobs(log: LineageLog) -> list[str]:
-    """``log``'s blobs (not tmps) that ``loads`` rejects, removed."""
+    """``log``'s blobs (not tmps) that do not end in ``TRAILER``, removed."""
     dropped = []
     for name in fsio.listdir(log.blob_dir):
         path = fsio.join(log.blob_dir, name)
-        try:
-            if "." not in name:  # else a tmp, left to the aged-tmp sweeps
-                loads(fsio.read_bytes(path))
-        except ValueError:
+        # a name with a "." is a tmp, left to the aged-tmp sweeps
+        if "." not in name and fsio.read_bytes(path, start=-len(TRAILER)) != TRAILER:
             fsio.rm_file(path)
             dropped.append(path)
     return dropped

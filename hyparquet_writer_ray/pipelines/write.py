@@ -51,7 +51,7 @@ import pyarrow.parquet as pq
 
 from ..core.assemble import FileAssembler
 from ..core.options import WriteOptions
-from ..core.rowgroup import encode_row_group, loads
+from ..core.rowgroup import TRAILER, encode_row_group, loads
 from ..core.schema import _normalize_type, normalize_table, schema_from_arrow
 from ..core.types import leaf_columns
 from ..stages.encode import (
@@ -354,6 +354,18 @@ def _preserve_order(dataset):
             c.execution_options.preserve_order = p
 
 
+def _unloadable(lineage: LineageLog, part_id: str, blob, err: ValueError) -> UnmigratedError:
+    """The resume's error for a checkpoint blob that ``loads`` rejects.
+    Without the trailer it is an older version's, which ``migrate``
+    drops; with it, it is corrupt, and ``migrate`` keeps it."""
+    if bytes(blob[-len(TRAILER):]) != TRAILER:
+        return UnmigratedError(lineage.base, f"checkpoint blob {part_id} is not a "
+                               f"row group ({err})")
+    return UnmigratedError(lineage.base, f"checkpoint blob "
+                           f"{fsio.join(lineage.blob_dir, part_id)} is corrupt ({err})",
+                           remedy="delete it, then rerun: the rerun re-encodes its row group")
+
+
 def write_parquet_single_file(
     ds,
     path: str,
@@ -396,13 +408,13 @@ def write_parquet_single_file(
                 for row in range(batch.num_rows):
                     part_id = batch.column("part_id")[row].as_py()
                     group = batch.column("group")[row].as_buffer()
-                    try:  # a null group: reuse the checkpointed one
-                        parts, meta = loads(group or lineage.load_blob(part_id))
+                    blob = group or lineage.load_blob(part_id)  # null: checkpointed
+                    try:
+                        parts, meta = loads(blob)
                     except ValueError as e:
                         if group is not None:
                             raise
-                        raise UnmigratedError(checkpoint_dir, f"checkpoint blob {part_id} "
-                                              f"is not a row group ({e})") from None
+                        raise _unloadable(lineage, part_id, blob, e) from None
                     if group is not None and lineage is not None:
                         lineage.write_checkpoint(part_id, group)
                     asm.append_group(parts, meta)

@@ -372,9 +372,11 @@ def write_marker(path: str, data: bytes | str = b"ok") -> None:
         f.write(data.encode() if isinstance(data, str) else data)
 
 
-def read_bytes(path: str) -> bytes:
+def read_bytes(path: str, start: int | None = None) -> bytes:
+    """The bytes of ``path``; from ``start`` on if given, counted from
+    the end when negative."""
     fs, p = _fs(path)
-    return fs.cat_file(p)
+    return fs.cat_file(p, start=start)
 
 
 def read_marker(path: str) -> str:

@@ -52,11 +52,12 @@ class DoneFile(NamedTuple):
 
 class UnmigratedError(RuntimeError):
     """Lineage state this version does not read: the base dir must go
-    through ``python -m hyparquet_writer_ray migrate`` first."""
+    through ``python -m hyparquet_writer_ray migrate`` first, unless a
+    ``remedy`` says otherwise (a corrupt blob, which ``migrate`` keeps)."""
 
-    def __init__(self, base: str, what: str) -> None:
-        super().__init__(f"{what}; run `python -m hyparquet_writer_ray "
-                         f"migrate {base}` once, then rerun")
+    def __init__(self, base: str, what: str, remedy: str | None = None) -> None:
+        super().__init__(f"{what}; " + (remedy or f"run `python -m hyparquet_writer_ray "
+                                                  f"migrate {base}` once, then rerun"))
 
 
 def record_from_meta(part_id: str, meta: RowGroupMeta,

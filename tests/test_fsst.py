@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import io
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
@@ -409,3 +410,131 @@ def test_kernel_cache_is_named_by_source_hash(monkeypatch, tmp_path):
     assert built(edited) and built(edited) != built(src)
     assert lib.hpw_cache_probe() == 7
     assert not list(tmp_path.rglob("*.c"))  # build sources are removed
+
+
+# --- the scan's hashed 8-byte probe against the Python fallback --------------
+
+_H8_MUL = 0x9E3779B97F4A7C15
+
+
+def _h8(sym: bytes) -> int:
+    """The scan's slot for an 8-byte symbol (``H8`` in ``_kernel._C_SRC``)."""
+    return ((int.from_bytes(sym, "little") * _H8_MUL) % (1 << 64)) >> 54
+
+
+def _colliding(slots, count: int) -> list[bytes]:
+    """``count`` seeded 8-byte words per slot in ``slots``."""
+    import random
+
+    rng, found = random.Random(3), {s: [] for s in slots}
+    while min(map(len, found.values())) < count:
+        w = rng.randbytes(8)
+        if len(found.get(_h8(w), [None] * count)) < count:
+            found[_h8(w)].append(w)
+    return [w for s in slots for w in found[s]]
+
+
+# words sharing a slot or its neighbour: the third of them into one
+# window finds both slots taken; 1023's neighbour is the extra slot
+_CROWDED = _colliding((5, 6, 1023), 6)
+_ALPHABET = b"ab\x00\xff"
+
+
+def _word(n: int):
+    """``n``-byte strings over a 4-byte alphabet: symbols share prefixes."""
+    return st.lists(st.sampled_from(_ALPHABET), min_size=n, max_size=n).map(bytes)
+
+
+def _fallback_compress(data, table):
+    from hyparquet_writer_ray.core import _kernel
+
+    lib = _kernel._lib
+    _kernel._lib = None
+    try:
+        return fsst.compress(data, table)
+    finally:
+        _kernel._lib = lib
+
+
+def _placed(symbols: list[bytes]) -> int:
+    """How many 8-byte symbols the scan places in its table."""
+    taken = set()
+    for s in symbols:
+        if len(s) == 8:
+            h = _h8(s)
+            h += h in taken
+            if h not in taken:
+                taken.add(h)
+    return len(taken)
+
+
+@st.composite
+def _probe_case(draw):
+    """(symbols, data, slack): a table of distinct symbols in a shuffled
+    code order, text built from them, and bytes past its end."""
+    longs = draw(st.lists(st.one_of(_word(8), st.sampled_from(_CROWDED)),
+                          unique=True, max_size=255))
+    prefixes = [s[:k] for s, k in draw(st.lists(
+        st.tuples(st.sampled_from(longs), st.integers(1, 7)), max_size=40))] if longs else []
+    shorts = draw(st.lists(st.integers(1, 7).flatmap(_word), max_size=40))
+    if draw(st.booleans()):
+        longs.append(b"\x00" * 8)
+    symbols = list(dict.fromkeys(longs + prefixes + shorts))[:fsst.MAX_SYMBOLS]
+    symbols = draw(st.permutations(symbols))
+    pieces = st.one_of(st.sampled_from(symbols or [b"a"]), st.binary(max_size=9),
+                       st.integers(1, 24).map(lambda n: b"\x00" * n))
+    data = draw(st.one_of(st.binary(max_size=16),
+                          st.lists(pieces, max_size=300).map(b"".join)))
+    whole = draw(st.sampled_from([s for s in symbols if len(s) == 8] or [b"\x00" * 8]))
+    cut = draw(st.integers(1, 7))
+    return symbols, data + whole[:cut], whole[cut:] + b"\x00" * 8
+
+
+@given(_probe_case())
+@settings(max_examples=300, deadline=None)
+def test_kernel_scan_matches_fallback_on_hand_built_tables(case):
+    """The kernel's scan (``fsst_compress``, whose 8-byte symbols are
+    found by a hashed probe before the run walk) gives the fallback's
+    parse byte for byte on hand-built tables: up to 255 8-byte symbols,
+    some crowded out of the hash table into their runs; 8-byte symbols
+    sharing 2- and 3-byte prefixes with shorter ones; eight zero bytes
+    as a symbol, or zero words in the data whose slots are empty; inputs
+    of 0-16 bytes; and views scanned in place, followed by slack that
+    would complete an 8-byte symbol.
+
+    Every table has distinct symbols, as the trainer makes them. Tables
+    with duplicates are out of scope: there the two paths already
+    differ (the kernel emits the lowest code, the fallback's ``code_of``
+    the highest)."""
+    from hyparquet_writer_ray.core import _kernel
+
+    if _kernel.get_kernel() is None:
+        pytest.skip("no C compiler: the fallback is the only scan")
+    symbols, data, slack = case
+    table = fsst.SymbolTable(symbols)
+    want = _fallback_compress(data, table)
+    assert bytes(fsst.compress(data, table)) == want
+    base = np.frombuffer(bytearray(data + slack), np.uint8)
+    assert bytes(_kernel.compress(base.data[:len(data)], table)) == want
+
+
+def test_crowded_eight_byte_symbols_stay_in_their_runs():
+    """255 8-byte symbols, 18 of them hashed to slots 5, 6 and 1023: some
+    find both of their slots taken and are parsed by the run walk, and
+    the kernel still gives the fallback's codes."""
+    import random
+
+    from hyparquet_writer_ray.core import _kernel
+
+    if _kernel.get_kernel() is None:
+        pytest.skip("no C compiler: the fallback is the only scan")
+    rng = random.Random(9)
+    others = {rng.randbytes(8) for _ in range(400)} - set(_CROWDED)
+    symbols = _CROWDED + sorted(others)[:255 - len(_CROWDED)]
+    rng.shuffle(symbols)
+    assert _placed(symbols) < len(symbols) == 255
+    data = b"".join(rng.choice(symbols) + rng.randbytes(rng.randrange(3))
+                    for _ in range(2_000))
+    table = fsst.SymbolTable(symbols)
+    want = _fallback_compress(data, table)
+    assert bytes(fsst.compress(data, table)) == want

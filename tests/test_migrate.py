@@ -160,6 +160,68 @@ def test_pickled_checkpoint_is_refused_then_dropped(ray_session, tmp_path, monke
     assert set(log.completed_parts()) == set(order)
 
 
+def test_corrupt_checkpoint_is_kept_and_named(ray_session, tmp_path):
+    """A checkpoint blob that ends in the row-group trailer but does not
+    load (here its first bytes are cut off) is corrupt, not an older
+    version's: ``migrate`` keeps it, and the resume's error names it as
+    corrupt and says to delete it. Once it is deleted, the rerun
+    re-encodes its group and writes a fresh run's bytes."""
+    paths = _inputs(tmp_path / "in")
+    ckpt = str(tmp_path / "ckpt")
+    _, run = _writer("single", paths, ckpt)
+    run(0)
+    log = LineageLog(ckpt)
+    blob = os.path.join(log.blob_dir, sorted(log.completed_parts())[0])
+    with open(blob, "rb") as f:
+        data = f.read()
+    with open(blob, "wb") as f:
+        f.write(data[10:])
+
+    assert migrate(ckpt)["blobs_removed"] == []
+    with pytest.raises(UnmigratedError, match=re.escape(
+            f"checkpoint blob {blob} is corrupt")) as err:
+        run(1)
+    assert "delete it, then rerun" in str(err.value)
+    assert "migrate" not in str(err.value)
+    os.remove(blob)
+    run(2)
+    assert (tmp_path / "2.parquet").read_bytes() == (tmp_path / "0.parquet").read_bytes()
+
+
+def test_noop_migrate_reads_only_blob_tails(tmp_path, monkeypatch):
+    """``migrate`` decides each checkpoint blob by its last bytes and
+    never calls ``loads``: over current blobs it removes nothing. A blob
+    torn short of its trailer goes; one that carries the trailer stays,
+    corrupt or not (the resume names it)."""
+    from hyparquet_writer_ray import WriteOptions
+    from hyparquet_writer_ray.core import rowgroup
+    from hyparquet_writer_ray.core.schema import normalize_table, schema_from_arrow
+    from hyparquet_writer_ray.core.types import leaf_columns
+
+    table = normalize_table(pa.table({"id": pa.array(range(600), pa.int64()),
+                                      "k": [f"k{i % 3}" for i in range(600)]}))
+    schema_ir = schema_from_arrow(table.schema)
+    log = LineageLog(str(tmp_path))
+    blobs = [rowgroup.dumps(*rowgroup.encode_row_group(
+        table.slice(i, 200), schema_ir, leaf_columns(schema_ir), WriteOptions()))
+        for i in range(0, 600, 200)]
+    for i, blob in enumerate(blobs):
+        log.write_checkpoint(f"g{i}", blob)
+
+    def refuse(data):
+        raise AssertionError("migrate called loads")
+
+    monkeypatch.setattr(rowgroup, "loads", refuse)
+    assert migrate(str(tmp_path))["blobs_removed"] == []
+    assert log.completed_parts() == {"g0", "g1", "g2"}
+
+    log.write_checkpoint("torn", blobs[0][:-3])
+    log.write_checkpoint("corrupt", blobs[0][10:])
+    torn = os.path.join(log.blob_dir, "torn")
+    assert migrate(str(tmp_path))["blobs_removed"] == [torn]
+    assert log.completed_parts() == {"g0", "g1", "g2", "corrupt"}
+
+
 def _rec(part_id: str, file=None, rows: int = 1) -> PartRecord:
     return PartRecord(part_id=part_id, num_rows=rows, raw_bytes=2, comp_bytes=3,
                       file=file)

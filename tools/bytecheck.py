@@ -23,6 +23,9 @@ The files cover:
   of ``url``, with scattered nulls, plus the ``lang`` dictionary page.
 - ``text_fsst.parquet``: web-table ``url`` + ``text`` with FSST on
   ``text``.
+- ``url_fsst.parquet``: web-table ``url`` with FSST on it: a second
+  table shape, mostly 6- to 8-byte symbols, for the scan's 8-byte
+  probe.
 - ``nested.parquet``: lists, structs and a map with nulls at every
   level, plus boolean columns, so repetition levels and the boolean
   RLE path are covered; written with small pages so each column spans
@@ -267,6 +270,8 @@ def _files() -> list[tuple[str, pa.Table, WriteOptions]]:
         ("webtable_plain.parquet", web, WriteOptions()),
         ("text_fsst.parquet", synthesize_batch(20_000, 20_000).select(["url", "text"]),
          WriteOptions(column_specs={"text": ColumnSpec(fsst=True)})),
+        ("url_fsst.parquet", synthesize_batch(40_000, 20_000).select(["url"]),
+         WriteOptions(column_specs={"url": ColumnSpec(fsst=True)})),
         ("nested.parquet", _nested(), WriteOptions(page_size=16 << 10)),
         ("stats_edge.parquet", _stats_edge(),
          WriteOptions(page_size=1 << 10, row_group_size=(5_000,),
