@@ -24,9 +24,13 @@ points:
 - ``delta_binary_pack``: the whole DELTA_BINARY_PACKED stream of
   ``delta.delta_binary_pack``, header through the last block;
 - ``compact_byte_array``: ``drop_null`` of a string/binary array whose
-  null slots own bytes, one copy per run of values;
+  null slots own bytes, one copy per run of values (nested leaves, and
+  the paths of a flat chunk that read every value);
 - ``plain_byte_array``: the PLAIN BYTE_ARRAY layout (u32 length, bytes)
-  written once, into a buffer ``fsst_compress`` can scan in place;
+  of a string/binary array's valid slots, read from its own offsets,
+  validity bitmap and value buffer (no compacted copy first) and
+  written once, into a reused page buffer ``fsst_compress`` can scan
+  in place;
 - ``dict_encode``: ``pc.dictionary_encode`` of 1-, 2-, 4- or 8-byte keys
   (fixed-width values, or equal-width strings read as integers) in one
   hash pass that also runs the reference dictionary trial, writing the
@@ -41,8 +45,8 @@ When no compiler works (or the host is big-endian, or the cache dir is
 unsafe) the wrappers below return None, one DEBUG record says why, and
 each caller runs its own fallback: the Python paths in :mod:`fsst`,
 the numpy bodies of :mod:`rle` and :mod:`delta`, Arrow's ``drop_null``,
-the Arrow join of :mod:`plain`, and Arrow's ``count_distinct`` and
-``dictionary_encode`` in :mod:`chunk`.
+the Arrow join of the compacted page in :mod:`plain`, and Arrow's
+``count_distinct`` and ``dictionary_encode`` in :mod:`chunk`.
 """
 from __future__ import annotations
 
@@ -666,21 +670,41 @@ size_t compact_byte_array(const void* off, int wide, const uint8_t* valid, size_
                 : compact32(off, valid, n, data, out_off, out);
 }
 
-/* plain_byte_array: PLAIN BYTE_ARRAY, each value's u32 little-endian
-   length then its bytes; the n lengths index data from its start.
-   Output bound: exactly 4 * n + sum(lengths) bytes, the count
-   returned. */
-size_t plain_byte_array(const int64_t* lengths, size_t n, const uint8_t* data,
-                        uint8_t* out) {
-    size_t o = 0, p = 0;
-    for (size_t i = 0; i < n; i++) {
-        uint32_t len = (uint32_t)lengths[i];
-        memcpy(out + o, &len, 4);
-        memcpy(out + o + 4, data + p, (size_t)lengths[i]);
-        o += 4 + (size_t)lengths[i];
-        p += (size_t)lengths[i];
-    }
-    return o;
+/* plain_byte_array: PLAIN BYTE_ARRAY of the valid slots of a string/
+   binary array, each value's u32 little-endian length then its bytes,
+   read straight from the array's own buffers: no compacted copy of the
+   values comes first. off[0..n] are the n slots' offsets into data
+   (int32, or int64 when wide); slot i is valid when bit bit_offset + i
+   of bitmap is set, and every slot is when bitmap is NULL. A null slot
+   writes nothing, whatever bytes it owns. The caller guarantees that
+   off[0] and off[n] lie inside data and that bitmap covers the slots;
+   an offset that decreases or passes off[n] returns (size_t)-1 before
+   its slot is read, so no byte outside off[0]..off[n] is read. Output
+   bound: 4 per valid slot plus its bytes, at most 4 * (valid slots) +
+   off[n] - off[0]; the count written is returned. */
+#define PLAIN(NAME, T)                                                    \
+static size_t NAME(const T* off, const uint8_t* bitmap, size_t bit_offset, \
+                   size_t n, const uint8_t* data, uint8_t* out) {         \
+    size_t o = 0;                                                         \
+    for (size_t i = 0; i < n; i++) {                                      \
+        if (off[i + 1] < off[i] || off[i + 1] > off[n]) return (size_t)-1; \
+        size_t b = bit_offset + i;                                        \
+        if (bitmap && !((bitmap[b >> 3] >> (b & 7)) & 1)) continue;       \
+        size_t len = (size_t)(off[i + 1] - off[i]);                       \
+        uint32_t len32 = (uint32_t)len;                                   \
+        memcpy(out + o, &len32, 4);                                       \
+        memcpy(out + o + 4, data + off[i], len);                          \
+        o += 4 + len;                                                     \
+    }                                                                     \
+    return o;                                                             \
+}
+PLAIN(plain32, int32_t)
+PLAIN(plain64, int64_t)
+
+size_t plain_byte_array(const void* off, int wide, const uint8_t* bitmap, size_t bit_offset,
+                        size_t n, const uint8_t* data, uint8_t* out) {
+    return wide ? plain64(off, bitmap, bit_offset, n, data, out)
+                : plain32(off, bitmap, bit_offset, n, data, out);
 }
 
 /* ---- dictionary encoder ---------------------------------------------- */
@@ -897,7 +921,8 @@ def _build() -> "ctypes.CDLL | None":
     ]
     lib.plain_byte_array.restype = ctypes.c_size_t
     lib.plain_byte_array.argtypes = [
-        ctypes.c_void_p, ctypes.c_size_t, ctypes.c_void_p, ctypes.c_void_p,
+        ctypes.c_void_p, ctypes.c_int, ctypes.c_void_p, ctypes.c_size_t,
+        ctypes.c_size_t, ctypes.c_void_p, ctypes.c_void_p,
     ]
     lib.dict_encode.restype = ctypes.c_int
     lib.dict_encode.argtypes = [
@@ -1057,22 +1082,51 @@ def compact_byte_array(offsets: np.ndarray, valid: np.ndarray,
     return out_off, out
 
 
-def plain_byte_array(lengths: np.ndarray, data: np.ndarray) -> "memoryview | None":
-    """``plain.plain_byte_array``'s bytes, or None without the kernel: a
-    view of a buffer sized exactly plus ``SLACK`` zero bytes, so FSST
-    scans the page in place."""
+def plain_byte_array(arr, out: "np.ndarray | None" = None) -> "memoryview | None":
+    """``plain.plain_byte_array``'s bytes for the string/binary Arrow
+    array ``arr`` (its valid slots, in order), or None without the
+    kernel. The layout is read from the array's own offsets, validity
+    bitmap and value buffer, so a slice of a column whose null slots own
+    bytes needs no compacted copy first. The result is a view of
+    ``out`` when that uint8 array holds the layout's bound plus
+    ``SLACK``, else of a new buffer; the ``SLACK`` bytes after the view
+    are zero, so FSST scans the page in place. Offsets that decrease or
+    leave the value buffer, and a bitmap too short for the slots, raise
+    ``ValueError`` before the kernel reads them."""
     lib = get_kernel()
     if lib is None:
         return None
-    lens = np.ascontiguousarray(lengths, dtype=np.int64)
-    src = np.ascontiguousarray(data, dtype=np.uint8)
-    if lens.sum() != src.nbytes:
-        raise ValueError("the lengths do not add up to the data")
-    size = 4 * lens.size + src.nbytes
-    out = np.empty(size + SLACK, np.uint8)
-    out[size:] = 0
-    return out.data[:lib.plain_byte_array(lens.ctypes.data, lens.size, src.ctypes.data,
-                                          out.ctypes.data)]
+    from .arrays import offset_dtype
+
+    odt = offset_dtype(arr.type)
+    if odt is None:
+        raise ValueError(f"plain_byte_array takes a string/binary array, not {arr.type}")
+    n, start = len(arr), arr.offset
+    bitmap, offbuf, databuf = arr.buffers()
+    width = np.dtype(odt).itemsize
+    if offbuf is None or offbuf.size < (start + n + 1) * width:
+        raise ValueError("the offsets buffer is too short for the slots")
+    offs = np.frombuffer(offbuf, odt, count=n + 1, offset=start * width)
+    data = np.frombuffer(databuf, np.uint8) if databuf is not None else np.empty(0, np.uint8)
+    if offs[0] < 0 or offs[-1] > data.size:
+        raise ValueError("offsets leave the value buffer")
+    bit_offset = start % 8
+    if arr.null_count:
+        bits = np.frombuffer(bitmap, np.uint8)[start // 8:]
+        if bits.size * 8 < bit_offset + n:
+            raise ValueError("the validity bitmap is too short for the slots")
+        bits_ptr = bits.ctypes.data
+    else:
+        bits_ptr = None
+    bound = 4 * (n - arr.null_count) + int(offs[-1] - offs[0])
+    if out is None or out.size < bound + SLACK:
+        out = np.empty(bound + SLACK, np.uint8)
+    size = lib.plain_byte_array(offs.ctypes.data, odt is np.int64, bits_ptr, bit_offset, n,
+                                data.ctypes.data, out.ctypes.data)
+    if size == ctypes.c_size_t(-1).value:
+        raise ValueError("offsets decrease")
+    out[size:size + SLACK] = 0
+    return out.data[:size]
 
 
 # dict_encode's outcomes besides a dictionary: the trial rejected the

@@ -32,15 +32,22 @@ _FIXED_NP = {
 }
 
 
+def _bits(buf, offset: int, n: int) -> np.ndarray:
+    """Bits ``offset`` to ``offset + n`` of an LSB-first bitmap as bools,
+    unpacking only the bytes that hold them: a slice of a long array
+    costs its own length, not its parent's."""
+    first = offset // 8
+    raw = np.frombuffer(buf, dtype=np.uint8, count=(offset + n + 7) // 8 - first,
+                        offset=first)
+    shift = offset % 8
+    return np.unpackbits(raw, bitorder="little")[shift : shift + n].astype(bool)
+
+
 def validity_mask(arr: pa.Array) -> np.ndarray | None:
     """Boolean numpy mask (True = valid) or None if no nulls."""
     if arr.null_count == 0:
         return None
-    buf = arr.buffers()[0]
-    bits = np.unpackbits(
-        np.frombuffer(buf, dtype=np.uint8), bitorder="little"
-    )
-    return bits[arr.offset : arr.offset + len(arr)].astype(bool)
+    return _bits(arr.buffers()[0], arr.offset, len(arr))
 
 
 def single_chunk(col) -> pa.Array:
@@ -84,7 +91,14 @@ def drop_null_fast(arr: pa.Array) -> pa.Array:
       copy of each run it replaced took 20.7-25.3 and 4.5-7.2 ms, and
       gave way to ``drop_null`` below 1 KiB per run.
 
-    Other types use ``drop_null``."""
+    Other types use ``drop_null``. A flat string/binary chunk is no
+    longer compacted as a whole (``chunk._prepare`` keeps its slots and
+    the kernel lays PLAIN pages out from them): this runs on nested
+    leaves, on one page of the no-compiler PLAIN path, on the first
+    values of the dictionary trial and the FSST sample, and on the whole
+    chunk only where every value is read (an accepted dictionary,
+    equal-width keys, bloom, geo, DELTA_LENGTH / DELTA_BYTE_ARRAY
+    pages)."""
     if arr.null_count == 0:
         return arr
     t = arr.type
@@ -112,9 +126,7 @@ def fixed_values(arr: pa.Array) -> np.ndarray:
     (including slots that are null — caller masks separately)."""
     t = arr.type
     if pa.types.is_boolean(t):
-        buf = arr.buffers()[1]
-        bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8), bitorder="little")
-        return bits[arr.offset : arr.offset + len(arr)].astype(bool)
+        return _bits(arr.buffers()[1], arr.offset, len(arr))
     if pa.types.is_timestamp(t):
         dtype = np.int64
     elif pa.types.is_decimal(t):

@@ -5,9 +5,17 @@ statistics, page indexes — the pure-function core of the engine
 ``encode_chunk`` returns a relocatable blob whose internal offsets are
 all relative to the blob start; the assembler rebases them
 (SURVEY.md §7.0 invariant 1). Flat and nested columns share one "slot"
-model: ``values`` are the non-null leaf values, ``def/rep`` level
-arrays cover every Dremel slot, and pages are slot ranges aligned to
-row starts.
+model: ``def/rep`` level arrays cover every Dremel slot, pages are slot
+ranges aligned to row starts, and ``values`` are the leaf values: the
+non-null ones, except that a flat string/binary leaf keeps its slots,
+nulls in place. Its PLAIN pages are laid out from those slots (the
+kernel skips a null slot and any bytes it owns), so the chunk is never
+compacted as a whole; a page takes ``values`` by slot wherever there is
+one value per slot, and by value otherwise. What reads every value (an
+accepted dictionary, equal-width keys, bloom, geo, DELTA_LENGTH /
+DELTA_BYTE_ARRAY pages) compacts the chunk itself, and what reads the
+first values (the dictionary trial, the FSST training sample) compacts
+only the slots that hold them (:func:`_first_values`).
 """
 from __future__ import annotations
 
@@ -94,20 +102,41 @@ def _prepare(col, leaf: LeafInfo) -> LeveledValues:
         nulls = 0
     else:
         def_levels = mask.astype(np.uint8) * max_def
-        values = A.drop_null_fast(arr)
+        # a string/binary leaf keeps its slots: no chunk-wide copy
+        values = arr if A.offset_dtype(arr.type) is not None else A.drop_null_fast(arr)
         nulls = arr.null_count
     return LeveledValues(values, def_levels, None, max_def, 0, n, nulls)
 
 
-def _encode_values(arr: pa.Array, leaf: LeafInfo, encoding: Encoding) -> "bytes | memoryview":
-    """The page body of the non-null values ``arr``."""
+def _first_values(values: pa.Array, k: int) -> pa.Array:
+    """The first ``k`` non-null values of ``values`` (all of them if it
+    holds fewer), compacting only the shortest slot prefix that holds
+    them."""
+    n = len(values)
+    end = min(k, n)
+    # grow the prefix until it holds k values; its null count is a
+    # count of its own bits
+    while end < n and end - values.slice(0, end).null_count < k:
+        end = min(2 * end, n)
+    head = values.slice(0, end)
+    if head.null_count and end - head.null_count > k:
+        end = int(np.flatnonzero(A.validity_mask(head))[k - 1]) + 1
+        head = values.slice(0, end)
+    return A.drop_null_fast(head)
+
+
+def _encode_values(arr: pa.Array, leaf: LeafInfo, encoding: Encoding,
+                   out: "np.ndarray | None" = None) -> "bytes | memoryview":
+    """The page body of the non-null values ``arr``, or of a PLAIN
+    string/binary page's slots, whose nulls it skips. ``out`` is the
+    buffer that page may be written into (:func:`plain_byte_array`)."""
     el = leaf.element
     t = el.type
     if encoding == Encoding.PLAIN:
         if t == ParquetType.BOOLEAN:
             return plain_boolean(A.fixed_values(arr))
         if t == ParquetType.BYTE_ARRAY:
-            return plain_byte_array(*A.byte_array_values(arr))
+            return plain_byte_array(arr, out)
         if t == ParquetType.FIXED_LEN_BYTE_ARRAY:
             return plain_flba(A.flba_values(arr, el.type_length))
         return plain_fixed(A.fixed_values(arr), t)
@@ -149,6 +178,8 @@ def _encode_values(arr: pa.Array, leaf: LeafInfo, encoding: Encoding) -> "bytes 
 
 
 def _value_sizes(values: pa.Array, leaf: LeafInfo):
+    """One width for every value, or each value's byte length (one per
+    entry of ``values``: per slot where the leaf keeps its slots)."""
     t = leaf.element.type
     if t == ParquetType.BOOLEAN:
         return 0.125
@@ -186,12 +217,14 @@ def _page_bounds(lv: LeveledValues, leaf: LeafInfo, page_size: int,
         slot_sizes = None
         per_page = max(1, int(page_size / max(sizes, 1e-9)))
     else:
-        # scatter per-value sizes onto their slots
+        # scatter per-value sizes onto their slots: the valid slots'
+        # lengths, where a leaf keeps its slots (a null slot's own
+        # bytes are not written)
         slot_sizes = np.zeros(n_slots, dtype=np.float64)
         if has_val is None:
             slot_sizes[:] = sizes
         else:
-            slot_sizes[has_val] = sizes
+            slot_sizes[has_val] = sizes[has_val] if len(sizes) == n_slots else sizes
     if lv.rep_levels is not None:
         row_starts = np.nonzero(lv.rep_levels == 0)[0]
     else:
@@ -238,7 +271,9 @@ def _try_dictionary(values: pa.Array, leaf: LeafInfo, spec: ColumnSpec, opts: Wr
     value, or None for no dictionary. The compiled kernel's
     ``dict_encode`` runs the trial and the encode in one pass where it
     can (:func:`_kernel_dictionary`); Arrow's ``count_distinct`` and
-    ``dictionary_encode`` do elsewhere."""
+    ``dictionary_encode`` do elsewhere. ``values`` may hold null slots:
+    the trial reads the first values, and a dictionary the compacted
+    chunk."""
     el = leaf.element
     forced = spec.encoding == Encoding.RLE_DICTIONARY
     if spec.encoding is not None and not forced:
@@ -251,12 +286,12 @@ def _try_dictionary(values: pa.Array, leaf: LeafInfo, spec: ColumnSpec, opts: Wr
             )
         return None
     # sample-based auto decision; an explicit request bypasses it
-    n_sample = min(len(values), DICT_SAMPLE)
+    n_sample = min(len(values) - values.null_count, DICT_SAMPLE)
     if not forced and n_sample == 0:
         return None
     got = _kernel_dictionary(values, leaf, 0 if forced else n_sample)
     if got is None and not forced:
-        distinct = pc.count_distinct(values.slice(0, n_sample)).as_py()
+        distinct = pc.count_distinct(_first_values(values, n_sample)).as_py()
         got = distinct if distinct == 0 or 2 * distinct > n_sample else None
     if isinstance(got, int):
         log.debug("dictionary rejected for column %s: distinct_ratio "
@@ -265,7 +300,7 @@ def _try_dictionary(values: pa.Array, leaf: LeafInfo, spec: ColumnSpec, opts: Wr
         return None
     if got is None:
         try:
-            dict_arr = pc.dictionary_encode(values)
+            dict_arr = pc.dictionary_encode(A.drop_null_fast(values))
         except pa.ArrowNotImplementedError:
             if forced:
                 raise TypeError(
@@ -336,18 +371,25 @@ _KEY_DTYPES = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
 
 
 def _equal_width_keys(values: pa.Array) -> "np.ndarray | None":
-    """The value bytes of a non-null string/binary chunk whose values are
-    all 1, 2, 4 or 8 bytes long, as one unsigned integer per value (a
-    view); None for any other chunk.
+    """The value bytes of a string/binary chunk whose non-null values
+    are all 1, 2, 4 or 8 bytes long, as one unsigned integer per value
+    (a view of the compacted chunk); None for any other chunk.
 
     Equal-width values are equal exactly when their bytes, read as one
     unsigned integer, are; so the kernel's ``dict_encode`` over the keys
     gives the strings' first-occurrence dictionary and indices, as
     ``pc.dictionary_encode`` does, without a per-value offset walk."""
     odt = A.offset_dtype(values.type)
-    n = len(values)
-    if odt is None or values.null_count or not n:
+    if odt is None or len(values) == values.null_count:
         return None
+    if values.null_count:
+        # null slots may own bytes: the valid slots' widths decide
+        # before the chunk is compacted
+        lengths = A.byte_array_values(values)[0][A.validity_mask(values)]
+        if int(lengths[0]) not in _KEY_DTYPES or (lengths != lengths[0]).any():
+            return None
+        values = A.drop_null_fast(values)
+    n = len(values)
     offsets = np.frombuffer(values.buffers()[1], dtype=odt,
                             count=values.offset + n + 1)[values.offset:]
     width = int(offsets[1] - offsets[0])
@@ -443,7 +485,7 @@ def encode_chunk(
         from .geo import geospatial_statistics
         if el.type != ParquetType.BYTE_ARRAY:
             raise ValueError("geospatial stats require a BYTE_ARRAY (WKB) column")
-        geo_stats = geospatial_statistics(values.to_pylist())
+        geo_stats = geospatial_statistics(A.drop_null_fast(values).to_pylist())
 
     # FSST (opt-in, north-rule extension): train one symbol table per
     # chunk on a head sample of the value bytes; pages carry the table
@@ -458,7 +500,7 @@ def encode_chunk(
                 "fsst is only supported on top-level (flat) BYTE_ARRAY "
                 "columns: the hpw_fsst reader decodes flat pages only")
         from . import fsst as F
-        _, data_head = A.byte_array_values(values.slice(0, min(len(values), 2000)))
+        _, data_head = A.byte_array_values(_first_values(values, 2000))
         sample = data_head[:F.TRAIN_SAMPLE_BYTES].tobytes()  # all train reads
         fsst_table = F.train(sample)
         # every page carries the table inline: serialize it once
@@ -471,7 +513,7 @@ def encode_chunk(
     if spec.bloom_filter:
         from .bloom import build_bloom
         bloom_opts = spec.bloom_filter if isinstance(spec.bloom_filter, dict) else {}
-        bloom = build_bloom(values, el, **bloom_opts)
+        bloom = build_bloom(A.drop_null_fast(values), el, **bloom_opts)
 
     # --- encoding decision -------------------------------------------------
     dictionary = idx_np_all = None
@@ -506,6 +548,10 @@ def encode_chunk(
                 else Encoding.PLAIN
             )
     encodings.append(int(encoding))
+    if encoding in (Encoding.DELTA_LENGTH_BYTE_ARRAY, Encoding.DELTA_BYTE_ARRAY):
+        # their pages read every value: compact once (offsets only when
+        # null slots own no bytes), not page by page
+        values = A.drop_null_fast(values)
 
     # --- page loop ---------------------------------------------------------
     # dictionary chunks write RLE index runs, not raw values: size pages
@@ -527,11 +573,19 @@ def encode_chunk(
     # row index per slot start (for offset index first_row_index)
     if lv.rep_levels is not None:
         row_cum = np.concatenate([[0], np.cumsum(lv.rep_levels == 0, dtype=np.int64)])
+    # a page's values: by slot where there is one entry per slot (a leaf
+    # that keeps its slots, or one with a value in every slot), else by value
+    by_slot = len(values) == n_slots
+    # one buffer for every PLAIN byte-array page: codecs, FSST and
+    # BufWriter.write all copy out of it
+    page_buf = None
+    reuse = encoding == Encoding.PLAIN and el.type == ParquetType.BYTE_ARRAY
 
     for (s0, s1) in bounds:
         page_start = w.offset
         nslots = s1 - s0
         v0, v1 = int(vcum[s0]), int(vcum[s1])
+        page = values.slice(s0, nslots) if by_slot else values.slice(v0, v1 - v0)
 
         lvl = BufWriter()
         rep_len = 0
@@ -557,7 +611,9 @@ def encode_chunk(
             encode_rle_hybrid(body, idx_np_all[v0:v1], bit_width)
             raw = body.view()
         else:
-            raw = _encode_values(values.slice(v0, v1 - v0), leaf, encoding)
+            raw = _encode_values(page, leaf, encoding, page_buf)
+            if reuse:
+                page_buf = raw.obj
 
         if fsst_table is not None:
             from . import fsst as F
@@ -592,9 +648,7 @@ def encode_chunk(
         uncomp_acc += (w.offset - page_start) - comp_len + len(raw)
 
         if col_index is not None:
-            pstats = compute_statistics(
-                values.slice(v0, v1 - v0), el, null_count=num_nulls
-            )
+            pstats = compute_statistics(page, el, null_count=num_nulls)
             page_stats.append(pstats)
             all_null = pstats.min_bytes is None
             col_index.null_pages.append(all_null)

@@ -19,9 +19,11 @@ from .types import LeafInfo
 
 @dataclass
 class LeveledValues:
-    """A leaf's Dremel encoding: non-null flattened values + level arrays."""
+    """A leaf's Dremel encoding: flattened values + level arrays."""
 
-    values: pa.Array  # non-null leaf values only
+    # the non-null leaf values; a flat string/binary leaf (chunk._prepare)
+    # keeps its slots instead, nulls in place, one entry per slot
+    values: pa.Array
     def_levels: np.ndarray | None  # uint8 per slot (None when max_def == 0)
     rep_levels: np.ndarray | None  # uint8 per slot (None when max_rep == 0)
     max_def: int

@@ -101,3 +101,41 @@ def test_drop_null_fast_other_types_and_no_nulls():
     assert A.drop_null_fast(ints).equals(pa.array([1, 3], pa.int64()))
     full = _values(50, 10, pa.string())
     assert A.drop_null_fast(full) is full
+
+
+def _full_unpack(buf, offset: int, n: int) -> np.ndarray:
+    """The bits as the whole-bitmap unpack read them."""
+    bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8), bitorder="little")
+    return bits[offset:offset + n].astype(bool)
+
+
+def test_bitmaps_unpack_only_the_bytes_of_the_slice(monkeypatch):
+    """``validity_mask`` and the boolean ``fixed_values`` of a slice equal
+    the whole-bitmap unpack, at every offset (``offset % 8 != 0``
+    included) and lengths 0-70, and unpack at most ``len // 8 + 2``
+    bytes, however long the parent: masks of many slices of one long
+    column cost their own lengths, not the parent's each time."""
+    rng = np.random.default_rng(5)
+    parent = pa.array(rng.random(4_000) < 0.5, mask=rng.random(4_000) < 0.3)
+    seen = []
+    unpack = np.unpackbits
+
+    def counting(a, *args, **kwargs):
+        seen.append(a.size)
+        return unpack(a, *args, **kwargs)
+
+    for offset in list(range(17)) + list(rng.integers(17, 3_900, 40)):
+        for n in range(71):
+            arr = parent.slice(int(offset), n)
+            monkeypatch.setattr(np, "unpackbits", counting)
+            seen.clear()
+            mask, values = A.validity_mask(arr), A.fixed_values(arr)
+            monkeypatch.setattr(np, "unpackbits", unpack)
+            assert all(size <= n // 8 + 2 for size in seen), (offset, n, seen)
+            o = arr.offset
+            if arr.null_count:
+                assert (mask == _full_unpack(arr.buffers()[0], o, n)).all()
+            else:
+                assert mask is None
+            assert values.dtype == bool
+            assert (values == _full_unpack(arr.buffers()[1], o, n)).all()

@@ -1,11 +1,14 @@
 """The compiled kernel's byte-array layouts against their fallbacks.
 
 ``compact_byte_array`` (``arrays.drop_null_fast`` on null slots that own
-bytes) must give Arrow's ``drop_null``, and ``plain_byte_array`` the
-frozen two-strategy encoder of ``plain_oracle.py``, on sliced arrays,
-``large_*`` offsets, empty and all-null arrays, zero-length values, and
-null slots that own bytes or are canonical. Collected again by
-``test_numpy_fallback``, the same tests hold the fallbacks (Arrow's
+bytes) must give Arrow's ``drop_null``, and ``plain_byte_array``, which
+lays out a string/binary array's valid slots straight from its own
+buffers, must give the frozen two-strategy encoder of
+``plain_oracle.py`` and, byte for byte, ``drop_null_fast`` followed by
+the Arrow join: on sliced arrays (every bit offset 0-7), ``large_*``
+offsets, empty and all-null arrays, zero-length values, arrays with no
+bitmap, and null slots that own bytes or are canonical. Collected again
+by ``test_numpy_fallback``, the same tests hold the fallbacks (Arrow's
 ``drop_null`` and the Arrow join) to the same answers."""
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ from hypothesis import strategies as st
 import plain_oracle as oracle
 from hyparquet_writer_ray.core import _kernel
 from hyparquet_writer_ray.core import arrays as A
-from hyparquet_writer_ray.core.plain import plain_byte_array
+from hyparquet_writer_ray.core.plain import _joined, plain_byte_array
 
 BYTE_TYPES = [pa.string(), pa.binary(), pa.large_string(), pa.large_binary()]
 
@@ -63,10 +66,24 @@ def _check_drop_null(arr: pa.Array) -> None:
 
 
 def _check_plain(arr: pa.Array) -> None:
-    lengths, data = A.byte_array_values(arr)
-    got = plain_byte_array(lengths, data)
-    assert bytes(got) == bytes(oracle.plain_byte_array(lengths, data))
+    """The slot layout of ``arr`` is the oracle's of its non-null values,
+    written fresh, into a reused buffer too small for it, and into one
+    large enough that still holds an earlier page's bytes."""
+    lengths, data = A.byte_array_values(arr.drop_null())
+    want = bytes(oracle.plain_byte_array(lengths, data))
+    got = plain_byte_array(arr)
+    assert bytes(got) == want
     assert len(got) == 4 * len(lengths) + data.nbytes
+    # at least 4 bytes per slot and every byte of the value buffer
+    roomy = 4 * len(arr) + arr.buffers()[2].size + _kernel.SLACK
+    for out in (np.full(3, 0xA5, np.uint8), np.full(roomy, 0xA5, np.uint8)):
+        got = plain_byte_array(arr, out)
+        assert bytes(got) == want
+        if _kernel.get_kernel() is not None:
+            base = got.obj
+            assert (base is out) == (out.size == roomy)
+            # the slack FSST may read past the view is zeroed
+            assert bytes(base[len(got):len(got) + _kernel.SLACK]) == bytes(_kernel.SLACK)
 
 
 @settings(max_examples=200, deadline=None)
@@ -82,6 +99,33 @@ def test_layout_kernels_match_fallbacks(typ, n, null_frac, empty_frac, owned, se
         _check_drop_null(a)
         _check_plain(a)
         _check_plain(A.drop_null_fast(a))
+
+
+@settings(max_examples=300, deadline=None)
+@given(typ=st.sampled_from(BYTE_TYPES), n=st.integers(0, 300),
+       null_frac=st.sampled_from([0.0, 0.03, 0.5, 1.0]),
+       empty_frac=st.sampled_from([0.0, 0.3, 1.0]), owned=st.booleans(),
+       seed=st.integers(0, 2**32 - 1), bit_offset=st.integers(0, 7),
+       bytes_before=st.sampled_from([0, 1, 3]), length=st.integers(0, 300))
+def test_slot_layout_matches_drop_null_and_join(typ, n, null_frac, empty_frac, owned, seed,
+                                                bit_offset, bytes_before, length):
+    """``plain_byte_array`` of a slice starting at every bit offset of its
+    bitmap equals ``drop_null_fast`` of the slice followed by the Arrow
+    join, byte for byte; so do slices with no nulls, whose bitmap the
+    kernel is handed as NULL, and arrays with no bitmap at all."""
+    arr = _array(np.random.default_rng(seed), typ, n, null_frac, empty_frac, owned)
+    start = min(8 * bytes_before + bit_offset, n)
+    for a in (arr.slice(start), arr.slice(start, length)):
+        want = bytes(_joined(*A.byte_array_values(A.drop_null_fast(a))))
+        assert bytes(plain_byte_array(a)) == want
+        valid = A.validity_mask(a)
+        if valid is not None and valid.any():
+            # a run of valid slots: a bitmap, but no null among its slots
+            first = int(np.argmax(valid))
+            run = int(np.argmin(valid[first:])) or len(valid) - first
+            b = a.slice(first, run)
+            assert b.null_count == 0 and b.buffers()[0] is not None
+            assert bytes(plain_byte_array(b)) == bytes(_joined(*A.byte_array_values(b)))
 
 
 @pytest.mark.parametrize("typ", BYTE_TYPES, ids=str)
@@ -135,13 +179,17 @@ def test_layout_kernels_stay_within_their_bounds(lib, typ):
         assert m == size
         assert (out[size:] == 0xA5).all() and (out_off[-GUARD:] == 0xA5).all()
 
-        lengths, data = A.byte_array_values(arr)
-        bound = 4 * n + data.nbytes
-        out = _guarded(bound)
-        lens = lengths.astype(np.int64)
-        m = lib.plain_byte_array(lens.ctypes.data, n, data.ctypes.data, out.ctypes.data)
-        assert m == bound
-        assert (out[bound:] == 0xA5).all()
+        bits = np.frombuffer(arr.buffers()[0], np.uint8) if arr.null_count else None
+        for start in range(min(n, 8) + 1):
+            # slots [start, n): the bitmap's bit offset is start % 8
+            k = n - start
+            size = 4 * int(valid[start:].sum()) + int(np.diff(offs[start:])[valid[start:] == 1].sum())
+            out = _guarded(size)
+            m = lib.plain_byte_array(offs[start:].ctypes.data, odt is np.int64,
+                                     None if bits is None else bits[start // 8:].ctypes.data,
+                                     start % 8, k, src.ctypes.data, out.ctypes.data)
+            assert m == size
+            assert (out[size:] == 0xA5).all()
 
 
 def test_layout_kernels_refuse_inconsistent_inputs(lib):
@@ -153,8 +201,61 @@ def test_layout_kernels_refuse_inconsistent_inputs(lib):
         _kernel.compact_byte_array(offs, np.array([True, False]), b"abcdef")
     with pytest.raises(ValueError, match="offsets"):
         _kernel.compact_byte_array(offs[:2], np.array([True, False]), b"abcdef")
-    with pytest.raises(ValueError, match="lengths"):
-        _kernel.plain_byte_array(np.array([3, 9]), np.zeros(6, np.uint8))
+
+
+class _Unchecked:
+    """What ``_kernel.plain_byte_array`` reads of an Arrow array, built
+    without the checks ``pa.Array.from_buffers`` makes."""
+
+    def __init__(self, typ, n, bitmap, offsets, data, null_count=0, offset=0):
+        self.type, self._n, self.offset, self.null_count = typ, n, offset, null_count
+        self._buffers = [None if bitmap is None else pa.py_buffer(bitmap),
+                         pa.py_buffer(offsets), pa.py_buffer(data)]
+
+    def __len__(self):
+        return self._n
+
+    def buffers(self):
+        return self._buffers
+
+
+@pytest.mark.parametrize("typ", BYTE_TYPES, ids=str)
+def test_plain_byte_array_refuses_decreasing_offsets(lib, typ):
+    """A decreasing offset, and one past the last offset, which would
+    have the kernel read outside the slots' bytes, raise."""
+    odt = A.offset_dtype(typ)
+    for offsets in ([0, 5, 2, 6], [0, 9, 4, 6]):
+        arr = pa.Array.from_buffers(typ, 3, [None, pa.py_buffer(np.array(offsets, odt)),
+                                             pa.py_buffer(b"abcdefghij")])
+        with pytest.raises(ValueError, match="offsets decrease"):
+            _kernel.plain_byte_array(arr)
+
+
+@pytest.mark.parametrize("typ", BYTE_TYPES, ids=str)
+def test_plain_byte_array_refuses_offsets_outside_the_data(lib, typ):
+    odt = A.offset_dtype(typ)
+    for offsets in ([0, 3, 9], [-1, 3, 6]):
+        arr = _Unchecked(typ, 2, None, np.array(offsets, odt), b"abcdef")
+        with pytest.raises(ValueError, match="offsets leave the value buffer"):
+            _kernel.plain_byte_array(arr)
+    arr = _Unchecked(typ, 4, None, np.array([0, 1, 2], odt), b"abcdef")
+    with pytest.raises(ValueError, match="offsets buffer is too short"):
+        _kernel.plain_byte_array(arr)
+
+
+@pytest.mark.parametrize("typ", BYTE_TYPES, ids=str)
+def test_plain_byte_array_refuses_a_short_bitmap(lib, typ):
+    odt = A.offset_dtype(typ)
+    offsets = np.arange(21, dtype=odt)
+    # 20 slots from slot 5 need bits 5..24: three bytes, not two
+    arr = _Unchecked(typ, 15, b"\xff\x0f", offsets, b"a" * 20, null_count=1, offset=5)
+    with pytest.raises(ValueError, match="bitmap is too short"):
+        _kernel.plain_byte_array(arr)
+
+
+def test_plain_byte_array_refuses_other_types(lib):
+    with pytest.raises(ValueError, match="string/binary"):
+        _kernel.plain_byte_array(pa.array([1, 2, 3]))
 
 
 def test_plain_byte_array_view_is_scanned_in_place(lib):
@@ -164,7 +265,7 @@ def test_plain_byte_array_view_is_scanned_in_place(lib):
     from hyparquet_writer_ray.core import fsst as F
 
     arr = _array(np.random.default_rng(2), pa.string(), 2_000, 0.0, 0.1, owned=False)
-    view = plain_byte_array(*A.byte_array_values(arr))
+    view = plain_byte_array(arr)
     base = view.obj
     assert bytes(base[len(view):]) == bytes(_kernel.SLACK)
     assert _kernel._slack_follows(view, np.frombuffer(view, np.uint8))

@@ -52,6 +52,11 @@ The files cover:
   chunks, and an all-distinct column forced to RLE_DICTIONARY. The
   input is a slice at a non-zero offset, cut into row groups of 999,
   1,000, 1,001, 6,000, 6,000 and 300 rows.
+- ``nullable_large.parquet``: ``large_string`` and ``large_binary``
+  columns (64-bit offsets) whose null slots own bytes (``pc.if_else``
+  output), sliced at a non-zero offset and written in 4 KiB pages:
+  PLAIN pages of both types, DELTA_LENGTH_BYTE_ARRAY, DELTA_BYTE_ARRAY,
+  an accepted dictionary, and FSST on web text.
 - ``rows.parquet``: ``write_rows`` of row dicts to a path sink with
   ``row_group_size=(700, 1500)``: inferred int32, int64, double,
   string, boolean and timestamp columns with nulls, and a dict-valued
@@ -61,7 +66,7 @@ The files cover:
   ``(300, 500, 800)``, so each call picks the schedule up where the
   previous one left it.
 
-The ``lineitem.parquet`` to ``dict_edge.parquet`` files are written
+The ``lineitem.parquet`` to ``nullable_large.parquet`` files are written
 by ``write_table`` to a path sink.
 
 With ``--ray`` it starts a local Ray session and checks the Ray
@@ -117,6 +122,7 @@ from functools import partial
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
@@ -262,6 +268,32 @@ def _dict_edge(n: int = 15_300, seed: int = 29) -> pa.Table:
     }).slice(skip)
 
 
+def _nullable_large(n: int = 12_000, seed: int = 31) -> pa.Table:
+    rng = np.random.default_rng(seed)
+    skip = 77  # sliced off below
+    m = n + skip
+
+    def owned(values: pa.Array, p: float) -> pa.Array:
+        # pc.if_else keeps each null slot's bytes in the value buffer
+        return pc.if_else(pa.array(rng.random(m) < p), pa.scalar(None, values.type), values)
+
+    words = [f"w{k}-" + "y" * (k % 29) for k in range(300)]
+    text = synthesize_batch(60_000, m).column("text").combine_chunks()
+    hosts = np.sort(rng.integers(0, 40, m))
+    return pa.table({
+        "plain_str": owned(pa.array(words, pa.large_string()).take(rng.integers(0, 300, m)), 0.1),
+        "plain_bin": owned(pa.array([bytes(rng.integers(0, 256, int(k), dtype=np.uint8))
+                                     for k in rng.integers(0, 90, m)], pa.large_binary()), 0.3),
+        "dlba": owned(pa.array([w.encode() * int(k) for w, k in
+                                zip(np.array(words)[rng.integers(0, 300, m)], rng.integers(0, 4, m))],
+                               pa.large_binary()), 0.05),
+        "dba": owned(pa.array([f"https://host{h}.example.org/p/{i % 89}/{i}" for i, h in enumerate(hosts)],
+                              pa.large_string()), 0.05),
+        "dict": owned(pa.array(words[:25], pa.large_string()).take(rng.integers(0, 25, m)), 0.2),
+        "fsst": owned(text.fill_null("").cast(pa.large_string()), 0.02),
+    }).slice(skip)
+
+
 def _files() -> list[tuple[str, pa.Table, WriteOptions]]:
     web = synthesize_batch(0, 20_000)
     return [
@@ -284,6 +316,13 @@ def _files() -> list[tuple[str, pa.Table, WriteOptions]]:
         ("dict_edge.parquet", _dict_edge(),
          WriteOptions(page_size=4 << 10, row_group_size=(999, 1_000, 1_001, 6_000, 6_000, 300),
                       column_specs={"forced": ColumnSpec(encoding=Encoding.RLE_DICTIONARY)})),
+        ("nullable_large.parquet", _nullable_large(),
+         WriteOptions(page_size=4 << 10, row_group_size=(5_000,), column_specs={
+             "plain_str": ColumnSpec(encoding=Encoding.PLAIN),
+             "plain_bin": ColumnSpec(encoding=Encoding.PLAIN),
+             "dlba": ColumnSpec(encoding=Encoding.DELTA_LENGTH_BYTE_ARRAY),
+             "dba": ColumnSpec(encoding=Encoding.DELTA_BYTE_ARRAY),
+             "fsst": ColumnSpec(fsst=True)})),
     ]
 
 
