@@ -24,13 +24,13 @@ points:
 - ``delta_binary_pack``: the whole DELTA_BINARY_PACKED stream of
   ``delta.delta_binary_pack``, header through the last block;
 - ``compact_byte_array``: ``drop_null`` of a string/binary array whose
-  null slots own bytes, one copy per run of values (nested leaves, and
-  the paths of a flat chunk that read every value);
+  null slots own bytes, one copy per run of values (where it runs:
+  :mod:`arrays`);
 - ``plain_byte_array``: the PLAIN BYTE_ARRAY layout (u32 length, bytes)
   of a string/binary array's valid slots, read from its own offsets,
   validity bitmap and value buffer (no compacted copy first) and
   written once, into a reused page buffer ``fsst_compress`` can scan
-  in place;
+  in place. Both read the slots as ``arrays.byte_slots`` checked them;
 - ``dict_encode``: ``pc.dictionary_encode`` of 1-, 2-, 4- or 8-byte keys
   (fixed-width values, or equal-width strings read as integers) in one
   hash pass that also runs the reference dictionary trial, writing the
@@ -637,24 +637,30 @@ size_t delta_binary_pack(const void* values, size_t count, int wide, uint8_t* ou
 
 /* ---- byte-array layouts ---------------------------------------------- */
 
-/* compact_byte_array: drop_null's values of a string/binary array whose
-   null slots may own bytes. off[0..n] are the array's offsets (int32,
-   or int64 when wide), valid[i] is 1 for a value. Writes the result's
-   offsets, from 0, to out_off (same width, one more than the values)
-   and its bytes to out, one memcpy per run of valid slots (a run's
-   bytes are contiguous in data). Output bound: out receives exactly
-   the bytes of the valid slots, the sum of off[i + 1] - off[i] over
-   valid i, and that count is returned. */
+/* Both read a string/binary array's slots as arrays.byte_slots checked
+   them: off[0..n] are the n slots' offsets into data (int32, or int64
+   when wide), never decreasing, off[0] and off[n] inside data; slot i
+   is valid when bit bit_offset + i of bitmap is set, and every slot is
+   when bitmap is NULL. A null slot writes nothing, whatever bytes it
+   owns, and no byte outside off[0]..off[n] is read. */
+#define VALID(i) (!bitmap || (bitmap[(bit_offset + (i)) >> 3] >> ((bit_offset + (i)) & 7)) & 1)
+
+/* compact_byte_array: drop_null's values. Writes the result's offsets,
+   from 0, to out_off (same width, one more than the valid slots) and
+   its bytes to out, one memcpy per run of valid slots (a run's bytes
+   are contiguous in data). Output bound: out receives exactly the
+   bytes of the valid slots, at most off[n] - off[0], and that count is
+   returned. */
 #define COMPACT(NAME, T)                                                  \
-static size_t NAME(const T* off, const uint8_t* valid, size_t n,          \
-                   const uint8_t* data, T* out_off, uint8_t* out) {       \
+static size_t NAME(const T* off, const uint8_t* bitmap, size_t bit_offset, \
+                   size_t n, const uint8_t* data, T* out_off, uint8_t* out) { \
     size_t o = 0, k = 0, i = 0;                                           \
     out_off[0] = 0;                                                       \
     while (i < n) {                                                       \
-        if (!valid[i]) { i++; continue; }                                 \
+        if (!VALID(i)) { i++; continue; }                                 \
         size_t j = i;                                                     \
         T shift = (T)o - off[i];                                          \
-        for (; j < n && valid[j]; j++) out_off[++k] = off[j + 1] + shift; \
+        for (; j < n && VALID(j); j++) out_off[++k] = off[j + 1] + shift; \
         memcpy(out + o, data + off[i], (size_t)(off[j] - off[i]));        \
         o += (size_t)(off[j] - off[i]);                                   \
         i = j;                                                            \
@@ -664,32 +670,23 @@ static size_t NAME(const T* off, const uint8_t* valid, size_t n,          \
 COMPACT(compact32, int32_t)
 COMPACT(compact64, int64_t)
 
-size_t compact_byte_array(const void* off, int wide, const uint8_t* valid, size_t n,
-                          const uint8_t* data, void* out_off, uint8_t* out) {
-    return wide ? compact64(off, valid, n, data, out_off, out)
-                : compact32(off, valid, n, data, out_off, out);
+size_t compact_byte_array(const void* off, int wide, const uint8_t* bitmap, size_t bit_offset,
+                          size_t n, const uint8_t* data, void* out_off, uint8_t* out) {
+    return wide ? compact64(off, bitmap, bit_offset, n, data, out_off, out)
+                : compact32(off, bitmap, bit_offset, n, data, out_off, out);
 }
 
-/* plain_byte_array: PLAIN BYTE_ARRAY of the valid slots of a string/
-   binary array, each value's u32 little-endian length then its bytes,
-   read straight from the array's own buffers: no compacted copy of the
-   values comes first. off[0..n] are the n slots' offsets into data
-   (int32, or int64 when wide); slot i is valid when bit bit_offset + i
-   of bitmap is set, and every slot is when bitmap is NULL. A null slot
-   writes nothing, whatever bytes it owns. The caller guarantees that
-   off[0] and off[n] lie inside data and that bitmap covers the slots;
-   an offset that decreases or passes off[n] returns (size_t)-1 before
-   its slot is read, so no byte outside off[0]..off[n] is read. Output
-   bound: 4 per valid slot plus its bytes, at most 4 * (valid slots) +
-   off[n] - off[0]; the count written is returned. */
+/* plain_byte_array: PLAIN BYTE_ARRAY of the valid slots, each value's
+   u32 little-endian length then its bytes, read straight from the
+   array's own buffers: no compacted copy of the values comes first.
+   Output bound: 4 per valid slot plus its bytes, at most
+   4 * (valid slots) + off[n] - off[0]; the count written is returned. */
 #define PLAIN(NAME, T)                                                    \
 static size_t NAME(const T* off, const uint8_t* bitmap, size_t bit_offset, \
                    size_t n, const uint8_t* data, uint8_t* out) {         \
     size_t o = 0;                                                         \
     for (size_t i = 0; i < n; i++) {                                      \
-        if (off[i + 1] < off[i] || off[i + 1] > off[n]) return (size_t)-1; \
-        size_t b = bit_offset + i;                                        \
-        if (bitmap && !((bitmap[b >> 3] >> (b & 7)) & 1)) continue;       \
+        if (!VALID(i)) continue;                                          \
         size_t len = (size_t)(off[i + 1] - off[i]);                       \
         uint32_t len32 = (uint32_t)len;                                   \
         memcpy(out + o, &len32, 4);                                       \
@@ -917,7 +914,7 @@ def _build() -> "ctypes.CDLL | None":
     lib.compact_byte_array.restype = ctypes.c_size_t
     lib.compact_byte_array.argtypes = [
         ctypes.c_void_p, ctypes.c_int, ctypes.c_void_p, ctypes.c_size_t,
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+        ctypes.c_size_t, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
     ]
     lib.plain_byte_array.restype = ctypes.c_size_t
     lib.plain_byte_array.argtypes = [
@@ -1058,73 +1055,43 @@ def delta_binary_pack(values: np.ndarray) -> "memoryview | None":
     return out.data[:lib.delta_binary_pack(v.ctypes.data, v.size, wide, out.ctypes.data)]
 
 
-def compact_byte_array(offsets: np.ndarray, valid: np.ndarray,
-                       data) -> "tuple[np.ndarray, np.ndarray] | None":
-    """The offsets and bytes of ``drop_null`` of a string/binary array,
-    or None without the kernel. ``offsets`` are the array's own (int32
-    or int64, ``len(valid) + 1`` of them), ``valid`` is True for a value
-    and ``data`` the value buffer; the bytes are exactly the valid
-    slots'."""
+def compact_byte_array(slots) -> "tuple[np.ndarray, np.ndarray] | None":
+    """The offsets and bytes of ``drop_null`` of a string/binary array
+    from its checked slots (``arrays.byte_slots``), or None without the
+    kernel: offsets of the slots' width, and exactly the valid slots'
+    bytes, in a buffer sized for all of the slots' bytes."""
     lib = get_kernel()
     if lib is None:
         return None
-    valid = np.ascontiguousarray(valid, dtype=bool)  # one byte per slot
-    offsets = np.ascontiguousarray(offsets)
-    src = np.frombuffer(data, dtype=np.uint8)
-    if (offsets.dtype not in (np.int32, np.int64) or offsets.size != valid.size + 1
-            or offsets[0] < 0 or offsets[-1] > src.size):
-        raise ValueError("offsets do not index the value buffer")
-    out_off = np.empty(int(np.count_nonzero(valid)) + 1, offsets.dtype)
-    out = np.empty(int(np.diff(offsets)[valid].sum()), np.uint8)
-    lib.compact_byte_array(offsets.ctypes.data, offsets.dtype.itemsize == 8,
-                           valid.ctypes.data, valid.size, src.ctypes.data,
-                           out_off.ctypes.data, out.ctypes.data)
-    return out_off, out
+    offs, n = slots.offsets, len(slots.lengths)
+    bits = None if slots.bitmap is None else slots.bitmap.ctypes.data
+    out_off = np.empty(n - slots.null_count + 1, offs.dtype)
+    out = np.empty(offs.item(-1) - offs.item(0), np.uint8)
+    size = lib.compact_byte_array(offs.ctypes.data, offs.dtype.itemsize == 8, bits,
+                                  slots.bit_offset, n, slots.data.ctypes.data,
+                                  out_off.ctypes.data, out.ctypes.data)
+    return out_off, out[:size]
 
 
-def plain_byte_array(arr, out: "np.ndarray | None" = None) -> "memoryview | None":
-    """``plain.plain_byte_array``'s bytes for the string/binary Arrow
-    array ``arr`` (its valid slots, in order), or None without the
-    kernel. The layout is read from the array's own offsets, validity
-    bitmap and value buffer, so a slice of a column whose null slots own
-    bytes needs no compacted copy first. The result is a view of
-    ``out`` when that uint8 array holds the layout's bound plus
-    ``SLACK``, else of a new buffer; the ``SLACK`` bytes after the view
-    are zero, so FSST scans the page in place. Offsets that decrease or
-    leave the value buffer, and a bitmap too short for the slots, raise
-    ``ValueError`` before the kernel reads them."""
+def plain_byte_array(slots, out: "np.ndarray | None" = None) -> "memoryview | None":
+    """``plain.plain_byte_array``'s bytes for a string/binary array's
+    checked slots (``arrays.byte_slots``), or None without the kernel:
+    its valid slots, read from its own offsets, validity bitmap and
+    value buffer, so a slice of a column whose null slots own bytes
+    needs no compacted copy first. The result is a view of ``out`` when
+    that uint8 array holds the layout's bound plus ``SLACK``, else of a
+    new buffer; the ``SLACK`` bytes after the view are zero, so FSST
+    scans the page in place."""
     lib = get_kernel()
     if lib is None:
         return None
-    from .arrays import offset_dtype
-
-    odt = offset_dtype(arr.type)
-    if odt is None:
-        raise ValueError(f"plain_byte_array takes a string/binary array, not {arr.type}")
-    n, start = len(arr), arr.offset
-    bitmap, offbuf, databuf = arr.buffers()
-    width = np.dtype(odt).itemsize
-    if offbuf is None or offbuf.size < (start + n + 1) * width:
-        raise ValueError("the offsets buffer is too short for the slots")
-    offs = np.frombuffer(offbuf, odt, count=n + 1, offset=start * width)
-    data = np.frombuffer(databuf, np.uint8) if databuf is not None else np.empty(0, np.uint8)
-    if offs[0] < 0 or offs[-1] > data.size:
-        raise ValueError("offsets leave the value buffer")
-    bit_offset = start % 8
-    if arr.null_count:
-        bits = np.frombuffer(bitmap, np.uint8)[start // 8:]
-        if bits.size * 8 < bit_offset + n:
-            raise ValueError("the validity bitmap is too short for the slots")
-        bits_ptr = bits.ctypes.data
-    else:
-        bits_ptr = None
-    bound = 4 * (n - arr.null_count) + int(offs[-1] - offs[0])
+    offs, n = slots.offsets, len(slots.lengths)
+    bits = None if slots.bitmap is None else slots.bitmap.ctypes.data
+    bound = 4 * (n - slots.null_count) + offs.item(-1) - offs.item(0)
     if out is None or out.size < bound + SLACK:
         out = np.empty(bound + SLACK, np.uint8)
-    size = lib.plain_byte_array(offs.ctypes.data, odt is np.int64, bits_ptr, bit_offset, n,
-                                data.ctypes.data, out.ctypes.data)
-    if size == ctypes.c_size_t(-1).value:
-        raise ValueError("offsets decrease")
+    size = lib.plain_byte_array(offs.ctypes.data, offs.dtype.itemsize == 8, bits,
+                                slots.bit_offset, n, slots.data.ctypes.data, out.ctypes.data)
     out[size:size + SLACK] = 0
     return out.data[:size]
 

@@ -1,10 +1,19 @@
 """Zero-copy-ish extraction of numpy views from Arrow arrays.
 
-All encoders operate on either a fixed-width numpy array or an
-``(offsets, data)`` pair for BYTE_ARRAY columns, pulled straight from
-the Arrow buffers (no per-row Python objects in the hot path).
+All encoders operate on either a fixed-width numpy array or the slots
+of a string/binary array, pulled straight from the Arrow buffers (no
+per-row Python objects in the hot path). Every reader of a
+string/binary array's buffers reads them through :func:`byte_slots`,
+the one check of its offsets. PLAIN pages are laid out from the slots
+themselves; the slots are compacted (:func:`drop_null_fast`) only where
+values are read without them: nested leaves, the first values of the
+dictionary trial and the FSST sample, a PLAIN page without a compiler,
+and a whole flat chunk for an accepted dictionary, equal-width keys,
+bloom, geo and DELTA_LENGTH / DELTA_BYTE_ARRAY pages.
 """
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
@@ -71,9 +80,50 @@ def offset_dtype(t: pa.DataType):
     return None
 
 
+class ByteSlots(NamedTuple):
+    """A string/binary array's slots, as :func:`byte_slots` checked them."""
+
+    offsets: np.ndarray  # the slots' own, int32 or int64, one more than the slots
+    lengths: np.ndarray  # offsets[1:] - offsets[:-1], none negative
+    data: np.ndarray  # the whole value buffer, uint8
+    bitmap: "np.ndarray | None"  # validity from the first slot's byte; None: no nulls
+    bit_offset: int  # the first slot's bit in ``bitmap``
+    null_count: int
+
+
+def byte_slots(arr: pa.Array) -> ByteSlots:
+    """The one check of a string/binary array's buffers, which
+    ``pa.Array.from_buffers`` takes unchecked: ``ValueError`` for another
+    type, an offsets buffer or a bitmap too short for the slots, a first
+    or last offset outside the value buffer, or a negative length. No
+    byte-array path reads a byte outside the value buffer."""
+    odt = offset_dtype(arr.type)
+    if odt is None:
+        raise ValueError(f"byte_slots takes a string/binary array, not {arr.type}")
+    n, start = len(arr), arr.offset
+    bitmap, offbuf, databuf = arr.buffers()
+    width = np.dtype(odt).itemsize
+    if offbuf is None or offbuf.size < (start + n + 1) * width:
+        raise ValueError("the offsets buffer is too short for the slots")
+    offsets = np.frombuffer(offbuf, odt, count=n + 1, offset=start * width)
+    data = np.frombuffer(databuf or b"", np.uint8)
+    if offsets.item(0) < 0 or offsets.item(-1) > data.size:
+        raise ValueError("offsets leave the value buffer")
+    lengths = offsets[1:] - offsets[:-1]
+    if n and lengths.min() < 0:
+        raise ValueError("offsets decrease")
+    bits = None
+    if arr.null_count:
+        bits = np.frombuffer(bitmap or b"", np.uint8)[start // 8:]
+        if bits.size * 8 < start % 8 + n:
+            raise ValueError("the validity bitmap is too short for the slots")
+    return ByteSlots(offsets, lengths, data, bits, start % 8, arr.null_count)
+
+
 def drop_null_fast(arr: pa.Array) -> pa.Array:
     """``drop_null`` with at most one copy of the value bytes for
-    string/binary arrays (and their large variants).
+    string/binary arrays (and their large variants), which it reads, as
+    every byte-array path does, through :func:`byte_slots`, nulls or not.
 
     - Canonical layout (null slots are zero-length): only the offsets
       are rebuilt (one vector gather) and the data buffer is reused
@@ -81,44 +131,31 @@ def drop_null_fast(arr: pa.Array) -> pa.Array:
       payload, so Arrow's drop_null copy was ~20% of encode-task CPU.
     - Null slots that own bytes (``pc.if_else`` output, say): the
       compiled kernel's ``compact_byte_array`` writes the offsets and
-      copies each run of valid slots into one buffer of exactly the
-      valid bytes. Without a compiler, Arrow's ``drop_null``, which
-      copies value by value into a growing buffer. Measured on one
-      vCPU (medians of 9 in each of 3 processes), kernel against
-      ``drop_null``: the 200k-row ``text`` column of
-      ``synthesize_batch`` (53.5 MB) 19.3-20.2 / 86-110 ms, 100k
-      256-byte strings at 2% nulls 4.4 / 15.7-21.7 ms. The Python
-      copy of each run it replaced took 20.7-25.3 and 4.5-7.2 ms, and
-      gave way to ``drop_null`` below 1 KiB per run.
+      copies each run of valid slots into one buffer. Without a
+      compiler, Arrow's ``drop_null``, which copies value by value into
+      a growing buffer. Measured on one vCPU (medians of 9 in each of 2
+      to 4 processes), kernel against ``drop_null``: the 200k-row
+      ``text`` column of ``synthesize_batch`` (53.5 MB) 12.2-15.5 /
+      33.0-35.3 ms, 100k 256-byte strings at 2% nulls 2.3-2.9 /
+      14.8-18.2 ms.
 
-    Other types use ``drop_null``. A flat string/binary chunk is no
-    longer compacted as a whole (``chunk._prepare`` keeps its slots and
-    the kernel lays PLAIN pages out from them): this runs on nested
-    leaves, on one page of the no-compiler PLAIN path, on the first
-    values of the dictionary trial and the FSST sample, and on the whole
-    chunk only where every value is read (an accepted dictionary,
-    equal-width keys, bloom, geo, DELTA_LENGTH / DELTA_BYTE_ARRAY
-    pages)."""
+    Other types use ``drop_null``."""
+    if offset_dtype(arr.type) is None:
+        return arr.drop_null() if arr.null_count else arr
+    slots = byte_slots(arr)
     if arr.null_count == 0:
         return arr
-    t = arr.type
-    odt = offset_dtype(t)
-    if odt is None:
-        return arr.drop_null()
-    n = len(arr)
-    offs = np.frombuffer(arr.buffers()[1], dtype=odt, count=arr.offset + n + 1)
-    offs = offs[arr.offset:]
-    valid = validity_mask(arr)
-    if not np.diff(offs)[~valid].any():
-        new_offs = np.concatenate([offs[:-1][valid], offs[-1:]])
-        return pa.Array.from_buffers(
-            t, int(valid.sum()), [None, pa.py_buffer(new_offs), arr.buffers()[2]])
-    compact = _kernel.compact_byte_array(offs, valid, arr.buffers()[2])
+    valid = _bits(slots.bitmap, slots.bit_offset, len(arr))
+    if not slots.lengths[~valid].any():
+        new_offs = np.concatenate([slots.offsets[:-1][valid], slots.offsets[-1:]])
+        return pa.Array.from_buffers(arr.type, int(valid.sum()), [
+            None, pa.py_buffer(new_offs), pa.py_buffer(slots.data)])
+    compact = _kernel.compact_byte_array(slots)
     if compact is None:
         return arr.drop_null()
     new_offs, data = compact
     return pa.Array.from_buffers(
-        t, len(new_offs) - 1, [None, pa.py_buffer(new_offs), pa.py_buffer(data)])
+        arr.type, len(new_offs) - 1, [None, pa.py_buffer(new_offs), pa.py_buffer(data)])
 
 
 def fixed_values(arr: pa.Array) -> np.ndarray:
@@ -144,14 +181,11 @@ def byte_array_values(arr: pa.Array) -> tuple[np.ndarray, np.ndarray]:
     """(lengths:int64, data:uint8) for a string/binary array, offset-normalized.
 
     ``data`` covers exactly the bytes of the logical slice, in order.
-    Null slots have length 0 and contribute no bytes.
+    Null slots contribute the bytes they own (none in a canonical array).
     """
-    bufs = arr.buffers()
-    offsets = np.frombuffer(bufs[1], dtype=offset_dtype(arr.type), count=arr.offset + len(arr) + 1)
-    offsets = offsets[arr.offset : arr.offset + len(arr) + 1].astype(np.int64)
-    data = np.frombuffer(bufs[2], dtype=np.uint8, count=int(offsets[-1])) if len(arr) else np.empty(0, np.uint8)
-    start = int(offsets[0])
-    return np.diff(offsets), data[start : int(offsets[-1])]
+    slots = byte_slots(arr)
+    return (slots.lengths.astype(np.int64, copy=False),
+            slots.data[int(slots.offsets[0]):int(slots.offsets[-1])])
 
 
 def flba_values(arr: pa.Array, type_length: int) -> np.ndarray:

@@ -8,14 +8,9 @@ all relative to the blob start; the assembler rebases them
 model: ``def/rep`` level arrays cover every Dremel slot, pages are slot
 ranges aligned to row starts, and ``values`` are the leaf values: the
 non-null ones, except that a flat string/binary leaf keeps its slots,
-nulls in place. Its PLAIN pages are laid out from those slots (the
-kernel skips a null slot and any bytes it owns), so the chunk is never
-compacted as a whole; a page takes ``values`` by slot wherever there is
-one value per slot, and by value otherwise. What reads every value (an
-accepted dictionary, equal-width keys, bloom, geo, DELTA_LENGTH /
-DELTA_BYTE_ARRAY pages) compacts the chunk itself, and what reads the
-first values (the dictionary trial, the FSST training sample) compacts
-only the slots that hold them (:func:`_first_values`).
+nulls in place (where it is compacted: :mod:`arrays`); a page takes
+``values`` by slot wherever there is one value per slot, and by value
+otherwise.
 """
 from __future__ import annotations
 
@@ -379,27 +374,21 @@ def _equal_width_keys(values: pa.Array) -> "np.ndarray | None":
     unsigned integer, are; so the kernel's ``dict_encode`` over the keys
     gives the strings' first-occurrence dictionary and indices, as
     ``pc.dictionary_encode`` does, without a per-value offset walk."""
-    odt = A.offset_dtype(values.type)
-    if odt is None or len(values) == values.null_count:
+    if A.offset_dtype(values.type) is None or len(values) == values.null_count:
         return None
+    slots = A.byte_slots(values)
+    lengths = slots.lengths
     if values.null_count:
         # null slots may own bytes: the valid slots' widths decide
         # before the chunk is compacted
-        lengths = A.byte_array_values(values)[0][A.validity_mask(values)]
-        if int(lengths[0]) not in _KEY_DTYPES or (lengths != lengths[0]).any():
-            return None
-        values = A.drop_null_fast(values)
-    n = len(values)
-    offsets = np.frombuffer(values.buffers()[1], dtype=odt,
-                            count=values.offset + n + 1)[values.offset:]
-    width = int(offsets[1] - offsets[0])
-    # the total first: a variable-width chunk rarely adds up to n * width
-    if (width not in _KEY_DTYPES or offsets[-1] - offsets[0] != n * width
-            or (np.diff(offsets) != width).any()):
+        lengths = lengths[A.validity_mask(values)]
+    width = int(lengths[0])
+    if width not in _KEY_DTYPES or (lengths != width).any():
         return None
-    data = np.frombuffer(values.buffers()[2], dtype=np.uint8, count=n * width,
-                         offset=int(offsets[0]))
-    return data.view(_KEY_DTYPES[width])
+    if values.null_count:
+        slots = A.byte_slots(A.drop_null_fast(values))
+    start = int(slots.offsets[0])
+    return slots.data[start:start + len(lengths) * width].view(_KEY_DTYPES[width])
 
 
 def _key_dictionary(t: pa.DataType, keys: np.ndarray) -> pa.Array:
@@ -499,6 +488,11 @@ def encode_chunk(
             raise ValueError(
                 "fsst is only supported on top-level (flat) BYTE_ARRAY "
                 "columns: the hpw_fsst reader decodes flat pages only")
+        if spec.encoding == Encoding.DELTA_BYTE_ARRAY:
+            raise ValueError(
+                "fsst is not supported on DELTA_BYTE_ARRAY pages: the "
+                "hpw_fsst reader decodes PLAIN, DELTA_LENGTH_BYTE_ARRAY "
+                "and dictionary pages only")
         from . import fsst as F
         _, data_head = A.byte_array_values(_first_values(values, 2000))
         sample = data_head[:F.TRAIN_SAMPLE_BYTES].tobytes()  # all train reads

@@ -149,9 +149,11 @@ def _stats(lo, hi, t: pa.DataType, element: SchemaElement, null_count: int) -> S
 
 
 def compute_statistics(arr: pa.Array, element: SchemaElement, null_count: int = 0) -> Stats:
-    """``arr`` holds the non-null values (or, for a dictionary-encoded
-    chunk, its dictionary); ``null_count`` is supplied by the caller (it
-    is a level-space property for nested columns)."""
+    """Statistics of the values of ``arr``: the non-null values, the
+    slots of a flat string/binary page or chunk with its nulls in place
+    (``pc.min_max`` skips them), or a dictionary-encoded chunk's
+    dictionary. ``null_count`` is supplied by the caller (it is a
+    level-space property for nested columns)."""
     return _stats(*_bounds(arr), arr.type, element, null_count)
 
 

@@ -142,8 +142,6 @@ class LeafInfo:
     path: list[str]  # names, root excluded
     max_definition_level: int
     max_repetition_level: int
-    # indices into the flat schema list of every ancestor incl. the leaf
-    schema_path_idx: list[int] = field(default_factory=list)
     # repetition of each path element (root excluded), for level walking
     repetitions: list[Repetition] = field(default_factory=list)
 
@@ -158,10 +156,9 @@ def leaf_columns(schema: list[SchemaElement]) -> list[LeafInfo]:
     leaves: list[LeafInfo] = []
     pos = 0
 
-    def visit(path, max_def, max_rep, idx_path, reps) -> None:
+    def visit(path, max_def, max_rep, reps) -> None:
         nonlocal pos
         el = schema[pos]
-        my_idx = pos
         pos += 1
         d, r = max_def, max_rep
         if el.repetition == Repetition.OPTIONAL:
@@ -178,18 +175,17 @@ def leaf_columns(schema: list[SchemaElement]) -> list[LeafInfo]:
                     path=new_path,
                     max_definition_level=d,
                     max_repetition_level=r,
-                    schema_path_idx=idx_path + [my_idx],
                     repetitions=new_reps,
                 )
             )
         else:
             for _ in range(el.num_children or 0):
-                visit(new_path, d, r, idx_path + [my_idx], new_reps)
+                visit(new_path, d, r, new_reps)
 
     root = schema[0]
     pos = 1
     for _ in range(root.num_children or 0):
-        visit([], 0, 0, [0], [])
+        visit([], 0, 0, [])
     return leaves
 
 

@@ -14,7 +14,7 @@ import hashlib
 import numpy as np
 import pyarrow as pa
 
-from ..core.arrays import single_chunk
+from ..core.arrays import byte_slots, single_chunk
 
 _MERSENNE = (1 << 61) - 1
 
@@ -713,10 +713,10 @@ def _sig_matrix(col, num_perm: int) -> np.ndarray:
     if n == 0:
         return np.zeros((0, num_perm), dtype=np.uint64)
     w = num_perm * 8
-    offs = np.frombuffer(col.buffers()[1], np.int32)[col.offset : col.offset + n + 1]
-    data = np.frombuffer(col.buffers()[2], np.uint8)
-    if offs[-1] - offs[0] == n * w:
-        return data[offs[0] : offs[-1]].view("<u8").reshape(n, num_perm).astype(np.uint64, copy=False)
+    slots = byte_slots(col)
+    start, end = int(slots.offsets[0]), int(slots.offsets[-1])
+    if end - start == n * w:
+        return slots.data[start:end].view("<u8").reshape(n, num_perm).astype(np.uint64, copy=False)
     return np.stack([np.frombuffer(v.as_py(), "<u8") for v in col])
 
 

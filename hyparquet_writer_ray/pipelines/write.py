@@ -386,7 +386,7 @@ def write_parquet_single_file(
                                   opts.schema_overrides)
 
     lineage = None
-    skip: frozenset[str] = frozenset()
+    skip: Optional[frozenset[str]] = None  # None: no group is hashed
     if checkpoint_dir:
         fsio.clean_stale_tmps(checkpoint_dir)
         lineage = LineageLog(checkpoint_dir)

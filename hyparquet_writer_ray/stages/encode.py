@@ -6,7 +6,7 @@ Arrow batch into one or more encoded row groups, each one row of
 from __future__ import annotations
 
 import hashlib
-from typing import Iterator
+from typing import Iterator, Optional
 
 import pyarrow as pa
 
@@ -86,22 +86,24 @@ def encode_row_groups(
     opts: WriteOptions,
     max_group_rows: int = DEFAULT_GROUP_ROWS,
     max_group_bytes: int = DEFAULT_GROUP_BYTES,
-    skip_part_ids: frozenset[str] = frozenset(),
+    skip_part_ids: Optional[frozenset[str]] = None,
 ) -> Iterator[pa.Table]:
     """map_batches task: Arrow batch -> one row per encoded row group.
 
     Output schema: part_id:string, group:large_binary (the group's
-    ``core/rowgroup.dumps`` bytes). A group whose id is in
-    ``skip_part_ids`` yields a null ``group``, so ordering stays intact
-    and the assembler reuses the checkpointed group.
+    ``core/rowgroup.dumps`` bytes). ``skip_part_ids`` is None without a
+    checkpoint: no group is hashed and every ``part_id`` is null.
+    Otherwise a group whose id is in it yields a null ``group``, so
+    ordering stays intact and the assembler reuses the checkpointed
+    group.
     """
     leaves = leaf_columns(schema_ir)
     for group in split_row_groups(normalize_table(batch), max_group_rows,
                                   max_group_bytes):
-        part_id = content_part_id(group)
-        data = None if part_id in skip_part_ids else dumps(
+        part_id = None if skip_part_ids is None else content_part_id(group)
+        data = None if part_id in (skip_part_ids or ()) else dumps(
             *encode_row_group(group, schema_ir, leaves, opts))
         yield pa.table({
-            "part_id": pa.array([part_id]),
+            "part_id": pa.array([part_id], pa.string()),
             "group": pa.array([data], type=pa.large_binary()),
         })

@@ -1005,6 +1005,24 @@ def test_no_builtin_open_outside_fsio():
     assert calls == []
 
 
+def test_byte_array_buffers_are_read_only_through_byte_slots():
+    """The chunk encoder and the compiled kernel's wrappers read a
+    string/binary array's buffers only through ``arrays.byte_slots``,
+    the one check of its offsets: neither module calls ``.buffers()``."""
+    import ast
+    import pathlib
+
+    pkg = pathlib.Path(fsio.__file__).resolve().parents[1]
+    calls = [
+        f"{rel}:{node.lineno}"
+        for rel in ("core/chunk.py", "core/_kernel.py")
+        for node in ast.walk(ast.parse((pkg / rel).read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "buffers"
+    ]
+    assert calls == []
+
+
 def test_no_pickle_in_package():
     """No module of the package imports ``pickle``: row groups and
     checkpoints travel as ``core/rowgroup.dumps`` bytes, so no state a

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hyparquet_writer_ray import ColumnSpec, WriteOptions, write_table_to_bytes
 from hyparquet_writer_ray.core import fsst
 from hyparquet_writer_ray.core.reader import read_byte_array_column
+from hyparquet_writer_ray.core.types import Encoding
 
 
 def test_roundtrip_simple():
@@ -57,6 +58,32 @@ def test_fsst_column_in_parquet():
     # non-FSST columns remain standard-readable
     other = pq.read_table(io.BytesIO(buf), columns=["doc_id"])
     assert other.column("doc_id").to_pylist() == list(range(800))
+
+
+@pytest.mark.parametrize("encoding, written", [
+    (None, "RLE_DICTIONARY"),  # the trial accepts the dictionary
+    (Encoding.RLE_DICTIONARY, "RLE_DICTIONARY"),
+    (Encoding.PLAIN, "PLAIN"),
+    (Encoding.DELTA_LENGTH_BYTE_ARRAY, "DELTA_LENGTH_BYTE_ARRAY"),
+])
+def test_fsst_pages_of_each_accepted_encoding_decode(encoding, written):
+    texts = [None if i % 13 == 0 else f"common words, variant {i % 9}" for i in range(900)]
+    spec = ColumnSpec(fsst=True, encoding=encoding)
+    buf = write_table_to_bytes(pa.table({"text": texts}),
+                               WriteOptions(column_specs={"text": spec}, page_size=2048))
+    encodings = pq.ParquetFile(io.BytesIO(buf)).metadata.row_group(0).column(0).encodings
+    assert written in encodings
+    assert read_byte_array_column(buf, "text") == [
+        None if x is None else x.encode() for x in texts]
+
+
+def test_fsst_refuses_delta_byte_array_pages():
+    """The package reader cannot decode FSST over DELTA_BYTE_ARRAY pages,
+    and no other reader decodes FSST pages: the writer refuses the pair."""
+    spec = ColumnSpec(fsst=True, encoding=Encoding.DELTA_BYTE_ARRAY)
+    with pytest.raises(ValueError, match="DELTA_BYTE_ARRAY"):
+        write_table_to_bytes(pa.table({"text": ["a", "b", None]}),
+                             WriteOptions(column_specs={"text": spec}))
 
 
 def test_fsst_compresses_web_text():

@@ -54,13 +54,11 @@ def _check_drop_null(arr: pa.Array) -> None:
     if _kernel.get_kernel() is None or arr.null_count == 0 or arr.buffers()[2] is None:
         return
     # the entry point itself: offsets from 0 and exactly the valid bytes
-    odt = A.offset_dtype(arr.type)
-    offs = np.frombuffer(arr.buffers()[1], odt, count=arr.offset + len(arr) + 1)[arr.offset:]
-    valid = A.validity_mask(arr)
-    size = int(np.diff(offs)[valid].sum())
-    new_offs, data = _kernel.compact_byte_array(offs, valid, arr.buffers()[2])
+    slots = A.byte_slots(arr)
+    size = int(slots.lengths[A.validity_mask(arr)].sum())
+    new_offs, data = _kernel.compact_byte_array(slots)
     lengths, want_data = A.byte_array_values(want)
-    assert new_offs.dtype == odt and new_offs[0] == 0
+    assert new_offs.dtype == A.offset_dtype(arr.type) and new_offs[0] == 0
     assert (np.diff(new_offs) == lengths).all()
     assert data.nbytes == size and bytes(data) == bytes(want_data)
 
@@ -170,16 +168,20 @@ def test_layout_kernels_stay_within_their_bounds(lib, typ):
         offs = np.frombuffer(arr.buffers()[1], odt, count=n + 1)
         valid = A.validity_mask(arr)
         valid = np.ones(n, np.uint8) if valid is None else valid.astype(np.uint8)
-        size = int(np.diff(offs)[valid == 1].sum())
-        out = _guarded(size)
-        out_off = _guarded((int(valid.sum()) + 1) * np.dtype(odt).itemsize)
-        src = np.frombuffer(arr.buffers()[2], np.uint8)
-        m = lib.compact_byte_array(offs.ctypes.data, odt is np.int64, valid.ctypes.data, n,
-                                   src.ctypes.data, out_off.ctypes.data, out.ctypes.data)
-        assert m == size
-        assert (out[size:] == 0xA5).all() and (out_off[-GUARD:] == 0xA5).all()
-
         bits = np.frombuffer(arr.buffers()[0], np.uint8) if arr.null_count else None
+        src = np.frombuffer(arr.buffers()[2], np.uint8)
+        for start in range(min(n, 8) + 1):
+            # slots [start, n): the bitmap's bit offset is start % 8
+            size = int(np.diff(offs[start:])[valid[start:] == 1].sum())
+            out = _guarded(size)
+            out_off = _guarded((int(valid[start:].sum()) + 1) * np.dtype(odt).itemsize)
+            m = lib.compact_byte_array(offs[start:].ctypes.data, odt is np.int64,
+                                       None if bits is None else bits[start // 8:].ctypes.data,
+                                       start % 8, n - start, src.ctypes.data,
+                                       out_off.ctypes.data, out.ctypes.data)
+            assert m == size
+            assert (out[size:] == 0xA5).all() and (out_off[-GUARD:] == 0xA5).all()
+
         for start in range(min(n, 8) + 1):
             # slots [start, n): the bitmap's bit offset is start % 8
             k = n - start
@@ -192,20 +194,21 @@ def test_layout_kernels_stay_within_their_bounds(lib, typ):
             assert (out[size:] == 0xA5).all()
 
 
-def test_layout_kernels_refuse_inconsistent_inputs(lib):
-    """The wrappers check what the C code trusts before passing pointers:
-    offsets that run past the value buffer, or lengths that do not add
-    up to the data, raise instead of reading out of bounds."""
-    offs = np.array([0, 3, 9], np.int32)
-    with pytest.raises(ValueError, match="offsets"):
-        _kernel.compact_byte_array(offs, np.array([True, False]), b"abcdef")
-    with pytest.raises(ValueError, match="offsets"):
-        _kernel.compact_byte_array(offs[:2], np.array([True, False]), b"abcdef")
+def test_layout_kernels_refuse_inconsistent_inputs():
+    """Compaction reads the slots through ``arrays.byte_slots``, which
+    checks what the C code trusts before it passes pointers: offsets that
+    run past the value buffer, or too few of them for the slots, raise
+    instead of reading out of bounds."""
+    for offsets, n in (([0, 3, 9], 2), ([0, 3], 2)):
+        arr = _Unchecked(pa.binary(), n, b"\x01", np.array(offsets, np.int32), b"abcdef",
+                         null_count=1)
+        with pytest.raises(ValueError, match="offsets"):
+            A.drop_null_fast(arr)
 
 
 class _Unchecked:
-    """What ``_kernel.plain_byte_array`` reads of an Arrow array, built
-    without the checks ``pa.Array.from_buffers`` makes."""
+    """What ``arrays.byte_slots`` reads of an Arrow array, built without
+    the checks ``pa.Array.from_buffers`` makes."""
 
     def __init__(self, typ, n, bitmap, offsets, data, null_count=0, offset=0):
         self.type, self._n, self.offset, self.null_count = typ, n, offset, null_count
@@ -220,7 +223,7 @@ class _Unchecked:
 
 
 @pytest.mark.parametrize("typ", BYTE_TYPES, ids=str)
-def test_plain_byte_array_refuses_decreasing_offsets(lib, typ):
+def test_plain_byte_array_refuses_decreasing_offsets(typ):
     """A decreasing offset, and one past the last offset, which would
     have the kernel read outside the slots' bytes, raise."""
     odt = A.offset_dtype(typ)
@@ -228,34 +231,34 @@ def test_plain_byte_array_refuses_decreasing_offsets(lib, typ):
         arr = pa.Array.from_buffers(typ, 3, [None, pa.py_buffer(np.array(offsets, odt)),
                                              pa.py_buffer(b"abcdefghij")])
         with pytest.raises(ValueError, match="offsets decrease"):
-            _kernel.plain_byte_array(arr)
+            plain_byte_array(arr)
 
 
 @pytest.mark.parametrize("typ", BYTE_TYPES, ids=str)
-def test_plain_byte_array_refuses_offsets_outside_the_data(lib, typ):
+def test_plain_byte_array_refuses_offsets_outside_the_data(typ):
     odt = A.offset_dtype(typ)
     for offsets in ([0, 3, 9], [-1, 3, 6]):
         arr = _Unchecked(typ, 2, None, np.array(offsets, odt), b"abcdef")
         with pytest.raises(ValueError, match="offsets leave the value buffer"):
-            _kernel.plain_byte_array(arr)
+            plain_byte_array(arr)
     arr = _Unchecked(typ, 4, None, np.array([0, 1, 2], odt), b"abcdef")
     with pytest.raises(ValueError, match="offsets buffer is too short"):
-        _kernel.plain_byte_array(arr)
+        plain_byte_array(arr)
 
 
 @pytest.mark.parametrize("typ", BYTE_TYPES, ids=str)
-def test_plain_byte_array_refuses_a_short_bitmap(lib, typ):
+def test_plain_byte_array_refuses_a_short_bitmap(typ):
     odt = A.offset_dtype(typ)
     offsets = np.arange(21, dtype=odt)
     # 20 slots from slot 5 need bits 5..24: three bytes, not two
     arr = _Unchecked(typ, 15, b"\xff\x0f", offsets, b"a" * 20, null_count=1, offset=5)
     with pytest.raises(ValueError, match="bitmap is too short"):
-        _kernel.plain_byte_array(arr)
+        plain_byte_array(arr)
 
 
-def test_plain_byte_array_refuses_other_types(lib):
+def test_plain_byte_array_refuses_other_types():
     with pytest.raises(ValueError, match="string/binary"):
-        _kernel.plain_byte_array(pa.array([1, 2, 3]))
+        plain_byte_array(pa.array([1, 2, 3]))
 
 
 def test_plain_byte_array_view_is_scanned_in_place(lib):

@@ -1,6 +1,7 @@
 """The kernel tests, run again on the fallbacks: the RLE hybrid and
 DELTA_BINARY_PACKED oracle tests on the numpy bodies, the byte-array
-layout tests on Arrow's ``drop_null`` and the Arrow join, and the
+layout and malformed-offsets tests on Arrow's ``drop_null`` and the
+Arrow join (the slots' check runs before either), and the
 dictionary tests on Arrow's ``count_distinct`` and
 ``dictionary_encode``. The modules
 below run on the compiled kernel wherever a C compiler works; collected
@@ -14,6 +15,7 @@ from test_arrays import *  # noqa: F401,F403
 from test_delta_kernels import *  # noqa: F401,F403
 from test_dict_kernel import *  # noqa: F401,F403
 from test_layout_kernels import *  # noqa: F401,F403
+from test_malformed_offsets import *  # noqa: F401,F403
 from test_plain_kernels import *  # noqa: F401,F403
 from test_rle_kernels import *  # noqa: F401,F403
 

@@ -47,6 +47,37 @@ def test_single_file_preserves_row_order(ray_data, tmp_path):
     assert got == ref  # order is data (SURVEY.md §7.0 invariant 3)
 
 
+def test_encode_row_groups_hashes_only_for_a_checkpoint(monkeypatch):
+    """The single-file encode stage hashes a group (``content_part_id``)
+    only when a checkpoint can use its id: without one
+    (``skip_part_ids=None``) no group is hashed and every ``part_id`` is
+    a null string; with one every group is hashed once, and a
+    checkpointed group's ``group`` is null."""
+    import pyarrow as pa
+
+    from hyparquet_writer_ray.core.schema import schema_from_arrow
+    from hyparquet_writer_ray.stages import encode as E
+
+    hashed = []
+    real = E.content_part_id
+    monkeypatch.setattr(E, "content_part_id", lambda t: hashed.append(t.num_rows) or real(t))
+    table = pa.table({"id": list(range(250)), "s": [f"v{i % 7}" for i in range(250)]})
+    kw = dict(schema_ir=schema_from_arrow(table.schema), opts=WriteOptions(), max_group_rows=100)
+
+    rows = pa.concat_tables(E.encode_row_groups(table, **kw))
+    assert hashed == [] and rows.num_rows == 3
+    assert rows.schema.field("part_id").type == pa.string()
+    assert rows.column("part_id").null_count == 3 and rows.column("group").null_count == 0
+
+    ids = pa.concat_tables(E.encode_row_groups(table, skip_part_ids=frozenset(), **kw)
+                           ).column("part_id").to_pylist()
+    assert hashed == [100, 100, 50] and None not in ids
+    hashed.clear()
+    rows = pa.concat_tables(E.encode_row_groups(table, skip_part_ids=frozenset(ids[1:2]), **kw))
+    assert hashed == [100, 100, 50] and rows.column("part_id").to_pylist() == ids
+    assert [g is None for g in rows.column("group").to_pylist()] == [False, True, False]
+
+
 def test_write_table_parallel_byte_identical(ray_data, tmp_path):
     """VERDICT r4 item 4: the parallel parity writer must produce the
     EXACT bytes of the serial reference-parity writer — same schedule,
