@@ -24,8 +24,7 @@ points:
 - ``delta_binary_pack``: the whole DELTA_BINARY_PACKED stream of
   ``delta.delta_binary_pack``, header through the last block;
 - ``compact_byte_array``: ``drop_null`` of a string/binary array whose
-  null slots own bytes, one copy per run of values (where it runs:
-  :mod:`arrays`);
+  null slots own bytes, one copy per run of values;
 - ``plain_byte_array``: the PLAIN BYTE_ARRAY layout (u32 length, bytes)
   of a string/binary array's valid slots, read from its own offsets,
   validity bitmap and value buffer (no compacted copy first) and
@@ -44,9 +43,9 @@ Every entry point reproduces its Python counterpart byte for byte.
 When no compiler works (or the host is big-endian, or the cache dir is
 unsafe) the wrappers below return None, one DEBUG record says why, and
 each caller runs its own fallback: the Python paths in :mod:`fsst`,
-the numpy bodies of :mod:`rle` and :mod:`delta`, Arrow's ``drop_null``,
-the Arrow join of the compacted page in :mod:`plain`, and Arrow's
-``count_distinct`` and ``dictionary_encode`` in :mod:`chunk`.
+the numpy bodies of :mod:`rle` and :mod:`delta`, Arrow's ``drop_null``
+in :mod:`arrays`, the Arrow join of the slots in :mod:`plain`, and
+Arrow's ``count_distinct`` and ``dictionary_encode`` in :mod:`chunk`.
 """
 from __future__ import annotations
 

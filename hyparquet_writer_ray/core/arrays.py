@@ -4,12 +4,9 @@ All encoders operate on either a fixed-width numpy array or the slots
 of a string/binary array, pulled straight from the Arrow buffers (no
 per-row Python objects in the hot path). Every reader of a
 string/binary array's buffers reads them through :func:`byte_slots`,
-the one check of its offsets. PLAIN pages are laid out from the slots
-themselves; the slots are compacted (:func:`drop_null_fast`) only where
-values are read without them: nested leaves, the first values of the
-dictionary trial and the FSST sample, a PLAIN page without a compiler,
-and a whole flat chunk for an accepted dictionary, equal-width keys,
-bloom, geo and DELTA_LENGTH / DELTA_BYTE_ARRAY pages.
+the one check of its offsets; a column chunk checks its slots once
+and reads every page as a slice of them (where it compacts them:
+``chunk._Values``).
 """
 from __future__ import annotations
 
@@ -90,6 +87,22 @@ class ByteSlots(NamedTuple):
     bit_offset: int  # the first slot's bit in ``bitmap``
     null_count: int
 
+    def slice(self, start: int, stop: int, null_count: int) -> "ByteSlots":
+        """Slots ``start`` to ``stop``, which hold ``null_count`` nulls (of
+        the same bitmap's bits): views, checked as these are."""
+        bit = self.bit_offset + start
+        return ByteSlots(self.offsets[start:stop + 1], self.lengths[start:stop], self.data,
+                         self.bitmap[bit // 8:] if null_count else None, bit % 8, null_count)
+
+    def valid(self) -> "np.ndarray | None":
+        """The slots' validity as bools, or None when none is null."""
+        return _bits(self.bitmap, self.bit_offset, len(self.lengths)) if self.null_count else None
+
+    def span(self) -> np.ndarray:
+        """The value bytes from the first slot's start to the last slot's
+        end: the values themselves where no null slot owns bytes."""
+        return self.data[self.offsets.item(0):self.offsets.item(-1)]
+
 
 def byte_slots(arr: pa.Array) -> ByteSlots:
     """The one check of a string/binary array's buffers, which
@@ -120,10 +133,11 @@ def byte_slots(arr: pa.Array) -> ByteSlots:
     return ByteSlots(offsets, lengths, data, bits, start % 8, arr.null_count)
 
 
-def drop_null_fast(arr: pa.Array) -> pa.Array:
-    """``drop_null`` with at most one copy of the value bytes for
-    string/binary arrays (and their large variants), which it reads, as
-    every byte-array path does, through :func:`byte_slots`, nulls or not.
+def compacted(arr: pa.Array, slots: "ByteSlots | None", valid: "np.ndarray | None"
+              ) -> "tuple[pa.Array, ByteSlots | None]":
+    """``drop_null`` of ``arr`` and its slots, for a string/binary array
+    from its checked ``slots`` and their validity ``valid``, with at
+    most one copy of the value bytes:
 
     - Canonical layout (null slots are zero-length): only the offsets
       are rebuilt (one vector gather) and the data buffer is reused
@@ -133,29 +147,34 @@ def drop_null_fast(arr: pa.Array) -> pa.Array:
       compiled kernel's ``compact_byte_array`` writes the offsets and
       copies each run of valid slots into one buffer. Without a
       compiler, Arrow's ``drop_null``, which copies value by value into
-      a growing buffer. Measured on one vCPU (medians of 9 in each of 2
-      to 4 processes), kernel against ``drop_null``: the 200k-row
-      ``text`` column of ``synthesize_batch`` (53.5 MB) 12.2-15.5 /
-      33.0-35.3 ms, 100k 256-byte strings at 2% nulls 2.3-2.9 /
-      14.8-18.2 ms.
+      a growing buffer, and whose result is checked like any array.
+      Measured on one vCPU (medians of 9 in each of 2 to 4 processes),
+      kernel against ``drop_null``: the 200k-row ``text`` column of
+      ``synthesize_batch`` (53.5 MB) 12.2-15.5 / 33.0-35.3 ms, 100k
+      256-byte strings at 2% nulls 2.3-2.9 / 14.8-18.2 ms."""
+    if not arr.null_count:
+        return arr, slots
+    if not slots.lengths[~valid].any():
+        offsets, data = np.concatenate([slots.offsets[:-1][valid], slots.offsets[-1:]]), slots.data
+    else:
+        got = _kernel.compact_byte_array(slots)
+        if got is None:
+            dropped = arr.drop_null()
+            return dropped, byte_slots(dropped)
+        offsets, data = got
+    return (pa.Array.from_buffers(arr.type, len(offsets) - 1, [
+        None, pa.py_buffer(offsets), pa.py_buffer(data)]),
+        ByteSlots(offsets, slots.lengths[valid], data, None, 0, 0))
 
-    Other types use ``drop_null``."""
+
+def drop_null_fast(arr: pa.Array) -> pa.Array:
+    """``drop_null`` with at most one copy of the value bytes for
+    string/binary arrays (and their large variants): :func:`compacted`
+    of their checked slots. Other types use ``drop_null``."""
     if offset_dtype(arr.type) is None:
         return arr.drop_null() if arr.null_count else arr
     slots = byte_slots(arr)
-    if arr.null_count == 0:
-        return arr
-    valid = _bits(slots.bitmap, slots.bit_offset, len(arr))
-    if not slots.lengths[~valid].any():
-        new_offs = np.concatenate([slots.offsets[:-1][valid], slots.offsets[-1:]])
-        return pa.Array.from_buffers(arr.type, int(valid.sum()), [
-            None, pa.py_buffer(new_offs), pa.py_buffer(slots.data)])
-    compact = _kernel.compact_byte_array(slots)
-    if compact is None:
-        return arr.drop_null()
-    new_offs, data = compact
-    return pa.Array.from_buffers(
-        arr.type, len(new_offs) - 1, [None, pa.py_buffer(new_offs), pa.py_buffer(data)])
+    return compacted(arr, slots, slots.valid())[0]
 
 
 def fixed_values(arr: pa.Array) -> np.ndarray:
@@ -184,8 +203,7 @@ def byte_array_values(arr: pa.Array) -> tuple[np.ndarray, np.ndarray]:
     Null slots contribute the bytes they own (none in a canonical array).
     """
     slots = byte_slots(arr)
-    return (slots.lengths.astype(np.int64, copy=False),
-            slots.data[int(slots.offsets[0]):int(slots.offsets[-1])])
+    return slots.lengths.astype(np.int64, copy=False), slots.span()
 
 
 def flba_values(arr: pa.Array, type_length: int) -> np.ndarray:

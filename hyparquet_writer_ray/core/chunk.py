@@ -6,11 +6,9 @@ statistics, page indexes — the pure-function core of the engine
 all relative to the blob start; the assembler rebases them
 (SURVEY.md §7.0 invariant 1). Flat and nested columns share one "slot"
 model: ``def/rep`` level arrays cover every Dremel slot, pages are slot
-ranges aligned to row starts, and ``values`` are the leaf values: the
-non-null ones, except that a flat string/binary leaf keeps its slots,
-nulls in place (where it is compacted: :mod:`arrays`); a page takes
-``values`` by slot wherever there is one value per slot, and by value
-otherwise.
+ranges aligned to row starts, and the leaf values are read once per
+chunk (:class:`_Values`); a page takes them by slot wherever there is
+one entry per slot, and by value otherwise.
 """
 from __future__ import annotations
 
@@ -79,59 +77,82 @@ class ChunkMeta:
     geo_stats: Optional[object] = None  # GeoStats for GEOMETRY columns
 
 
-def _prepare(col, leaf: LeafInfo) -> LeveledValues:
-    """Normalize input (flat arrow column or LeveledValues) to the slot model."""
+def _prepare(col, leaf: LeafInfo) -> "tuple[LeveledValues, _Values]":
+    """Normalize input (flat arrow column or LeveledValues) to the slot
+    model, and build the chunk's one view of its values."""
     if isinstance(col, LeveledValues):
-        return col
+        return col, _Values(col.values, leaf, col.def_levels == col.max_def
+                            if col.null_count else None)
     arr = A.single_chunk(col)
-    max_def = leaf.max_definition_level
-    n = len(arr)
-    if max_def == 0:
-        if arr.null_count:
-            raise ValueError(f"null value in REQUIRED column {'.'.join(leaf.path)}")
-        return LeveledValues(arr, None, None, 0, 0, n, 0)
+    max_def, n = leaf.max_definition_level, len(arr)
+    if max_def == 0 and arr.null_count:
+        raise ValueError(f"null value in REQUIRED column {'.'.join(leaf.path)}")
     mask = A.validity_mask(arr)
-    if mask is None:
-        def_levels = np.full(n, max_def, dtype=np.uint8)
-        values = arr
-        nulls = 0
-    else:
-        def_levels = mask.astype(np.uint8) * max_def
-        # a string/binary leaf keeps its slots: no chunk-wide copy
-        values = arr if A.offset_dtype(arr.type) is not None else A.drop_null_fast(arr)
-        nulls = arr.null_count
-    return LeveledValues(values, def_levels, None, max_def, 0, n, nulls)
+    def_levels = None if max_def == 0 else (
+        np.full(n, max_def, np.uint8) if mask is None else mask.astype(np.uint8) * max_def)
+    # a string/binary leaf keeps its slots (_Values)
+    values = arr if mask is None or A.offset_dtype(arr.type) is not None else A.drop_null_fast(arr)
+    lv = LeveledValues(values, def_levels, None, max_def, 0, n, arr.null_count)
+    return lv, _Values(values, leaf, mask)
 
 
-def _first_values(values: pa.Array, k: int) -> pa.Array:
-    """The first ``k`` non-null values of ``values`` (all of them if it
-    holds fewer), compacting only the shortest slot prefix that holds
-    them."""
-    n = len(values)
-    end = min(k, n)
-    # grow the prefix until it holds k values; its null count is a
-    # count of its own bits
-    while end < n and end - values.slice(0, end).null_count < k:
-        end = min(2 * end, n)
-    head = values.slice(0, end)
-    if head.null_count and end - head.null_count > k:
-        end = int(np.flatnonzero(A.validity_mask(head))[k - 1]) + 1
-        head = values.slice(0, end)
-    return A.drop_null_fast(head)
+class _Values:
+    """A chunk's values, read once for every reader in the chunk:
+    ``arr``, the leaf's values; ``valid``, which slots hold one (None:
+    all) and ``vcum``, the values before each slot; for a BYTE_ARRAY
+    leaf, ``slots``, their one check (``arrays.byte_slots``).
+
+    A flat string/binary leaf keeps its slots, nulls in place, and is
+    compacted at most once: PLAIN and FSST pages, the page bounds and
+    the equal-width test read ``slots``; the compacted values (built on
+    first use) serve an accepted dictionary, equal-width keys, bloom,
+    geo and DELTA_LENGTH / DELTA_BYTE_ARRAY pages; the dictionary trial
+    and the FSST sample compact only the slots their first values need.
+    Other leaves' values hold no nulls (nested ones: :mod:`nested`)."""
+
+    def __init__(self, arr: pa.Array, leaf: LeafInfo, valid: "np.ndarray | None" = None):
+        self.arr, self.valid = arr, valid
+        self.vcum = range(len(arr) + 1) if valid is None else \
+            np.concatenate([[0], np.cumsum(valid, dtype=np.int64)])
+        self.slots = A.byte_slots(arr) if leaf.element.type == ParquetType.BYTE_ARRAY else None
+        self._compacted = None
+
+    def compacted(self) -> "tuple[pa.Array, A.ByteSlots | None]":
+        """The non-null values and their slots."""
+        if self._compacted is None:
+            self._compacted = A.compacted(self.arr, self.slots, self.valid)
+        return self._compacted
+
+    def first(self, k: int) -> "tuple[pa.Array, A.ByteSlots | None]":
+        """The first ``k`` non-null values (all of them if there are
+        fewer) and their slots: of the compacted values where those are
+        built or the ``k`` values need every slot, else of the shortest
+        slot prefix that holds them, compacted."""
+        arr, slots = self.arr, self.slots
+        if arr.null_count:
+            end = min(int(np.searchsorted(self.vcum, k)), len(arr))
+            if self._compacted is not None or end == len(arr):
+                arr, slots = self.compacted()
+            else:
+                arr, slots = A.compacted(arr.slice(0, end), slots.slice(
+                    0, end, end - int(self.vcum[end])), self.valid[:end])
+        return arr.slice(0, k), slots and slots.slice(0, k, 0)
 
 
-def _encode_values(arr: pa.Array, leaf: LeafInfo, encoding: Encoding,
-                   out: "np.ndarray | None" = None) -> "bytes | memoryview":
-    """The page body of the non-null values ``arr``, or of a PLAIN
-    string/binary page's slots, whose nulls it skips. ``out`` is the
-    buffer that page may be written into (:func:`plain_byte_array`)."""
+def _encode_values(arr: pa.Array, slots: "A.ByteSlots | None", leaf: LeafInfo,
+                   encoding: Encoding, out: "np.ndarray | None" = None
+                   ) -> "bytes | memoryview":
+    """The page body of the non-null values ``arr``, or, for a
+    BYTE_ARRAY leaf, of their checked ``slots``, whose nulls a PLAIN
+    page skips. ``out`` is the buffer that page may be written into
+    (:func:`plain_byte_array`)."""
     el = leaf.element
     t = el.type
     if encoding == Encoding.PLAIN:
         if t == ParquetType.BOOLEAN:
             return plain_boolean(A.fixed_values(arr))
         if t == ParquetType.BYTE_ARRAY:
-            return plain_byte_array(arr, out)
+            return plain_byte_array(slots, out)
         if t == ParquetType.FIXED_LEN_BYTE_ARRAY:
             return plain_flba(A.flba_values(arr, el.type_length))
         return plain_fixed(A.fixed_values(arr), t)
@@ -162,77 +183,53 @@ def _encode_values(arr: pa.Array, leaf: LeafInfo, encoding: Encoding,
     elif encoding == Encoding.DELTA_LENGTH_BYTE_ARRAY:
         if t != ParquetType.BYTE_ARRAY:
             raise ValueError("DELTA_LENGTH_BYTE_ARRAY only supports BYTE_ARRAY")
-        delta_length_byte_array(page, *A.byte_array_values(arr))
+        delta_length_byte_array(page, slots.lengths, slots.span())
     elif encoding == Encoding.DELTA_BYTE_ARRAY:
         if t != ParquetType.BYTE_ARRAY:
             raise ValueError("DELTA_BYTE_ARRAY only supports BYTE_ARRAY")
-        delta_byte_array(page, *A.byte_array_values(arr))
+        delta_byte_array(page, slots.lengths, slots.span())
     else:
         raise ValueError(f"unsupported encoding {encoding}")
     return page.view()
 
 
-def _value_sizes(values: pa.Array, leaf: LeafInfo):
+def _value_sizes(values: _Values, leaf: LeafInfo):
     """One width for every value, or each value's byte length (one per
     entry of ``values``: per slot where the leaf keeps its slots)."""
     t = leaf.element.type
-    if t == ParquetType.BOOLEAN:
-        return 0.125
+    if t == ParquetType.BYTE_ARRAY:
+        return values.slots.lengths.astype(np.float64)
     if t == ParquetType.FIXED_LEN_BYTE_ARRAY:
         return float(leaf.element.type_length)
-    if t == ParquetType.BYTE_ARRAY:
-        lengths, _ = A.byte_array_values(values)
-        return lengths.astype(np.float64)
-    return float(FIXED_WIDTH[t])
+    return 0.125 if t == ParquetType.BOOLEAN else float(FIXED_WIDTH[t])
 
 
-def _page_bounds(lv: LeveledValues, leaf: LeafInfo, page_size: int,
-                 value_size: "float | None" = None
-                 ) -> "tuple[list[tuple[int, int]], np.ndarray | range]":
-    """Slot-range pages aligned to row starts.
-
-    Returns (bounds, vcum) where ``vcum[s]`` = number of values before
-    slot ``s`` (exclusive prefix count of value-bearing slots).
-    """
-    n_slots = lv.num_rows if lv.def_levels is None else len(lv.def_levels)
-    if lv.def_levels is None or lv.null_count == 0:
-        # every slot holds a value: slot s has s values before it
-        vcum = range(n_slots + 1)
-        has_val = None
-    else:
-        has_val = lv.def_levels == lv.max_def
-        vcum = np.concatenate([[0], np.cumsum(has_val, dtype=np.int64)])
-
+def _page_bounds(lv: LeveledValues, values: _Values, leaf: LeafInfo, n_slots: int,
+                 page_size: int, value_size: "float | None" = None) -> "list[tuple[int, int]]":
+    """Slot-range pages aligned to row starts."""
     if not page_size or n_slots == 0:
-        return [(0, n_slots)], vcum
+        return [(0, n_slots)]
 
-    sizes = value_size if value_size is not None else \
-        _value_sizes(lv.values, leaf)
+    sizes = value_size if value_size is not None else _value_sizes(values, leaf)
+    has_val = values.valid
     if isinstance(sizes, float):
         slot_sizes = None
         per_page = max(1, int(page_size / max(sizes, 1e-9)))
+    elif has_val is None:
+        slot_sizes = sizes
     else:
         # scatter per-value sizes onto their slots: the valid slots'
         # lengths, where a leaf keeps its slots (a null slot's own
         # bytes are not written)
         slot_sizes = np.zeros(n_slots, dtype=np.float64)
-        if has_val is None:
-            slot_sizes[:] = sizes
-        else:
-            slot_sizes[has_val] = sizes[has_val] if len(sizes) == n_slots else sizes
-    if lv.rep_levels is not None:
-        row_starts = np.nonzero(lv.rep_levels == 0)[0]
-    else:
-        row_starts = None  # every slot is a row start
-
-    bounds = []
+        slot_sizes[has_val] = sizes[has_val] if len(sizes) == n_slots else sizes
+    # every slot is a row start where there are no repetition levels
+    row_starts = None if lv.rep_levels is None else np.nonzero(lv.rep_levels == 0)[0]
     if slot_sizes is None and row_starts is None:
         # fixed width, flat: uniform split
-        step = per_page
-        for s in range(0, n_slots, step):
-            bounds.append((s, min(s + step, n_slots)))
-        return bounds, vcum
+        return [(s, min(s + per_page, n_slots)) for s in range(0, n_slots, per_page)]
 
+    bounds = []
     cum = np.cumsum(slot_sizes) if slot_sizes is not None else None
     start = 0
     base = 0.0
@@ -256,19 +253,18 @@ def _page_bounds(lv: LeveledValues, leaf: LeafInfo, page_size: int,
         if cum is not None:
             base = float(cum[end - 1])
         start = end
-    return bounds, vcum
+    return bounds
 
 
-def _try_dictionary(values: pa.Array, leaf: LeafInfo, spec: ColumnSpec, opts: WriteOptions
+def _try_dictionary(values: _Values, leaf: LeafInfo, spec: ColumnSpec, opts: WriteOptions
                     ) -> "tuple[pa.Array, np.ndarray] | None":
     """Reference dictionary decision (src/dictionary.js:72-135): the
     dictionary, in the chunk's own type, and the uint32 index of each
     value, or None for no dictionary. The compiled kernel's
     ``dict_encode`` runs the trial and the encode in one pass where it
     can (:func:`_kernel_dictionary`); Arrow's ``count_distinct`` and
-    ``dictionary_encode`` do elsewhere. ``values`` may hold null slots:
-    the trial reads the first values, and a dictionary the compacted
-    chunk."""
+    ``dictionary_encode`` do elsewhere: the trial over the first
+    values, the dictionary over the compacted ones."""
     el = leaf.element
     forced = spec.encoding == Encoding.RLE_DICTIONARY
     if spec.encoding is not None and not forced:
@@ -281,12 +277,13 @@ def _try_dictionary(values: pa.Array, leaf: LeafInfo, spec: ColumnSpec, opts: Wr
             )
         return None
     # sample-based auto decision; an explicit request bypasses it
-    n_sample = min(len(values) - values.null_count, DICT_SAMPLE)
+    arr = values.arr
+    n_sample = min(len(arr) - arr.null_count, DICT_SAMPLE)
     if not forced and n_sample == 0:
         return None
     got = _kernel_dictionary(values, leaf, 0 if forced else n_sample)
     if got is None and not forced:
-        distinct = pc.count_distinct(_first_values(values, n_sample)).as_py()
+        distinct = pc.count_distinct(values.first(n_sample)[0]).as_py()
         got = distinct if distinct == 0 or 2 * distinct > n_sample else None
     if isinstance(got, int):
         log.debug("dictionary rejected for column %s: distinct_ratio "
@@ -295,15 +292,15 @@ def _try_dictionary(values: pa.Array, leaf: LeafInfo, spec: ColumnSpec, opts: Wr
         return None
     if got is None:
         try:
-            dict_arr = pc.dictionary_encode(A.drop_null_fast(values))
+            dict_arr = pc.dictionary_encode(values.compacted()[0])
         except pa.ArrowNotImplementedError:
             if forced:
                 raise TypeError(
                     f"ColumnSpec(encoding=RLE_DICTIONARY) requested but type "
-                    f"{values.type} cannot be dictionary-encoded"
+                    f"{arr.type} cannot be dictionary-encoded"
                 )
             log.debug("dictionary rejected for column %s: type %s cannot be "
-                      "dictionary-encoded", ".".join(leaf.path), values.type)
+                      "dictionary-encoded", ".".join(leaf.path), arr.type)
             return None
         got = dict_arr.dictionary, A.fixed_values(dict_arr.indices).astype(np.uint32)
     dictionary, indices = got
@@ -326,7 +323,7 @@ _KERNEL_TYPES = (ParquetType.INT32, ParquetType.INT64, ParquetType.FLOAT, Parque
 _HANDED_BACK = {_kernel.DICT_NAN: "NaN", _kernel.DICT_SIGNED_ZERO: "signed zero"}
 
 
-def _kernel_dictionary(values: pa.Array, leaf: LeafInfo, trial: int
+def _kernel_dictionary(values: _Values, leaf: LeafInfo, trial: int
                        ) -> "tuple[pa.Array, np.ndarray] | int | None":
     """``_try_dictionary``'s dictionary and indices from the compiled
     kernel's ``dict_encode``, with the reference trial over the first
@@ -338,16 +335,16 @@ def _kernel_dictionary(values: pa.Array, leaf: LeafInfo, trial: int
     -0.0, which Arrow places by its hash)."""
     if _kernel.get_kernel() is None:
         return None
-    t = leaf.element.type
+    t, arr = leaf.element.type, values.arr
     if t == ParquetType.BYTE_ARRAY:
         keys = _equal_width_keys(values)
         if keys is None:
             return None
     elif t in _KERNEL_TYPES:
         try:
-            keys = A.fixed_values(values)
+            keys = A.fixed_values(arr)
         except TypeError:
-            return _handed_back(leaf, f"unsupported type {values.type}")
+            return _handed_back(leaf, f"unsupported type {arr.type}")
     else:
         return None
     status, indices, dictionary = _kernel.dict_encode(keys, trial)
@@ -355,7 +352,7 @@ def _kernel_dictionary(values: pa.Array, leaf: LeafInfo, trial: int
         return len(dictionary)
     if status:
         return _handed_back(leaf, _HANDED_BACK[status])
-    return _key_dictionary(values.type, dictionary), indices
+    return _key_dictionary(arr.type, dictionary), indices
 
 
 def _handed_back(leaf: LeafInfo, reason: str) -> None:
@@ -365,7 +362,7 @@ def _handed_back(leaf: LeafInfo, reason: str) -> None:
 _KEY_DTYPES = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
 
 
-def _equal_width_keys(values: pa.Array) -> "np.ndarray | None":
+def _equal_width_keys(values: _Values) -> "np.ndarray | None":
     """The value bytes of a string/binary chunk whose non-null values
     are all 1, 2, 4 or 8 bytes long, as one unsigned integer per value
     (a view of the compacted chunk); None for any other chunk.
@@ -374,19 +371,17 @@ def _equal_width_keys(values: pa.Array) -> "np.ndarray | None":
     unsigned integer, are; so the kernel's ``dict_encode`` over the keys
     gives the strings' first-occurrence dictionary and indices, as
     ``pc.dictionary_encode`` does, without a per-value offset walk."""
-    if A.offset_dtype(values.type) is None or len(values) == values.null_count:
+    arr, lengths = values.arr, values.slots.lengths
+    if len(arr) == arr.null_count:
         return None
-    slots = A.byte_slots(values)
-    lengths = slots.lengths
-    if values.null_count:
+    if arr.null_count:
         # null slots may own bytes: the valid slots' widths decide
         # before the chunk is compacted
-        lengths = lengths[A.validity_mask(values)]
+        lengths = lengths[values.valid]
     width = int(lengths[0])
     if width not in _KEY_DTYPES or (lengths != width).any():
         return None
-    if values.null_count:
-        slots = A.byte_slots(A.drop_null_fast(values))
+    slots = values.compacted()[1]
     start = int(slots.offsets[0])
     return slots.data[start:start + len(lengths) * width].view(_KEY_DTYPES[width])
 
@@ -452,6 +447,19 @@ def _smart_encoding(values: pa.Array, leaf: LeafInfo, n_slots: int) -> Encoding:
     return encoding
 
 
+def _boundary_order(pages: list[Stats]) -> int:
+    """ASCENDING when no page that holds a value has a smaller min or max
+    than the one before it, else DESCENDING when none has a larger one,
+    else UNORDERED."""
+    bounds = [(p.min_raw, p.max_raw) for p in pages if p.min_bytes is not None]
+    steps = list(zip(bounds, bounds[1:]))
+    if not any(b[0] < a[0] or b[1] < a[1] for a, b in steps):
+        return int(BoundaryOrder.ASCENDING)
+    if not any(b[0] > a[0] or b[1] > a[1] for a, b in steps):
+        return int(BoundaryOrder.DESCENDING)
+    return int(BoundaryOrder.UNORDERED)
+
+
 def encode_chunk(
     col,
     leaf: LeafInfo,
@@ -459,9 +467,8 @@ def encode_chunk(
     opts: WriteOptions,
 ) -> tuple[memoryview, ChunkMeta]:
     """Encode one column chunk (one row group x one leaf column)."""
-    lv = _prepare(col, leaf)
+    lv, values = _prepare(col, leaf)
     el = leaf.element
-    values = lv.values
     n_slots = len(lv.def_levels) if lv.def_levels is not None else lv.num_rows
     codec = spec.codec if spec.codec is not None else opts.codec
 
@@ -474,7 +481,7 @@ def encode_chunk(
         from .geo import geospatial_statistics
         if el.type != ParquetType.BYTE_ARRAY:
             raise ValueError("geospatial stats require a BYTE_ARRAY (WKB) column")
-        geo_stats = geospatial_statistics(A.drop_null_fast(values).to_pylist())
+        geo_stats = geospatial_statistics(values.compacted()[0].to_pylist())
 
     # FSST (opt-in, north-rule extension): train one symbol table per
     # chunk on a head sample of the value bytes; pages carry the table
@@ -494,8 +501,7 @@ def encode_chunk(
                 "hpw_fsst reader decodes PLAIN, DELTA_LENGTH_BYTE_ARRAY "
                 "and dictionary pages only")
         from . import fsst as F
-        _, data_head = A.byte_array_values(_first_values(values, 2000))
-        sample = data_head[:F.TRAIN_SAMPLE_BYTES].tobytes()  # all train reads
+        sample = values.first(2000)[1].span()[:F.TRAIN_SAMPLE_BYTES].tobytes()  # all train reads
         fsst_table = F.train(sample)
         # every page carries the table inline: serialize it once
         fsst_header = fsst_table.serialize()
@@ -507,7 +513,7 @@ def encode_chunk(
     if spec.bloom_filter:
         from .bloom import build_bloom
         bloom_opts = spec.bloom_filter if isinstance(spec.bloom_filter, dict) else {}
-        bloom = build_bloom(A.drop_null_fast(values), el, **bloom_opts)
+        bloom = build_bloom(values.compacted()[0], el, **bloom_opts)
 
     # --- encoding decision -------------------------------------------------
     dictionary = idx_np_all = None
@@ -519,7 +525,7 @@ def encode_chunk(
         dictionary, idx_np_all = enc
         encoding = Encoding.RLE_DICTIONARY
         dictionary_page_offset = w.offset
-        raw = _encode_values(dictionary, leaf, Encoding.PLAIN)
+        raw = _encode_values(dictionary, _Values(dictionary, leaf).slots, leaf, Encoding.PLAIN)
         comp = compress(raw, codec, opts.compressors, opts.codec_level)
         write_dictionary_page_header(
             w, uncompressed_page_size=len(raw), compressed_page_size=len(comp),
@@ -534,7 +540,7 @@ def encode_chunk(
         if spec.encoding is not None:
             encoding = spec.encoding
         elif opts.auto_codec == "smart":
-            encoding = _smart_encoding(values, leaf, n_slots)
+            encoding = _smart_encoding(values.arr, leaf, n_slots)
         else:
             encoding = (
                 Encoding.RLE
@@ -542,10 +548,9 @@ def encode_chunk(
                 else Encoding.PLAIN
             )
     encodings.append(int(encoding))
-    if encoding in (Encoding.DELTA_LENGTH_BYTE_ARRAY, Encoding.DELTA_BYTE_ARRAY):
-        # their pages read every value: compact once (offsets only when
-        # null slots own no bytes), not page by page
-        values = A.drop_null_fast(values)
+    # DELTA byte-array pages are slices of the compacted values
+    arr, slots = values.compacted() if encoding in (
+        Encoding.DELTA_LENGTH_BYTE_ARRAY, Encoding.DELTA_BYTE_ARRAY) else (values.arr, values.slots)
 
     # --- page loop ---------------------------------------------------------
     # dictionary chunks write RLE index runs, not raw values: size pages
@@ -553,23 +558,20 @@ def encode_chunk(
     # split into thousands of near-empty pages (each paying a header,
     # statistics, and column/offset-index entries)
     dict_value_size = max(bit_width, 1) / 8.0 if idx_np_all is not None else None
-    bounds, vcum = _page_bounds(lv, leaf, opts.page_size,
-                                value_size=dict_value_size)
+    bounds = _page_bounds(lv, values, leaf, n_slots, opts.page_size, dict_value_size)
     data_page_offset = w.offset
     col_index = ColumnIndexData() if spec.column_index and len(bounds) > 1 else None
     off_index = [] if spec.offset_index and len(bounds) > 1 else None
     page_stats: list[Stats] = []
-    ascending = descending = True
-    prev_min = prev_max = None
     uncomp_acc = dict_uncomp
     def_bw = bit_width_of(lv.max_def)
     rep_bw = bit_width_of(lv.max_rep)
-    # row index per slot start (for offset index first_row_index)
-    if lv.rep_levels is not None:
-        row_cum = np.concatenate([[0], np.cumsum(lv.rep_levels == 0, dtype=np.int64)])
+    # the rows before each slot (a page's num_rows, its first_row_index)
+    row_cum = range(n_slots + 1) if lv.rep_levels is None else \
+        np.concatenate([[0], np.cumsum(lv.rep_levels == 0, dtype=np.int64)])
     # a page's values: by slot where there is one entry per slot (a leaf
     # that keeps its slots, or one with a value in every slot), else by value
-    by_slot = len(values) == n_slots
+    by_slot = len(arr) == n_slots
     # one buffer for every PLAIN byte-array page: codecs, FSST and
     # BufWriter.write all copy out of it
     page_buf = None
@@ -578,26 +580,24 @@ def encode_chunk(
     for (s0, s1) in bounds:
         page_start = w.offset
         nslots = s1 - s0
-        v0, v1 = int(vcum[s0]), int(vcum[s1])
-        page = values.slice(s0, nslots) if by_slot else values.slice(v0, v1 - v0)
+        v0, v1 = int(values.vcum[s0]), int(values.vcum[s1])
+        num_nulls = nslots - (v1 - v0)
+        # the page's values and a slice of the chunk's checked slots
+        a, b, nulls = (s0, s1, num_nulls) if by_slot else (v0, v1, 0)
+        page = arr.slice(a, b - a)
+        page_slots = slots and slots.slice(a, b, nulls)
 
         lvl = BufWriter()
         rep_len = 0
         if lv.rep_levels is not None:
             rep_len = encode_rle_hybrid(lvl, lv.rep_levels[s0:s1], rep_bw)
         def_len = 0
-        num_nulls = 0
         if lv.def_levels is not None:
-            num_nulls = int(nslots - (v1 - v0))
             if lv.null_count == 0 and nslots >= 8:
                 # no nulls: the levels are one run, as the encoder would write
                 def_len = write_rle_run(lvl, lv.max_def, nslots, def_bw)
             else:
                 def_len = encode_rle_hybrid(lvl, lv.def_levels[s0:s1], def_bw)
-        if lv.rep_levels is not None:
-            num_rows = int(row_cum[s1] - row_cum[s0])
-        else:
-            num_rows = nslots
 
         if idx_np_all is not None:
             body = BufWriter()
@@ -605,7 +605,7 @@ def encode_chunk(
             encode_rle_hybrid(body, idx_np_all[v0:v1], bit_width)
             raw = body.view()
         else:
-            raw = _encode_values(page, leaf, encoding, page_buf)
+            raw = _encode_values(page, page_slots, leaf, encoding, page_buf)
             if reuse:
                 page_buf = raw.obj
 
@@ -629,7 +629,7 @@ def encode_chunk(
             compressed_page_size=lvl.offset + comp_len,
             num_values=nslots,
             num_nulls=num_nulls,
-            num_rows=num_rows,
+            num_rows=int(row_cum[s1] - row_cum[s0]),
             encoding=encoding,
             definition_levels_byte_length=def_len,
             repetition_levels_byte_length=rep_len,
@@ -649,35 +649,13 @@ def encode_chunk(
             col_index.min_values.append(pstats.min_bytes or b"")
             col_index.max_values.append(pstats.max_bytes or b"")
             col_index.null_counts.append(pstats.null_count)
-            if not all_null:
-                if prev_min is not None:
-                    if pstats.min_raw < prev_min:
-                        ascending = False
-                    if pstats.min_raw > prev_min:
-                        descending = False
-                if prev_max is not None:
-                    if pstats.max_raw < prev_max:
-                        ascending = False
-                    if pstats.max_raw > prev_max:
-                        descending = False
-                prev_min, prev_max = pstats.min_raw, pstats.max_raw
         if off_index is not None:
-            first_row = (
-                int(row_cum[s0]) if lv.rep_levels is not None else s0
-            )
-            off_index.append(
-                PageLocation(
-                    rel_offset=page_start,
-                    compressed_page_size=w.offset - page_start,
-                    first_row_index=first_row,
-                )
-            )
+            off_index.append(PageLocation(rel_offset=page_start,
+                                          compressed_page_size=w.offset - page_start,
+                                          first_row_index=int(row_cum[s0])))
 
     if col_index is not None:
-        col_index.boundary_order = int(
-            BoundaryOrder.ASCENDING if ascending
-            else BoundaryOrder.DESCENDING if descending else BoundaryOrder.UNORDERED
-        )
+        col_index.boundary_order = _boundary_order(page_stats)
     # chunk statistics, once, from the cheapest exact source
     # (core/statistics.py)
     stats = None
@@ -687,10 +665,10 @@ def encode_chunk(
             # parquet spec: geometry columns carry no byte min/max
             stats = Stats(None, None, lv.null_count, None, None)
         elif page_stats:
-            stats = fold_statistics(page_stats, values.type, el, lv.null_count)
+            stats = fold_statistics(page_stats, arr.type, el, lv.null_count)
         else:
             stats = compute_statistics(
-                dictionary if dictionary is not None else values,
+                dictionary if dictionary is not None else arr,
                 el, null_count=lv.null_count,
             )
 

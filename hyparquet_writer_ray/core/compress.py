@@ -27,6 +27,15 @@ _PA_NAME = {
 _codec_cache: dict[tuple, pa.Codec] = {}
 
 
+def _codec(codec: Codec, level: Optional[int] = None) -> pa.Codec:
+    """pyarrow's codec for ``codec`` at ``level``, built once per process
+    and shared by both directions."""
+    key = (codec, level)
+    if key not in _codec_cache:
+        _codec_cache[key] = pa.Codec(_PA_NAME[codec], compression_level=level)
+    return _codec_cache[key]
+
+
 def compress(data: "bytes | memoryview", codec: Codec,
              compressors: Optional[dict[str, Callable[[bytes], bytes]]] = None,
              level: Optional[int] = None) -> "bytes | memoryview":
@@ -34,16 +43,9 @@ def compress(data: "bytes | memoryview", codec: Codec,
         return data
     if compressors and codec.name in compressors:
         return compressors[codec.name](bytes(data))
-    name = _PA_NAME.get(codec)
-    if name is None:
+    if codec not in _PA_NAME:
         raise ValueError(f"no compressor for codec {codec.name}")
-    key = (codec, level)
-    c = _codec_cache.get(key)
-    if c is None:
-        c = _codec_cache[key] = (
-            pa.Codec(name) if level is None else pa.Codec(name, compression_level=level)
-        )
-    buf = c.compress(data, asbytes=False)
+    buf = _codec(codec, level).compress(data, asbytes=False)
     # a pyarrow buffer's own memoryview has signed items and its capacity
     # as its shape: cast to bytes and trimmed, its len is the output's
     return memoryview(buf).cast("B")[:buf.size]
@@ -59,10 +61,9 @@ def decompress(data: bytes, codec: Codec, uncompressed_size: int,
         return data
     if decompressors and codec.name in decompressors:
         return decompressors[codec.name](data, uncompressed_size)
-    name = _PA_NAME.get(codec)
-    if name is None:
+    if codec not in _PA_NAME:
         raise ValueError(
             f"no decompressor for codec {codec.name}: a file written "
             f"through the compressors plug-in map needs a matching "
             f"entry in decompressors")
-    return pa.Codec(name).decompress(data, uncompressed_size, asbytes=True)
+    return _codec(codec).decompress(data, uncompressed_size, asbytes=True)

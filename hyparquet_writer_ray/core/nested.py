@@ -21,8 +21,8 @@ from .types import LeafInfo
 class LeveledValues:
     """A leaf's Dremel encoding: flattened values + level arrays."""
 
-    # the non-null leaf values; a flat string/binary leaf (chunk._prepare)
-    # keeps its slots instead, nulls in place, one entry per slot
+    # the non-null leaf values; a flat string/binary leaf keeps its slots
+    # instead, nulls in place, one entry per slot (chunk._Values)
     values: pa.Array
     def_levels: np.ndarray | None  # uint8 per slot (None when max_def == 0)
     rep_levels: np.ndarray | None  # uint8 per slot (None when max_rep == 0)

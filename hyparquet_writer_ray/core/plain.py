@@ -2,7 +2,7 @@
 src/plain.js:10-135). Each returns the page body itself, never copied
 into a page buffer: fixed widths as a view of the values, BYTE_ARRAY
 from the compiled kernel over the column's own slots (or one Arrow C++
-join of the compacted page without a compiler)."""
+join of them without a compiler)."""
 from __future__ import annotations
 
 import numpy as np
@@ -38,11 +38,12 @@ def plain_boolean(values: np.ndarray) -> bytes:
     return np.packbits(values.astype(np.uint8), bitorder="little").tobytes()
 
 
-def plain_byte_array(arr: pa.Array, out: "np.ndarray | None" = None) -> memoryview:
+def plain_byte_array(slots: A.ByteSlots, out: "np.ndarray | None" = None) -> memoryview:
     """BYTE_ARRAY: u32 little-endian length prefix + raw bytes per value,
-    for the valid slots of the string/binary array ``arr``.
+    for the valid ones of a string/binary array's checked slots
+    (``arrays.byte_slots``, or a page's slice of a chunk's).
 
-    The compiled kernel's ``plain_byte_array`` reads the array's own
+    The compiled kernel's ``plain_byte_array`` reads the slots' own
     offsets, validity and value buffers and writes the layout once,
     into ``out`` when it is large enough (the page loop hands each page
     the buffer of the one before, ``view.obj``), with 8 zero bytes past
@@ -53,31 +54,33 @@ def plain_byte_array(arr: pa.Array, out: "np.ndarray | None" = None) -> memoryvi
     processes) it takes 18.1-18.3 ms into a fresh buffer and 10.4-10.7
     ms into a reused one, against 35.5-41.4 ms for ``drop_null_fast``
     and the layout from the compacted values. Without a compiler the
-    page is compacted (``drop_null_fast``) and joined (:func:`_joined`).
-    Either way the slots are checked first (``arrays.byte_slots``).
+    slots are joined by Arrow (:func:`_joined`), nulls in place.
     """
-    got = _kernel.plain_byte_array(A.byte_slots(arr), out)
-    return got if got is not None else _joined(*A.byte_array_values(A.drop_null_fast(arr)))
+    got = _kernel.plain_byte_array(slots, out)
+    return got if got is not None else _joined(slots)
 
 
-def _joined(lengths: np.ndarray, data: np.ndarray) -> memoryview:
-    """The PLAIN layout of non-null values in one Arrow C++ pass: the
-    4-byte headers and the values are wrapped without a copy as two
-    ``large_binary`` arrays (64-bit offsets, so a page over 2 GiB cannot
-    overflow) and joined element-wise with an empty separator; the view
-    is of the joined data buffer. On the values of the 200k-row ``text``
-    column of ``synthesize_batch`` (52.6 MB; one vCPU, medians of 9 in
-    each of 3 processes) the join took 40.3-59.7 ms."""
-    n = len(lengths)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
+def _joined(slots: A.ByteSlots) -> memoryview:
+    """The PLAIN layout of the valid slots in one Arrow C++ pass: the
+    4-byte headers and the slots are wrapped without a copy of the
+    values as two ``large_binary`` arrays (64-bit offsets, so a page
+    over 2 GiB cannot overflow) and joined element-wise with an empty
+    separator, which writes nothing for a null slot; the view is of the
+    joined data buffer. On the slots of the 200k-row ``text`` column
+    of ``synthesize_batch`` (52.7 MB, 4,098 of them null; one vCPU,
+    medians of 9 in each of 2 processes) the join took 43.1-43.3 ms,
+    against 77.1 ms for compacting the column and joining its values."""
+    n, valid = len(slots.lengths), slots.valid()
+    kept = slots.lengths if valid is None else slots.lengths[valid]
+    bitmap = None if valid is None else pa.py_buffer(np.packbits(valid, bitorder="little"))
     headers = pa.Array.from_buffers(pa.large_binary(), n, [
         None, pa.py_buffer(np.arange(0, 4 * n + 1, 4, dtype=np.int64)),
-        pa.py_buffer(lengths.astype("<u4"))])
+        pa.py_buffer(slots.lengths.astype("<u4"))])
     values = pa.Array.from_buffers(pa.large_binary(), n, [
-        None, pa.py_buffer(offsets), pa.py_buffer(data)])
+        bitmap, pa.py_buffer(slots.offsets.astype(np.int64, copy=False)), pa.py_buffer(slots.data)],
+        null_count=slots.null_count)
     joined = pc.binary_join_element_wise(headers, values, _EMPTY)
-    return memoryview(joined.buffers()[2]).cast("B")[: 4 * n + data.nbytes]
+    return memoryview(joined.buffers()[2]).cast("B")[: 4 * len(kept) + int(kept.sum())]
 
 
 def plain_flba(matrix: np.ndarray) -> memoryview:

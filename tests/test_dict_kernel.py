@@ -38,6 +38,11 @@ def _leaf(t: pa.DataType):
     return leaf_columns(schema_from_arrow(pa.schema([pa.field("c", t, nullable=False)])))[0]
 
 
+def _try_dictionary(values: pa.Array, leaf, spec: ColumnSpec, opts: WriteOptions):
+    """``chunk._try_dictionary`` of the chunk ``values``, through its view."""
+    return C._try_dictionary(C._Values(values, leaf), leaf, spec, opts)
+
+
 def _pool(rng, t: pa.DataType, k: int, width: int) -> pa.Array:
     """k candidate values of type t (repeats allowed), floats with NaN
     (two payloads), -0.0, +0.0 and infinities among them."""
@@ -83,8 +88,8 @@ def _oracle(values: pa.Array, forced: bool):
 
 
 def _check(values: pa.Array, forced: bool = False) -> "tuple | None":
-    got = C._try_dictionary(values, _leaf(values.type), FORCED if forced else ColumnSpec(),
-                            NO_PAGE_RULE)
+    got = _try_dictionary(values, _leaf(values.type), FORCED if forced else ColumnSpec(),
+                          NO_PAGE_RULE)
     want = _oracle(values, forced)
     assert (got is None) == (want is None)
     if got is not None:
@@ -191,8 +196,8 @@ def test_a_type_the_view_cannot_take_is_handed_back(caplog):
         pytest.skip("no C compiler")
     values = pa.array(np.arange(20) % 3 * 86_400_000, pa.date64())
     with caplog.at_level(logging.DEBUG, logger="hyparquet_writer_ray"):
-        dictionary, indices = C._try_dictionary(values, _leaf(pa.int64()), ColumnSpec(),
-                                                NO_PAGE_RULE)
+        dictionary, indices = _try_dictionary(values, _leaf(pa.int64()), ColumnSpec(),
+                                              NO_PAGE_RULE)
     assert dictionary.equals(pc.dictionary_encode(values).dictionary)
     assert [r.getMessage() for r in caplog.records if r.name == "hyparquet_writer_ray"] == [
         "dictionary of column c left to Arrow: unsupported type date64[ms]"]
@@ -206,9 +211,9 @@ def test_a_rejected_chunk_hashes_its_sample_only(monkeypatch):
         pytest.skip("no C compiler")
     monkeypatch.setattr(C.pc, "count_distinct", None)
     values = pa.array(np.concatenate([np.arange(1000), np.zeros(100_000, np.int64)]))
-    assert C._try_dictionary(values, _leaf(pa.int64()), ColumnSpec(), NO_PAGE_RULE) is None
+    assert _try_dictionary(values, _leaf(pa.int64()), ColumnSpec(), NO_PAGE_RULE) is None
     values = pa.array(np.concatenate([np.zeros(1000, np.int64), np.arange(5000)]))
-    dictionary, _ = C._try_dictionary(values, _leaf(pa.int64()), ColumnSpec(), NO_PAGE_RULE)
+    dictionary, _ = _try_dictionary(values, _leaf(pa.int64()), ColumnSpec(), NO_PAGE_RULE)
     assert len(dictionary) == 5000
 
 

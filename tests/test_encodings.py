@@ -157,7 +157,7 @@ class TestDictionary:
         import pyarrow.compute as pc
 
         from hyparquet_writer_ray.core import _kernel
-        from hyparquet_writer_ray.core.chunk import _kernel_dictionary
+        from hyparquet_writer_ray.core.chunk import _kernel_dictionary, _Values
         from hyparquet_writer_ray.core.schema import schema_from_arrow
         from hyparquet_writer_ray.core.types import leaf_columns
 
@@ -175,7 +175,7 @@ class TestDictionary:
         leaf = leaf_columns(schema_from_arrow(pa.schema([("s", typ, False)])))[0]
         start = data.draw(st.integers(0, len(arr) - 1))
         for a in (arr, arr.slice(start), arr.slice(start, (len(arr) - start) // 2)):
-            got = _kernel_dictionary(a, leaf, 0)
+            got = _kernel_dictionary(_Values(a, leaf), leaf, 0)
             widths = set(pc.binary_length(a).to_pylist())
             if not len(a) or widths - {1, 2, 4, 8} or len(widths) > 1:
                 assert got is None

@@ -1023,6 +1023,28 @@ def test_byte_array_buffers_are_read_only_through_byte_slots():
     assert calls == []
 
 
+def test_a_chunk_reads_its_values_only_through_its_view():
+    """In ``core/chunk.py`` only ``_prepare`` and ``_Values``, which build
+    a chunk's one view of its values, check a string/binary array's
+    slots, unpack a validity bitmap or compact values."""
+    import ast
+    import pathlib
+
+    path = pathlib.Path(fsio.__file__).resolve().parents[1] / "core" / "chunk.py"
+    readers = {"byte_slots", "byte_array_values", "validity_mask", "drop_null_fast",
+               "compacted"}
+    calls = [
+        f"{top.name}:{node.lineno}"
+        for top in ast.parse(path.read_text()).body
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+        and top.name not in ("_prepare", "_Values")
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr in readers
+        and isinstance(node.value, ast.Name) and node.value.id == "A"
+    ]
+    assert calls == []
+
+
 def test_no_pickle_in_package():
     """No module of the package imports ``pickle``: row groups and
     checkpoints travel as ``core/rowgroup.dumps`` bytes, so no state a

@@ -69,13 +69,13 @@ def _check_plain(arr: pa.Array) -> None:
     large enough that still holds an earlier page's bytes."""
     lengths, data = A.byte_array_values(arr.drop_null())
     want = bytes(oracle.plain_byte_array(lengths, data))
-    got = plain_byte_array(arr)
+    got = plain_byte_array(A.byte_slots(arr))
     assert bytes(got) == want
     assert len(got) == 4 * len(lengths) + data.nbytes
     # at least 4 bytes per slot and every byte of the value buffer
     roomy = 4 * len(arr) + arr.buffers()[2].size + _kernel.SLACK
     for out in (np.full(3, 0xA5, np.uint8), np.full(roomy, 0xA5, np.uint8)):
-        got = plain_byte_array(arr, out)
+        got = plain_byte_array(A.byte_slots(arr), out)
         assert bytes(got) == want
         if _kernel.get_kernel() is not None:
             base = got.obj
@@ -114,8 +114,8 @@ def test_slot_layout_matches_drop_null_and_join(typ, n, null_frac, empty_frac, o
     arr = _array(np.random.default_rng(seed), typ, n, null_frac, empty_frac, owned)
     start = min(8 * bytes_before + bit_offset, n)
     for a in (arr.slice(start), arr.slice(start, length)):
-        want = bytes(_joined(*A.byte_array_values(A.drop_null_fast(a))))
-        assert bytes(plain_byte_array(a)) == want
+        want = bytes(_joined(A.byte_slots(A.drop_null_fast(a))))
+        assert bytes(plain_byte_array(A.byte_slots(a))) == want
         valid = A.validity_mask(a)
         if valid is not None and valid.any():
             # a run of valid slots: a bitmap, but no null among its slots
@@ -123,7 +123,35 @@ def test_slot_layout_matches_drop_null_and_join(typ, n, null_frac, empty_frac, o
             run = int(np.argmin(valid[first:])) or len(valid) - first
             b = a.slice(first, run)
             assert b.null_count == 0 and b.buffers()[0] is not None
-            assert bytes(plain_byte_array(b)) == bytes(_joined(*A.byte_array_values(b)))
+            assert bytes(plain_byte_array(A.byte_slots(b))) == bytes(_joined(A.byte_slots(b)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(typ=st.sampled_from(BYTE_TYPES), n=st.integers(0, 300),
+       null_frac=st.sampled_from([0.0, 0.03, 0.5, 1.0]), owned=st.booleans(),
+       seed=st.integers(0, 2**32 - 1), start=st.integers(0, 300), length=st.integers(0, 300))
+def test_slot_slices_read_as_the_slices_slots(typ, n, null_frac, owned, seed, start, length):
+    """A page's slice of a chunk's checked slots (``ByteSlots.slice``:
+    its offsets, the bitmap from its first bit, its null count) reads
+    as the checked slots of the Arrow slice: the same PLAIN layout,
+    validity, span and compacted values, so the page loop takes each
+    page from the chunk's one check."""
+    arr = _array(np.random.default_rng(seed), typ, n, null_frac, 0.2, owned)
+    start = min(start, n)
+    page = arr.slice(start, length)
+    got = A.byte_slots(arr).slice(start, start + len(page), page.null_count)
+    want = A.byte_slots(page)
+    assert bytes(plain_byte_array(got)) == bytes(plain_byte_array(want))
+    assert bytes(got.span()) == bytes(want.span())
+    assert (got.lengths == want.lengths).all()
+    valid = got.valid()
+    assert (valid is None) == (page.null_count == 0)
+    if valid is not None:
+        assert (valid == A.validity_mask(page)).all()
+    compact, compact_slots = A.compacted(page, got, valid)
+    assert compact.equals(page.drop_null())
+    assert (compact_slots.lengths == A.byte_slots(page.drop_null()).lengths).all()
+    assert bytes(compact_slots.span()) == bytes(A.byte_slots(compact).span())
 
 
 @pytest.mark.parametrize("typ", BYTE_TYPES, ids=str)
@@ -231,7 +259,7 @@ def test_plain_byte_array_refuses_decreasing_offsets(typ):
         arr = pa.Array.from_buffers(typ, 3, [None, pa.py_buffer(np.array(offsets, odt)),
                                              pa.py_buffer(b"abcdefghij")])
         with pytest.raises(ValueError, match="offsets decrease"):
-            plain_byte_array(arr)
+            plain_byte_array(A.byte_slots(arr))
 
 
 @pytest.mark.parametrize("typ", BYTE_TYPES, ids=str)
@@ -240,10 +268,10 @@ def test_plain_byte_array_refuses_offsets_outside_the_data(typ):
     for offsets in ([0, 3, 9], [-1, 3, 6]):
         arr = _Unchecked(typ, 2, None, np.array(offsets, odt), b"abcdef")
         with pytest.raises(ValueError, match="offsets leave the value buffer"):
-            plain_byte_array(arr)
+            plain_byte_array(A.byte_slots(arr))
     arr = _Unchecked(typ, 4, None, np.array([0, 1, 2], odt), b"abcdef")
     with pytest.raises(ValueError, match="offsets buffer is too short"):
-        plain_byte_array(arr)
+        plain_byte_array(A.byte_slots(arr))
 
 
 @pytest.mark.parametrize("typ", BYTE_TYPES, ids=str)
@@ -253,12 +281,12 @@ def test_plain_byte_array_refuses_a_short_bitmap(typ):
     # 20 slots from slot 5 need bits 5..24: three bytes, not two
     arr = _Unchecked(typ, 15, b"\xff\x0f", offsets, b"a" * 20, null_count=1, offset=5)
     with pytest.raises(ValueError, match="bitmap is too short"):
-        plain_byte_array(arr)
+        plain_byte_array(A.byte_slots(arr))
 
 
 def test_plain_byte_array_refuses_other_types():
     with pytest.raises(ValueError, match="string/binary"):
-        plain_byte_array(pa.array([1, 2, 3]))
+        plain_byte_array(A.byte_slots(pa.array([1, 2, 3])))
 
 
 def test_plain_byte_array_view_is_scanned_in_place(lib):
@@ -268,7 +296,7 @@ def test_plain_byte_array_view_is_scanned_in_place(lib):
     from hyparquet_writer_ray.core import fsst as F
 
     arr = _array(np.random.default_rng(2), pa.string(), 2_000, 0.0, 0.1, owned=False)
-    view = plain_byte_array(arr)
+    view = plain_byte_array(A.byte_slots(arr))
     base = view.obj
     assert bytes(base[len(view):]) == bytes(_kernel.SLACK)
     assert _kernel._slack_follows(view, np.frombuffer(view, np.uint8))

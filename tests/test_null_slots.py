@@ -47,6 +47,11 @@ SPECS = {
     "dictionary": ColumnSpec(),  # the trial accepts or rejects it
     "dictionary_forced": ColumnSpec(encoding=Encoding.RLE_DICTIONARY),
     "bloom": ColumnSpec(bloom_filter=True),
+    # bloom and the DELTA pages, bloom and the FSST sample: each reads
+    # the compacted values or a prefix of them
+    "bloom_delta_length": ColumnSpec(bloom_filter=True,
+                                     encoding=Encoding.DELTA_LENGTH_BYTE_ARRAY),
+    "fsst_bloom": ColumnSpec(fsst=True, bloom_filter=True),
     "no_page_index": ColumnSpec(column_index=False, offset_index=False),
 }
 
@@ -92,15 +97,23 @@ def _owned(rng, typ: pa.DataType, n: int, null_frac: float, empty_frac: float,
 def _decoded(buf: bytes, spec: str) -> pa.Array:
     """Column ``c`` of the file ``buf`` as large_binary: read by pyarrow,
     or by the package reader where FSST pages are."""
-    if spec == "fsst":
+    if spec.startswith("fsst"):
         return pa.array(read_byte_array_column(buf, "c"), pa.large_binary())
     return pq.read_table(io.BytesIO(buf)).column("c").combine_chunks().cast(pa.large_binary())
 
 
+def _leaf(col: pa.Array):
+    return leaf_columns(schema_from_arrow(pa.schema([("c", col.type)])))[0]
+
+
 def _encode(col: pa.Array, spec: ColumnSpec, opts: WriteOptions):
-    leaf = leaf_columns(schema_from_arrow(pa.schema([("c", col.type)])))[0]
-    blob, meta = encode_chunk(col, leaf, spec, opts)
+    blob, meta = encode_chunk(col, _leaf(col), spec, opts)
     return bytes(blob), meta
+
+
+def _view(col: pa.Array) -> C._Values:
+    """The chunk's view of the flat column ``col``."""
+    return C._prepare(col, _leaf(col))[1]
 
 
 @settings(max_examples=150, deadline=None)
@@ -153,13 +166,20 @@ def test_owned_null_bytes_cover_every_path(typ, spec):
        null_frac=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]), k=st.integers(0, 2_500),
        start=st.integers(0, 17), seed=st.integers(0, 2**32 - 1))
 def test_first_values_are_the_first_non_null_values(typ, n, null_frac, k, start, seed):
-    """``_first_values`` gives the first k non-null values (all of them
-    when there are fewer), compacted."""
+    """The view's ``first`` gives the first k non-null values (all of
+    them when there are fewer), compacted, and their slots; so it does
+    once the chunk's compacted values are built."""
     rng = np.random.default_rng(seed)
     col = _owned(rng, typ, n + start, null_frac, 0.2, 50, None, False).slice(start)
-    got = C._first_values(col, k)
-    assert got.null_count == 0
-    assert got.equals(col.drop_null().slice(0, k))
+    want = col.drop_null().slice(0, k)
+    view = _view(col)
+    for _ in range(2):
+        got, slots = view.first(k)
+        assert got.null_count == 0 and got.equals(want)
+        assert slots.null_count == 0 and len(slots.lengths) == len(want)
+        assert bytes(slots.span()) == b"".join(
+            v if isinstance(v, bytes) else v.encode() for v in want.to_pylist())
+        view.compacted()
 
 
 @pytest.mark.parametrize("typ", BYTE_TYPES, ids=str)
@@ -187,7 +207,7 @@ def test_equal_width_keys_skip_owned_null_bytes(typ, width):
     equal-width values on the kernel's key path, keyed by its values."""
     rng = np.random.default_rng(width)
     col = _owned(rng, typ, 2_000, 0.1, 0.0, 30, width, False).slice(3)
-    keys = C._equal_width_keys(col)
+    keys = C._equal_width_keys(_view(col))
     assert keys is not None and keys.dtype.itemsize == width
     want = np.frombuffer(b"".join(v if isinstance(v, bytes) else v.encode()
                                   for v in col.drop_null().to_pylist()), keys.dtype)

@@ -54,7 +54,7 @@ def _check(table: pa.Table, opts: WriteOptions) -> set:
     for leaf, col in zip(leaves, _leaf_arrays(table, leaves)):
         spec = opts.column_specs.get(".".join(leaf.path)) or opts.spec(leaf.path[0])
         _, meta = C.encode_chunk(col, leaf, spec, opts)
-        lv = C._prepare(col, leaf)
+        lv, _ = C._prepare(col, leaf)
         pages = _pages(lv, meta)
         # the oracle takes the non-null values; a flat string/binary
         # leaf keeps its null slots in ``lv.values``

@@ -183,3 +183,25 @@ def test_compress_returns_the_codec_bytes_as_a_view():
         assert compress(data, Codec.UNCOMPRESSED) is data
         out = compress(data, Codec.SNAPPY, {"SNAPPY": lambda b: b"plug-in " + b})
         assert out == b"plug-in " + bytes(data)
+
+
+def test_decompress_shares_the_compress_codec_cache(monkeypatch):
+    """Each built-in codec is built once per process and level, and both
+    directions use it: pages round-trip with no ``pa.Codec`` built after
+    the first page of each codec."""
+    import pyarrow as pa
+
+    from hyparquet_writer_ray.core import compress as K
+    from hyparquet_writer_ray.core.types import Codec
+
+    page = np.random.default_rng(5).integers(0, 4, 20_000, dtype=np.uint8).tobytes()
+    monkeypatch.setattr(K, "_codec_cache", {})
+    built, codec_type = [], pa.Codec
+    monkeypatch.setattr(K.pa, "Codec", lambda *a, **k: built.append(a) or codec_type(*a, **k))
+    for _ in range(3):
+        for codec in K._PA_NAME:
+            comp = bytes(K.compress(page, codec))
+            assert K.decompress(comp, codec, len(page)) == page
+    assert sorted(built) == sorted((name,) for name in K._PA_NAME.values())
+    with pytest.raises(ValueError, match="no decompressor"):
+        K.decompress(b"", Codec.LZO, 0)

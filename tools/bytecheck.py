@@ -57,6 +57,12 @@ The files cover:
   output), sliced at a non-zero offset and written in 4 KiB pages:
   PLAIN pages of both types, DELTA_LENGTH_BYTE_ARRAY, DELTA_BYTE_ARRAY,
   an accepted dictionary, and FSST on web text.
+- ``nullable_bloom.parquet``: ``string`` and ``large_string`` columns
+  whose null slots own bytes, each with a bloom filter, under PLAIN,
+  under DELTA_LENGTH_BYTE_ARRAY and under an accepted dictionary of
+  2-byte values (the kernel's equal-width keys), sliced at a non-zero
+  offset and written in 4 KiB pages: the bloom filter and the pages
+  read the same chunk's values.
 - ``rows.parquet``: ``write_rows`` of row dicts to a path sink with
   ``row_group_size=(700, 1500)``: inferred int32, int64, double,
   string, boolean and timestamp columns with nulls, and a dict-valued
@@ -66,7 +72,7 @@ The files cover:
   ``(300, 500, 800)``, so each call picks the schedule up where the
   previous one left it.
 
-The ``lineitem.parquet`` to ``nullable_large.parquet`` files are written
+The ``lineitem.parquet`` to ``nullable_bloom.parquet`` files are written
 by ``write_table`` to a path sink.
 
 With ``--ray`` it starts a local Ray session and checks the Ray
@@ -294,6 +300,22 @@ def _nullable_large(n: int = 12_000, seed: int = 31) -> pa.Table:
     }).slice(skip)
 
 
+def _nullable_bloom(n: int = 12_000, seed: int = 37) -> pa.Table:
+    rng = np.random.default_rng(seed)
+    skip = 45  # sliced off below
+    m = n + skip
+    words = [f"w{k}-" + "q" * (k % 23) for k in range(2_000)]
+    codes = [f"{c}{d}" for c in "ABCDEFGH" for d in "xyz"]
+    cols = {}
+    for typ in (pa.string(), pa.large_string()):
+        for kind, pool in (("plain", words), ("dlba", words), ("dict2", codes)):
+            values = pa.array(pool, typ).take(rng.integers(0, len(pool), m))
+            # pc.if_else keeps each null slot's bytes in the value buffer
+            cols[f"{kind}_{typ}"] = pc.if_else(
+                pa.array(rng.random(m) < 0.1), pa.scalar(None, typ), values)
+    return pa.table(cols).slice(skip)
+
+
 def _files() -> list[tuple[str, pa.Table, WriteOptions]]:
     web = synthesize_batch(0, 20_000)
     return [
@@ -323,6 +345,13 @@ def _files() -> list[tuple[str, pa.Table, WriteOptions]]:
              "dlba": ColumnSpec(encoding=Encoding.DELTA_LENGTH_BYTE_ARRAY),
              "dba": ColumnSpec(encoding=Encoding.DELTA_BYTE_ARRAY),
              "fsst": ColumnSpec(fsst=True)})),
+        ("nullable_bloom.parquet", _nullable_bloom(),
+         WriteOptions(page_size=4 << 10, row_group_size=(5_000,), column_specs={
+             f"{kind}_{typ}": ColumnSpec(encoding=encoding, bloom_filter=True)
+             for typ in ("string", "large_string")
+             for kind, encoding in (("plain", Encoding.PLAIN),
+                                    ("dlba", Encoding.DELTA_LENGTH_BYTE_ARRAY),
+                                    ("dict2", None))})),
     ]
 
 
