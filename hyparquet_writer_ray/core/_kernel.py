@@ -1,5 +1,5 @@
 """The package's compiled kernel: FSST, the integer page encoders, the
-byte-array layouts and the dictionary encoder.
+byte-array layouts, bloom hashing and the dictionary encoder.
 
 One C source (``_C_SRC``) is compiled ON DEMAND with the system C
 compiler into a per-user cache dir, as a file named by the source's
@@ -29,7 +29,16 @@ points:
   of a string/binary array's valid slots, read from its own offsets,
   validity bitmap and value buffer (no compacted copy first) and
   written once, into a reused page buffer ``fsst_compress`` can scan
-  in place. Both read the slots as ``arrays.byte_slots`` checked them;
+  in place;
+- ``delta_length_byte_array``: the DELTA_LENGTH_BYTE_ARRAY body of the
+  same slots (``delta_binary_pack`` of their lengths, then their bytes)
+  into the same kind of buffer. It and ``plain_byte_array`` also return
+  the page's bounds, its first slots holding the smallest and the
+  largest value in ``pc.min_max``'s order, found in the copy loop
+  through an 8-byte big-endian key per value, so the page's statistics
+  need no second pass;
+- ``xxhash64_slots``: ``bloom.xxhash64`` of each valid slot. These
+  four read the slots as ``arrays.byte_slots`` checked them;
 - ``dict_encode``: ``pc.dictionary_encode`` of 1-, 2-, 4- or 8-byte keys
   (fixed-width values, or equal-width strings read as integers) in one
   hash pass that also runs the reference dictionary trial, writing the
@@ -44,8 +53,10 @@ When no compiler works (or the host is big-endian, or the cache dir is
 unsafe) the wrappers below return None, one DEBUG record says why, and
 each caller runs its own fallback: the Python paths in :mod:`fsst`,
 the numpy bodies of :mod:`rle` and :mod:`delta`, Arrow's ``drop_null``
-in :mod:`arrays`, the Arrow join of the slots in :mod:`plain`, and
-Arrow's ``count_distinct`` and ``dictionary_encode`` in :mod:`chunk`.
+in :mod:`arrays`, the Arrow join of the slots in :mod:`plain` (with
+``pc.min_max`` for the page bounds), the scalar ``xxhash64`` in
+:mod:`bloom`, and Arrow's ``count_distinct`` and ``dictionary_encode``
+in :mod:`chunk`.
 """
 from __future__ import annotations
 
@@ -675,32 +686,184 @@ size_t compact_byte_array(const void* off, int wide, const uint8_t* bitmap, size
                 : compact32(off, bitmap, bit_offset, n, data, out_off, out);
 }
 
+/* A page's bounds, found while its values are copied: the first valid
+   slot holding the smallest value and the first holding the largest,
+   in pc.min_max's order (unsigned bytes, a prefix before any longer
+   value), -1 while none is valid. Each value is compared through its
+   8-byte big-endian key (its first 8 bytes, zero padded), which decides
+   unless the keys are equal; only then does memcmp read the rest. Both
+   read the value's copy in the page, which always has 8 more bytes of
+   the output buffer after it (a later value or the slack), so the key
+   is one load. */
+typedef struct { uint64_t key; const uint8_t* p; size_t len; int64_t slot; } Bound;
+
+static inline uint64_t bound_key(const uint8_t* p, size_t len) {
+    uint64_t w; memcpy(&w, p, 8);
+    w = __builtin_bswap64(w);
+    return len >= 8 ? w : len ? w & ~(~0ULL >> (8 * len)) : 0;
+}
+
+/* the order of the value (p, len) against b when their keys are equal:
+   then their first 8 bytes are equal, or the shorter one ends within
+   them and the other has only zero bytes up to byte 8, so the rest of
+   their common length decides, and then the length */
+static int bound_tie(const uint8_t* p, size_t len, const Bound* b) {
+    size_t m = len < b->len ? len : b->len;
+    int c = m > 8 ? memcmp(p + 8, b->p + 8, m - 8) : 0;
+    return c ? c : (len > b->len) - (len < b->len);
+}
+
+static inline void bound_value(Bound* lo, Bound* hi, int64_t slot, const uint8_t* p,
+                               size_t len) {
+    uint64_t key = bound_key(p, len);
+    if (lo->slot < 0) {
+        lo->key = key; lo->p = p; lo->len = len; lo->slot = slot;
+        *hi = *lo;
+        return;
+    }
+    if (key < lo->key || (key == lo->key && bound_tie(p, len, lo) < 0)) {
+        lo->key = key; lo->p = p; lo->len = len; lo->slot = slot;
+    }
+    if (key > hi->key || (key == hi->key && bound_tie(p, len, hi) > 0)) {
+        hi->key = key; hi->p = p; hi->len = len; hi->slot = slot;
+    }
+}
+
 /* plain_byte_array: PLAIN BYTE_ARRAY of the valid slots, each value's
    u32 little-endian length then its bytes, read straight from the
    array's own buffers: no compacted copy of the values comes first.
-   Output bound: 4 per valid slot plus its bytes, at most
-   4 * (valid slots) + off[n] - off[0]; the count written is returned. */
+   bounds[0..1] receive the page's bounds. Output bound: 4 per valid
+   slot plus its bytes, at most 4 * (valid slots) + off[n] - off[0],
+   and out must hold 8 bytes more; the count written is returned. */
 #define PLAIN(NAME, T)                                                    \
 static size_t NAME(const T* off, const uint8_t* bitmap, size_t bit_offset, \
-                   size_t n, const uint8_t* data, uint8_t* out) {         \
+                   size_t n, const uint8_t* data, uint8_t* out, int64_t* bounds) { \
     size_t o = 0;                                                         \
+    Bound lo = {0, NULL, 0, -1}, hi = lo;                                 \
     for (size_t i = 0; i < n; i++) {                                      \
         if (!VALID(i)) continue;                                          \
         size_t len = (size_t)(off[i + 1] - off[i]);                       \
         uint32_t len32 = (uint32_t)len;                                   \
         memcpy(out + o, &len32, 4);                                       \
         memcpy(out + o + 4, data + off[i], len);                          \
+        bound_value(&lo, &hi, (int64_t)i, out + o + 4, len);              \
         o += 4 + len;                                                     \
     }                                                                     \
+    bounds[0] = lo.slot; bounds[1] = hi.slot;                             \
     return o;                                                             \
 }
 PLAIN(plain32, int32_t)
 PLAIN(plain64, int64_t)
 
 size_t plain_byte_array(const void* off, int wide, const uint8_t* bitmap, size_t bit_offset,
-                        size_t n, const uint8_t* data, uint8_t* out) {
-    return wide ? plain64(off, bitmap, bit_offset, n, data, out)
-                : plain32(off, bitmap, bit_offset, n, data, out);
+                        size_t n, const uint8_t* data, uint8_t* out, int64_t* bounds) {
+    return wide ? plain64(off, bitmap, bit_offset, n, data, out, bounds)
+                : plain32(off, bitmap, bit_offset, n, data, out, bounds);
+}
+
+/* delta_length_byte_array: DELTA_LENGTH_BYTE_ARRAY of the valid slots,
+   delta_binary_pack of their lengths as int32, then their bytes, with
+   the page's bounds in bounds[0..1]. Output bound: delta_binary_pack's
+   for the valid slots plus their bytes, and out must hold 8 bytes more;
+   the count written is returned, or (size_t)-1 if the lengths could
+   not be allocated. */
+#define DELTA_LENGTH(NAME, T)                                             \
+static size_t NAME(const T* off, const uint8_t* bitmap, size_t bit_offset, \
+                   size_t n, const uint8_t* data, uint8_t* out, int64_t* bounds) { \
+    int32_t* lens = malloc(n * sizeof(int32_t) + 1);                      \
+    if (!lens) return (size_t)-1;                                         \
+    size_t k = 0;                                                         \
+    for (size_t i = 0; i < n; i++)                                        \
+        if (VALID(i)) lens[k++] = (int32_t)(off[i + 1] - off[i]);         \
+    size_t o = delta_binary_pack(lens, k, 0, out);                        \
+    free(lens);                                                           \
+    Bound lo = {0, NULL, 0, -1}, hi = lo;                                 \
+    for (size_t i = 0; i < n; i++) {                                      \
+        if (!VALID(i)) continue;                                          \
+        size_t len = (size_t)(off[i + 1] - off[i]);                       \
+        memcpy(out + o, data + off[i], len);                              \
+        bound_value(&lo, &hi, (int64_t)i, out + o, len);                  \
+        o += len;                                                         \
+    }                                                                     \
+    bounds[0] = lo.slot; bounds[1] = hi.slot;                             \
+    return o;                                                             \
+}
+DELTA_LENGTH(delta_length32, int32_t)
+DELTA_LENGTH(delta_length64, int64_t)
+
+size_t delta_length_byte_array(const void* off, int wide, const uint8_t* bitmap,
+                               size_t bit_offset, size_t n, const uint8_t* data,
+                               uint8_t* out, int64_t* bounds) {
+    return wide ? delta_length64(off, bitmap, bit_offset, n, data, out, bounds)
+                : delta_length32(off, bitmap, bit_offset, n, data, out, bounds);
+}
+
+/* ---- bloom hashing ---------------------------------------------------- */
+
+/* xxhash64_slots: XXH64 (seed 0) of each valid slot's bytes, in slot
+   order, into out (one per valid slot); the count is returned. */
+#define XP1 0x9E3779B185EBCA87ULL
+#define XP2 0xC2B2AE3D27D4EB4FULL
+#define XP3 0x165667B19E3779F9ULL
+#define XP4 0x85EBCA77C2B2AE63ULL
+#define XP5 0x27D4EB2F165667C5ULL
+
+static inline uint64_t rotl64(uint64_t x, int r) { return (x << r) | (x >> (64 - r)); }
+
+static inline uint64_t xxh_round(uint64_t acc, uint64_t lane) {
+    return rotl64(acc + lane * XP2, 31) * XP1;
+}
+
+static uint64_t xxh64(const uint8_t* p, size_t n) {
+    const uint8_t* end = p + n;
+    uint64_t h, lane;
+    if (n >= 32) {
+        uint64_t v1 = XP1 + XP2, v2 = XP2, v3 = 0, v4 = 0 - XP1;
+        for (; p + 32 <= end; p += 32) {
+            memcpy(&lane, p, 8); v1 = xxh_round(v1, lane);
+            memcpy(&lane, p + 8, 8); v2 = xxh_round(v2, lane);
+            memcpy(&lane, p + 16, 8); v3 = xxh_round(v3, lane);
+            memcpy(&lane, p + 24, 8); v4 = xxh_round(v4, lane);
+        }
+        h = rotl64(v1, 1) + rotl64(v2, 7) + rotl64(v3, 12) + rotl64(v4, 18);
+        h = (h ^ xxh_round(0, v1)) * XP1 + XP4;
+        h = (h ^ xxh_round(0, v2)) * XP1 + XP4;
+        h = (h ^ xxh_round(0, v3)) * XP1 + XP4;
+        h = (h ^ xxh_round(0, v4)) * XP1 + XP4;
+    } else {
+        h = XP5;
+    }
+    h += (uint64_t)n;
+    for (; p + 8 <= end; p += 8) {
+        memcpy(&lane, p, 8);
+        h = rotl64(h ^ xxh_round(0, lane), 27) * XP1 + XP4;
+    }
+    if (p + 4 <= end) {
+        uint32_t w; memcpy(&w, p, 4);
+        h = rotl64(h ^ (uint64_t)w * XP1, 23) * XP2 + XP3;
+        p += 4;
+    }
+    for (; p < end; p++) h = rotl64(h ^ *p * XP5, 11) * XP1;
+    h ^= h >> 33; h *= XP2;
+    h ^= h >> 29; h *= XP3;
+    return h ^ (h >> 32);
+}
+
+#define XXHASH(NAME, T)                                                   \
+static size_t NAME(const T* off, const uint8_t* bitmap, size_t bit_offset, \
+                   size_t n, const uint8_t* data, uint64_t* out) {        \
+    size_t k = 0;                                                         \
+    for (size_t i = 0; i < n; i++)                                        \
+        if (VALID(i)) out[k++] = xxh64(data + off[i], (size_t)(off[i + 1] - off[i])); \
+    return k;                                                             \
+}
+XXHASH(xxhash32, int32_t)
+XXHASH(xxhash64w, int64_t)
+
+size_t xxhash64_slots(const void* off, int wide, const uint8_t* bitmap, size_t bit_offset,
+                      size_t n, const uint8_t* data, uint64_t* out) {
+    return wide ? xxhash64w(off, bitmap, bit_offset, n, data, out)
+                : xxhash32(off, bitmap, bit_offset, n, data, out);
 }
 
 /* ---- dictionary encoder ---------------------------------------------- */
@@ -810,7 +973,8 @@ _BUILT = re.compile(r"(fsst_)?kernel(_\w+)?\.(so|c)")
 # libraries a build leaves in the cache dir, those loaded last: two
 # checkouts or package versions sharing the dir each keep their own
 _KEEP_BUILDS = 4
-# zero bytes a buffer from ``plain_byte_array`` holds past its view:
+# zero bytes a page buffer from ``plain_byte_array`` or
+# ``delta_length_byte_array`` holds past its view:
 # ``fsst_compress`` reads a full u64 at every position, so it scans such
 # a view in place where any other input is copied into a padded buffer
 SLACK = 8
@@ -818,8 +982,8 @@ SLACK = 8
 
 def _unavailable(reason: str) -> None:
     log.debug("compiled kernel unavailable (%s): FSST, the page encoders, "
-              "the byte-array layouts and the dictionary encoder run their "
-              "fallbacks", reason)
+              "the byte-array layouts, bloom hashing and the dictionary "
+              "encoder run their fallbacks", reason)
 
 
 def _evict(cache: str) -> None:
@@ -915,11 +1079,14 @@ def _build() -> "ctypes.CDLL | None":
         ctypes.c_void_p, ctypes.c_int, ctypes.c_void_p, ctypes.c_size_t,
         ctypes.c_size_t, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
     ]
-    lib.plain_byte_array.restype = ctypes.c_size_t
-    lib.plain_byte_array.argtypes = [
-        ctypes.c_void_p, ctypes.c_int, ctypes.c_void_p, ctypes.c_size_t,
-        ctypes.c_size_t, ctypes.c_void_p, ctypes.c_void_p,
-    ]
+    # the slots (offsets, wide, bitmap, bit offset, n, data), the output
+    # and, for a page layout, its bounds
+    slots = [ctypes.c_void_p, ctypes.c_int, ctypes.c_void_p, ctypes.c_size_t,
+             ctypes.c_size_t, ctypes.c_void_p, ctypes.c_void_p]
+    for fn, bounds in ((lib.plain_byte_array, True), (lib.delta_length_byte_array, True),
+                       (lib.xxhash64_slots, False)):
+        fn.restype = ctypes.c_size_t
+        fn.argtypes = slots + [ctypes.c_void_p] * bounds
     lib.dict_encode.restype = ctypes.c_int
     lib.dict_encode.argtypes = [
         ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int, ctypes.c_int, ctypes.c_size_t,
@@ -961,7 +1128,8 @@ def _packed(table) -> tuple[bytes, bytes, int]:
 def _slack_follows(data, src: np.ndarray) -> bool:
     """Whether ``SLACK`` bytes past the end of ``src`` (the bytes of
     ``data``) lie inside the numpy array ``data`` is a view of, as they
-    do for ``plain_byte_array``'s views."""
+    do for the page views of ``plain_byte_array`` and
+    ``delta_length_byte_array``."""
     base = getattr(data, "obj", None)
     return (isinstance(base, np.ndarray) and base.flags.c_contiguous
             and src.ctypes.data + src.nbytes + SLACK <= base.ctypes.data + base.nbytes)
@@ -1054,6 +1222,16 @@ def delta_binary_pack(values: np.ndarray) -> "memoryview | None":
     return out.data[:lib.delta_binary_pack(v.ctypes.data, v.size, wide, out.ctypes.data)]
 
 
+def _slot_args(slots) -> tuple:
+    """The C arguments of a string/binary array's checked slots
+    (``arrays.byte_slots``): offsets, their width, bitmap, bit offset,
+    count and value bytes."""
+    offs = slots.offsets
+    bits = None if slots.bitmap is None else slots.bitmap.ctypes.data
+    return (offs.ctypes.data, offs.dtype.itemsize == 8, bits, slots.bit_offset,
+            len(slots.lengths), slots.data.ctypes.data)
+
+
 def compact_byte_array(slots) -> "tuple[np.ndarray, np.ndarray] | None":
     """The offsets and bytes of ``drop_null`` of a string/binary array
     from its checked slots (``arrays.byte_slots``), or None without the
@@ -1062,37 +1240,68 @@ def compact_byte_array(slots) -> "tuple[np.ndarray, np.ndarray] | None":
     lib = get_kernel()
     if lib is None:
         return None
-    offs, n = slots.offsets, len(slots.lengths)
-    bits = None if slots.bitmap is None else slots.bitmap.ctypes.data
-    out_off = np.empty(n - slots.null_count + 1, offs.dtype)
+    offs = slots.offsets
+    out_off = np.empty(len(slots.lengths) - slots.null_count + 1, offs.dtype)
     out = np.empty(offs.item(-1) - offs.item(0), np.uint8)
-    size = lib.compact_byte_array(offs.ctypes.data, offs.dtype.itemsize == 8, bits,
-                                  slots.bit_offset, n, slots.data.ctypes.data,
-                                  out_off.ctypes.data, out.ctypes.data)
+    size = lib.compact_byte_array(*_slot_args(slots), out_off.ctypes.data, out.ctypes.data)
     return out_off, out[:size]
 
 
-def plain_byte_array(slots, out: "np.ndarray | None" = None) -> "memoryview | None":
-    """``plain.plain_byte_array``'s bytes for a string/binary array's
-    checked slots (``arrays.byte_slots``), or None without the kernel:
-    its valid slots, read from its own offsets, validity bitmap and
-    value buffer, so a slice of a column whose null slots own bytes
-    needs no compacted copy first. The result is a view of ``out`` when
-    that uint8 array holds the layout's bound plus ``SLACK``, else of a
-    new buffer; the ``SLACK`` bytes after the view are zero, so FSST
-    scans the page in place."""
+def _page(entry: str, slots, head: int, out: "np.ndarray | None"
+          ) -> "tuple[memoryview, tuple[int, int]] | None":
+    """``(body, (lo, hi))``: the page layout ``entry`` writes of the
+    valid slots, at most ``head`` bytes before their values, and the
+    slots of its smallest and largest value (-1 when none is valid);
+    None without the kernel. The body is a view of ``out`` when that
+    uint8 array holds the bound plus ``SLACK``, else of a new buffer;
+    the ``SLACK`` bytes after it are zero, so FSST scans the page in
+    place."""
     lib = get_kernel()
     if lib is None:
         return None
-    offs, n = slots.offsets, len(slots.lengths)
-    bits = None if slots.bitmap is None else slots.bitmap.ctypes.data
-    bound = 4 * (n - slots.null_count) + offs.item(-1) - offs.item(0)
+    bound = head + slots.offsets.item(-1) - slots.offsets.item(0)
     if out is None or out.size < bound + SLACK:
         out = np.empty(bound + SLACK, np.uint8)
-    size = lib.plain_byte_array(offs.ctypes.data, offs.dtype.itemsize == 8, bits,
-                                slots.bit_offset, n, slots.data.ctypes.data, out.ctypes.data)
+    bounds = (ctypes.c_int64 * 2)()
+    size = getattr(lib, entry)(*_slot_args(slots), out.ctypes.data, bounds)
+    if size == ctypes.c_size_t(-1).value:
+        raise MemoryError(f"{entry} could not allocate its lengths")
     out[size:size + SLACK] = 0
-    return out.data[:size]
+    return out.data[:size], (bounds[0], bounds[1])
+
+
+def plain_byte_array(slots, out: "np.ndarray | None" = None
+                     ) -> "tuple[memoryview, tuple[int, int]] | None":
+    """``plain.plain_byte_array``'s bytes for a string/binary array's
+    checked slots (``arrays.byte_slots``), with the slots of its smallest
+    and largest value (:func:`_page`), or None without the kernel: its
+    valid slots, read from its own offsets, validity bitmap and value
+    buffer, so a slice of a column whose null slots own bytes needs no
+    compacted copy first."""
+    return _page("plain_byte_array", slots, 4 * (len(slots.lengths) - slots.null_count), out)
+
+
+def delta_length_byte_array(slots, out: "np.ndarray | None" = None
+                            ) -> "tuple[memoryview, tuple[int, int]] | None":
+    """``delta.delta_length_byte_array``'s bytes for a string/binary
+    array's checked slots, with the slots of its smallest and largest
+    value (:func:`_page`), or None without the kernel: the
+    ``delta_binary_pack`` of the valid slots' lengths, then their bytes,
+    read from the array's own buffers."""
+    return _page("delta_length_byte_array", slots,
+                 delta_bound(len(slots.lengths) - slots.null_count), out)
+
+
+def xxhash64_slots(slots) -> "np.ndarray | None":
+    """``bloom.xxhash64`` of each valid slot's bytes of a string/binary
+    array's checked slots, as uint64 in slot order, or None without the
+    kernel."""
+    lib = get_kernel()
+    if lib is None:
+        return None
+    out = np.empty(len(slots.lengths) - slots.null_count, np.uint64)
+    lib.xxhash64_slots(*_slot_args(slots), out.ctypes.data)
+    return out
 
 
 # dict_encode's outcomes besides a dictionary: the trial rejected the

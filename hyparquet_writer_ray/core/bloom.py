@@ -3,8 +3,10 @@ BloomFilter.md (reference: src/bloom.js; sizing formula is the
 parquet-mr one).
 
 xxhash64 runs vectorized in numpy for fixed-width values (INT32/INT64/
-FLOAT/DOUBLE hash their little-endian bytes) and as a pure-python
-scalar implementation for BYTE_ARRAY values. SBBF insertion is one
+FLOAT/DOUBLE hash their little-endian bytes), in the compiled kernel
+(``xxhash64_slots``) for BYTE_ARRAY values, and as a pure-python scalar
+implementation for FIXED_LEN_BYTE_ARRAY values and for BYTE_ARRAY
+values without a compiler. SBBF insertion is one
 vectorized scatter over the distinct-hash array.
 
 Reader side: :func:`bloom_might_contain` (a per-row-group probe) and
@@ -27,6 +29,7 @@ from typing import Optional
 import numpy as np
 import pyarrow as pa
 
+from . import _kernel
 from . import arrays as A
 from .bufwriter import BufWriter
 from .reader import read_footer, top_level_leaf
@@ -191,9 +194,13 @@ def sbbf_check(words: np.ndarray, h: int) -> bool:
     return True
 
 
-def hash_values(values: pa.Array, element: SchemaElement) -> Optional[np.ndarray]:
+def hash_values(values: pa.Array, element: SchemaElement,
+                slots: "A.ByteSlots | None" = None) -> Optional[np.ndarray]:
     """xxhash64 of every (non-null) value's plain encoding; None if the
-    type is unhashable."""
+    type is unhashable. A string/binary array's values are its valid
+    slots, read from ``slots`` (its ``arrays.byte_slots``, checked
+    here when not given) by the compiled kernel's ``xxhash64_slots``,
+    or by the scalar :func:`xxhash64` without a compiler."""
     t = element.type
     if t == ParquetType.INT64:
         v = A.fixed_values(values)
@@ -210,13 +217,15 @@ def hash_values(values: pa.Array, element: SchemaElement) -> Optional[np.ndarray
     if t == ParquetType.FLOAT:
         return xxhash64_u32(A.fixed_values(values).view(np.uint32))
     if t == ParquetType.BYTE_ARRAY:
-        lengths, data = A.byte_array_values(values)
-        out = np.empty(len(lengths), dtype=np.uint64)
-        pos = 0
-        buf = data.tobytes()
-        for i, ln in enumerate(lengths):
-            out[i] = xxhash64(buf[pos : pos + ln])
-            pos += ln
+        slots = A.byte_slots(values) if slots is None else slots
+        out = _kernel.xxhash64_slots(slots)
+        if out is None:
+            valid = slots.valid()
+            kept = range(len(slots.lengths)) if valid is None else np.flatnonzero(valid).tolist()
+            offsets = (slots.offsets - slots.offsets[0]).tolist()
+            buf = slots.span().tobytes()
+            out = np.array([xxhash64(buf[offsets[i]:offsets[i + 1]]) for i in kept],
+                           dtype=np.uint64)
         return out
     if t == ParquetType.FIXED_LEN_BYTE_ARRAY:
         mat = A.flba_values(values, element.type_length)
@@ -225,11 +234,14 @@ def hash_values(values: pa.Array, element: SchemaElement) -> Optional[np.ndarray
 
 
 def build_bloom(values: pa.Array, element: SchemaElement,
+                slots: "A.ByteSlots | None" = None,
                 fpp: float = 0.01, max_bytes: int = 1 << 20) -> Optional[bytes]:
-    """Serialized bloom (thrift header + block words) or None."""
-    if len(values) == 0:
+    """Serialized bloom (thrift header + block words) of the non-null
+    values, or None (none, or an unhashable type). ``slots``: a
+    string/binary array's checked slots (:func:`hash_values`)."""
+    if len(values) == values.null_count:
         return None
-    hashes = hash_values(values, element)
+    hashes = hash_values(values, element, slots)
     if hashes is None:
         return None
     distinct = np.unique(hashes)

@@ -32,8 +32,9 @@ from .pages import write_data_page_v2_header, write_dictionary_page_header
 from .plain import plain_boolean, plain_byte_array, plain_fixed, plain_flba
 from .rle import bit_width_of, encode_rle_hybrid, write_rle_run
 from .splitstream import byte_stream_split
-from .statistics import Stats, compute_statistics, fold_statistics
-from .types import BoundaryOrder, Codec, Encoding, FIXED_WIDTH, LeafInfo, ParquetType
+from .statistics import Stats, compute_statistics, fold_statistics, slot_statistics
+from .types import (BoundaryOrder, Codec, Encoding, FIXED_WIDTH, LeafInfo, ParquetType,
+                    SchemaElement)
 
 DICT_SAMPLE = 1000  # sample size for the dictionary decision (src/dictionary.js:80)
 DICT_MAX_RATIO = 0.5  # more than half of the sample distinct rejects: 2 * distinct > n
@@ -103,19 +104,20 @@ class _Values:
     leaf, ``slots``, their one check (``arrays.byte_slots``).
 
     A flat string/binary leaf keeps its slots, nulls in place, and is
-    compacted at most once: PLAIN and FSST pages, the page bounds and
-    the equal-width test read ``slots``; the compacted values (built on
-    first use) serve an accepted dictionary, equal-width keys, bloom,
-    geo and DELTA_LENGTH / DELTA_BYTE_ARRAY pages; the dictionary trial
-    and the FSST sample compact only the slots their first values need.
-    Other leaves' values hold no nulls (nested ones: :mod:`nested`)."""
+    compacted at most once: PLAIN, FSST and DELTA_LENGTH pages, bloom,
+    the page sizes and the equal-width test read ``slots``; the
+    compacted values (built on first use) serve an accepted dictionary,
+    equal-width keys, geo and DELTA_BYTE_ARRAY pages; the dictionary
+    trial and the FSST sample share one compacted prefix, the slots
+    the larger of their first values needs. Other leaves' values hold
+    no nulls (nested ones: :mod:`nested`)."""
 
     def __init__(self, arr: pa.Array, leaf: LeafInfo, valid: "np.ndarray | None" = None):
         self.arr, self.valid = arr, valid
         self.vcum = range(len(arr) + 1) if valid is None else \
             np.concatenate([[0], np.cumsum(valid, dtype=np.int64)])
         self.slots = A.byte_slots(arr) if leaf.element.type == ParquetType.BYTE_ARRAY else None
-        self._compacted = None
+        self._compacted = self._prefix = None
 
     def compacted(self) -> "tuple[pa.Array, A.ByteSlots | None]":
         """The non-null values and their slots."""
@@ -126,33 +128,48 @@ class _Values:
     def first(self, k: int) -> "tuple[pa.Array, A.ByteSlots | None]":
         """The first ``k`` non-null values (all of them if there are
         fewer) and their slots: of the compacted values where those are
-        built or the ``k`` values need every slot, else of the shortest
-        slot prefix that holds them, compacted."""
+        built or the ``k`` values need every slot, else of the last
+        compacted slot prefix where that holds them, else of the
+        shortest slot prefix that does, compacted and kept."""
         arr, slots = self.arr, self.slots
         if arr.null_count:
             end = min(int(np.searchsorted(self.vcum, k)), len(arr))
             if self._compacted is not None or end == len(arr):
                 arr, slots = self.compacted()
             else:
-                arr, slots = A.compacted(arr.slice(0, end), slots.slice(
-                    0, end, end - int(self.vcum[end])), self.valid[:end])
+                if self._prefix is None or len(self._prefix[0]) < k:
+                    self._prefix = A.compacted(arr.slice(0, end), slots.slice(
+                        0, end, end - int(self.vcum[end])), self.valid[:end])
+                arr, slots = self._prefix
         return arr.slice(0, k), slots and slots.slice(0, k, 0)
 
 
 def _encode_values(arr: pa.Array, slots: "A.ByteSlots | None", leaf: LeafInfo,
                    encoding: Encoding, out: "np.ndarray | None" = None
-                   ) -> "bytes | memoryview":
+                   ) -> "tuple[bytes | memoryview, tuple[int, int] | None]":
     """The page body of the non-null values ``arr``, or, for a
-    BYTE_ARRAY leaf, of their checked ``slots``, whose nulls a PLAIN
-    page skips. ``out`` is the buffer that page may be written into
-    (:func:`plain_byte_array`)."""
+    BYTE_ARRAY leaf, of their checked ``slots``, whose nulls a PLAIN or
+    DELTA_LENGTH_BYTE_ARRAY page skips, and the slots of the page's
+    smallest and largest value where the body's own pass found them
+    (:func:`plain_byte_array`), else None. ``out`` is the buffer those
+    two byte-array bodies may be written into."""
     el = leaf.element
+    t = el.type
+    if t == ParquetType.BYTE_ARRAY and encoding == Encoding.PLAIN:
+        return plain_byte_array(slots, out)
+    if t == ParquetType.BYTE_ARRAY and encoding == Encoding.DELTA_LENGTH_BYTE_ARRAY:
+        return delta_length_byte_array(slots, out)
+    return _other_body(arr, slots, el, encoding), None
+
+
+def _other_body(arr: pa.Array, slots: "A.ByteSlots | None", el: SchemaElement,
+                encoding: Encoding) -> "bytes | memoryview":
+    """:func:`_encode_values`'s body of every other page: one whose
+    statistics come from another pass."""
     t = el.type
     if encoding == Encoding.PLAIN:
         if t == ParquetType.BOOLEAN:
             return plain_boolean(A.fixed_values(arr))
-        if t == ParquetType.BYTE_ARRAY:
-            return plain_byte_array(slots, out)
         if t == ParquetType.FIXED_LEN_BYTE_ARRAY:
             return plain_flba(A.flba_values(arr, el.type_length))
         return plain_fixed(A.fixed_values(arr), t)
@@ -181,9 +198,7 @@ def _encode_values(arr: pa.Array, slots: "A.ByteSlots | None", leaf: LeafInfo,
             raise ValueError("DELTA_BINARY_PACKED only supports INT32/INT64")
         delta_binary_pack(page, A.fixed_values(arr))
     elif encoding == Encoding.DELTA_LENGTH_BYTE_ARRAY:
-        if t != ParquetType.BYTE_ARRAY:
-            raise ValueError("DELTA_LENGTH_BYTE_ARRAY only supports BYTE_ARRAY")
-        delta_length_byte_array(page, slots.lengths, slots.span())
+        raise ValueError("DELTA_LENGTH_BYTE_ARRAY only supports BYTE_ARRAY")
     elif encoding == Encoding.DELTA_BYTE_ARRAY:
         if t != ParquetType.BYTE_ARRAY:
             raise ValueError("DELTA_BYTE_ARRAY only supports BYTE_ARRAY")
@@ -513,7 +528,7 @@ def encode_chunk(
     if spec.bloom_filter:
         from .bloom import build_bloom
         bloom_opts = spec.bloom_filter if isinstance(spec.bloom_filter, dict) else {}
-        bloom = build_bloom(values.compacted()[0], el, **bloom_opts)
+        bloom = build_bloom(values.arr, el, values.slots, **bloom_opts)
 
     # --- encoding decision -------------------------------------------------
     dictionary = idx_np_all = None
@@ -525,7 +540,7 @@ def encode_chunk(
         dictionary, idx_np_all = enc
         encoding = Encoding.RLE_DICTIONARY
         dictionary_page_offset = w.offset
-        raw = _encode_values(dictionary, _Values(dictionary, leaf).slots, leaf, Encoding.PLAIN)
+        raw = _encode_values(dictionary, _Values(dictionary, leaf).slots, leaf, Encoding.PLAIN)[0]
         comp = compress(raw, codec, opts.compressors, opts.codec_level)
         write_dictionary_page_header(
             w, uncompressed_page_size=len(raw), compressed_page_size=len(comp),
@@ -548,9 +563,9 @@ def encode_chunk(
                 else Encoding.PLAIN
             )
     encodings.append(int(encoding))
-    # DELTA byte-array pages are slices of the compacted values
-    arr, slots = values.compacted() if encoding in (
-        Encoding.DELTA_LENGTH_BYTE_ARRAY, Encoding.DELTA_BYTE_ARRAY) else (values.arr, values.slots)
+    # DELTA_BYTE_ARRAY pages are slices of the compacted values
+    arr, slots = values.compacted() if encoding == Encoding.DELTA_BYTE_ARRAY else \
+        (values.arr, values.slots)
 
     # --- page loop ---------------------------------------------------------
     # dictionary chunks write RLE index runs, not raw values: size pages
@@ -562,6 +577,8 @@ def encode_chunk(
     data_page_offset = w.offset
     col_index = ColumnIndexData() if spec.column_index and len(bounds) > 1 else None
     off_index = [] if spec.offset_index and len(bounds) > 1 else None
+    # a page's statistics, for the column index or, where the page's
+    # own pass found its bounds, for the chunk's
     page_stats: list[Stats] = []
     uncomp_acc = dict_uncomp
     def_bw = bit_width_of(lv.max_def)
@@ -572,10 +589,11 @@ def encode_chunk(
     # a page's values: by slot where there is one entry per slot (a leaf
     # that keeps its slots, or one with a value in every slot), else by value
     by_slot = len(arr) == n_slots
-    # one buffer for every PLAIN byte-array page: codecs, FSST and
-    # BufWriter.write all copy out of it
+    # one buffer for every PLAIN or DELTA_LENGTH byte-array page:
+    # codecs, FSST and BufWriter.write all copy out of it
     page_buf = None
-    reuse = encoding == Encoding.PLAIN and el.type == ParquetType.BYTE_ARRAY
+    reuse = el.type == ParquetType.BYTE_ARRAY and encoding in (
+        Encoding.PLAIN, Encoding.DELTA_LENGTH_BYTE_ARRAY)
 
     for (s0, s1) in bounds:
         page_start = w.offset
@@ -603,9 +621,9 @@ def encode_chunk(
             body = BufWriter()
             body.u8(bit_width)
             encode_rle_hybrid(body, idx_np_all[v0:v1], bit_width)
-            raw = body.view()
+            raw, slot_bounds = body.view(), None
         else:
-            raw = _encode_values(page, page_slots, leaf, encoding, page_buf)
+            raw, slot_bounds = _encode_values(page, page_slots, leaf, encoding, page_buf)
             if reuse:
                 page_buf = raw.obj
 
@@ -641,11 +659,13 @@ def encode_chunk(
             w.write(part)
         uncomp_acc += (w.offset - page_start) - comp_len + len(raw)
 
-        if col_index is not None:
-            pstats = compute_statistics(page, el, null_count=num_nulls)
+        if col_index is not None or (
+                slot_bounds is not None and opts.statistics and not spec.geospatial):
+            pstats = compute_statistics(page, el, null_count=num_nulls) if slot_bounds is None \
+                else slot_statistics(page_slots, slot_bounds, arr.type, el, num_nulls)
             page_stats.append(pstats)
-            all_null = pstats.min_bytes is None
-            col_index.null_pages.append(all_null)
+        if col_index is not None:
+            col_index.null_pages.append(pstats.min_bytes is None)
             col_index.min_values.append(pstats.min_bytes or b"")
             col_index.max_values.append(pstats.max_bytes or b"")
             col_index.null_counts.append(pstats.null_count)
@@ -664,7 +684,7 @@ def encode_chunk(
         if spec.geospatial:
             # parquet spec: geometry columns carry no byte min/max
             stats = Stats(None, None, lv.null_count, None, None)
-        elif page_stats:
+        elif len(page_stats) == len(bounds):
             stats = fold_statistics(page_stats, arr.type, el, lv.null_count)
         else:
             stats = compute_statistics(

@@ -20,13 +20,16 @@ vectorized search over the powers of two, and packing goes through
 block's ``zigzag(min_delta)`` varint, width bytes and packed miniblocks
 are scattered into one buffer, written once. The two byte-array
 encodings, :func:`delta_length_byte_array` and
-:func:`delta_byte_array`, write their lengths through it.
+:func:`delta_byte_array`, write their lengths through it; with the
+kernel, a DELTA_LENGTH_BYTE_ARRAY page is one call of its own, which
+also returns the page's min and max slot.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from . import _kernel
+from . import arrays as A
 from .bufwriter import BufWriter
 from .rle import _pack_bits
 
@@ -103,10 +106,30 @@ def delta_binary_pack(w: BufWriter, values: np.ndarray) -> None:
     w.write(memoryview(out))
 
 
-def delta_length_byte_array(w: BufWriter, lengths: np.ndarray, data: np.ndarray) -> None:
-    """Delta-packed lengths (int32 space, per spec) + concatenated raw bytes."""
+def delta_length_byte_array(slots: A.ByteSlots, out: "np.ndarray | None" = None
+                            ) -> "tuple[memoryview, tuple[int, int] | None]":
+    """DELTA_LENGTH_BYTE_ARRAY of the valid ones of a string/binary
+    array's checked slots: delta-packed lengths (int32 space, per spec)
+    + concatenated raw bytes, and the page's bounds as
+    ``plain.plain_byte_array`` gives them (None without the kernel).
+
+    The compiled kernel's ``delta_length_byte_array`` writes the whole
+    body in one call from the slots' own buffers, into ``out`` when it
+    is large enough (the page loop's reused page buffer), with the same
+    ``SLACK`` zero bytes past the view for FSST. Without a compiler the
+    numpy body writes the lengths through :func:`delta_binary_pack` and
+    the valid slots' bytes into a ``BufWriter``."""
+    got = _kernel.delta_length_byte_array(slots, out)
+    if got is not None:
+        return got
+    valid, lengths, data = slots.valid(), slots.lengths, slots.span()
+    if valid is not None:
+        # null slots may own bytes: keep the valid slots' bytes only
+        lengths, data = lengths[valid], data[np.repeat(valid, lengths)]
+    w = BufWriter()
     delta_binary_pack(w, lengths.astype(np.int32, copy=False))
     w.write(memoryview(np.ascontiguousarray(data)))
+    return w.view(), None
 
 
 _PREFIX_CAP = 64  # longest common prefix we detect (longer prefixes still valid, just less compressed)

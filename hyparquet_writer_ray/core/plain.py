@@ -1,8 +1,9 @@
 """PLAIN encoding for all physical types (reference semantics:
 src/plain.js:10-135). Each returns the page body itself, never copied
 into a page buffer: fixed widths as a view of the values, BYTE_ARRAY
-from the compiled kernel over the column's own slots (or one Arrow C++
-join of them without a compiler)."""
+from the compiled kernel over the column's own slots, together with the
+page's min and max slot (or one Arrow C++ join of them without a
+compiler)."""
 from __future__ import annotations
 
 import numpy as np
@@ -38,10 +39,14 @@ def plain_boolean(values: np.ndarray) -> bytes:
     return np.packbits(values.astype(np.uint8), bitorder="little").tobytes()
 
 
-def plain_byte_array(slots: A.ByteSlots, out: "np.ndarray | None" = None) -> memoryview:
+def plain_byte_array(slots: A.ByteSlots, out: "np.ndarray | None" = None
+                     ) -> "tuple[memoryview, tuple[int, int] | None]":
     """BYTE_ARRAY: u32 little-endian length prefix + raw bytes per value,
     for the valid ones of a string/binary array's checked slots
-    (``arrays.byte_slots``, or a page's slice of a chunk's).
+    (``arrays.byte_slots``, or a page's slice of a chunk's), and the
+    page's bounds: the first slot holding its smallest value and the
+    first holding its largest, in ``pc.min_max``'s order (-1 for both
+    when no slot is valid), or None without the kernel.
 
     The compiled kernel's ``plain_byte_array`` reads the slots' own
     offsets, validity and value buffers and writes the layout once,
@@ -53,11 +58,13 @@ def plain_byte_array(slots: A.ByteSlots, out: "np.ndarray | None" = None) -> mem
     null slots owning bytes; one vCPU, medians of 9 in each of 2
     processes) it takes 18.1-18.3 ms into a fresh buffer and 10.4-10.7
     ms into a reused one, against 35.5-41.4 ms for ``drop_null_fast``
-    and the layout from the compacted values. Without a compiler the
-    slots are joined by Arrow (:func:`_joined`), nulls in place.
+    and the layout from the compacted values. The bounds come from the
+    same pass, each value compared while its copy is in cache, so the
+    page's statistics need no second pass over its values. Without a
+    compiler the slots are joined by Arrow (:func:`_joined`), nulls in
+    place, and the caller takes the bounds from ``pc.min_max``.
     """
-    got = _kernel.plain_byte_array(slots, out)
-    return got if got is not None else _joined(slots)
+    return _kernel.plain_byte_array(slots, out) or (_joined(slots), None)
 
 
 def _joined(slots: A.ByteSlots) -> memoryview:

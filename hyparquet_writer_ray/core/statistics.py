@@ -7,7 +7,8 @@ written -0.0 and a zero max +0.0. ``encode_chunk`` takes a chunk's
 statistics from one of three sources, each giving the bounds a pass
 over every value would give:
 
-- its pages: when the column index already holds per-page statistics,
+- its pages: when every page has statistics (the column index holds
+  them, or a string/binary page's own layout pass found its bounds),
   ``fold_statistics`` folds the pages' untruncated ``min_raw`` /
   ``max_raw`` and serializes (and truncates) once, after the fold. The
   pages partition the chunk's values, so the min of the page minima is
@@ -18,7 +19,16 @@ over every value would give:
   a NaN-skipping numpy reduce (``np.fmin``/``np.fmax``) over the value
   buffer; every other type uses ``pyarrow.compute.min_max`` (C kernel:
   skips nulls and NaN, unsigned lexicographic for binary). Page
-  statistics use the same pass.
+  statistics use the same pass, except where a page has a source of
+  its own:
+
+- a string/binary page's layout pass: the compiled kernel writes a
+  PLAIN or DELTA_LENGTH_BYTE_ARRAY body and returns the slots of the
+  page's smallest and largest value in the same call, in ``min_max``'s
+  order; ``slot_statistics`` serializes those two values. The pages of
+  a dictionary chunk, DELTA_BYTE_ARRAY, FIXED_LEN_BYTE_ARRAY and
+  fixed-width pages, and every page written without the kernel, use
+  ``compute_statistics``.
 """
 from __future__ import annotations
 
@@ -155,6 +165,25 @@ def compute_statistics(arr: pa.Array, element: SchemaElement, null_count: int = 
     dictionary. ``null_count`` is supplied by the caller (it is a
     level-space property for nested columns)."""
     return _stats(*_bounds(arr), arr.type, element, null_count)
+
+
+def slot_statistics(slots: A.ByteSlots, bounds: "tuple[int, int]", t: pa.DataType,
+                    element: SchemaElement, null_count: int) -> Stats:
+    """``compute_statistics`` of a string/binary page from its checked
+    ``slots`` and the slots of its smallest and largest value
+    (``bounds``, -1 when none is valid), as the page's own layout pass
+    found them: the same bytes, truncation, exactness flags and raw
+    bounds (``str`` for a string type, ``bytes`` for a binary one)."""
+    lo, hi = bounds
+    if lo < 0:
+        return _stats(None, None, t, element, null_count)
+    text = pa.types.is_string(t) or pa.types.is_large_string(t)
+
+    def value(i: int):
+        raw = slots.data[slots.offsets.item(i):slots.offsets.item(i + 1)].tobytes()
+        return raw.decode() if text else raw
+
+    return _stats(value(lo), value(hi), t, element, null_count)
 
 
 def fold_statistics(pages: list[Stats], t: pa.DataType, element: SchemaElement,

@@ -23,8 +23,8 @@ def ray_session():
 @pytest.fixture
 def no_kernel(monkeypatch):
     """The compiled kernel disabled for one test: FSST, the page
-    encoders, the byte-array layouts and the dictionary encoder run
-    their fallbacks."""
+    encoders, the byte-array layouts, bloom hashing and the dictionary
+    encoder run their fallbacks."""
     from hyparquet_writer_ray.core import _kernel
 
     monkeypatch.setattr(_kernel, "_tried", True)

@@ -33,6 +33,43 @@ def test_xxhash64_vectorized_matches_scalar():
         assert bloom.xxhash64(int(v).to_bytes(4, "little", signed=True)) == int(h)
 
 
+@pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "no_kernel"])
+@pytest.mark.parametrize("typ", [pa.string(), pa.binary(), pa.large_string(),
+                                 pa.large_binary()], ids=str)
+def test_byte_array_hashes_match_scalar_xxhash64(request, kernel, typ):
+    """``hash_values`` of a string/binary array (the compiled kernel's
+    ``xxhash64_slots``, or the scalar fallback) is ``xxhash64`` of each
+    valid slot: lengths 0-40 cover the <4, 4-7, 8-31 and >=32-byte
+    paths, null slots own bytes that must not be hashed, and slices
+    start at every bit offset."""
+    from hyparquet_writer_ray.core import _kernel
+    from hyparquet_writer_ray.core.types import ParquetType, SchemaElement
+
+    if not kernel:
+        request.getfixturevalue("no_kernel")
+    elif _kernel.get_kernel() is None:
+        pytest.skip("no C compiler")
+    rng = np.random.default_rng(5)
+    n = 600
+    lens = np.tile(np.arange(41), n // 41 + 1)[:n]
+    rng.shuffle(lens)
+    data = rng.integers(0, 256, int(lens.sum()), dtype=np.uint8).tobytes()
+    if pa.types.is_string(typ) or pa.types.is_large_string(typ):
+        data = bytes(b & 0x7F for b in data)  # ASCII: valid UTF-8 at any cut
+    offsets = np.concatenate([[0], np.cumsum(lens)])
+    valid = rng.random(n) >= 0.2
+    arr = pa.Array.from_buffers(typ, n, [
+        pa.py_buffer(np.packbits(valid, bitorder="little")),
+        pa.py_buffer(offsets.astype(np.int32 if typ in (pa.string(), pa.binary()) else np.int64)),
+        pa.py_buffer(data)], null_count=int(n - valid.sum()))
+    el = SchemaElement(name="c", type=ParquetType.BYTE_ARRAY)
+    for start in range(9):
+        part = arr.slice(start, n - 2 * start)
+        want = [bloom.xxhash64(v.encode() if isinstance(v, str) else v)
+                for v in part.to_pylist() if v is not None]
+        assert bloom.hash_values(part, el).tolist() == want
+
+
 def test_sbbf_membership_and_fpp():
     rng = np.random.default_rng(9)
     present = rng.integers(0, 2**63, 2000, dtype=np.int64)

@@ -2,6 +2,9 @@
 checks a string/binary chunk's slots once (``arrays.byte_slots``),
 compacts them at most once, and takes every page as a slice of them,
 so the number of checks does not grow with the number of pages.
+PLAIN and DELTA_LENGTH pages and the bloom filter read the slots
+themselves and compact nothing; an FSST chunk's sample and dictionary
+trial share one compacted prefix.
 
 Counted inside one ``encode_chunk`` of a nullable string column whose
 null slots own bytes (``pc.if_else`` output, so every compaction runs
@@ -47,9 +50,9 @@ def _owned_column(typ: pa.DataType, equal_width: bool, n: int = 6_000) -> pa.Arr
 
 
 def _counts(monkeypatch, col: pa.Array, spec: ColumnSpec, page_size: int):
-    """(checks, checks of the whole chunk, chunk-wide compactions) in one
-    ``encode_chunk`` of ``col``."""
-    checks, whole, compactions = [0], [0], [0]
+    """(checks, checks of the whole chunk, chunk-wide compactions, all
+    compactions) in one ``encode_chunk`` of ``col``."""
+    checks, whole, compactions, every = [0], [0], [0], [0]
     byte_slots, compact = A.byte_slots, _kernel.compact_byte_array
 
     def counting_slots(arr):
@@ -59,6 +62,7 @@ def _counts(monkeypatch, col: pa.Array, spec: ColumnSpec, page_size: int):
 
     def counting_compact(slots):
         compactions[0] += len(slots.lengths) == len(col)
+        every[0] += 1
         return compact(slots)
 
     leaf = leaf_columns(schema_from_arrow(pa.schema([("c", col.type)])))[0]
@@ -69,7 +73,7 @@ def _counts(monkeypatch, col: pa.Array, spec: ColumnSpec, page_size: int):
     finally:
         monkeypatch.setattr(A, "byte_slots", byte_slots)
         monkeypatch.setattr(_kernel, "compact_byte_array", compact)
-    return checks[0], whole[0], compactions[0]
+    return checks[0], whole[0], compactions[0], every[0]
 
 
 @pytest.mark.parametrize("typ", [pa.string(), pa.large_string()], ids=str)
@@ -81,6 +85,19 @@ def test_a_chunk_checks_its_slots_once_and_compacts_them_at_most_once(
     small = _counts(monkeypatch, col, VIEW_SPECS[spec], 1 << 10)
     large = _counts(monkeypatch, col, VIEW_SPECS[spec], 1 << 20)
     assert small == large, (small, large)
-    checks, whole, compactions = small
+    checks, whole, compactions, every = small
     assert whole == 1, small
     assert compactions <= 1, small
+    if spec in ("plain", "delta_length", "bloom_delta_length"):
+        # the pages and the bloom filter read the slots themselves
+        assert every == 0, small
+
+
+@pytest.mark.parametrize("typ", [pa.string(), pa.large_string()], ids=str)
+@pytest.mark.parametrize("start", [0, 13])
+def test_an_fsst_chunk_compacts_one_prefix(monkeypatch, typ, start):
+    """The FSST sample (the first 2,000 values) and the dictionary trial
+    (the first 1,000) share one compacted slot prefix, and the PLAIN
+    pages read the slots: one compaction in the whole chunk."""
+    col = _owned_column(typ, False).slice(start)
+    assert _counts(monkeypatch, col, VIEW_SPECS["fsst"], 1 << 10)[2:] == (0, 1)

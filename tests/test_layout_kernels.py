@@ -14,14 +14,20 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import delta_oracle
 import plain_oracle as oracle
 from hyparquet_writer_ray.core import _kernel
 from hyparquet_writer_ray.core import arrays as A
+from hyparquet_writer_ray.core.bufwriter import BufWriter
+from hyparquet_writer_ray.core.delta import delta_length_byte_array
 from hyparquet_writer_ray.core.plain import _joined, plain_byte_array
+from hyparquet_writer_ray.core.statistics import compute_statistics, slot_statistics
+from hyparquet_writer_ray.core.types import ParquetType, SchemaElement
 
 BYTE_TYPES = [pa.string(), pa.binary(), pa.large_string(), pa.large_binary()]
 
@@ -69,13 +75,13 @@ def _check_plain(arr: pa.Array) -> None:
     large enough that still holds an earlier page's bytes."""
     lengths, data = A.byte_array_values(arr.drop_null())
     want = bytes(oracle.plain_byte_array(lengths, data))
-    got = plain_byte_array(A.byte_slots(arr))
+    got = plain_byte_array(A.byte_slots(arr))[0]
     assert bytes(got) == want
     assert len(got) == 4 * len(lengths) + data.nbytes
     # at least 4 bytes per slot and every byte of the value buffer
     roomy = 4 * len(arr) + arr.buffers()[2].size + _kernel.SLACK
     for out in (np.full(3, 0xA5, np.uint8), np.full(roomy, 0xA5, np.uint8)):
-        got = plain_byte_array(A.byte_slots(arr), out)
+        got = plain_byte_array(A.byte_slots(arr), out)[0]
         assert bytes(got) == want
         if _kernel.get_kernel() is not None:
             base = got.obj
@@ -115,7 +121,7 @@ def test_slot_layout_matches_drop_null_and_join(typ, n, null_frac, empty_frac, o
     start = min(8 * bytes_before + bit_offset, n)
     for a in (arr.slice(start), arr.slice(start, length)):
         want = bytes(_joined(A.byte_slots(A.drop_null_fast(a))))
-        assert bytes(plain_byte_array(A.byte_slots(a))) == want
+        assert bytes(plain_byte_array(A.byte_slots(a))[0]) == want
         valid = A.validity_mask(a)
         if valid is not None and valid.any():
             # a run of valid slots: a bitmap, but no null among its slots
@@ -123,7 +129,7 @@ def test_slot_layout_matches_drop_null_and_join(typ, n, null_frac, empty_frac, o
             run = int(np.argmin(valid[first:])) or len(valid) - first
             b = a.slice(first, run)
             assert b.null_count == 0 and b.buffers()[0] is not None
-            assert bytes(plain_byte_array(A.byte_slots(b))) == bytes(_joined(A.byte_slots(b)))
+            assert bytes(plain_byte_array(A.byte_slots(b))[0]) == bytes(_joined(A.byte_slots(b)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -141,7 +147,7 @@ def test_slot_slices_read_as_the_slices_slots(typ, n, null_frac, owned, seed, st
     page = arr.slice(start, length)
     got = A.byte_slots(arr).slice(start, start + len(page), page.null_count)
     want = A.byte_slots(page)
-    assert bytes(plain_byte_array(got)) == bytes(plain_byte_array(want))
+    assert bytes(plain_byte_array(got)[0]) == bytes(plain_byte_array(want)[0])
     assert bytes(got.span()) == bytes(want.span())
     assert (got.lengths == want.lengths).all()
     valid = got.valid()
@@ -152,6 +158,124 @@ def test_slot_slices_read_as_the_slices_slots(typ, n, null_frac, owned, seed, st
     assert compact.equals(page.drop_null())
     assert (compact_slots.lengths == A.byte_slots(page.drop_null()).lengths).all()
     assert bytes(compact_slots.span()) == bytes(A.byte_slots(compact).span())
+
+
+# tokens whose concatenations tie on their 8-byte keys and differ later,
+# are prefixes of one another (b"ab" < b"ab\x00"), are empty, or hold
+# 0x00 and 0xFF bytes; a string column's tokens are valid UTF-8
+BIN_TOKENS = [b"", b"\x00", b"\x01", b"a", b"ab", b"\x7f", b"\x80", b"\xfe", b"\xff",
+              b"abcdefgh", b"\xff" * 9]
+STR_TOKENS = [t.encode() for t in ("", "\x00", "\x01", "a", "ab", "\x7f", "\xe9",
+                                    "\uffff", "\U0010ffff", "abcdefgh")]
+
+
+def _tricky(rng, typ: pa.DataType, n: int, null_frac: float) -> pa.Array:
+    """n values built from a few shared stems and random token tails,
+    ``null_frac`` of the slots null and owning the bytes they had."""
+    text = pa.types.is_string(typ) or pa.types.is_large_string(typ)
+    tokens = STR_TOKENS if text else BIN_TOKENS
+    word = lambda k: b"".join(tokens[i] for i in rng.integers(0, len(tokens), k))  # noqa: E731
+    stems = [word(int(k)) for k in rng.integers(0, 4, 4)]
+    values = [stems[int(rng.integers(0, 4))] + word(int(rng.integers(0, 4))) for _ in range(n)]
+    if n:
+        # over 16 bytes, led by the largest first byte the type allows:
+        # a binary max's truncation falls back to the whole value
+        values[int(rng.integers(0, n))] = "\U0010ffff".encode() * 5 if text \
+            else b"\xff" * 17 + b"\x01"
+    offsets = np.concatenate([[0], np.cumsum([len(v) for v in values])]).astype(A.offset_dtype(typ))
+    valid = rng.random(n) >= null_frac
+    return pa.Array.from_buffers(typ, n, [
+        pa.py_buffer(np.packbits(valid, bitorder="little")), pa.py_buffer(offsets),
+        pa.py_buffer(b"".join(values))], null_count=int(n - valid.sum()))
+
+
+BYTE_ARRAY = SchemaElement(name="c", type=ParquetType.BYTE_ARRAY)
+
+
+def _check_bounds(page: pa.Array, body, bounds, want_body: bytes) -> None:
+    """``body`` is ``want_body``; ``bounds`` (None without the kernel) are
+    the first valid slots holding ``pc.min_max``'s values of ``page``,
+    and give ``compute_statistics``'s ``Stats`` through
+    ``slot_statistics``."""
+    assert bytes(body) == want_body
+    if _kernel.get_kernel() is None:
+        assert bounds is None
+        return
+    slots = A.byte_slots(page)
+    mm = pc.min_max(page)
+    valid = A.validity_mask(page)
+    values = [bytes(slots.data[slots.offsets[i]:slots.offsets[i + 1]])
+              for i in range(len(page))]
+    for slot, want in zip(bounds, (mm["min"].as_py(), mm["max"].as_py())):
+        if want is None:
+            assert slot == -1
+            continue
+        want = want.encode() if isinstance(want, str) else want
+        first = next(i for i, v in enumerate(values)
+                     if v == want and (valid is None or valid[i]))
+        assert slot == first, (slot, first, values[slot], want)
+    assert slot_statistics(slots, bounds, page.type, BYTE_ARRAY, page.null_count) == \
+        compute_statistics(page, BYTE_ARRAY, page.null_count)
+
+
+@settings(max_examples=300, deadline=None)
+@given(typ=st.sampled_from(BYTE_TYPES), n=st.integers(0, 120),
+       null_frac=st.sampled_from([0.0, 0.2, 0.9, 1.0]), seed=st.integers(0, 2**32 - 1),
+       bit_offset=st.integers(0, 7), length=st.integers(0, 120))
+def test_page_bounds_match_min_max(typ, n, null_frac, seed, bit_offset, length):
+    """The bounds PLAIN and DELTA_LENGTH_BYTE_ARRAY bodies return with
+    their bytes are the first slots of ``pc.min_max``'s values, in its
+    order (unsigned bytes, a prefix first), on values that tie on their
+    8-byte keys, prefixes of one another, 0x00 and 0xFF bytes, empty
+    values, null slots that own bytes, slices at every bit offset and
+    all-null pages; and ``slot_statistics`` of them is
+    ``compute_statistics`` of the page."""
+    arr = _tricky(np.random.default_rng(seed), typ, n, null_frac)
+    for page in (arr, arr.slice(min(bit_offset, n)), arr.slice(min(bit_offset, n), length)):
+        lengths, data = A.byte_array_values(page.drop_null())
+        want = BufWriter()
+        delta_oracle.delta_length_byte_array(want, lengths, data)
+        slots = A.byte_slots(page)
+        _check_bounds(page, *plain_byte_array(slots),
+                      bytes(oracle.plain_byte_array(lengths, data)))
+        _check_bounds(page, *delta_length_byte_array(slots), want.getvalue())
+        # into a reused buffer that still holds another page's bytes
+        out = np.full(4 * len(page) + len(data) + 4096, 0xA5, np.uint8)
+        _check_bounds(page, *delta_length_byte_array(slots, out), want.getvalue())
+
+
+HAND_PICKED = [
+    [b"ab\x00", b"ab"], [b"ab", b"ab\x00", b"ab"], [b"abcdefghZ", b"abcdefghA", b"abcdefgh"],
+    [b"\x00", b""], [b"\x00" * 9, b"\x00" * 8, b"\x00" * 10], [b"\x7f" * 3, b"\x7f\x7f"],
+    [b"\xff" * 20, b"\xff" * 19, b"\xfe" + b"\xff" * 30], [b"a\xff", b"a\x00\xff", b"a"],
+]
+
+
+def _utf8(values: list) -> bool:
+    try:
+        for v in values:
+            v.decode()
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("typ,values", [
+    (typ, [v.decode() for v in values] if text else values)
+    for typ in BYTE_TYPES for values in HAND_PICKED
+    for text in [pa.types.is_string(typ) or pa.types.is_large_string(typ)]
+    if not text or _utf8(values)], ids=repr)
+def test_page_bounds_of_hand_picked_values(typ, values):
+    """Pages on which an 8-byte key alone would order wrongly: a value
+    and its prefix, keys equal past the value's end, and 0xFF runs
+    (binary only; a string column takes the valid UTF-8 cases)."""
+    for page in (pa.array(values, typ), pa.array([None] + values, typ).slice(1)):
+        lengths, data = A.byte_array_values(page)
+        want = BufWriter()
+        delta_oracle.delta_length_byte_array(want, lengths, data)
+        slots = A.byte_slots(page)
+        _check_bounds(page, *plain_byte_array(slots), bytes(oracle.plain_byte_array(lengths, data)))
+        _check_bounds(page, *delta_length_byte_array(slots), want.getvalue())
 
 
 @pytest.mark.parametrize("typ", BYTE_TYPES, ids=str)
@@ -212,14 +336,22 @@ def test_layout_kernels_stay_within_their_bounds(lib, typ):
 
         for start in range(min(n, 8) + 1):
             # slots [start, n): the bitmap's bit offset is start % 8
-            k = n - start
-            size = 4 * int(valid[start:].sum()) + int(np.diff(offs[start:])[valid[start:] == 1].sum())
-            out = _guarded(size)
-            m = lib.plain_byte_array(offs[start:].ctypes.data, odt is np.int64,
-                                     None if bits is None else bits[start // 8:].ctypes.data,
-                                     start % 8, k, src.ctypes.data, out.ctypes.data)
-            assert m == size
-            assert (out[size:] == 0xA5).all()
+            args = (offs[start:].ctypes.data, odt is np.int64,
+                    None if bits is None else bits[start // 8:].ctypes.data,
+                    start % 8, n - start, src.ctypes.data)
+            kept = valid[start:] == 1
+            lengths = np.diff(offs[start:])[kept]
+            head = len(_kernel.delta_binary_pack(lengths.astype(np.int32)))
+            for entry, size in ((lib.plain_byte_array, 4 * len(lengths) + int(lengths.sum())),
+                                (lib.delta_length_byte_array, head + int(lengths.sum()))):
+                out = _guarded(size)
+                bounds = np.full(2 + GUARD, -7, np.int64)
+                assert entry(*args, out.ctypes.data, bounds.ctypes.data) == size
+                assert (out[size:] == 0xA5).all() and (bounds[2:] == -7).all()
+                assert (bounds[:2] == -1).all() == (not kept.any())
+            hashes = np.full(len(lengths) + GUARD, 7, np.uint64)
+            assert lib.xxhash64_slots(*args, hashes.ctypes.data) == len(lengths)
+            assert (hashes[len(lengths):] == 7).all()
 
 
 def test_layout_kernels_refuse_inconsistent_inputs():
@@ -296,7 +428,7 @@ def test_plain_byte_array_view_is_scanned_in_place(lib):
     from hyparquet_writer_ray.core import fsst as F
 
     arr = _array(np.random.default_rng(2), pa.string(), 2_000, 0.0, 0.1, owned=False)
-    view = plain_byte_array(A.byte_slots(arr))
+    view = plain_byte_array(A.byte_slots(arr))[0]
     base = view.obj
     assert bytes(base[len(view):]) == bytes(_kernel.SLACK)
     assert _kernel._slack_follows(view, np.frombuffer(view, np.uint8))

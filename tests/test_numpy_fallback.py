@@ -2,8 +2,9 @@
 DELTA_BINARY_PACKED oracle tests on the numpy bodies, the byte-array
 layout and malformed-offsets tests on Arrow's ``drop_null`` and the
 Arrow join (the slots' check runs before either), the counts of a
-chunk's checks and compactions, and the dictionary tests on Arrow's
-``count_distinct`` and ``dictionary_encode``. The modules
+chunk's checks and compactions, the dictionary tests on Arrow's
+``count_distinct`` and ``dictionary_encode``, and the statistics
+oracle on ``pc.min_max`` where the kernel's page bounds are missing. The modules
 below run on the compiled kernel wherever a C compiler works; collected
 here, the same test functions run with the kernel disabled, so both
 paths are held to the same oracles."""
@@ -19,5 +20,6 @@ from test_layout_kernels import *  # noqa: F401,F403
 from test_malformed_offsets import *  # noqa: F401,F403
 from test_plain_kernels import *  # noqa: F401,F403
 from test_rle_kernels import *  # noqa: F401,F403
+from test_stats_kernels import *  # noqa: F401,F403
 
 pytestmark = pytest.mark.usefixtures("no_kernel")

@@ -53,7 +53,7 @@ def _binary(lengths, data) -> pa.Array:
 def _plain_equal(arr: pa.Array) -> None:
     """The PLAIN layout of ``arr``'s slots is the oracle's of its values."""
     lengths, data = A.byte_array_values(arr.drop_null())
-    got = bytes(plain_byte_array(A.byte_slots(arr)))
+    got = bytes(plain_byte_array(A.byte_slots(arr))[0])
     assert got == bytes(oracle.plain_byte_array(lengths, data))
     assert len(got) == 4 * len(lengths) + data.nbytes
 

@@ -63,6 +63,14 @@ The files cover:
   2-byte values (the kernel's equal-width keys), sliced at a non-zero
   offset and written in 4 KiB pages: the bloom filter and the pages
   read the same chunk's values.
+- ``byte_bounds.parquet``: ``string`` and ``binary`` columns (and one
+  ``large_binary``) whose page minima and maxima hinge on byte order:
+  values that tie on their first 8 bytes and differ later, a value
+  and its prefix (``ab`` and ``ab\\x00``), 0x00 and 0xFF bytes, empty
+  values and 0xFF-led values longer than 16 bytes (the max's
+  truncation falls back to the whole value), with null slots owning
+  bytes, sliced, in 1 KiB pages: PLAIN, DELTA_LENGTH_BYTE_ARRAY and
+  FSST over either, with and without a column index.
 - ``rows.parquet``: ``write_rows`` of row dicts to a path sink with
   ``row_group_size=(700, 1500)``: inferred int32, int64, double,
   string, boolean and timestamp columns with nulls, and a dict-valued
@@ -72,7 +80,7 @@ The files cover:
   ``(300, 500, 800)``, so each call picks the schedule up where the
   previous one left it.
 
-The ``lineitem.parquet`` to ``nullable_bloom.parquet`` files are written
+The ``lineitem.parquet`` to ``byte_bounds.parquet`` files are written
 by ``write_table`` to a path sink.
 
 With ``--ray`` it starts a local Ray session and checks the Ray
@@ -316,6 +324,35 @@ def _nullable_bloom(n: int = 12_000, seed: int = 37) -> pa.Table:
     return pa.table(cols).slice(skip)
 
 
+def _byte_bounds(n: int = 12_000, seed: int = 41) -> pa.Table:
+    rng = np.random.default_rng(seed)
+    skip = 21  # sliced off below
+    m = n + skip
+    binary = [b"", b"\x00", b"\x01", b"ab", b"ab\x00", b"abcdefgh", b"abcdefghA",
+              b"\x7f", b"\x80", b"\xfe", b"\xff", b"\xff" * 17, b"\xff" * 20 + b"\x01"]
+    text = [b"", b"\x00", b"ab", b"ab\x00", b"abcdefgh", b"abcdefghB", b"\x7f",
+            "\u00e9".encode(), "\U0010ffff".encode()]
+
+    def column(tokens: list, typ: pa.DataType) -> pa.Array:
+        stems = [b"".join(tokens[i] for i in rng.integers(0, len(tokens), 3))
+                 for _ in range(40)]
+        values = [stems[int(s)] + tokens[int(t)] + b"%d" % k for s, t, k in zip(
+            rng.integers(0, 40, m), rng.integers(0, len(tokens), m), rng.integers(0, 9, m))]
+        values = pa.array(values, pa.binary()).cast(typ)
+        # pc.if_else keeps each null slot's bytes in the value buffer
+        return pc.if_else(pa.array(rng.random(m) < 0.1), pa.scalar(None, typ), values)
+
+    return pa.table({
+        "bin_plain": column(binary, pa.binary()),
+        "bin_dlba": column(binary, pa.large_binary()),
+        "bin_fsst": column(binary, pa.binary()),
+        "str_plain": column(text, pa.string()),
+        "str_dlba": column(text, pa.string()),
+        "str_fsst": column(text, pa.large_string()),
+        "str_no_index": column(text, pa.string()),
+    }).slice(skip)
+
+
 def _files() -> list[tuple[str, pa.Table, WriteOptions]]:
     web = synthesize_batch(0, 20_000)
     return [
@@ -352,6 +389,15 @@ def _files() -> list[tuple[str, pa.Table, WriteOptions]]:
              for kind, encoding in (("plain", Encoding.PLAIN),
                                     ("dlba", Encoding.DELTA_LENGTH_BYTE_ARRAY),
                                     ("dict2", None))})),
+        ("byte_bounds.parquet", _byte_bounds(),
+         WriteOptions(page_size=1 << 10, row_group_size=(5_000,), column_specs={
+             "bin_plain": ColumnSpec(encoding=Encoding.PLAIN),
+             "bin_dlba": ColumnSpec(encoding=Encoding.DELTA_LENGTH_BYTE_ARRAY),
+             "bin_fsst": ColumnSpec(encoding=Encoding.DELTA_LENGTH_BYTE_ARRAY, fsst=True),
+             "str_plain": ColumnSpec(encoding=Encoding.PLAIN),
+             "str_dlba": ColumnSpec(encoding=Encoding.DELTA_LENGTH_BYTE_ARRAY),
+             "str_fsst": ColumnSpec(encoding=Encoding.PLAIN, fsst=True),
+             "str_no_index": ColumnSpec(encoding=Encoding.PLAIN, column_index=False)})),
     ]
 
 
